@@ -3,11 +3,12 @@ algebraic curves, with exact accounting of base-field operations.
 
 The package splits into:
 
-* `galois` — GF(2^k) arithmetic, polynomials, extension fields.
-* `linalg` — dense matrices over a field, rank/inverse, counted mat-vec.
+* `galois` — GF(2^k) arithmetic (k <= 8), polynomials, extension fields.
+* `linalg` — dense matrices over a field, rank/inverse, mat-vec.
 * `curve` — hyperelliptic curve models, places, function evaluation.
-* `kernels` — counted Karatsuba-style bilinear multiplication kernels.
-* `engine` — instance validation, compilation, and the counted multiplier.
+* `kernels` — Karatsuba-style bilinear multiplication kernels.
+* `engine` — instance validation, compilation, and the multiplier with its
+  operation report, fixed at compile time.
 * `tools` — instance-file I/O, verification reports, self-test, bench, CLI.
 """
 

@@ -104,8 +104,7 @@ def _cmd_bench(args) -> int:
 def _cmd_counts(args) -> int:
     spec = tools.load_instance(args.file)
     compiled = compile_instance(spec)
-    ones = [1] * spec.n
-    _, rep = compiled.multiply(ones, ones)
+    rep = compiled.report
     n, g = spec.n, spec.g
     degrees = compiled.place_degrees
     print(f"instance {spec.name}: n={n}, genus {g}, place degrees {degrees}")

@@ -6,7 +6,8 @@ curve; a degree-n place Q whose residue field is the target F_{q^n}; a
 pool of candidate evaluation places.  Compilation selects places greedily
 until their degrees sum to 2n+g-1, builds the evaluation matrix T (one row
 block per place, one column per basis function), certifies rank(T) =
-2n+g-1, and freezes the counted straight-line schedule.
+2n+g-1, and freezes the straight-line schedule together with its operation
+report, which is read off the shapes of what it schedules.
 
 One product of x, y in F_{q^n} (length-n coordinate tuples over F_q) runs:
 
@@ -50,8 +51,8 @@ from .galois import (
     poly_mod,
     poly_mul,
 )
-from .kernels import KERNEL_COST, BilinearCounter, KernelPlan
-from .linalg import CountingContext, Matrix, invert, mat_vec, rank
+from .kernels import KERNEL_COST, KernelPlan
+from .linalg import Matrix, invert, mat_vec, rank
 
 
 class InstanceError(Exception):
@@ -218,22 +219,6 @@ class InstanceSpec:
             seen.add(key)
 
 
-def embed_x(spec: InstanceSpec, x: Sequence[int]) -> list[int]:
-    """Coordinates of x against the basis: x_1..x_n on f_1..f_n, zeros after."""
-    _check_operand(spec, x)
-    return list(x) + [0] * (spec.size - spec.n)
-
-
-def embed_y(spec: InstanceSpec, y: Sequence[int]) -> list[int]:
-    """Coordinates of y: y_1 on f_1, y_2..y_n on f_{n+1}..f_{2n-1}."""
-    _check_operand(spec, y)
-    n = spec.n
-    out = [0] * spec.size
-    out[0] = y[0]
-    out[n : 2 * n - 1] = y[1:]
-    return out
-
-
 def _check_operand(spec: InstanceSpec, v: Sequence[int]) -> None:
     if len(v) != spec.n:
         raise ValueError(f"operand must have {spec.n} coordinates, got {len(v)}")
@@ -293,7 +278,7 @@ def verify_good_basis(spec: InstanceSpec) -> list[CheckResult]:
 class CompiledMultiplier:
     """Frozen straight-line multiplier for one instance."""
 
-    __slots__ = ("spec", "places", "T", "T_x", "T_y", "T_inv_top", "plan")
+    __slots__ = ("spec", "places", "T", "T_x", "T_y", "T_inv_top", "plan", "report")
 
     def __init__(self, spec, places, T, T_x, T_y, T_inv_top, plan):
         self.spec = spec
@@ -303,6 +288,13 @@ class CompiledMultiplier:
         self.T_y = T_y
         self.T_inv_top = T_inv_top
         self.plan = plan
+        # every product schedules one multiplication per entry of the three
+        # matrices and the plan's kernels, whatever the operand values
+        self.report = OpReport(
+            step1_scalar=T_x.rows * T_x.cols + T_y.rows * T_y.cols,
+            step2_bilinear=plan.advertised_cost,
+            step3_scalar=T_inv_top.rows * T_inv_top.cols,
+        )
 
     @property
     def place_degrees(self) -> list[int]:
@@ -328,16 +320,12 @@ class CompiledMultiplier:
         _check_operand(spec, x)
         _check_operand(spec, y)
         n = spec.n
-        ctx1 = CountingContext()
-        zv = mat_vec(self.T_x, list(x), ctx1)
-        tv = mat_vec(self.T_y, list(y), ctx1)
-        counter = BilinearCounter()
-        had = self.plan.hadamard(zv, tv, counter)
-        ctx3 = CountingContext()
-        w = mat_vec(self.T_inv_top, had, ctx3)
+        zv = mat_vec(self.T_x, x)
+        tv = mat_vec(self.T_y, y)
+        had = self.plan.hadamard(zv, tv)
+        w = mat_vec(self.T_inv_top, had)
         z = [w[0]] + [w[j] ^ w[n + j - 1] for j in range(1, n)]
-        report = OpReport(ctx1.scalar_mults, counter.bilinear_mults, ctx3.scalar_mults)
-        return tuple(z), report
+        return tuple(z), self.report
 
 
 def _evaluation_rows(spec: InstanceSpec, place) -> list[list[int]]:
@@ -406,6 +394,7 @@ def compile_instance(spec: InstanceSpec) -> CompiledMultiplier:
     T_inv_top = Matrix.from_rows(
         spec.field, [list(T_inv.row(i)) for i in range(2 * n - 1)]
     )
+    # the one place that fixes how operands embed (see the module docstring)
     T_x = T.take_columns(list(range(n)))
     T_y = T.take_columns([0] + list(range(n, 2 * n - 1)))
 

@@ -25,20 +25,22 @@ from typing import Iterable, Iterator, Sequence
 Poly = tuple  # tuple of base-field ints, little-endian, no trailing zeros
 ZERO_POLY: Poly = ()
 NEG_INF = float("-inf")
+MAX_K = 8  # largest base-field degree: a product table of at most 2^16 entries
 
 
 class BinaryField:
-    """GF(2^k) presented as F_2[w]/(modulus).
+    """GF(2^k) presented as F_2[w]/(modulus), for 1 <= k <= MAX_K.
 
     ``modulus`` is the defining polynomial as a bitmask (bit i = coeff of w^i),
-    monic of degree k and irreducible over F_2.
+    monic of degree k and irreducible over F_2.  The q*q product table is
+    built once here, so `mul` is a lookup; that is what caps k.
     """
 
-    __slots__ = ("k", "modulus", "order")
+    __slots__ = ("k", "modulus", "order", "_table")
 
     def __init__(self, k: int, modulus: int):
-        if k < 1:
-            raise ValueError("field degree must be >= 1")
+        if not 1 <= k <= MAX_K:
+            raise ValueError(f"field degree must be between 1 and {MAX_K}")
         if modulus >> k != 1 or modulus < 0:
             raise ValueError("modulus must be monic of degree k")
         self.k = k
@@ -48,6 +50,10 @@ class BinaryField:
         # the real test (which needs F2, constructed through this fast path)
         if k > 1 and not is_irreducible(F2, _bits_to_poly(modulus)):
             raise ValueError("modulus must be irreducible over F_2")
+        q = self.order
+        self._table = tuple(
+            tuple(self._reduce(_bits_mul(a, b)) for b in range(q)) for a in range(q)
+        )
 
     def check(self, v: int) -> int:
         """Validate a raw int as an element of this field and return it."""
@@ -59,18 +65,8 @@ class BinaryField:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        # carry-less multiply, then reduce
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            a <<= 1
-            b >>= 1
-        m = self.modulus
-        top = m.bit_length()
-        while r.bit_length() >= top:
-            r ^= m << (r.bit_length() - top)
-        return r
+        """Product of two elements; a and b are taken on trust, unchecked."""
+        return self._table[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -92,17 +88,6 @@ class BinaryField:
         while bits.bit_length() >= top:
             bits ^= m << (bits.bit_length() - top)
         return bits
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
 
     def elements(self) -> range:
         return range(self.order)
@@ -253,15 +238,6 @@ def poly_extgcd(field: BinaryField, f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]
     return r0, s0, t0
 
 
-def poly_eval(field: BinaryField, f: Poly, x: int) -> int:
-    """Horner evaluation at a base-field point."""
-    acc = 0
-    mul = field.mul
-    for c in reversed(f):
-        acc = mul(acc, x) ^ c
-    return acc
-
-
 def poly_pow_mod(field: BinaryField, f: Poly, e: int, m: Poly) -> Poly:
     if e < 0:
         raise ValueError("negative exponent")
@@ -347,40 +323,42 @@ class ExtField:
             return (self.modulus[0],)  # t = m0 in characteristic 2
         return (0, 1) + (0,) * (self.d - 2)
 
-    def lift(self, c: int) -> tuple:
-        """Embed a base-field scalar."""
-        return (self.base.check(c),) + (0,) * (self.d - 1)
-
     def from_coords(self, coords: Sequence[int]) -> tuple:
         if len(coords) != self.d:
             raise ValueError(f"expected {self.d} coordinates, got {len(coords)}")
         return tuple(self.base.check(c) for c in coords)
 
-    def to_coords(self, u: tuple) -> list[int]:
-        return list(u)
-
     def add(self, u: tuple, v: tuple) -> tuple:
         return tuple(a ^ b for a, b in zip(u, v))
 
     def mul(self, u: tuple, v: tuple) -> tuple:
-        """Schoolbook product: full convolution, then reduction by the modulus.
+        """Schoolbook product: full convolution, then `reduce`.
 
         This is the reference multiplication the counted kernels are tested
         against; it performs d*d base-field multiplications plus reduction.
         """
-        d = self.d
         mul = self.base.mul
-        conv = [0] * (2 * d - 1)
+        conv = [0] * (2 * self.d - 1)
         for i, a in enumerate(u):
             if a:
                 for j, b in enumerate(v):
                     if b:
                         conv[i + j] ^= mul(a, b)
+        return self.reduce(conv)
+
+    def reduce(self, conv: list[int]) -> tuple:
+        """Remainder of a coefficient list (lowest degree first, at most 2d-1
+        entries) by the monic modulus, as coordinates.  Overwrites ``conv``.
+
+        Its multiplications are by modulus coefficients, constants of the
+        field, which the operation counts never include.
+        """
+        d = self.d
         m = self.modulus
-        for i in range(2 * d - 2, d - 1, -1):
+        mul = self.base.mul
+        for i in range(len(conv) - 1, d - 1, -1):
             c = conv[i]
             if c:
-                conv[i] = 0
                 for j in range(d):
                     if m[j]:
                         conv[i - d + j] ^= mul(c, m[j])

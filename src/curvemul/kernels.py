@@ -1,8 +1,10 @@
-"""Counted bilinear multiplication kernels for residue fields of degree 1, 2, 4.
+"""Bilinear multiplication kernels for residue fields of degree 1, 2, 4.
 
 Each kernel is a fixed straight-line program: the number of bilinear
 (operand-by-operand) base-field multiplications it performs is a constant of
-the kernel — 1, 3, and 9 respectively — independent of the operand values.
+the kernel — 1, 3, and 9 respectively (`KERNEL_COST`) — independent of the
+operand values; the engine reads its step-2 count from them.  An optional
+`BilinearCounter` tallies the multiplications actually performed.
 Multiplications by modulus coefficients during reduction are multiplications
 by constants of the instance and are never counted.
 """
@@ -26,45 +28,35 @@ class BilinearCounter:
         return f"BilinearCounter(bilinear_mults={self.bilinear_mults})"
 
 
-def mul_d1(field: BinaryField, a: int, b: int, counter: BilinearCounter) -> int:
-    counter.bilinear_mults += 1
+def mul_d1(field: BinaryField, a: int, b: int, counter: BilinearCounter | None = None) -> int:
+    if counter is not None:
+        counter.bilinear_mults += 1
     return field.mul(a, b)
 
 
-def _kara2(base: BinaryField, a0, a1, b0, b1, counter: BilinearCounter):
+def _kara2(base: BinaryField, a0, a1, b0, b1, counter: BilinearCounter | None):
     """(a0 + a1 t)(b0 + b1 t) as 3 coefficients, using 3 multiplications."""
-    counter.bilinear_mults += 3
+    if counter is not None:
+        counter.bilinear_mults += 3
     p0 = base.mul(a0, b0)
     p2 = base.mul(a1, b1)
     pm = base.mul(a0 ^ a1, b0 ^ b1)
     return p0, pm ^ p0 ^ p2, p2
 
 
-def _reduce(ext: ExtField, conv: list[int]) -> tuple:
-    # divide out the monic modulus; coefficient multiplications are by
-    # instance constants and stay uncounted
-    d = ext.d
-    m = ext.modulus
-    mul = ext.base.mul
-    for i in range(len(conv) - 1, d - 1, -1):
-        c = conv[i]
-        if c:
-            conv[i] = 0
-            for j in range(d):
-                if m[j]:
-                    conv[i - d + j] ^= mul(c, m[j])
-    return tuple(conv[:d])
-
-
-def mul_d2(ext: ExtField, u: Sequence[int], v: Sequence[int], counter: BilinearCounter) -> tuple:
+def mul_d2(
+    ext: ExtField, u: Sequence[int], v: Sequence[int], counter: BilinearCounter | None = None
+) -> tuple:
     """Karatsuba product in a degree-2 residue field: 3 bilinear mults."""
     if ext.d != 2:
         raise ValueError("mul_d2 needs a degree-2 extension")
     c0, c1, c2 = _kara2(ext.base, u[0], u[1], v[0], v[1], counter)
-    return _reduce(ext, [c0, c1, c2])
+    return ext.reduce([c0, c1, c2])
 
 
-def mul_d4(ext: ExtField, u: Sequence[int], v: Sequence[int], counter: BilinearCounter) -> tuple:
+def mul_d4(
+    ext: ExtField, u: Sequence[int], v: Sequence[int], counter: BilinearCounter | None = None
+) -> tuple:
     """Two-level Karatsuba in a degree-4 residue field: 9 bilinear mults."""
     if ext.d != 4:
         raise ValueError("mul_d4 needs a degree-4 extension")
@@ -74,7 +66,7 @@ def mul_d4(ext: ExtField, u: Sequence[int], v: Sequence[int], counter: BilinearC
     mid = _kara2(base, u[0] ^ u[2], u[1] ^ u[3], v[0] ^ v[2], v[1] ^ v[3], counter)
     cross = tuple(m ^ a ^ b for m, a, b in zip(mid, lo, hi))
     conv = [lo[0], lo[1], lo[2] ^ cross[0], cross[1], cross[2] ^ hi[0], hi[1], hi[2]]
-    return _reduce(ext, conv)
+    return ext.reduce(conv)
 
 
 class KernelPlan:
@@ -106,9 +98,12 @@ class KernelPlan:
 
     @property
     def advertised_cost(self) -> int:
+        """Bilinear multiplications one `hadamard` call performs."""
         return sum(KERNEL_COST[1 if ext is None else ext.d] for _, ext in self.groups)
 
-    def hadamard(self, zv: Sequence[int], tv: Sequence[int], counter: BilinearCounter) -> list[int]:
+    def hadamard(
+        self, zv: Sequence[int], tv: Sequence[int], counter: BilinearCounter | None = None
+    ) -> list[int]:
         """Componentwise product of two coordinate vectors, group by group."""
         if len(zv) != self.total or len(tv) != self.total:
             raise ValueError("coordinate vectors do not match the plan size")

@@ -1,10 +1,9 @@
-"""Dense linear algebra over a binary field, with multiplication counting.
+"""Dense linear algebra over a binary field: rank, inverse, matrix-vector.
 
-Matrices are immutable row-major tuples of field ints. `CountingContext`
-accumulates the number of base-field multiplications a mat-vec schedules;
-counting is structural (one multiplication per scheduled matrix entry /
-vector position pair), never dependent on entry values, so repeated runs of
-the same shaped product always report the same count.
+Matrices are immutable row-major tuples of field ints.  `mat_vec` performs
+one base-field multiplication per matrix entry whatever the values, so the
+cost of a product is fixed by the matrix shape; the engine reads its
+operation counts from those shapes at compile time.
 """
 
 from __future__ import annotations
@@ -16,18 +15,6 @@ from .galois import BinaryField
 
 class SingularMatrixError(Exception):
     pass
-
-
-class CountingContext:
-    """Accumulator for scheduled base-field multiplications."""
-
-    __slots__ = ("scalar_mults",)
-
-    def __init__(self) -> None:
-        self.scalar_mults = 0
-
-    def __repr__(self) -> str:
-        return f"CountingContext(scalar_mults={self.scalar_mults})"
 
 
 class Matrix:
@@ -52,13 +39,6 @@ class Matrix:
             flat.extend(row)
         return cls(field, r, c, flat)
 
-    @classmethod
-    def identity(cls, field: BinaryField, n: int) -> "Matrix":
-        return cls(field, n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
@@ -81,22 +61,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.rows or a.field != b.field:
-        raise ValueError("shape/field mismatch")
-    f = a.field
-    mul = f.mul
-    flat = []
-    for i in range(a.rows):
-        arow = a.row(i)
-        for j in range(b.cols):
-            acc = 0
-            for k in range(a.cols):
-                acc ^= mul(arow[k], b.at(k, j))
-            flat.append(acc)
-    return Matrix(f, a.rows, b.cols, flat)
 
 
 def _rows_as_lists(m: Matrix) -> list[list[int]]:
@@ -156,60 +120,17 @@ def invert(m: Matrix) -> Matrix:
     return Matrix.from_rows(f, [row[n:] for row in aug])
 
 
-def mat_vec(
-    m: Matrix,
-    v: Sequence[int],
-    ctx: CountingContext | None = None,
-    skip_zero: bool = False,
-) -> list[int]:
-    """m times v.
-
-    With ``skip_zero`` the product skips (and does not count) positions where
-    v is zero; otherwise every (row, position) pair is scheduled and counted,
-    regardless of values.  Counts go to ``ctx`` when given.
-    """
+def mat_vec(m: Matrix, v: Sequence[int]) -> list[int]:
+    """m times v: m.rows * m.cols base-field multiplications."""
     if len(v) != m.cols:
         raise ValueError(f"vector length {len(v)} does not match {m.cols} columns")
     mul = m.field.mul
-    if skip_zero:
-        positions = [j for j, x in enumerate(v) if x]
-    else:
-        positions = list(range(m.cols))
-    if ctx is not None:
-        ctx.scalar_mults += m.rows * len(positions)
-    out = []
     entries = m.entries
     cols = m.cols
-    for i in range(m.rows):
-        base = i * cols
-        acc = 0
-        for j in positions:
-            acc ^= mul(entries[base + j], v[j])
-        out.append(acc)
-    return out
-
-
-def mat_vec_partial(
-    m: Matrix,
-    v: Sequence[int],
-    rows_needed: Sequence[int],
-    ctx: CountingContext | None = None,
-) -> list[int]:
-    """Only the requested rows of m times v; counts len(rows_needed) * cols."""
-    if len(v) != m.cols:
-        raise ValueError(f"vector length {len(v)} does not match {m.cols} columns")
-    mul = m.field.mul
-    if ctx is not None:
-        ctx.scalar_mults += len(rows_needed) * m.cols
     out = []
-    entries = m.entries
-    cols = m.cols
-    for i in rows_needed:
-        if not 0 <= i < m.rows:
-            raise ValueError(f"row index {i} out of range")
-        base = i * cols
+    for base in range(0, m.rows * cols, cols):
         acc = 0
-        for j in range(cols):
-            acc ^= mul(entries[base + j], v[j])
+        for a, x in zip(entries[base : base + cols], v):
+            acc ^= mul(a, x)
         out.append(acc)
     return out

@@ -95,6 +95,17 @@ def _coeffs(doc, key: str, where: str) -> list[int]:
     return value
 
 
+def _elements(field: BinaryField, doc, key: str, where: str) -> list[int]:
+    """Like `_coeffs`, but every value must also be an element of ``field``."""
+    value = _coeffs(doc, key, where)
+    try:
+        for c in value:
+            field.check(c)
+    except ValueError as e:
+        raise InstanceError(f"{where}{key}: {e}") from e
+    return value
+
+
 def instance_from_document(doc, name: str = "instance") -> InstanceSpec:
     """Build a validated InstanceSpec from a parsed JSON document.
 
@@ -129,8 +140,8 @@ def instance_from_document(doc, name: str = "instance") -> InstanceSpec:
     try:
         q_y = beta_from_ideal(
             q_res,
-            poly_from_coeffs(field, _coeffs(qdoc, "y_num", "Q.")),
-            poly_from_coeffs(field, _coeffs(qdoc, "y_den", "Q.")),
+            poly_from_coeffs(field, _elements(field, qdoc, "y_num", "Q.")),
+            poly_from_coeffs(field, _elements(field, qdoc, "y_den", "Q.")),
         )
     except PlaceEvaluationError as e:
         raise InstanceError(f"Q: {e}") from e
@@ -167,8 +178,8 @@ def instance_from_document(doc, name: str = "instance") -> InstanceSpec:
                     f"{label}: declared degree {declared} disagrees with the "
                     f"residue modulus of degree {res.d}"
                 )
-            x_img = _coeffs(pdoc, "x_img", where)
-            y_img = _coeffs(pdoc, "y_img", where)
+            x_img = _elements(field, pdoc, "x_img", where)
+            y_img = _elements(field, pdoc, "y_img", where)
             if len(x_img) != res.d or len(y_img) != res.d:
                 raise InstanceFileError(
                     f"{label}: x_img and y_img must have {res.d} coordinates"
@@ -193,8 +204,8 @@ def instance_from_document(doc, name: str = "instance") -> InstanceSpec:
         curve,
         n,
         q_place,
-        _coeffs(doc, "d1_modulus", ""),
-        _coeffs(doc, "d2_modulus", ""),
+        _elements(field, doc, "d1_modulus", ""),
+        _elements(field, doc, "d2_modulus", ""),
         basis,
         places,
     )
@@ -207,7 +218,7 @@ def load_instance(path) -> InstanceSpec:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InstanceFileError(f"cannot read {path}: {e}") from e
     try:
         doc = json.loads(text)

@@ -144,11 +144,11 @@ def test_on_curve_check_degree2():
     for res, roots in fibres:
         assert len(roots) in (0, 2)  # fibres split completely or not at all
         for y in roots:
-            p = AffinePlace(res, res.to_coords(res.gen()), res.to_coords(y))
+            p = AffinePlace(res, res.gen(), y)
             assert on_curve_check(C4, p)
         for y in res.elements():
             if y not in roots:
-                p = AffinePlace(res, res.to_coords(res.gen()), res.to_coords(y))
+                p = AffinePlace(res, res.gen(), y)
                 assert not on_curve_check(C4, p)
     assert len(split) == 2  # four degree-2 places, two per split modulus
 
@@ -272,7 +272,7 @@ def test_eval_multiplicative_at_places():
 def test_eval_additive_at_degree2_place():
     rng = random.Random(7)
     res, roots = next(f for f in quadratic_fibres(C4) if f[1])
-    p = AffinePlace(res, res.to_coords(res.gen()), res.to_coords(roots[0]))
+    p = AffinePlace(res, res.gen(), roots[0])
     for _ in range(60):
         ay1, ay2 = ([rng.randrange(4) for _ in range(3)] for _ in range(2))
         b1, b2 = ([rng.randrange(4) for _ in range(4)] for _ in range(2))

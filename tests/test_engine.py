@@ -11,12 +11,10 @@ from curvemul.engine import (
     OpReport,
     aggregate_bound,
     compile_instance,
-    embed_x,
-    embed_y,
     reference_mul,
     verify_good_basis,
 )
-from curvemul.galois import F2
+from curvemul.galois import F2, F4, F16
 from curvemul.linalg import rank
 
 NAMES = ("f16_13", "f4_5", "f2_5")
@@ -33,28 +31,6 @@ EXPECTED_COUNTS = {
 
 def random_operand(rng, spec):
     return [rng.randrange(spec.field.order) for _ in range(spec.n)]
-
-
-def test_embed_x_layout():
-    spec = SPECS["f2_5"]
-    assert embed_x(spec, (1, 0, 1, 0, 0)) == [1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0]
-    assert embed_x(spec, (0,) * 5) == [0] * 11
-
-
-def test_embed_y_layout():
-    spec = SPECS["f2_5"]
-    assert embed_y(spec, (1, 0, 0, 0, 0)) == [1] + [0] * 10
-    # y_2 lands right after the first n slots
-    assert embed_y(spec, (0, 1, 0, 0, 0)) == [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0]
-    assert embed_y(spec, (0,) * 5) == [0] * 11
-
-
-def test_embed_rejects_wrong_length():
-    spec = SPECS["f4_5"]
-    with pytest.raises(ValueError):
-        embed_x(spec, (1, 0, 0))
-    with pytest.raises(ValueError):
-        embed_y(spec, (0,) * 6)
 
 
 def test_reference_mul_basics():
@@ -87,6 +63,20 @@ def test_oracle_equivalence_random():
             want = reference_mul(spec.field, spec.q_modulus, x, y)
             got, _ = compiled.multiply(x, y)
             assert got == want
+
+
+def test_bilinear_certificate():
+    # multiply and reference_mul are both F_q-bilinear, so agreeing on the n^2
+    # basis pairs (169/25/25) makes them agree on all q^(2n) pairs, given the
+    # base-field table that test_fe_mul_against_oracle_exhaustive checks in full
+    for name, field in (("f16_13", F16), ("f4_5", F4), ("f2_5", F2)):
+        spec, compiled = SPECS[name], COMPILED[name]
+        assert spec.field == field
+        units = [[int(i == j) for j in range(spec.n)] for i in range(spec.n)]
+        for x in units:
+            for y in units:
+                want = reference_mul(field, spec.q_modulus, x, y)
+                assert compiled.multiply(x, y)[0] == want
 
 
 def test_commutativity():
@@ -139,6 +129,7 @@ def test_op_report_exact():
         assert report.step3_scalar == (2 * n - 1) * (2 * n + g - 1)
         assert report.total == sum(want)
         assert compiled.expected_report == report
+        assert report is compiled.report  # fixed at compile time
         assert OpReport.expected(n, g, compiled.place_degrees) == report
 
 

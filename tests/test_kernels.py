@@ -27,6 +27,7 @@ def test_mul_d1():
     assert mul_d1(F4, 2, 2, c) == 3
     assert mul_d1(F4, 0, 3, c) == 0
     assert c.bilinear_mults == 2
+    assert mul_d1(F4, 2, 2) == 3  # the counter is optional
 
 
 def test_mul_d2_exhaustive_against_schoolbook():
@@ -113,5 +114,6 @@ def test_kernel_plan_hadamard():
         assert out[0] == F2.mul(zv[0], tv[0])
         assert tuple(out[1:3]) == E4.mul(tuple(zv[1:3]), tuple(tv[1:3]))
         assert tuple(out[3:7]) == E16B.mul(tuple(zv[3:7]), tuple(tv[3:7]))
+        assert plan.hadamard(zv, tv) == out
     with pytest.raises(ValueError):
         plan.hadamard([0] * 6, [0] * 7, BilinearCounter())

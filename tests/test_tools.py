@@ -1,5 +1,6 @@
 import copy
 import json
+import random
 
 import pytest
 
@@ -48,6 +49,9 @@ def test_load_bad_json(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json", encoding="utf-8")
     with pytest.raises(tools.InstanceFileError, match="not valid JSON"):
+        tools.load_instance(p)
+    p.write_bytes(b"\xff{}")  # not UTF-8
+    with pytest.raises(tools.InstanceFileError, match="cannot read"):
         tools.load_instance(p)
 
 
@@ -101,6 +105,60 @@ def test_field_element_out_of_range():
     doc["basis"][1]["ay"][0] = 2  # not a GF(2) value
     with pytest.raises(InstanceError, match="basis\\[1\\]"):
         tools.instance_from_document(doc)
+
+
+def _set(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize(
+    "path, value, match",
+    [
+        (("places", 3, "x_img", 0), 5, r"places\[3\]\.x_img: 5 is not an element"),
+        (("places", 3, "y_img", 0), 5, r"places\[3\]\.y_img: 5 is not an element"),
+        (("d1_modulus", 0), 5, "d1_modulus: 5 is not an element"),
+        (("d2_modulus", 0), 5, "d2_modulus: 5 is not an element"),
+        (("Q", "y_num", 0), 5, r"Q\.y_num: 5 is not an element"),
+        (("field",), {"k": 9, "modulus_bits": 0b1000010001}, "field: .*between 1 and 8"),
+    ],
+    ids=["x_img", "y_img", "d1_modulus", "d2_modulus", "Q.y_num", "field-degree-cap"],
+)
+def test_out_of_range_value_named(path, value, match):
+    doc = doc_copy()
+    _set(doc, path, value)
+    with pytest.raises(InstanceError, match=match):
+        tools.instance_from_document(doc)
+
+
+def _int_leaves(node, path=()):
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _int_leaves(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _int_leaves(child, path + (i,))
+    elif isinstance(node, int) and not isinstance(node, bool):
+        yield path
+
+
+def test_mutated_documents_raise_only_loader_errors():
+    # seeded and bounded: 400 copies of f2_5.json, one integer leaf changed in each
+    leaves = list(_int_leaves(BASE_DOC))
+    rng = random.Random(2024)
+    for _ in range(400):
+        doc = doc_copy()
+        path = rng.choice(leaves)
+        value = rng.choice([-1, 0, 1, 2, 3, 5, 16, 255, 2**16])
+        _set(doc, path, value)
+        try:
+            tools.instance_from_document(doc)
+        except (tools.InstanceFileError, InstanceError):
+            pass
+        except Exception as e:
+            pytest.fail(f"{path} = {value}: {e!r}")
 
 
 def test_round_trip_document_equals_file():

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from . import tools
 from .engine import InstanceError, compile_instance
@@ -88,11 +89,18 @@ def _cmd_selftest(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    start = time.perf_counter()
     spec = tools.load_instance(args.file)
+    loaded = time.perf_counter()
     compiled = compile_instance(spec)
+    compiled_at = time.perf_counter()
     result = tools.bench(compiled, reps=args.reps, seed=args.seed)
     rep = result.report
     print(f"bench {spec.name}: {result.reps} products")
+    print(
+        f"setup: load {(loaded - start) * 1e3:.1f} ms, "
+        f"compile {(compiled_at - loaded) * 1e3:.1f} ms"
+    )
     print(f"median {result.median_seconds * 1e6:.1f} us, mean {result.mean_seconds * 1e6:.1f} us")
     print(
         f"per product: {rep.step1_scalar} + {rep.step2_bilinear} + {rep.step3_scalar} "

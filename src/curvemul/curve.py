@@ -6,9 +6,18 @@ kinds: affine places, presented by an explicit residue field F_q[t]/(m)
 together with the images of x and y in it; and places over x = infinity,
 presented by the branch value y(infinity) in {0, 1}.  Evaluation at the
 latter goes through power-series expansion in the local parameter s = 1/x.
+
+`PlaceEvaluator` evaluates a whole family of functions (a basis) at one
+place, computing once what the family shares: the powers of the x-image, the
+value of each distinct polynomial, one inverse per distinct denominator, and
+the y-branch series.  `evaluate` is its one-function case.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import xor
+from typing import Sequence
 
 from .galois import (
     BinaryField,
@@ -182,69 +191,119 @@ def branch_series(curve: Curve, branch_y0: int, prec: int) -> list[int]:
 # evaluation
 
 
-def eval_affine(f: CurveFunction, place: AffinePlace) -> tuple:
-    """Value of f in the residue field of an affine place."""
-    res = place.residue
-    dv = poly_eval_ext(res, f.den, place.x_img)
-    if dv == res.zero():
-        raise PlaceEvaluationError(
-            f"denominator vanishes at place {place.label or place!r} (support collision)"
-        )
-    nv = poly_eval_ext(res, f.b, place.x_img)
-    if f.ay:
-        av = poly_eval_ext(res, f.ay, place.x_img)
-        nv = res.add(res.mul(av, place.y_img), nv)
-    return res.mul(nv, res.inv(dv))
+class PlaceEvaluator:
+    """Values of a fixed family of functions at one place, sharing the work
+    the family repeats.
 
+    At an affine place the powers of the x-image are tabulated once, up to
+    the highest degree in the family; each distinct polynomial is then one
+    linear combination of that table, formed once, and each distinct
+    denominator costs one residue-field inversion.  At a place over
+    x = infinity the y-branch is expanded once in the local parameter
+    s = 1/x, to the largest precision the family needs, and each distinct
+    denominator is inverted as a series once.
 
-def eval_infinite(
-    curve: Curve, f: CurveFunction, place: InfinitePlace, prec: int | None = None
-) -> int:
-    """Value of f at a rational place over x = infinity.
-
-    Writes f in the local parameter s = 1/x and reads off the constant
-    coefficient; any nonzero coefficient at a negative power is a pole.
+    The tables live on the object only; build one per place and drop it.
     """
-    field = curve.field
-    deg_ay = len(f.ay) - 1 if f.ay else 0
-    deg_b = len(f.b) - 1 if f.b else 0
-    deg_den = len(f.den) - 1
-    m = max(deg_ay, deg_b)
-    if prec is None:
-        prec = m + deg_den + len(curve.rhs_den) + 8
 
-    # s^m * (ay(1/s) y(s) + b(1/s)) as an honest power series of length prec
-    a_shift = [0] * (prec)
-    for i, c in enumerate(f.ay):
-        a_shift[m - i] = c
-    b_shift = [0] * prec
-    for i, c in enumerate(f.b):
-        b_shift[m - i] = c
-    y = branch_series(curve, place.branch_y0, prec)
-    num = series_mul(field, a_shift, y, prec)
-    for i, c in enumerate(b_shift):
-        num[i] ^= c
+    __slots__ = ("curve", "place", "functions", "_columns", "_branch", "_values", "_inverses")
 
-    # f * s^(m - deg_den) = num / reversed(den); den's leading coeff is nonzero
-    g = series_mul(field, num, series_inv(field, list(reversed(f.den)), prec), prec)
-    pivot = m - deg_den
-    if pivot < 0:
-        # f vanishes to order deg_den - m at the place
-        return 0
-    if any(g[:pivot]):
-        raise PlaceEvaluationError(
-            f"function has a pole at {place.label or place!r}"
-        )
-    return g[pivot]
+    def __init__(self, curve: Curve, place, functions: Sequence[CurveFunction]):
+        self.curve = curve
+        self.place = place
+        self.functions = tuple(functions)
+        self._values: dict = {}
+        self._inverses: dict = {}
+        if isinstance(place, AffinePlace):
+            res = place.residue
+            top = max(len(p) for f in self.functions for p in (f.ay, f.b, f.den))
+            powers = [res.one()]
+            for _ in range(top - 1):
+                powers.append(res.mul(powers[-1], place.x_img))
+            # column r holds coordinate r of x_img^0, x_img^1, ...
+            self._columns = tuple(zip(*powers))
+        elif isinstance(place, InfinitePlace):
+            prec = max(0, max(_pivot(f) for f in self.functions)) + 1
+            self._branch = branch_series(curve, place.branch_y0, prec)
+        else:
+            raise TypeError(f"not a place: {place!r}")
+
+    def value(self, j: int) -> list[int]:
+        """Coordinates of the j-th function's value, as `degree` base-field
+        ints; raises PlaceEvaluationError when it has a pole here."""
+        f = self.functions[j]
+        if isinstance(self.place, AffinePlace):
+            return list(self._affine(f))
+        return [self._at_infinity(f)]
+
+    def _affine(self, f: CurveFunction) -> tuple:
+        res = self.place.residue
+        inv = self._inverses.get(f.den)
+        if inv is None:
+            dv = self._poly(f.den)
+            if dv == res.zero():
+                raise PlaceEvaluationError(
+                    f"denominator vanishes at place {self.place.label or self.place!r} "
+                    "(support collision)"
+                )
+            inv = self._inverses[f.den] = res.inv(dv)
+        nv = self._poly(f.b)
+        if f.ay:
+            nv = res.add(res.mul(self._poly(f.ay), self.place.y_img), nv)
+        return res.mul(nv, inv)
+
+    def _poly(self, p: Poly) -> tuple:
+        """p(x-image), as the combination sum_i p_i * x_img^i of the table."""
+        v = self._values.get(p)
+        if v is None:
+            mul = self.curve.field.mul
+            v = self._values[p] = tuple(
+                reduce(xor, map(mul, p, column), 0) for column in self._columns
+            )
+        return v
+
+    def _at_infinity(self, f: CurveFunction) -> int:
+        """Writes f in s = 1/x and reads off the constant coefficient; any
+        nonzero coefficient at a negative power is a pole."""
+        m = max(len(f.ay), len(f.b), 1) - 1
+        pivot = _pivot(f)
+        if pivot < 0:
+            # f vanishes to order deg(den) - m at the place
+            return 0
+        field = self.curve.field
+        prec = pivot + 1
+        # s^m * (ay(1/s) y(s) + b(1/s)), exact up to s^pivot
+        a_shift = [0] * prec
+        for i, c in enumerate(f.ay):
+            if m - i < prec:
+                a_shift[m - i] = c
+        num = series_mul(field, a_shift, self._branch, prec)
+        for i, c in enumerate(f.b):
+            if m - i < prec:
+                num[m - i] ^= c
+        # f * s^pivot = num / reversed(den); den's leading coeff is nonzero
+        inv = self._inverses.get(f.den)
+        if inv is None:
+            inv = self._inverses[f.den] = series_inv(
+                field, list(reversed(f.den)), len(self._branch)
+            )
+        g = series_mul(field, num, inv, prec)
+        if any(g[:pivot]):
+            raise PlaceEvaluationError(
+                f"function has a pole at {self.place.label or self.place!r}"
+            )
+        return g[pivot]
+
+
+def _pivot(f: CurveFunction) -> int:
+    """The power of s = 1/x whose coefficient is f's value at infinity:
+    max(deg ay, deg b) - deg den."""
+    return max(len(f.ay), len(f.b), 1) - len(f.den)
 
 
 def evaluate(curve: Curve, f: CurveFunction, place) -> list[int]:
     """Coordinates of f's value at a place, as `degree` base-field ints."""
-    if isinstance(place, AffinePlace):
-        return list(eval_affine(f, place))
-    if isinstance(place, InfinitePlace):
-        return [eval_infinite(curve, f, place)]
-    raise TypeError(f"not a place: {place!r}")
+    return PlaceEvaluator(curve, place, (f,)).value(0)
 
 
 # ---------------------------------------------------------------------------

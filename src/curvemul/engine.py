@@ -6,8 +6,14 @@ curve; a degree-n place Q whose residue field is the target F_{q^n}; a
 pool of candidate evaluation places.  Compilation selects places greedily
 until their degrees sum to 2n+g-1, builds the evaluation matrix T (one row
 block per place, one column per basis function), certifies rank(T) =
-2n+g-1, and freezes the straight-line schedule together with its operation
-report, which is read off the shapes of what it schedules.
+2n+g-1 by inverting T, and freezes the straight-line schedule together with
+its operation report, which is read off the shapes of what it schedules.
+
+Set-up is one pass: the basis is evaluated at each place by one
+`PlaceEvaluator` (one power table, one inverse per distinct denominator),
+each candidate place is evaluated at most once even when a singular T
+forces a swap, and the one Gauss-Jordan inversion that yields T^-1 is also
+the rank certificate.
 
 One product of x, y in F_{q^n} (length-n coordinate tuples over F_q) runs:
 
@@ -36,8 +42,7 @@ from .curve import (
     CurveFunction,
     InfinitePlace,
     PlaceEvaluationError,
-    eval_affine,
-    evaluate,
+    PlaceEvaluator,
     generates_residue,
     on_curve_check,
 )
@@ -52,7 +57,7 @@ from .galois import (
     poly_mul,
 )
 from .kernels import KERNEL_COST, KernelPlan
-from .linalg import Matrix, invert, mat_vec, rank
+from .linalg import Matrix, SingularMatrixError, invert, mat_vec
 
 
 class InstanceError(Exception):
@@ -253,19 +258,21 @@ def verify_good_basis(spec: InstanceSpec) -> list[CheckResult]:
     res = spec.q_place.residue
     alpha = spec.q_place.x_img
     n = spec.n
+    ladder = [res.one()]
+    for _ in range(n - 1):
+        ladder.append(res.mul(ladder[-1], alpha))
+    at_q = PlaceEvaluator(spec.curve, spec.q_place, spec.basis)
     results = []
-    for idx, f in enumerate(spec.basis):
+    for idx in range(len(spec.basis)):
         j = idx + 1
-        if j == 1:
-            want = res.one()
-        elif j <= n:
-            want = res.pow(alpha, j - 1)
+        if j <= n:
+            want = ladder[j - 1]
         elif j <= 2 * n - 1:
-            want = res.pow(alpha, j - n)
+            want = ladder[j - n]
         else:
             want = res.zero()
         try:
-            got = eval_affine(f, spec.q_place)
+            got = tuple(at_q.value(idx))
         except PlaceEvaluationError as e:
             results.append(CheckResult(f"f_{j}", False, f"pole at Q: {e}"))
             continue
@@ -329,10 +336,11 @@ class CompiledMultiplier:
 
 
 def _evaluation_rows(spec: InstanceSpec, place) -> list[list[int]]:
+    at_place = PlaceEvaluator(spec.curve, place, spec.basis)
     blocks = []
-    for idx, f in enumerate(spec.basis):
+    for idx in range(len(spec.basis)):
         try:
-            blocks.append(evaluate(spec.curve, f, place))
+            blocks.append(at_place.value(idx))
         except PlaceEvaluationError as e:
             raise InstanceError(
                 f"basis function f_{idx + 1} has a pole at place {place.label}: {e}"
@@ -355,42 +363,44 @@ def _greedy_selection(spec: InstanceSpec) -> list[int]:
     )
 
 
+def _next_same_degree(spec: InstanceSpec, last: int) -> int:
+    degree = spec.candidate_places[last].degree
+    for i in range(last + 1, len(spec.candidate_places)):
+        if spec.candidate_places[i].degree == degree:
+            return i
+    raise InstanceError(
+        "no full-rank place selection reachable (same-degree fallback exhausted)"
+    )
+
+
 def compile_instance(spec: InstanceSpec) -> CompiledMultiplier:
-    """Select places, build T, certify rank, and freeze the multiplier."""
+    """Select places, build T, certify it invertible, and freeze the multiplier.
+
+    Each candidate place is evaluated at most once: its row block is kept by
+    candidate index across attempts.  One Gauss-Jordan inversion per attempt
+    is the rank certificate; a singular T triggers the swap below.
+    """
     for check in verify_good_basis(spec):
         if not check.ok:
             raise InstanceError(f"good-basis check failed at {check.name}: {check.detail}")
 
-    size = spec.size
+    row_blocks: dict[int, list[list[int]]] = {}
     chosen = _greedy_selection(spec)
     while True:
-        places = [spec.candidate_places[i] for i in chosen]
-        rows = []
-        for p in places:
-            rows.extend(_evaluation_rows(spec, p))
-        T = Matrix.from_rows(spec.field, rows)
-        if rank(T) == size:
+        for i in chosen:
+            if i not in row_blocks:
+                row_blocks[i] = _evaluation_rows(spec, spec.candidate_places[i])
+        T = Matrix.from_rows(spec.field, [row for i in chosen for row in row_blocks[i]])
+        try:
+            T_inv = invert(T)
             break
-        # evaluation vectors are dependent: advance the last chosen place to
-        # the next unused candidate of the same degree and retry
-        last = chosen[-1]
-        degree = spec.candidate_places[last].degree
-        nxt = next(
-            (
-                i
-                for i in range(last + 1, len(spec.candidate_places))
-                if spec.candidate_places[i].degree == degree
-            ),
-            None,
-        )
-        if nxt is None:
-            raise InstanceError(
-                "no full-rank place selection reachable (same-degree fallback exhausted)"
-            )
-        chosen[-1] = nxt
+        except SingularMatrixError:
+            # evaluation vectors are dependent: retry with the last place
+            # swapped for the next candidate of the same degree
+            chosen[-1] = _next_same_degree(spec, chosen[-1])
 
+    places = [spec.candidate_places[i] for i in chosen]
     n = spec.n
-    T_inv = invert(T)
     T_inv_top = Matrix.from_rows(
         spec.field, [list(T_inv.row(i)) for i in range(2 * n - 1)]
     )

@@ -266,7 +266,14 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def is_irreducible(field: BinaryField, p: Poly) -> bool:
-    """Rabin's test for a monic polynomial over GF(2^k).
+    """Rabin's test for a monic polynomial over GF(2^k), of degree m.
+
+    p is irreducible iff x^(q^m) = x mod p and gcd(x^(q^(m/r)) - x, p) = 1
+    for every prime r dividing m.  The q-power map a -> a^q is F_q-linear on
+    F_q[x]/(p), with the residues (x^q)^j mod p as its columns (Berlekamp's
+    Q-matrix); applying that matrix m times to x yields every x^(q^i) mod p
+    in one pass of m*m base-field multiplications per step, with no
+    exponentiation to the power q^m.
 
     Non-monic or constant input is rejected as a usage error.
     """
@@ -275,15 +282,26 @@ def is_irreducible(field: BinaryField, p: Poly) -> bool:
     m = len(p) - 1
     if m == 1:
         return True
-    q = field.order
     x: Poly = (0, 1)
-    if poly_pow_mod(field, x, q**m, p) != x:
-        return False
-    for r in _prime_factors(m):
-        xr = poly_pow_mod(field, x, q ** (m // r), p)
-        if poly_gcd(field, poly_add(field, xr, x), p) != (1,):
-            return False
-    return True
+    xq = poly_pow_mod(field, x, field.order, p)
+    columns = [(1,)]
+    for _ in range(m - 1):
+        columns.append(poly_mod(field, poly_mul(field, columns[-1], xq), p))
+    gcd_steps = {m // r for r in _prime_factors(m)}
+    mul = field.mul
+    v = [0, 1] + [0] * (m - 2)  # coordinates of x^(q^i), i = 0 so far
+    for i in range(1, m + 1):
+        w = [0] * m
+        for a, col in zip(v, columns):
+            if a:
+                for r, c in enumerate(col):
+                    w[r] ^= mul(a, c)
+        v = w
+        if i in gcd_steps:
+            xi = poly_from_coeffs(field, v)
+            if poly_gcd(field, poly_add(field, xi, x), p) != (1,):
+                return False
+    return v == [0, 1] + [0] * (m - 2)
 
 
 F2 = BinaryField(1, 0b10)

@@ -80,7 +80,8 @@ def _get(doc, key: str, types, where: str):
     if not isinstance(doc, dict) or key not in doc:
         raise InstanceFileError(f"missing key '{where}{key}'")
     value = doc[key]
-    if not isinstance(value, types):
+    # JSON true/false parse as bool, which Python counts as an int
+    if not isinstance(value, types) or (isinstance(value, bool) and types is int):
         raise InstanceFileError(f"key '{where}{key}' has the wrong type")
     return value
 
@@ -498,11 +499,13 @@ class SelftestResult:
 
 def selftest(compiled: CompiledMultiplier, trials: int = 1000, seed: int = 42):
     """Compare multiply against the polynomial oracle on seeded random pairs."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     spec = compiled.spec
     rng = random.Random(seed)
     failures = 0
     first = None
-    for _ in range(max(0, trials)):
+    for _ in range(trials):
         x = [rng.randrange(spec.field.order) for _ in range(spec.n)]
         y = [rng.randrange(spec.field.order) for _ in range(spec.n)]
         got, _ = compiled.multiply(x, y)
@@ -511,7 +514,7 @@ def selftest(compiled: CompiledMultiplier, trials: int = 1000, seed: int = 42):
             failures += 1
             if first is None:
                 first = (tuple(x), tuple(y), want, got)
-    return SelftestResult(max(0, trials), failures, first)
+    return SelftestResult(trials, failures, first)
 
 
 @dataclass(frozen=True)

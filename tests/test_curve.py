@@ -21,8 +21,6 @@ from curvemul.curve import (
     PlaceEvaluationError,
     beta_from_ideal,
     branch_series,
-    eval_affine,
-    eval_infinite,
     evaluate,
     generates_residue,
     on_curve_check,
@@ -167,19 +165,18 @@ def test_eval_affine_basic():
     f = CurveFunction(F2, [1, 1, 0, 1], [1, 0, 0, 0, 1, 0, 1], [1, 1, 0, 0, 1, 1, 1])
     p3 = place_at(C2, 0, 0, "P3")
     p4 = place_at(C2, 0, 1, "P4")
-    assert eval_affine(f, p3) == (1,)
-    assert eval_affine(f, p4) == (0,)
     assert evaluate(C2, f, p3) == [1]
+    assert evaluate(C2, f, p4) == [0]
 
 
 def test_eval_affine_pole():
     f = CurveFunction(F2, [], [1], [0, 1])  # 1/x
-    with pytest.raises(PlaceEvaluationError):
-        eval_affine(f, place_at(C2, 0, 0))
+    with pytest.raises(PlaceEvaluationError, match="support collision"):
+        evaluate(C2, f, place_at(C2, 0, 0))
     # 1/x is fine away from x=0
     pts = [p for p in rational_points(C4) if p[0] != 0]
     x, y = pts[0]
-    assert eval_affine(f, place_at(C4, x, y)) == (F4.inv(x),)
+    assert evaluate(C4, f, place_at(C4, x, y)) == [F4.inv(x)]
 
 
 def test_series_helpers():
@@ -220,28 +217,27 @@ def test_eval_infinite_constants_and_vanishing():
     inv_x = CurveFunction(F2, [], [1], [0, 1])
     for y0 in (0, 1):
         p = InfinitePlace(y0)
-        assert eval_infinite(C2, one, p) == 1
-        assert eval_infinite(C2, inv_x, p) == 0
+        assert evaluate(C2, one, p) == [1]
+        assert evaluate(C2, inv_x, p) == [0]
 
 
 def test_eval_infinite_y_branches():
     f_y = CurveFunction(F2, [1], [], [1])
-    assert eval_infinite(C2, f_y, InfinitePlace(0)) == 0
-    assert eval_infinite(C2, f_y, InfinitePlace(1)) == 1
+    assert evaluate(C2, f_y, InfinitePlace(0)) == [0]
+    assert evaluate(C2, f_y, InfinitePlace(1)) == [1]
     # ((x^3+x+1) y + x^2) / x^3 -> y0 + 0 at infinity
     g = CurveFunction(F2, [1, 1, 0, 1], [0, 0, 1], [0, 0, 0, 1])
-    assert eval_infinite(C2, g, InfinitePlace(0)) == 0
-    assert eval_infinite(C2, g, InfinitePlace(1)) == 1
+    assert evaluate(C2, g, InfinitePlace(0)) == [0]
     assert evaluate(C2, g, InfinitePlace(1)) == [1]
 
 
 def test_eval_infinite_pole_detection():
     f_x = CurveFunction(F2, [], [0, 1], [1])
-    with pytest.raises(PlaceEvaluationError):
-        eval_infinite(C2, f_x, InfinitePlace(0))
+    with pytest.raises(PlaceEvaluationError, match="function has a pole"):
+        evaluate(C2, f_x, InfinitePlace(0))
     # y has a pole of order 2g+1 at the ramified infinite place of C16
-    with pytest.raises(PlaceEvaluationError):
-        eval_infinite(C16, CurveFunction.constant_one(F16), InfinitePlace(0))
+    with pytest.raises(PlaceEvaluationError, match="no split rational places"):
+        evaluate(C16, CurveFunction.constant_one(F16), InfinitePlace(0))
 
 
 def test_eval_multiplicative_at_places():
@@ -281,7 +277,9 @@ def test_eval_additive_at_degree2_place():
         s = CurveFunction(
             F4, poly_add(F4, f.ay, g.ay), poly_add(F4, f.b, g.b), [1]
         )
-        assert eval_affine(s, p) == res.add(eval_affine(f, p), eval_affine(g, p))
+        assert evaluate(C4, s, p) == list(
+            res.add(evaluate(C4, f, p), evaluate(C4, g, p))
+        )
 
 
 def test_beta_from_ideal():

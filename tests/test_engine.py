@@ -1,10 +1,17 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from curvemul import tools
-from curvemul.curve import AffinePlace
+from curvemul import engine, tools
+from curvemul.curve import (
+    AffinePlace,
+    PlaceEvaluator,
+    branch_series,
+    series_inv,
+    series_mul,
+)
 from curvemul.engine import (
     InstanceError,
     InstanceSpec,
@@ -14,7 +21,7 @@ from curvemul.engine import (
     reference_mul,
     verify_good_basis,
 )
-from curvemul.galois import F2, F4, F16
+from curvemul.galois import F2, F4, F16, ExtField, poly_eval_ext
 from curvemul.linalg import rank
 
 NAMES = ("f16_13", "f4_5", "f2_5")
@@ -162,6 +169,116 @@ def test_selected_places_are_deterministic():
     assert [p.label for p in COMPILED["f2_5"].places] == [
         "P_inf_1", "P_inf_2", "P_3", "Q_1", "Q_2", "R_2",
     ]
+
+
+# sha256 prefixes of bytes(T.entries), bytes(T_inv_top.entries) and the
+# comma-joined selected labels, as compiled before set-up became one pass
+SETUP_DIGESTS = {
+    "f16_13": (
+        "df67a324c0482afaed81018a43d58d64",
+        "f7ace838d8a9a5b13b343548e17adf98",
+        "464237850ca709014b02c6df90751e0c",
+    ),
+    "f4_5": (
+        "5538273580e4cd27c57d540077cd8093",
+        "219ada4d5b557f6d7dd2aaf242561144",
+        "e3c560d23dce0666a487a354ae88be96",
+    ),
+    "f2_5": (
+        "14923575cc2166d66c23a25715f5ef9f",
+        "23dda9b35e2043b27c81dfdee3cc5c39",
+        "7a82e8dfcbb9ff3a2f4a6d7c6815ce68",
+    ),
+}
+
+
+def test_setup_is_bit_identical():
+    def digest(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()[:32]
+
+    for name in NAMES:
+        compiled = COMPILED[name]
+        got = (
+            digest(bytes(compiled.T.entries)),
+            digest(bytes(compiled.T_inv_top.entries)),
+            digest(",".join(p.label for p in compiled.places).encode()),
+        )
+        assert got == SETUP_DIGESTS[name], name
+
+
+def horner_value(curve, f, place):
+    """Reference: f's value at a place, one polynomial at a time.
+
+    Affine places use Horner's rule in the residue field; places over
+    infinity expand f in s = 1/x at a generous fixed precision.
+    """
+    if isinstance(place, AffinePlace):
+        res, alpha = place.residue, place.x_img
+        num = res.add(
+            res.mul(poly_eval_ext(res, f.ay, alpha), place.y_img),
+            poly_eval_ext(res, f.b, alpha),
+        )
+        return list(res.mul(num, res.inv(poly_eval_ext(res, f.den, alpha))))
+    field = curve.field
+    m = max(len(f.ay), len(f.b), 1) - 1
+    prec = m + len(f.den) + 16
+    a_shift, b_shift = [0] * prec, [0] * prec
+    for i, c in enumerate(f.ay):
+        a_shift[m - i] = c
+    for i, c in enumerate(f.b):
+        b_shift[m - i] = c
+    num = series_mul(field, a_shift, branch_series(curve, place.branch_y0, prec), prec)
+    num = [u ^ v for u, v in zip(num, b_shift)]
+    g = series_mul(field, num, series_inv(field, list(reversed(f.den)), prec), prec)
+    pivot = m - (len(f.den) - 1)
+    if pivot < 0:
+        return [0]
+    assert not any(g[:pivot]), "no basis function has a pole at a candidate"
+    return [g[pivot]]
+
+
+def test_evaluator_matches_horner_reference():
+    for name in NAMES:
+        spec = SPECS[name]
+        for place in (spec.q_place,) + spec.candidate_places:
+            at_place = PlaceEvaluator(spec.curve, place, spec.basis)
+            for idx, f in enumerate(spec.basis):
+                want = horner_value(spec.curve, f, place)
+                assert at_place.value(idx) == want, (name, place.label, idx)
+
+
+def test_each_candidate_evaluated_at_most_once(monkeypatch):
+    # f4_5 and f2_5 both swap their last place once during compile
+    built = []
+
+    class Counting(PlaceEvaluator):
+        __slots__ = ()
+
+        def __init__(self, curve, place, functions):
+            built.append(place.label)
+            super().__init__(curve, place, functions)
+
+    monkeypatch.setattr(engine, "PlaceEvaluator", Counting)
+    for name, swapped in (("f4_5", "Q_1"), ("f2_5", "R_1")):
+        built.clear()
+        compiled = compile_instance(SPECS[name])
+        assert sorted(built) == sorted(
+            ["Q", swapped] + [p.label for p in compiled.places]
+        ), name
+
+
+def test_den_vanishing_candidate_named():
+    spec = SPECS["f2_5"]
+    res = ExtField(spec.field, spec.d1_den)
+    bad = AffinePlace(res, res.gen(), res.zero(), "BAD")
+    tampered = InstanceSpec(
+        "tampered", spec.field, spec.curve, spec.n, spec.q_place,
+        spec.d1_den, spec.d2_den, spec.basis, spec.candidate_places,
+    )
+    # validation rejects such a candidate, so put it in after the fact
+    tampered.candidate_places = (bad,) + spec.candidate_places
+    with pytest.raises(InstanceError, match=r"f_\d+ has a pole at place BAD: .*collision"):
+        compile_instance(tampered)
 
 
 def test_rank_certificate():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -178,6 +179,31 @@ def test_is_irreducible_degree2_exhaustive_f2():
         (c0, c1) for c0 in (0, 1) for c1 in (0, 1) if is_irreducible(F2, (c0, c1, 1))
     ]
     assert irr == [(1, 1)]
+
+
+def mobius(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("field, top", [(F2, 8), (F4, 4), (F16, 2)], ids=["F2", "F4", "F16"])
+def test_is_irreducible_counts_match_necklace_formula(field, top):
+    # monic irreducibles of degree m over F_q: (1/m) sum_{d | m} mu(d) q^(m/d)
+    q = field.order
+    for m in range(1, top + 1):
+        want = sum(mobius(d) * q ** (m // d) for d in range(1, m + 1) if m % d == 0) // m
+        got = sum(
+            is_irreducible(field, low + (1,))
+            for low in itertools.product(range(q), repeat=m)
+        )
+        assert got == want, (q, m)
 
 
 def test_poly_pow_mod():

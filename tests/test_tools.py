@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import re
 
 import pytest
 
@@ -133,6 +134,23 @@ def test_out_of_range_value_named(path, value, match):
         tools.instance_from_document(doc)
 
 
+@pytest.mark.parametrize(
+    "path, where",
+    [
+        (("field", "k"), "field.k"),
+        (("n",), "n"),
+        (("curve", "genus"), "curve.genus"),
+        (("places", 2, "degree"), r"places\[2\]\.degree"),
+    ],
+    ids=["field.k", "n", "curve.genus", "places[2].degree"],
+)
+def test_boolean_for_integer_key_rejected(path, where):
+    doc = doc_copy()
+    _set(doc, path, True)
+    with pytest.raises(tools.InstanceFileError, match=f"key '{where}' has the wrong type"):
+        tools.instance_from_document(doc)
+
+
 def _int_leaves(node, path=()):
     if isinstance(node, dict):
         for key, child in node.items():
@@ -251,6 +269,9 @@ def test_selftest_passes():
     assert result.trials == 50
     assert result.failures == 0
     assert result.first_failure is None
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            tools.selftest(compiled, trials=trials)
 
 
 def test_bench_reports_constant_counts():
@@ -346,6 +367,15 @@ def test_cli_bench(capsys):
     assert cli.main(["bench", str(F4_5_PATH), "--reps", "3"]) == 0
     out = capsys.readouterr().out
     assert "110 + 12 + 99 = 221" in out
+    assert re.search(r"^setup: load \d+\.\d ms, compile \d+\.\d ms$", out, re.M)
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_cli_selftest_rejects_nonpositive_trials(trials, capsys):
+    assert cli.main(["selftest", str(F2_5_PATH), "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert "error: trials must be >= 1" in captured.err
+    assert "match the oracle" not in captured.out
 
 
 def test_cli_split_search(capsys):

@@ -3,17 +3,18 @@
 An instance bundles: a base field F_q; an extension degree n; a genus-g
 curve; a degree-n place Q whose residue field is the target F_{q^n}; a
 "good basis" f_1..f_{2n+g-1} of function representatives; and an ordered
-pool of candidate evaluation places.  Compilation selects places greedily
-until their degrees sum to 2n+g-1, builds the evaluation matrix T (one row
-block per place, one column per basis function), certifies rank(T) =
-2n+g-1 by inverting T, and freezes the straight-line schedule together with
-its operation report, which is read off the shapes of what it schedules.
+pool of candidate evaluation places.  Compilation walks the pool once, in
+order, keeping each place whose evaluation rows raise the rank of the
+evaluation matrix T (one row block per place, one column per basis function)
+by the place's degree, until rank(T) = 2n+g-1; it then freezes the
+straight-line schedule together with its operation report, which is read off
+the shapes of what it schedules.
 
 Set-up is one pass: the basis is evaluated at each place by one
 `PlaceEvaluator` (one power table, one inverse per distinct denominator),
-each candidate place is evaluated at most once even when a singular T
-forces a swap, and the one Gauss-Jordan inversion that yields T^-1 is also
-the rank certificate.
+each candidate place is evaluated at most once, and the one incremental
+Gauss-Jordan elimination (`linalg.RowBasis`) that selects the places also
+certifies T and yields T^-1.
 
 One product of x, y in F_{q^n} (length-n coordinate tuples over F_q) runs:
 
@@ -57,7 +58,7 @@ from .galois import (
     poly_mul,
 )
 from .kernels import KERNEL_COST, KernelPlan
-from .linalg import Matrix, SingularMatrixError, invert, mat_vec
+from .linalg import Matrix, RowBasis, mat_vec
 
 
 class InstanceError(Exception):
@@ -348,58 +349,38 @@ def _evaluation_rows(spec: InstanceSpec, place) -> list[list[int]]:
     return [[blocks[j][r] for j in range(len(blocks))] for r in range(place.degree)]
 
 
-def _greedy_selection(spec: InstanceSpec) -> list[int]:
-    target = spec.size
-    chosen: list[int] = []
-    total = 0
-    for idx, p in enumerate(spec.candidate_places):
-        if total + p.degree <= target:
-            chosen.append(idx)
-            total += p.degree
-            if total == target:
-                return chosen
-    raise InstanceError(
-        f"candidate degrees reach only {total} of the required {target}"
-    )
-
-
-def _next_same_degree(spec: InstanceSpec, last: int) -> int:
-    degree = spec.candidate_places[last].degree
-    for i in range(last + 1, len(spec.candidate_places)):
-        if spec.candidate_places[i].degree == degree:
-            return i
-    raise InstanceError(
-        "no full-rank place selection reachable (same-degree fallback exhausted)"
-    )
-
-
 def compile_instance(spec: InstanceSpec) -> CompiledMultiplier:
     """Select places, build T, certify it invertible, and freeze the multiplier.
 
-    Each candidate place is evaluated at most once: its row block is kept by
-    candidate index across attempts.  One Gauss-Jordan inversion per attempt
-    is the rank certificate; a singular T triggers the swap below.
+    One pass over the candidates in order: a candidate whose degree still
+    fits is evaluated once and kept only if its rows raise rank(T) by its
+    degree.  The selection stops at rank 2n+g-1, where the same elimination
+    has certified T and recorded T^-1.
     """
     for check in verify_good_basis(spec):
         if not check.ok:
             raise InstanceError(f"good-basis check failed at {check.name}: {check.detail}")
 
-    row_blocks: dict[int, list[list[int]]] = {}
-    chosen = _greedy_selection(spec)
-    while True:
-        for i in chosen:
-            if i not in row_blocks:
-                row_blocks[i] = _evaluation_rows(spec, spec.candidate_places[i])
-        T = Matrix.from_rows(spec.field, [row for i in chosen for row in row_blocks[i]])
-        try:
-            T_inv = invert(T)
-            break
-        except SingularMatrixError:
-            # evaluation vectors are dependent: retry with the last place
-            # swapped for the next candidate of the same degree
-            chosen[-1] = _next_same_degree(spec, chosen[-1])
+    target = spec.size
+    basis = RowBasis(spec.field, target)
+    places = []
+    rows: list[list[int]] = []
+    for p in spec.candidate_places:
+        if basis.rank + p.degree > target:
+            continue
+        block = _evaluation_rows(spec, p)
+        if basis.add(block):
+            places.append(p)
+            rows.extend(block)
+            if basis.rank == target:
+                break
+    else:
+        raise InstanceError(
+            f"candidate places reach only rank {basis.rank} of the required {target}"
+        )
 
-    places = [spec.candidate_places[i] for i in chosen]
+    T = Matrix.from_rows(spec.field, rows)
+    T_inv = basis.inverse()
     n = spec.n
     T_inv_top = Matrix.from_rows(
         spec.field, [list(T_inv.row(i)) for i in range(2 * n - 1)]

@@ -33,10 +33,11 @@ class BinaryField:
 
     ``modulus`` is the defining polynomial as a bitmask (bit i = coeff of w^i),
     monic of degree k and irreducible over F_2.  The q*q product table is
-    built once here, so `mul` is a lookup; that is what caps k.
+    built once here, and the inverse table is read off it, so `mul` and
+    `inv` are lookups; that is what caps k.
     """
 
-    __slots__ = ("k", "modulus", "order", "_table")
+    __slots__ = ("k", "modulus", "order", "_table", "_inverses")
 
     def __init__(self, k: int, modulus: int):
         if not 1 <= k <= MAX_K:
@@ -54,6 +55,8 @@ class BinaryField:
         self._table = tuple(
             tuple(self._reduce(_bits_mul(a, b)) for b in range(q)) for a in range(q)
         )
+        # every nonzero row of the table holds exactly one 1; entry 0 is unused
+        self._inverses = (0,) + tuple(row.index(1) for row in self._table[1:])
 
     def check(self, v: int) -> int:
         """Validate a raw int as an element of this field and return it."""
@@ -71,17 +74,7 @@ class BinaryField:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        if a == 1:
-            return 1
-        # extended Euclid on bit-polynomials: u*a + _*modulus = gcd = 1
-        r0, r1 = self.modulus, a
-        s0, s1 = 0, 1
-        while r1:
-            q, r = _bits_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 ^ _bits_mul(q, s1)
-        assert r0 == 1, "modulus is irreducible, gcd must be 1"
-        return self._reduce(s0)
+        return self._inverses[a]
 
     def _reduce(self, bits: int) -> int:
         m, top = self.modulus, self.modulus.bit_length()
@@ -114,18 +107,6 @@ def _bits_mul(a: int, b: int) -> int:
         a <<= 1
         b >>= 1
     return r
-
-
-def _bits_divmod(a: int, b: int) -> tuple[int, int]:
-    if b == 0:
-        raise ZeroDivisionError
-    q = 0
-    db = b.bit_length()
-    while a.bit_length() >= db:
-        shift = a.bit_length() - db
-        q ^= 1 << shift
-        a ^= b << shift
-    return q, a
 
 
 def _bits_to_poly(bits: int) -> Poly:

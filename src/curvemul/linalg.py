@@ -1,9 +1,13 @@
 """Dense linear algebra over a binary field: rank, inverse, matrix-vector.
 
-Matrices are immutable row-major tuples of field ints.  `mat_vec` performs
-one base-field multiplication per matrix entry whatever the values, so the
-cost of a product is fixed by the matrix shape; the engine reads its
-operation counts from those shapes at compile time.
+Matrices are immutable row-major tuples of field ints.  `RowBasis` is the
+one elimination routine: it takes rows a block at a time, keeps only blocks
+that raise the rank by their size, and reads the inverse off the row
+combinations it records; `rank` and `invert` are thin uses of it.
+
+`mat_vec` performs one base-field multiplication per matrix entry whatever
+the values, so the cost of a product is fixed by the matrix shape; the
+engine reads its operation counts from those shapes at compile time.
 """
 
 from __future__ import annotations
@@ -63,61 +67,88 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
 
 
-def _rows_as_lists(m: Matrix) -> list[list[int]]:
-    return [list(m.row(i)) for i in range(m.rows)]
+class RowBasis:
+    """Incremental Gauss-Jordan elimination on rows of length `cols`.
+
+    Accepted rows are kept in reduced row-echelon form, each beside the
+    combination of accepted input rows that produces it.  Once `cols` input
+    rows are in, those combinations are the inverse of the matrix whose rows
+    are the inputs in the order they were accepted.
+    """
+
+    __slots__ = ("field", "cols", "_pivots", "_rows")
+
+    def __init__(self, field: BinaryField, cols: int):
+        self.field = field
+        self.cols = cols
+        self._pivots: list[int] = []
+        # each row is cols reduced entries followed by cols combination weights
+        self._rows: list[list[int]] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def add(self, block: Sequence[Sequence[int]]) -> bool:
+        """Accept the rows of `block` if together they raise the rank by
+        len(block); otherwise leave the basis exactly as it was."""
+        cols = self.cols
+        for row in block:
+            if len(row) != cols:
+                raise ValueError(f"row length {len(row)} does not match {cols} columns")
+        if self.rank + len(block) > cols:
+            return False
+        mul, inv = self.field.mul, self.field.inv
+        # rows are replaced, never changed in place, so the old lists survive
+        # a rejected block untouched
+        pivots, rows = list(self._pivots), list(self._rows)
+        for row in block:
+            v = list(row) + [0] * cols
+            v[cols + len(rows)] = 1
+            for p, r in zip(pivots, rows):
+                c = v[p]
+                if c:
+                    v = [a ^ mul(c, b) for a, b in zip(v, r)]
+            pivot = next((j for j in range(cols) if v[j]), None)
+            if pivot is None:
+                return False
+            c = inv(v[pivot])
+            v = [mul(c, a) for a in v]
+            for i, r in enumerate(rows):
+                c = r[pivot]
+                if c:
+                    rows[i] = [a ^ mul(c, b) for a, b in zip(r, v)]
+            pivots.append(pivot)
+            rows.append(v)
+        self._pivots, self._rows = pivots, rows
+        return True
+
+    def inverse(self) -> Matrix:
+        """Inverse of the matrix of accepted rows; needs rank == cols."""
+        cols = self.cols
+        if self.rank < cols:
+            raise SingularMatrixError(f"matrix is singular (rank {self.rank} of {cols})")
+        by_pivot = sorted(zip(self._pivots, self._rows))
+        return Matrix.from_rows(self.field, [r[cols:] for _, r in by_pivot])
+
+
+def _row_basis(m: Matrix) -> RowBasis:
+    basis = RowBasis(m.field, m.cols)
+    for i in range(m.rows):
+        basis.add([m.row(i)])
+    return basis
 
 
 def rank(m: Matrix) -> int:
-    """Row-echelon rank by Gaussian elimination (first nonzero pivot)."""
-    f = m.field
-    mul, inv = f.mul, f.inv
-    rows = _rows_as_lists(m)
-    r = 0
-    for col in range(m.cols):
-        pivot = None
-        for i in range(r, m.rows):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pinv = inv(rows[r][col])
-        rows[r] = [mul(pinv, v) for v in rows[r]]
-        for i in range(m.rows):
-            if i != r and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [v ^ mul(c, p) for v, p in zip(rows[i], rows[r])]
-        r += 1
-        if r == m.rows:
-            break
-    return r
+    """Number of rows of m that a `RowBasis` accepts one at a time."""
+    return _row_basis(m).rank
+
 
 def invert(m: Matrix) -> Matrix:
-    """Gauss-Jordan inverse; raises SingularMatrixError when rank is deficient."""
+    """Inverse of a square matrix; raises SingularMatrixError when rank is deficient."""
     if m.rows != m.cols:
         raise SingularMatrixError("only square matrices can be inverted")
-    n = m.rows
-    f = m.field
-    mul, inv = f.mul, f.inv
-    rows = _rows_as_lists(m)
-    aug = [rows[i] + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if aug[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            raise SingularMatrixError(f"matrix is singular (no pivot in column {col})")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pinv = inv(aug[col][col])
-        aug[col] = [mul(pinv, v) for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [v ^ mul(c, p) for v, p in zip(aug[i], aug[col])]
-    return Matrix.from_rows(f, [row[n:] for row in aug])
+    return _row_basis(m).inverse()
 
 
 def mat_vec(m: Matrix, v: Sequence[int]) -> list[int]:

@@ -285,9 +285,9 @@ def split_search(curve: Curve, degree: int, trials: int, seed: int = 0) -> list[
     """Monic irreducible polynomials of the given degree whose place splits
     on the curve.  Deterministic for a fixed seed; may return an empty list.
 
-    Over GF(2) at degree <= 8 the whole space is scanned; otherwise random
-    monic polynomials are drawn and rejection-tested, like the usual
-    draw-until-irreducible setup step.
+    Over GF(2) at degree <= 8 the whole space is scanned and `trials` is
+    ignored; otherwise `trials` >= 1 random monic polynomials are drawn and
+    rejection-tested, like the usual draw-until-irreducible setup step.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -304,10 +304,12 @@ def split_search(curve: Curve, degree: int, trials: int, seed: int = 0) -> list[
     if field.order == 2 and degree <= 8:
         return [p for p in _all_monic(field, degree) if accept(p)]
 
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     found: list[Poly] = []
     seen: set[Poly] = set()
-    for _ in range(max(0, trials)):
+    for _ in range(trials):
         p = poly_from_coeffs(
             field, [rng.randrange(field.order) for _ in range(degree)] + [1]
         )

@@ -159,7 +159,8 @@ def test_aggregate_bound_values():
 
 
 def test_selected_places_are_deterministic():
-    # frozen selections; f4_5 and f2_5 both exercise the same-degree fallback
+    # frozen selections; f4_5 and f2_5 each evaluate and reject one candidate
+    # (Q_1, R_1) whose rows do not raise rank(T) by its degree
     assert [p.label for p in COMPILED["f16_13"].places] == [
         f"P_{i}" for i in range(2, 29)
     ]
@@ -248,7 +249,7 @@ def test_evaluator_matches_horner_reference():
 
 
 def test_each_candidate_evaluated_at_most_once(monkeypatch):
-    # f4_5 and f2_5 both swap their last place once during compile
+    # f4_5 and f2_5 each reject one evaluated candidate during compile
     built = []
 
     class Counting(PlaceEvaluator):
@@ -279,6 +280,41 @@ def test_den_vanishing_candidate_named():
     tampered.candidate_places = (bad,) + spec.candidate_places
     with pytest.raises(InstanceError, match=r"f_\d+ has a pole at place BAD: .*collision"):
         compile_instance(tampered)
+
+
+def with_candidates(spec, candidates):
+    return InstanceSpec(
+        "pool", spec.field, spec.curve, spec.n, spec.q_place,
+        spec.d1_den, spec.d2_den, spec.basis, candidates,
+    )
+
+
+def test_selection_skips_a_dependent_place_before_the_last():
+    # without P_inf_1, R_1 is dependent on the places before it and P_4 comes
+    # after it; swapping only the last selected place cannot find this set
+    spec = SPECS["f2_5"]
+    compiled = compile_instance(with_candidates(
+        spec, [p for p in spec.candidate_places if p.label != "P_inf_1"]
+    ))
+    assert [p.label for p in compiled.places] == [
+        "P_inf_2", "P_3", "Q_1", "Q_2", "R_2", "P_4",
+    ]
+    report = compiled.report
+    assert (report.step1_scalar, report.step2_bilinear, report.step3_scalar) == (110, 18, 99)
+    assert rank(compiled.T) == spec.size
+    units = [[int(i == j) for j in range(spec.n)] for i in range(spec.n)]
+    for x in units:
+        for y in units:
+            want = reference_mul(spec.field, spec.q_modulus, x, y)
+            assert compiled.multiply(x, y)[0] == want
+
+
+def test_selection_short_of_full_rank_fails():
+    spec = SPECS["f2_5"]
+    pool = sorted(spec.candidate_places, key=lambda p: p.label != "R_1")
+    assert pool[0].label == "R_1"
+    with pytest.raises(InstanceError, match="reach only rank 10 of the required 11"):
+        compile_instance(with_candidates(spec, pool))
 
 
 def test_rank_certificate():

@@ -89,11 +89,13 @@ def test_field_axioms_random():
 def test_fe_inv():
     assert F4.inv(2) == 3  # a^-1 = a^2 = a+1
     assert F16.inv(6) == 7  # (a^5)^-1 = a^10
-    for field in (F2, F4, F16):
+    f256 = BinaryField(8, 0b100011011)  # w^8+w^4+w^3+w+1
+    assert f256.inv(0x53) == 0xCA
+    for field in (F2, F4, F16, f256):
         for a in range(1, field.order):
             assert field.mul(a, field.inv(a)) == 1
-    with pytest.raises(ZeroDivisionError):
-        F16.inv(0)
+        with pytest.raises(ZeroDivisionError):
+            field.inv(0)
 
 
 def test_field_spec_validation():

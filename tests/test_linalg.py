@@ -3,7 +3,7 @@ import random
 import pytest
 
 from curvemul.galois import F2, F4, F16
-from curvemul.linalg import Matrix, SingularMatrixError, invert, mat_vec, rank
+from curvemul.linalg import Matrix, RowBasis, SingularMatrixError, invert, mat_vec, rank
 
 
 def unit_vectors(n):
@@ -21,6 +21,8 @@ def test_shape_validation():
         Matrix.from_rows(F4, [[1, 2], [3]])
     with pytest.raises(ValueError):
         Matrix(F4, 1, 1, [7])  # not an F_4 element
+    with pytest.raises(ValueError):
+        RowBasis(F4, 2).add([[1, 2, 3]])
 
 
 def test_rank_examples():
@@ -31,6 +33,10 @@ def test_rank_examples():
     assert rank(m) == 1
     m = Matrix.from_rows(F2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     assert rank(m) == 2  # rows sum to zero
+    # more rows than columns: rank is capped by the columns
+    m = Matrix.from_rows(F4, [[1, 0], [2, 3], [0, 1], [3, 3]])
+    assert rank(m) == 2
+    assert rank(Matrix.from_rows(F16, [[0], [5], [7]])) == 1
 
 
 def test_rank_row_operation_invariance():
@@ -65,6 +71,22 @@ def test_invert_examples():
         invert(Matrix.from_rows(F4, [[1, 2], [2, 3]]))  # row2 = a*row1
     with pytest.raises(SingularMatrixError):
         invert(Matrix(F4, 2, 3, [0] * 6))
+
+
+def test_row_basis_rejects_a_block_whole():
+    basis = RowBasis(F4, 3)
+    assert basis.add([[1, 2, 0]])
+    # the first row is independent, the second is a times the accepted row
+    assert not basis.add([[0, 1, 1], [2, 3, 0]])
+    assert basis.rank == 1
+    with pytest.raises(SingularMatrixError):
+        basis.inverse()
+    # had the rejected block left its first row behind, rank 1 + 2 would
+    # not fit and this block would be refused
+    assert basis.add([[0, 1, 1], [0, 0, 1]])
+    assert basis.inverse() == invert(Matrix.from_rows(F4, [[1, 2, 0], [0, 1, 1], [0, 0, 1]]))
+    assert not basis.add([[1, 1, 1]])  # already full rank
+    assert basis.rank == 3
 
 
 def test_invert_random_roundtrip():

@@ -378,6 +378,15 @@ def test_cli_selftest_rejects_nonpositive_trials(trials, capsys):
     assert "match the oracle" not in captured.out
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_cli_split_search_rejects_nonpositive_trials(trials, capsys):
+    code = cli.main(["split-search", str(F4_5_PATH), "--degree", "3", "--trials", trials])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error: trials must be >= 1" in captured.err
+    assert "splitting polynomial(s)" not in captured.out
+
+
 def test_cli_split_search(capsys):
     code = cli.main(["split-search", str(F2_5_PATH), "--degree", "5"])
     assert code == 0

@@ -8,20 +8,21 @@ presented by the branch value y(infinity) in {0, 1}.  Evaluation at the
 latter goes through power-series expansion in the local parameter s = 1/x.
 
 `PlaceEvaluator` evaluates a whole family of functions (a basis) at one
-place, computing once what the family shares: the powers of the x-image, the
-value of each distinct polynomial, one inverse per distinct denominator, and
-the y-branch series.  `evaluate` is its one-function case.
+place, computing once what the family shares: at an affine place one Horner
+pass over the x-image runs on the family's coefficients packed in GF(2^k)
+lanes (`PackedFamily`), with one inverse per distinct denominator; at a place
+over infinity the y-branch series is expanded once.  `evaluate` is its
+one-function case.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import xor
 from typing import Sequence
 
 from .galois import (
     BinaryField,
     ExtField,
+    Lanes,
     Poly,
     ZERO_POLY,
     poly_degree,
@@ -191,37 +192,74 @@ def branch_series(curve: Curve, branch_y0: int, prec: int) -> list[int]:
 # evaluation
 
 
+class PackedFamily:
+    """A family of functions (a basis) with the coefficients of every ay, b
+    and den packed as lane columns (`galois.Lanes`): lanes 0..F-1 hold the
+    ay of each of the F functions, lanes F..2F-1 their b and lanes 2F..3F-1
+    their den, and column j holds the coefficients of x^j.
+
+    Packing does not depend on the place, so one family is built per set-up
+    and shared by the `PlaceEvaluator` of every place it evaluates.
+    """
+
+    __slots__ = ("functions", "lanes", "columns", "dens")
+
+    def __init__(self, field: BinaryField, functions: Sequence[CurveFunction]):
+        self.functions = tuple(functions)
+        polys = (
+            [f.ay for f in self.functions]
+            + [f.b for f in self.functions]
+            + [f.den for f in self.functions]
+        )
+        self.lanes = Lanes(field, len(polys))
+        top = max(len(p) for p in polys)
+        padded = [p + (0,) * (top - len(p)) for p in polys]
+        self.columns = tuple([self.lanes.pack(col) for col in zip(*padded)])
+        # each distinct denominator: the functions sharing it, and the lane
+        # mask that selects them
+        by_den: dict = {}
+        for j, f in enumerate(self.functions):
+            by_den.setdefault(f.den, []).append(j)
+        k, lane = field.k, field.order - 1
+        self.dens = [
+            (idx, sum([lane << (k * j) for j in idx])) for idx in by_den.values()
+        ]
+
+
 class PlaceEvaluator:
     """Values of a fixed family of functions at one place, sharing the work
     the family repeats.
 
-    At an affine place the powers of the x-image are tabulated once, up to
-    the highest degree in the family; each distinct polynomial is then one
-    linear combination of that table, formed once, and each distinct
-    denominator costs one residue-field inversion.  At a place over
-    x = infinity the y-branch is expanded once in the local parameter
-    s = 1/x, to the largest precision the family needs, and each distinct
-    denominator is inverted as a series once.
+    At an affine place of degree d the whole family is evaluated in lanes
+    (see `PackedFamily`): one Horner pass over the x-image runs on d
+    coordinate lane vectors, multiplying by the x-image as its d x d matrix
+    over F_q; the ay lanes are then multiplied by the y-image the same way
+    and the b lanes added; and each distinct denominator is inverted once in
+    the residue field and applied, as a matrix, to the lanes of the
+    functions that share it.  At a place over x = infinity the y-branch is
+    expanded once in the local parameter s = 1/x, to the largest precision
+    the family needs, and each distinct denominator is inverted as a series
+    once.
 
-    The tables live on the object only; build one per place and drop it.
+    `functions` is a sequence of functions or a `PackedFamily`, which lets
+    the evaluators of many places share one packing.  The values live on
+    the object only; build one per place and drop it.
     """
 
-    __slots__ = ("curve", "place", "functions", "_columns", "_branch", "_values", "_inverses")
+    __slots__ = ("curve", "place", "functions", "_affine", "_branch", "_inverses")
 
-    def __init__(self, curve: Curve, place, functions: Sequence[CurveFunction]):
+    def __init__(self, curve: Curve, place, functions):
+        family = (
+            functions
+            if isinstance(functions, PackedFamily)
+            else PackedFamily(curve.field, functions)
+        )
         self.curve = curve
         self.place = place
-        self.functions = tuple(functions)
-        self._values: dict = {}
+        self.functions = family.functions
         self._inverses: dict = {}
         if isinstance(place, AffinePlace):
-            res = place.residue
-            top = max(len(p) for f in self.functions for p in (f.ay, f.b, f.den))
-            powers = [res.one()]
-            for _ in range(top - 1):
-                powers.append(res.mul(powers[-1], place.x_img))
-            # column r holds coordinate r of x_img^0, x_img^1, ...
-            self._columns = tuple(zip(*powers))
+            self._affine = _affine_values(family, place)
         elif isinstance(place, InfinitePlace):
             prec = max(0, max(_pivot(f) for f in self.functions)) + 1
             self._branch = branch_series(curve, place.branch_y0, prec)
@@ -231,36 +269,15 @@ class PlaceEvaluator:
     def value(self, j: int) -> list[int]:
         """Coordinates of the j-th function's value, as `degree` base-field
         ints; raises PlaceEvaluationError when it has a pole here."""
-        f = self.functions[j]
-        if isinstance(self.place, AffinePlace):
-            return list(self._affine(f))
-        return [self._at_infinity(f)]
-
-    def _affine(self, f: CurveFunction) -> tuple:
-        res = self.place.residue
-        inv = self._inverses.get(f.den)
-        if inv is None:
-            dv = self._poly(f.den)
-            if dv == res.zero():
-                raise PlaceEvaluationError(
-                    f"denominator vanishes at place {self.place.label or self.place!r} "
-                    "(support collision)"
-                )
-            inv = self._inverses[f.den] = res.inv(dv)
-        nv = self._poly(f.b)
-        if f.ay:
-            nv = res.add(res.mul(self._poly(f.ay), self.place.y_img), nv)
-        return res.mul(nv, inv)
-
-    def _poly(self, p: Poly) -> tuple:
-        """p(x-image), as the combination sum_i p_i * x_img^i of the table."""
-        v = self._values.get(p)
+        if isinstance(self.place, InfinitePlace):
+            return [self._at_infinity(self.functions[j])]
+        v = self._affine[j]
         if v is None:
-            mul = self.curve.field.mul
-            v = self._values[p] = tuple(
-                reduce(xor, map(mul, p, column), 0) for column in self._columns
+            raise PlaceEvaluationError(
+                f"denominator vanishes at place {self.place.label or self.place!r} "
+                "(support collision)"
             )
-        return v
+        return list(v)
 
     def _at_infinity(self, f: CurveFunction) -> int:
         """Writes f in s = 1/x and reads off the constant coefficient; any
@@ -299,6 +316,41 @@ def _pivot(f: CurveFunction) -> int:
     """The power of s = 1/x whose coefficient is f's value at infinity:
     max(deg ay, deg b) - deg den."""
     return max(len(f.ay), len(f.b), 1) - len(f.den)
+
+
+def _affine_values(family: PackedFamily, place: AffinePlace) -> list:
+    """Each function's value at an affine place as a coordinate tuple, or
+    None where its denominator vanishes there."""
+    res = place.residue
+    lanes, d = family.lanes, res.d
+    count = len(family.functions)
+    k, width = res.base.k, res.base.k * count
+    block = (1 << width) - 1  # the F lanes of one of the ay, b, den blocks
+    # Horner over x: acc[r] is coordinate r of every polynomial's value so far
+    x_times = res.mul_map(place.x_img)
+    columns = family.columns
+    acc = [columns[-1]] + [0] * (d - 1)
+    for column in reversed(columns[:-1]):
+        acc = lanes.apply(x_times, acc)
+        acc[0] ^= column
+    ay = [a & block for a in acc]
+    num = lanes.apply(res.mul_map(place.y_img), ay)
+    num = [u ^ ((a >> width) & block) for u, a in zip(num, acc)]
+    dens = [a >> (2 * width) for a in acc]
+    out = [0] * d
+    poles: list[int] = []
+    lane = res.base.order - 1
+    for idx, mask in family.dens:
+        dv = tuple([(a >> (k * idx[0])) & lane for a in dens])
+        if not any(dv):
+            poles.extend(idx)
+            continue
+        part = lanes.apply(res.mul_map(res.inv(dv)), [u & mask for u in num])
+        out = [o ^ p for o, p in zip(out, part)]
+    values: list = list(zip(*(lanes.unpack(o, count) for o in out)))
+    for j in poles:
+        values[j] = None
+    return values
 
 
 def evaluate(curve: Curve, f: CurveFunction, place) -> list[int]:

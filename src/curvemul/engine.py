@@ -10,10 +10,12 @@ by the place's degree, until rank(T) = 2n+g-1; it then freezes the
 straight-line schedule together with its operation report, which is read off
 the shapes of what it schedules.
 
-Set-up is one pass: the basis is evaluated at each place by one
-`PlaceEvaluator` (one power table, one inverse per distinct denominator),
-each candidate place is evaluated at most once, and the one incremental
-Gauss-Jordan elimination (`linalg.RowBasis`) that selects the places also
+Set-up is one pass and runs on packed GF(2^k) lanes (`galois.Lanes`): the
+basis is packed once per set-up (`curve.PackedFamily`) and evaluated at each
+place by one `PlaceEvaluator` (one Horner pass over the x-image for the whole
+basis, one inverse per distinct denominator); each candidate place is
+evaluated at most once; and the one incremental Gauss-Jordan elimination
+(`linalg.RowBasis`, one packed int per row) that selects the places also
 certifies T and yields T^-1.
 
 One product of x, y in F_{q^n} (length-n coordinate tuples over F_q) runs:
@@ -42,6 +44,7 @@ from .curve import (
     Curve,
     CurveFunction,
     InfinitePlace,
+    PackedFamily,
     PlaceEvaluationError,
     PlaceEvaluator,
     generates_residue,
@@ -336,8 +339,8 @@ class CompiledMultiplier:
         return tuple(z), self.report
 
 
-def _evaluation_rows(spec: InstanceSpec, place) -> list[list[int]]:
-    at_place = PlaceEvaluator(spec.curve, place, spec.basis)
+def _evaluation_rows(spec: InstanceSpec, family: PackedFamily, place) -> list[list[int]]:
+    at_place = PlaceEvaluator(spec.curve, place, family)
     blocks = []
     for idx in range(len(spec.basis)):
         try:
@@ -362,13 +365,14 @@ def compile_instance(spec: InstanceSpec) -> CompiledMultiplier:
             raise InstanceError(f"good-basis check failed at {check.name}: {check.detail}")
 
     target = spec.size
+    family = PackedFamily(spec.field, spec.basis)
     basis = RowBasis(spec.field, target)
     places = []
     rows: list[list[int]] = []
     for p in spec.candidate_places:
         if basis.rank + p.degree > target:
             continue
-        block = _evaluation_rows(spec, p)
+        block = _evaluation_rows(spec, family, p)
         if basis.add(block):
             places.append(p)
             rows.extend(block)

@@ -13,6 +13,10 @@ Representation conventions, used throughout the package:
   empty tuple.
 * An element of an extension GF(q^d) = F_q[t]/(m) is a length-``d`` tuple of
   base-field ints: coordinates in the basis (1, t, ..., t**(d-1)).
+* A lane vector (`Lanes`) packs many elements of GF(2^k) into one int, k bits
+  per lane, so that scaling all of them by one constant is O(k) big-int
+  operations instead of one `mul` per element.  Set-up (place evaluation and
+  row reduction) runs on these.
 
 The module-level fields `F2`, `F4` (w^2+w+1) and `F16` (w^4+w+1) cover every
 base field the bundled multiplier instances use.
@@ -37,7 +41,9 @@ class BinaryField:
     `inv` are lookups; that is what caps k.
     """
 
-    __slots__ = ("k", "modulus", "order", "_table", "_inverses")
+    __slots__ = (
+        "k", "modulus", "order", "_table", "_inverses", "_lane_bits", "_bit_products"
+    )
 
     def __init__(self, k: int, modulus: int):
         if not 1 <= k <= MAX_K:
@@ -57,6 +63,13 @@ class BinaryField:
         )
         # every nonzero row of the table holds exactly one 1; entry 0 is unused
         self._inverses = (0,) + tuple(row.index(1) for row in self._table[1:])
+        # for `Lanes`: each element as k binary digits, and row c of the
+        # table at the powers w^i, i < k (what bit i of a lane adds to the
+        # lane's product by c)
+        self._lane_bits = tuple([format(v, f"0{k}b") for v in range(q)])
+        self._bit_products = tuple(
+            [tuple([row[1 << i] for i in range(k)]) for row in self._table]
+        )
 
     def check(self, v: int) -> int:
         """Validate a raw int as an element of this field and return it."""
@@ -97,6 +110,78 @@ class BinaryField:
 
     def __repr__(self) -> str:
         return f"GF(2^{self.k}; {self.modulus:#b})"
+
+
+class Lanes:
+    """Vectors of up to `count` elements of one BinaryField packed into one
+    int, k bits per lane: lane i holds bits k*i .. k*i+k-1, lane 0 lowest.
+
+    Addition is XOR of the ints.  `scale` multiplies every lane by one
+    constant c without a loop over the lanes: bit i of a lane contributes
+    c * w^i (already reduced by the modulus, so below 2^k) to that lane's
+    product, so the product is the XOR over i < k of the 0/1 plane of bit i,
+    shifted down to bit 0 of each lane, times the int c * w^i.  No product
+    of a plane and a constant carries out of its lane.  Values are taken on
+    trust, as by `BinaryField.mul`.
+    """
+
+    __slots__ = ("field", "count", "_ones", "_mask", "_bits", "_times")
+
+    def __init__(self, field: BinaryField, count: int):
+        self.field = field
+        self.count = count
+        self._mask = field.order - 1
+        self._ones = ((1 << (field.k * count)) - 1) // self._mask  # bit 0 of every lane
+        self._bits = field._lane_bits
+        self._times = field._bit_products
+
+    def pack(self, values: Sequence[int]) -> int:
+        """The lane vector holding values[i] in lane i."""
+        bits = self._bits
+        return int("".join([bits[v] for v in reversed(values)]) or "0", 2)
+
+    def unpack(self, v: int, count: int) -> list[int]:
+        """Lanes 0 .. count-1 of v."""
+        k, mask = self.field.k, self._mask
+        return [(v >> s) & mask for s in range(0, k * count, k)]
+
+    def scale(self, c: int, v: int) -> int:
+        """Every lane of v times the constant c."""
+        if c < 2:
+            return v if c else 0
+        ones = self._ones
+        acc = 0
+        for i, t in enumerate(self._times[c]):
+            acc ^= ((v >> i) & ones) * t
+        return acc
+
+    def apply(
+        self, linear_map: Sequence[Sequence[tuple]], vectors: Sequence[int]
+    ) -> list[int]:
+        """The lane vectors out[r] = sum of c * vectors[s] over the pairs
+        (r, c) in linear_map[s]: a fixed d x d matrix over the field, given
+        by its nonzero entries column by column (see `ExtField.mul_map`),
+        applied to d coordinate vectors at once.  Entries 1 cost one XOR,
+        and each vector is cut into its bit planes once for all its rows."""
+        if len(linear_map) == 1:  # degree 1, most places: one scale
+            (column,) = linear_map
+            return [self.scale(column[0][1], vectors[0]) if column else 0]
+        ones, times = self._ones, self._times
+        shifts = range(self.field.k)
+        out = [0] * len(linear_map)
+        for column, v in zip(linear_map, vectors):
+            planes = None
+            for r, c in column:
+                if c == 1:
+                    out[r] ^= v
+                    continue
+                if planes is None:
+                    planes = [(v >> i) & ones for i in shifts]
+                acc = out[r]
+                for p, t in zip(planes, times[c]):
+                    acc ^= p * t
+                out[r] = acc
+        return out
 
 
 def _bits_mul(a: int, b: int) -> int:
@@ -363,7 +448,27 @@ class ExtField:
                         conv[i - d + j] ^= mul(c, m[j])
         return tuple(conv[:d])
 
+    def mul_map(self, z: tuple) -> tuple:
+        """Multiplication by z as a linear map on coordinates, for
+        `Lanes.apply`: entry s lists the pairs (r, c), c != 0, where c is
+        coordinate r of z * t^s.  Each column is the one before times t,
+        a shift plus one multiple of the modulus."""
+        mul, m = self.base.mul, self.modulus
+        col = tuple(z)
+        cols = [col]
+        for _ in range(self.d - 1):
+            top = col[-1]
+            col = (0,) + col[:-1]
+            if top:
+                col = tuple([a ^ mul(top, b) for a, b in zip(col, m)])
+            cols.append(col)
+        # list comprehensions, not tuple() of generators: those grow their
+        # result by resizing, and on this path raised the peak memory
+        return [[(r, c) for r, c in enumerate(col) if c] for col in cols]
+
     def inv(self, u: tuple) -> tuple:
+        if self.d == 1:
+            return (self.base.inv(u[0]),)
         up = self._to_poly(u)
         if not up:
             raise ZeroDivisionError("inverse of 0")

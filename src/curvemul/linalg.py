@@ -3,7 +3,9 @@
 Matrices are immutable row-major tuples of field ints.  `RowBasis` is the
 one elimination routine: it takes rows a block at a time, keeps only blocks
 that raise the rank by their size, and reads the inverse off the row
-combinations it records; `rank` and `invert` are thin uses of it.
+combinations it records; `rank` and `invert` are thin uses of it.  It works
+on rows packed into GF(2^k) lanes (`galois.Lanes`), so an elimination step
+costs O(k) big-int operations whatever the row length.
 
 `mat_vec` performs one base-field multiplication per matrix entry whatever
 the values, so the cost of a product is fixed by the matrix shape; the
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .galois import BinaryField
+from .galois import BinaryField, Lanes
 
 
 class SingularMatrixError(Exception):
@@ -74,16 +76,22 @@ class RowBasis:
     combination of accepted input rows that produces it.  Once `cols` input
     rows are in, those combinations are the inverse of the matrix whose rows
     are the inputs in the order they were accepted.
+
+    Each row is one packed int (`galois.Lanes`): its `cols` reduced entries
+    in lanes 0..cols-1, then its combination weights.  An elimination step
+    is one lane scale and one XOR, and a row's pivot is its lowest nonzero
+    entry lane.
     """
 
-    __slots__ = ("field", "cols", "_pivots", "_rows")
+    __slots__ = ("field", "cols", "_lanes", "_entries", "_pivots", "_rows")
 
     def __init__(self, field: BinaryField, cols: int):
         self.field = field
         self.cols = cols
-        self._pivots: list[int] = []
-        # each row is cols reduced entries followed by cols combination weights
-        self._rows: list[list[int]] = []
+        self._lanes = Lanes(field, 2 * cols)
+        self._entries = (1 << (field.k * cols)) - 1  # the entry lanes
+        self._pivots: list[int] = []  # bit offset of each row's pivot lane
+        self._rows: list[int] = []
 
     @property
     def rank(self) -> int:
@@ -98,27 +106,28 @@ class RowBasis:
                 raise ValueError(f"row length {len(row)} does not match {cols} columns")
         if self.rank + len(block) > cols:
             return False
-        mul, inv = self.field.mul, self.field.inv
-        # rows are replaced, never changed in place, so the old lists survive
-        # a rejected block untouched
+        k, lane = self.field.k, self.field.order - 1
+        inv, pack, scale = self.field.inv, self._lanes.pack, self._lanes.scale
+        # ints are immutable and the lists are copies, so a rejected block
+        # leaves the committed basis untouched
         pivots, rows = list(self._pivots), list(self._rows)
         for row in block:
-            v = list(row) + [0] * cols
-            v[cols + len(rows)] = 1
+            v = pack(row) | 1 << (k * (cols + len(rows)))
             for p, r in zip(pivots, rows):
-                c = v[p]
+                c = (v >> p) & lane
                 if c:
-                    v = [a ^ mul(c, b) for a, b in zip(v, r)]
-            pivot = next((j for j in range(cols) if v[j]), None)
-            if pivot is None:
+                    v ^= scale(c, r)
+            low = v & self._entries
+            if not low:
                 return False
-            c = inv(v[pivot])
-            v = [mul(c, a) for a in v]
+            p = (low & -low).bit_length() - 1
+            p -= p % k
+            v = scale(inv((v >> p) & lane), v)
             for i, r in enumerate(rows):
-                c = r[pivot]
+                c = (r >> p) & lane
                 if c:
-                    rows[i] = [a ^ mul(c, b) for a, b in zip(r, v)]
-            pivots.append(pivot)
+                    rows[i] = r ^ scale(c, v)
+            pivots.append(p)
             rows.append(v)
         self._pivots, self._rows = pivots, rows
         return True
@@ -128,8 +137,11 @@ class RowBasis:
         cols = self.cols
         if self.rank < cols:
             raise SingularMatrixError(f"matrix is singular (rank {self.rank} of {cols})")
+        shift = self.field.k * cols
+        unpack = self._lanes.unpack
         by_pivot = sorted(zip(self._pivots, self._rows))
-        return Matrix.from_rows(self.field, [r[cols:] for _, r in by_pivot])
+        rows = [unpack(r >> shift, cols) for _, r in by_pivot]
+        return Matrix.from_rows(self.field, rows)
 
 
 def _row_basis(m: Matrix) -> RowBasis:

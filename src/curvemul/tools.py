@@ -223,7 +223,9 @@ def load_instance(path) -> InstanceSpec:
         raise InstanceFileError(f"cannot read {path}: {e}") from e
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # besides JSONDecodeError: ValueError for an integer literal past the
+        # int/str conversion limit, RecursionError for too deep nesting
         raise InstanceFileError(f"{path}: not valid JSON: {e}") from e
     return instance_from_document(doc, name=path.stem)
 
@@ -554,17 +556,18 @@ def bench(compiled: CompiledMultiplier, reps: int = 50, seed: int = 7) -> BenchR
 
 
 def parse_vector(field: BinaryField, text: str, n: int) -> list[int]:
-    """Comma-separated decimal base-field values, lowest coordinate first."""
+    """Comma-separated decimal base-field values, lowest coordinate first;
+    each is ASCII digits only, with surrounding blanks allowed."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
         raise ValueError(f"expected {n} comma-separated values, got {len(parts)}")
     out = []
     for p in parts:
-        try:
-            v = int(p, 10)
-        except ValueError:
-            raise ValueError(f"'{p}' is not a decimal integer") from None
-        if not 0 <= v < field.order:
+        # int() alone would also take a sign, '_' separators and non-ASCII digits
+        if not (p.isascii() and p.isdigit()):
+            raise ValueError(f"'{p}' is not a decimal integer")
+        v = int(p)
+        if v >= field.order:
             raise ValueError(f"value {v} is outside GF({field.order})")
         out.append(v)
     return out

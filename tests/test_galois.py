@@ -9,6 +9,7 @@ from curvemul.galois import (
     F16,
     BinaryField,
     ExtField,
+    Lanes,
     ZERO_POLY,
     absolute_trace,
     is_irreducible,
@@ -96,6 +97,70 @@ def test_fe_inv():
             assert field.mul(a, field.inv(a)) == 1
         with pytest.raises(ZeroDivisionError):
             field.inv(0)
+
+
+F256 = BinaryField(8, 0b100011011)  # w^8+w^4+w^3+w+1
+LANE_FIELDS = pytest.mark.parametrize(
+    "field", [F2, F4, F16, F256], ids=lambda f: f"F{f.order}"
+)
+
+
+@LANE_FIELDS
+def test_lane_scale_exhaustive(field):
+    q = field.order
+    values = list(field.elements())
+    every = Lanes(field, q)
+    packed = every.pack(values)
+    pair = Lanes(field, 2)
+    for c in field.elements():
+        # every value beside its neighbours; equality of the packed ints also
+        # rules out a carry across lanes or bits past the last lane
+        assert every.scale(c, packed) == every.pack([field.mul(c, v) for v in values])
+        for v in values:
+            # every value in the top lane, under the largest value
+            got = pair.scale(c, pair.pack([q - 1, v]))
+            assert got == pair.pack([field.mul(c, q - 1), field.mul(c, v)]), (c, v)
+
+
+@LANE_FIELDS
+def test_lane_pack_round_trip(field):
+    rng = random.Random(field.k)
+    k = field.k
+    for count in (0, 1, 2, 7, 40):
+        lanes = Lanes(field, count)
+        for _ in range(20):
+            values = [rng.randrange(field.order) for _ in range(count)]
+            packed = lanes.pack(values)
+            assert packed < 1 << (k * count)
+            assert lanes.unpack(packed, count) == values
+            assert lanes.unpack(packed, min(count, 3)) == values[:3]
+            raw = rng.getrandbits(k * count) if count else 0
+            assert lanes.pack(lanes.unpack(raw, count)) == raw
+
+
+@pytest.mark.parametrize(
+    "base,modulus",
+    [
+        (F2, (1, 1, 0, 0, 1)),
+        (F4, (1, 1, 0, 1)),
+        (F16, (8, 1, 1)),
+        (F16, (9, 12, 5, 14, 4, 11, 0, 11, 15, 1, 14, 6, 12, 1)),  # f16_13's Q
+        (F256, (2, 1)),
+    ],
+    ids=["F2-deg4", "F4-deg3", "F16-deg2", "F16-deg13", "F256-deg1"],
+)
+def test_lane_apply_matches_ext_mul(base, modulus):
+    ext = ExtField(base, modulus)
+    rng = random.Random(len(modulus))
+    count = 9
+    lanes = Lanes(base, count)
+    for _ in range(15):
+        z = tuple(rng.randrange(base.order) for _ in range(ext.d))
+        us = [tuple(rng.randrange(base.order) for _ in range(ext.d)) for _ in range(count)]
+        coords = [lanes.pack([u[r] for u in us]) for r in range(ext.d)]
+        out = lanes.apply(ext.mul_map(z), coords)
+        got = list(zip(*(lanes.unpack(o, count) for o in out)))
+        assert got == [ext.mul(z, u) for u in us]
 
 
 def test_field_spec_validation():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from curvemul.galois import F2, F4, F16
+from curvemul.galois import F2, F4, F16, BinaryField
 from curvemul.linalg import Matrix, RowBasis, SingularMatrixError, invert, mat_vec, rank
 
 
@@ -87,6 +87,121 @@ def test_row_basis_rejects_a_block_whole():
     assert basis.inverse() == invert(Matrix.from_rows(F4, [[1, 2, 0], [0, 1, 1], [0, 0, 1]]))
     assert not basis.add([[1, 1, 1]])  # already full rank
     assert basis.rank == 3
+
+
+class ListRowBasis:
+    """Reference: the same elimination on rows kept as lists of field ints,
+    one `mul` per entry (how `RowBasis` worked before packed lanes)."""
+
+    def __init__(self, field, cols):
+        self.field = field
+        self.cols = cols
+        self.pivots = []
+        self.rows = []
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def add(self, block):
+        cols = self.cols
+        if self.rank + len(block) > cols:
+            return False
+        mul, inv = self.field.mul, self.field.inv
+        pivots, rows = list(self.pivots), list(self.rows)
+        for row in block:
+            v = list(row) + [0] * cols
+            v[cols + len(rows)] = 1
+            for p, r in zip(pivots, rows):
+                c = v[p]
+                if c:
+                    v = [a ^ mul(c, b) for a, b in zip(v, r)]
+            pivot = next((j for j in range(cols) if v[j]), None)
+            if pivot is None:
+                return False
+            c = inv(v[pivot])
+            v = [mul(c, a) for a in v]
+            for i, r in enumerate(rows):
+                c = r[pivot]
+                if c:
+                    rows[i] = [a ^ mul(c, b) for a, b in zip(r, v)]
+            pivots.append(pivot)
+            rows.append(v)
+        self.pivots, self.rows = pivots, rows
+        return True
+
+    def inverse(self):
+        if self.rank < self.cols:
+            raise SingularMatrixError("singular")
+        by_pivot = sorted(zip(self.pivots, self.rows))
+        return Matrix.from_rows(self.field, [r[self.cols:] for _, r in by_pivot])
+
+
+def _combination(rng, field, rows, cols):
+    out = [0] * cols
+    for row in rows:
+        c = rng.randrange(field.order)
+        out = [a ^ field.mul(c, b) for a, b in zip(out, row)]
+    return out
+
+
+@pytest.mark.parametrize(
+    "field", [F2, F4, F16, BinaryField(8, 0b100011011)], ids=lambda f: f"F{f.order}"
+)
+def test_row_basis_matches_list_reference(field):
+    rng = random.Random(1000 + field.k)
+    for _ in range(60):
+        cols = rng.randrange(1, 9)
+        basis, ref = RowBasis(field, cols), ListRowBasis(field, cols)
+        seen = []  # every row offered so far
+        for _ in range(rng.randrange(1, 2 * cols + 2)):
+            block = []
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                kind, pool = rng.random(), seen + block
+                if kind < 0.25 and pool:
+                    # dependent on rows offered before or within this block
+                    row = _combination(rng, field, rng.sample(pool, min(2, len(pool))), cols)
+                elif kind < 0.3:
+                    row = [0] * cols
+                else:
+                    row = [rng.randrange(field.order) for _ in range(cols)]
+                block.append(row)
+            rank_before = basis.rank
+            accepted = basis.add(block)
+            assert accepted == ref.add(block)
+            assert basis.rank == ref.rank
+            if not accepted:
+                assert basis.rank == rank_before
+            seen.extend(block)
+            try:
+                want = ref.inverse()
+            except SingularMatrixError:
+                with pytest.raises(SingularMatrixError):
+                    basis.inverse()
+            else:
+                assert basis.inverse() == want
+
+
+@pytest.mark.parametrize("field", [F2, F4, F16], ids=lambda f: f"F{f.order}")
+def test_rank_and_invert_match_list_reference(field):
+    # square matrices, a share of them rank-deficient by construction
+    rng = random.Random(77 + field.k)
+    for _ in range(40):
+        n = rng.randrange(1, 8)
+        rows = [[rng.randrange(field.order) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.4 and n > 1:
+            rows[-1] = _combination(rng, field, rows[:-1], n)
+            rng.shuffle(rows)
+        m = Matrix.from_rows(field, rows)
+        ref = ListRowBasis(field, n)
+        for row in rows:
+            ref.add([row])
+        assert rank(m) == ref.rank
+        if ref.rank < n:
+            with pytest.raises(SingularMatrixError):
+                invert(m)
+        else:
+            assert invert(m) == ref.inverse()
 
 
 def test_invert_random_roundtrip():

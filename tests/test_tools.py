@@ -56,6 +56,26 @@ def test_load_bad_json(tmp_path):
         tools.load_instance(p)
 
 
+def test_deeply_nested_json_is_a_file_error(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+    with pytest.raises(tools.InstanceFileError, match="not valid JSON"):
+        tools.load_instance(p)
+    assert cli.main(["verify", str(p)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_overlong_integer_literal_is_a_file_error(tmp_path):
+    # past the int/str conversion limit (4300 digits by default)
+    text = F2_5_PATH.read_text(encoding="utf-8")
+    text = re.sub(r'"genus": \d+', '"genus": ' + "1" * 5000, text, count=1)
+    assert "1" * 5000 in text
+    p = tmp_path / "long.json"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(tools.InstanceFileError, match="not valid JSON"):
+        tools.load_instance(p)
+
+
 def test_missing_key_named():
     doc = doc_copy()
     del doc["n"]
@@ -295,8 +315,11 @@ def test_parse_vector():
         tools.parse_vector(F4, "2,1,0", 5)
     with pytest.raises(ValueError, match="outside GF\\(4\\)"):
         tools.parse_vector(F4, "2,1,0,0,4", 5)
-    with pytest.raises(ValueError, match="not a decimal integer"):
-        tools.parse_vector(F4, "2,1,0,0,t", 5)
+    # int() would take each of these: a sign, a digit separator, a
+    # non-ASCII digit
+    for bad in ("t", "+3", "-1", "1_0", "\u0661", ""):
+        with pytest.raises(ValueError, match="not a decimal integer"):
+            tools.parse_vector(F4, f"2,1,0,0,{bad}", 5)
 
 
 def test_format_vector_round_trip():
@@ -402,6 +425,11 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "outside GF(4)" in capsys.readouterr().err
     assert cli.main(["mul", str(F4_5_PATH), "--x", "1,0", "--y", "1,0,0,0,0"]) == 2
     assert "expected 5" in capsys.readouterr().err
+    code = cli.main(["mul", str(F4_5_PATH), "--x", "1,0,0,0,0", "--y", "1,0,1,0,\u0661"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "is not a decimal integer" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_usage_error_is_exit_2():

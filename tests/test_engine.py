@@ -7,6 +7,7 @@ import pytest
 from curvemul import engine, tools
 from curvemul.curve import (
     AffinePlace,
+    InfinitePlace,
     PlaceEvaluator,
     branch_series,
     series_inv,
@@ -358,6 +359,98 @@ def test_duplicate_candidate_rejected():
             spec.d1_den, spec.d2_den, spec.basis,
             list(spec.candidate_places) + [spec.candidate_places[0]],
         )
+
+
+def rebuilt(spec, **changes):
+    """spec's data with some fields replaced, validated again on the way in."""
+    parts = dict(
+        name="tampered", field=spec.field, curve=spec.curve, n=spec.n,
+        q_place=spec.q_place, d1_den=spec.d1_den, d2_den=spec.d2_den,
+        basis=spec.basis, candidate_places=spec.candidate_places,
+    )
+    parts.update(changes)
+    return InstanceSpec(**parts)
+
+
+def with_extra_candidate(spec, place):
+    return rebuilt(spec, candidate_places=spec.candidate_places + (place,))
+
+
+def wrong_base():
+    res = ExtField(F4, (0, 1))
+    return with_extra_candidate(SPECS["f2_5"], AffinePlace(res, [0], [0], "W"))
+
+
+def no_kernel():
+    res = ExtField(F2, (1, 1, 0, 1))  # degree 3
+    return with_extra_candidate(SPECS["f2_5"], AffinePlace(res, res.gen(), res.zero(), "W"))
+
+
+def coincides_with_q():
+    # Q_2's presentation as a degree-2 Q: Q_1 has the same residue modulus
+    spec = SPECS["f2_5"]
+    q2 = next(p for p in spec.candidate_places if p.label == "Q_2")
+    return rebuilt(spec, n=2, q_place=q2, basis=spec.basis[:5])
+
+
+def off_curve():
+    res = ExtField(F2, (1, 1))  # x = 1, where rhs = 1 and y^2 + y = 0
+    return with_extra_candidate(SPECS["f2_5"], AffinePlace(res, [1], [0], "W"))
+
+
+def not_generating():
+    res = ExtField(F2, (1, 1, 1))  # x = y = 0 lie in F_2, on the curve
+    return with_extra_candidate(SPECS["f2_5"], AffinePlace(res, [0, 0], [0, 0], "W"))
+
+
+def meets_support(which):
+    # Q_2's x-image is a root of x^2 + x + 1; make that D1 or D2
+    return rebuilt(SPECS["f2_5"], **{which: (1, 1, 1)})
+
+
+def duplicate():
+    spec = SPECS["f2_5"]
+    return with_extra_candidate(spec, spec.candidate_places[2])
+
+
+def no_split_at_infinity():
+    return with_extra_candidate(SPECS["f16_13"], InfinitePlace(0, "W"))
+
+
+def q_off_curve():
+    spec = SPECS["f2_5"]
+    res = spec.q_place.residue
+    q = AffinePlace(res, res.gen(), res.add(spec.q_place.y_img, res.gen()), "Q")
+    return rebuilt(spec, q_place=q)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (wrong_base, "candidate W has a residue field over the wrong base"),
+        (no_kernel, "candidate W has degree 3, no kernel available"),
+        (coincides_with_q, "candidate Q_1 coincides with Q"),
+        (off_curve, "candidate W does not lie on the curve"),
+        (not_generating, "candidate W does not generate its residue field"),
+        (lambda: meets_support("d1_den"), "candidate Q_2 meets the support of D1"),
+        (lambda: meets_support("d2_den"), "candidate Q_2 meets the support of D2"),
+        (duplicate, "candidate P_3 duplicates an earlier place"),
+        (
+            no_split_at_infinity,
+            "candidate W: the curve has no split places over x=infinity",
+        ),
+        (q_off_curve, "place Q does not lie on the curve"),
+    ],
+    ids=[
+        "wrong-base", "no-kernel", "coincides-with-Q", "off-curve",
+        "not-generating", "meets-D1", "meets-D2", "duplicate",
+        "no-split-at-infinity", "Q-off-curve",
+    ],
+)
+def test_candidate_rejection_named(build, message):
+    with pytest.raises(InstanceError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_equal_denominators_rejected():

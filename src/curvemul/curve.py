@@ -26,7 +26,6 @@ from .galois import (
     Poly,
     ZERO_POLY,
     poly_degree,
-    poly_eval_ext,
     poly_from_coeffs,
     poly_gcd,
     _prime_factors,
@@ -192,29 +191,53 @@ def branch_series(curve: Curve, branch_y0: int, prec: int) -> list[int]:
 # evaluation
 
 
-class PackedFamily:
-    """A family of functions (a basis) with the coefficients of every ay, b
-    and den packed as lane columns (`galois.Lanes`): lanes 0..F-1 hold the
-    ay of each of the F functions, lanes F..2F-1 their b and lanes 2F..3F-1
-    their den, and column j holds the coefficients of x^j.
+class PackedPolys:
+    """Polynomials over one field packed as lane columns (`galois.Lanes`):
+    lane i holds polynomial i, column j the coefficients of x^j.  Packing
+    does not depend on the point, so one packing serves every place."""
 
-    Packing does not depend on the place, so one family is built per set-up
-    and shared by the `PlaceEvaluator` of every place it evaluates.
-    """
+    __slots__ = ("lanes", "columns")
 
-    __slots__ = ("functions", "lanes", "columns", "dens")
+    def __init__(self, field: BinaryField, polys: Sequence[Poly]):
+        self.lanes = Lanes(field, len(polys))
+        top = max([1] + [len(p) for p in polys])
+        padded = [p + (0,) * (top - len(p)) for p in polys]
+        self.columns = [self.lanes.pack(col) for col in zip(*padded)]
+
+    def horner(self, res: ExtField, x_img: tuple) -> list[int]:
+        """Every polynomial's value at x_img in the residue field res, as d
+        coordinate lane vectors: lane i of vector r is coordinate r of the
+        value of polynomial i.  One Horner pass, multiplying by x_img as its
+        d x d matrix over F_q."""
+        x_times = res.mul_map(x_img)
+        columns, apply = self.columns, self.lanes.apply
+        acc = [columns[-1]] + [0] * (res.d - 1)
+        for column in reversed(columns[:-1]):
+            acc = apply(x_times, acc)
+            acc[0] ^= column
+        return acc
+
+    def values(self, res: ExtField, x_img: tuple) -> list[tuple]:
+        """Every polynomial's value at x_img, as coordinate tuples."""
+        lanes = self.lanes
+        return list(zip(*[lanes.unpack(a, lanes.count) for a in self.horner(res, x_img)]))
+
+
+class PackedFamily(PackedPolys):
+    """A family of F functions (a basis) as `PackedPolys`: lanes 0..F-1 hold
+    their ay, F..2F-1 their b and 2F..3F-1 their den.  One family is built
+    per set-up and shared by the `PlaceEvaluator` of every place."""
+
+    __slots__ = ("functions", "dens")
 
     def __init__(self, field: BinaryField, functions: Sequence[CurveFunction]):
         self.functions = tuple(functions)
-        polys = (
+        super().__init__(
+            field,
             [f.ay for f in self.functions]
             + [f.b for f in self.functions]
-            + [f.den for f in self.functions]
+            + [f.den for f in self.functions],
         )
-        self.lanes = Lanes(field, len(polys))
-        top = max(len(p) for p in polys)
-        padded = [p + (0,) * (top - len(p)) for p in polys]
-        self.columns = tuple([self.lanes.pack(col) for col in zip(*padded)])
         # each distinct denominator: the functions sharing it, and the lane
         # mask that selects them
         by_den: dict = {}
@@ -249,11 +272,9 @@ class PlaceEvaluator:
     __slots__ = ("curve", "place", "functions", "_affine", "_branch", "_inverses")
 
     def __init__(self, curve: Curve, place, functions):
-        family = (
-            functions
-            if isinstance(functions, PackedFamily)
-            else PackedFamily(curve.field, functions)
-        )
+        family = functions
+        if not isinstance(family, PackedFamily):
+            family = PackedFamily(curve.field, functions)
         self.curve = curve
         self.place = place
         self.functions = family.functions
@@ -326,13 +347,7 @@ def _affine_values(family: PackedFamily, place: AffinePlace) -> list:
     count = len(family.functions)
     k, width = res.base.k, res.base.k * count
     block = (1 << width) - 1  # the F lanes of one of the ay, b, den blocks
-    # Horner over x: acc[r] is coordinate r of every polynomial's value so far
-    x_times = res.mul_map(place.x_img)
-    columns = family.columns
-    acc = [columns[-1]] + [0] * (d - 1)
-    for column in reversed(columns[:-1]):
-        acc = lanes.apply(x_times, acc)
-        acc[0] ^= column
+    acc = family.horner(res, place.x_img)
     ay = [a & block for a in acc]
     num = lanes.apply(res.mul_map(place.y_img), ay)
     num = [u ^ ((a >> width) & block) for u, a in zip(num, acc)]
@@ -362,25 +377,44 @@ def evaluate(curve: Curve, f: CurveFunction, place) -> list[int]:
 # place validity
 
 
+class PlaceChecks:
+    """Place checks against one curve: rhs_num, rhs_den and the `supports`
+    (such as the denominators of D1 and D2) are packed once, and each affine
+    place evaluates them all in one Horner pass over its x-image."""
+
+    __slots__ = ("curve", "packed", "_none")
+
+    def __init__(self, curve: Curve, supports: Sequence[Poly] = ()):
+        self.curve = curve
+        self.packed = PackedPolys(curve.field, [curve.rhs_num, curve.rhs_den, *supports])
+        self._none = [False] * len(supports)
+
+    def __call__(self, place) -> tuple[bool, list[bool]]:
+        """Whether the place lies on the curve, and for each support whether
+        it vanishes at the place (a place over infinity meets none).
+
+        Over infinity the fibre splits iff rhs vanishes there, i.e. deg
+        rhs_den > deg rhs_num (`rhs_series`).  At an affine place, once
+        rhs_den(x) != 0, y^2 + y = rhs_num(x)/rhs_den(x) is tested without an
+        inverse, as (y^2 + y) * rhs_den(x) = rhs_num(x).
+        """
+        curve = self.curve
+        if isinstance(place, InfinitePlace):
+            return len(curve.rhs_den) > len(curve.rhs_num), self._none
+        if not isinstance(place, AffinePlace):
+            raise TypeError(f"not a place: {place!r}")
+        res = place.residue
+        if res.base != curve.field:
+            return False, self._none
+        num, den, *supports = self.packed.values(res, place.x_img)
+        y = place.y_img
+        on_curve = any(den) and res.mul(res.add(res.mul(y, y), y), den) == num
+        return on_curve, [not any(v) for v in supports]
+
+
 def on_curve_check(curve: Curve, place) -> bool:
-    """Whether the place's data satisfies the curve equation."""
-    if isinstance(place, InfinitePlace):
-        try:
-            c = rhs_series(curve, 2)
-        except PlaceEvaluationError:
-            return False
-        return c[0] == 0
-    if not isinstance(place, AffinePlace):
-        raise TypeError(f"not a place: {place!r}")
-    res = place.residue
-    if res.base != curve.field:
-        return False
-    dv = poly_eval_ext(res, curve.rhs_den, place.x_img)
-    if dv == res.zero():
-        return False
-    rhs = res.mul(poly_eval_ext(res, curve.rhs_num, place.x_img), res.inv(dv))
-    y = place.y_img
-    return res.add(res.mul(y, y), y) == rhs
+    """Whether the place's data satisfies the curve equation (`PlaceChecks`)."""
+    return PlaceChecks(curve)(place)[0]
 
 
 def generates_residue(place: AffinePlace) -> bool:
@@ -401,17 +435,11 @@ def generates_residue(place: AffinePlace) -> bool:
     return True
 
 
-def beta_from_ideal(
-    res: ExtField, y_num: Poly, y_den: Poly, x_img: tuple | None = None
-) -> tuple:
-    """Image of y in a residue field presented as y = y_num(x)/y_den(x).
-
-    With no explicit x_img the residue generator t itself is the x-image,
-    which is the usual presentation F_q[x]/(m), t = x mod m.
-    """
-    if x_img is None:
-        x_img = res.gen()
-    dv = poly_eval_ext(res, y_den, x_img)
-    if dv == res.zero():
+def beta_from_ideal(res: ExtField, y_num: Poly, y_den: Poly) -> tuple:
+    """Image of y in a residue field presented as y = y_num(x)/y_den(x), with
+    the residue generator t as the x-image: the usual presentation
+    F_q[x]/(m), t = x mod m."""
+    num, den = PackedPolys(res.base, [y_num, y_den]).values(res, res.gen())
+    if not any(den):
         raise PlaceEvaluationError("y-presentation denominator vanishes at the place")
-    return res.mul(poly_eval_ext(res, y_num, x_img), res.inv(dv))
+    return res.mul(num, res.inv(den))

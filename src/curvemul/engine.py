@@ -10,11 +10,13 @@ by the place's degree, until rank(T) = 2n+g-1; it then freezes the
 straight-line schedule together with its operation report, which is read off
 the shapes of what it schedules.
 
-Set-up is one pass and runs on packed GF(2^k) lanes (`galois.Lanes`): the
-basis is packed once per set-up (`curve.PackedFamily`) and evaluated at each
-place by one `PlaceEvaluator` (one Horner pass over the x-image for the whole
-basis, one inverse per distinct denominator); each candidate place is
-evaluated at most once; and the one incremental Gauss-Jordan elimination
+Set-up runs on packed GF(2^k) lanes (`galois.Lanes`) and does each piece of
+work once.  Validation evaluates rhs_num, rhs_den, D1 and D2 at each
+candidate in one Horner pass (`curve.PlaceChecks`).  Compilation packs the
+basis once (`curve.PackedFamily`), shared by the good-basis check at Q and
+every candidate; each candidate is evaluated at most once by one
+`PlaceEvaluator` (one Horner pass for the whole basis, one inverse per
+distinct denominator); and the one incremental Gauss-Jordan elimination
 (`linalg.RowBasis`, one packed int per row) that selects the places also
 certifies T and yields T^-1.
 
@@ -45,6 +47,7 @@ from .curve import (
     CurveFunction,
     InfinitePlace,
     PackedFamily,
+    PlaceChecks,
     PlaceEvaluationError,
     PlaceEvaluator,
     generates_residue,
@@ -54,7 +57,6 @@ from .galois import (
     BinaryField,
     Poly,
     is_irreducible,
-    poly_eval_ext,
     poly_from_coeffs,
     poly_is_monic,
     poly_mod,
@@ -191,6 +193,8 @@ class InstanceSpec:
 
     def _validate_candidates(self) -> None:
         seen = set()
+        # rhs_num, rhs_den, D1 and D2 packed once, evaluated in one pass per place
+        checks = PlaceChecks(self.curve, (self.d1_den, self.d2_den))
         for p in self.candidate_places:
             if isinstance(p, AffinePlace):
                 if p.residue.base != self.field:
@@ -203,20 +207,21 @@ class InstanceSpec:
                     )
                 if p.residue.modulus == self.q_modulus:
                     raise InstanceError(f"candidate {p.label} coincides with Q")
-                if not on_curve_check(self.curve, p):
+                on_curve, meets = checks(p)
+                if not on_curve:
                     raise InstanceError(f"candidate {p.label} does not lie on the curve")
                 if not generates_residue(p):
                     raise InstanceError(
                         f"candidate {p.label} does not generate its residue field"
                     )
-                for dlabel, den in (("D1", self.d1_den), ("D2", self.d2_den)):
-                    if poly_eval_ext(p.residue, den, p.x_img) == p.residue.zero():
+                for dlabel, hit in zip(("D1", "D2"), meets):
+                    if hit:
                         raise InstanceError(
                             f"candidate {p.label} meets the support of {dlabel}"
                         )
                 key = (p.residue.modulus, p.x_img, p.y_img)
             elif isinstance(p, InfinitePlace):
-                if not on_curve_check(self.curve, p):
+                if not checks(p)[0]:
                     raise InstanceError(
                         f"candidate {p.label}: the curve has no split places over x=infinity"
                     )
@@ -259,22 +264,19 @@ def verify_good_basis(spec: InstanceSpec) -> list[CheckResult]:
     n < j <= 2n-1, and 0 for the g completion functions at the end,
     where alpha is the image of x at Q.
     """
-    res = spec.q_place.residue
-    alpha = spec.q_place.x_img
+    return _good_basis_checks(spec, PackedFamily(spec.field, spec.basis))
+
+
+def _good_basis_checks(spec: InstanceSpec, family: PackedFamily) -> list[CheckResult]:
     n = spec.n
-    ladder = [res.one()]
-    for _ in range(n - 1):
-        ladder.append(res.mul(ladder[-1], alpha))
-    at_q = PlaceEvaluator(spec.curve, spec.q_place, spec.basis)
+    at_q = PlaceEvaluator(spec.curve, spec.q_place, family)
     results = []
     for idx in range(len(spec.basis)):
         j = idx + 1
-        if j <= n:
-            want = ladder[j - 1]
-        elif j <= 2 * n - 1:
-            want = ladder[j - n]
-        else:
-            want = res.zero()
+        # alpha is the residue generator t (`validate` insists), so alpha^s,
+        # s < n, is the s-th coordinate vector; s = -1 gives zero
+        s = j - 1 if j <= n else j - n if j <= 2 * n - 1 else -1
+        want = tuple([int(i == s) for i in range(n)])
         try:
             got = tuple(at_q.value(idx))
         except PlaceEvaluationError as e:
@@ -360,12 +362,12 @@ def compile_instance(spec: InstanceSpec) -> CompiledMultiplier:
     degree.  The selection stops at rank 2n+g-1, where the same elimination
     has certified T and recorded T^-1.
     """
-    for check in verify_good_basis(spec):
+    family = PackedFamily(spec.field, spec.basis)
+    for check in _good_basis_checks(spec, family):
         if not check.ok:
             raise InstanceError(f"good-basis check failed at {check.name}: {check.detail}")
 
     target = spec.size
-    family = PackedFamily(spec.field, spec.basis)
     basis = RowBasis(spec.field, target)
     places = []
     rows: list[list[int]] = []

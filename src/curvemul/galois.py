@@ -15,8 +15,10 @@ Representation conventions, used throughout the package:
   base-field ints: coordinates in the basis (1, t, ..., t**(d-1)).
 * A lane vector (`Lanes`) packs many elements of GF(2^k) into one int, k bits
   per lane, so that scaling all of them by one constant is O(k) big-int
-  operations instead of one `mul` per element.  Set-up (place evaluation and
-  row reduction) runs on these.
+  operations instead of one `mul` per element.  All of set-up runs on these:
+  Rabin's irreducibility test (an element of F_q[x]/(p) is one lane vector),
+  the candidate checks and place evaluation (polynomials evaluated together
+  in one Horner pass), and row reduction.
 
 The module-level fields `F2`, `F4` (w^2+w+1) and `F16` (w^4+w+1) cover every
 base field the bundled multiplier instances use.
@@ -24,6 +26,7 @@ base field the bundled multiplier instances use.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator, Sequence
 
 Poly = tuple  # tuple of base-field ints, little-endian, no trailing zeros
@@ -55,7 +58,7 @@ class BinaryField:
         self.order = 1 << k
         # degree-1 bit-polynomials are always irreducible; higher degrees get
         # the real test (which needs F2, constructed through this fast path)
-        if k > 1 and not is_irreducible(F2, _bits_to_poly(modulus)):
+        if k > 1 and not is_irreducible(F2, tuple([modulus >> i & 1 for i in range(k + 1)])):
             raise ValueError("modulus must be irreducible over F_2")
         q = self.order
         self._table = tuple(
@@ -99,11 +102,7 @@ class BinaryField:
         return range(self.order)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BinaryField)
-            and self.k == other.k
-            and self.modulus == other.modulus
-        )
+        return isinstance(other, BinaryField) and self.modulus == other.modulus
 
     def __hash__(self) -> int:
         return hash((self.k, self.modulus))
@@ -194,10 +193,6 @@ def _bits_mul(a: int, b: int) -> int:
     return r
 
 
-def _bits_to_poly(bits: int) -> Poly:
-    return tuple((bits >> i) & 1 for i in range(bits.bit_length()))
-
-
 # ---------------------------------------------------------------------------
 # polynomials over a BinaryField (or any object with add/mul/inv/check)
 
@@ -286,37 +281,6 @@ def poly_gcd(field: BinaryField, f: Poly, g: Poly) -> Poly:
     return f
 
 
-def poly_extgcd(field: BinaryField, f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
-    """(d, u, v) with u*f + v*g = d, d the monic gcd."""
-    r0, r1 = f, g
-    s0, s1 = (1,), ZERO_POLY
-    t0, t1 = ZERO_POLY, (1,)
-    while r1:
-        q, r = poly_divmod(field, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_add(field, s0, poly_mul(field, q, s1))
-        t0, t1 = t1, poly_add(field, t0, poly_mul(field, q, t1))
-    if r0 and r0[-1] != 1:
-        c = field.inv(r0[-1])
-        r0 = poly_scale(field, c, r0)
-        s0 = poly_scale(field, c, s0)
-        t0 = poly_scale(field, c, t0)
-    return r0, s0, t0
-
-
-def poly_pow_mod(field: BinaryField, f: Poly, e: int, m: Poly) -> Poly:
-    if e < 0:
-        raise ValueError("negative exponent")
-    r: Poly = (1,)
-    f = poly_mod(field, f, m)
-    while e:
-        if e & 1:
-            r = poly_mod(field, poly_mul(field, r, f), m)
-        f = poly_mod(field, poly_mul(field, f, f), m)
-        e >>= 1
-    return r
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -335,11 +299,13 @@ def is_irreducible(field: BinaryField, p: Poly) -> bool:
     """Rabin's test for a monic polynomial over GF(2^k), of degree m.
 
     p is irreducible iff x^(q^m) = x mod p and gcd(x^(q^(m/r)) - x, p) = 1
-    for every prime r dividing m.  The q-power map a -> a^q is F_q-linear on
-    F_q[x]/(p), with the residues (x^q)^j mod p as its columns (Berlekamp's
-    Q-matrix); applying that matrix m times to x yields every x^(q^i) mod p
-    in one pass of m*m base-field multiplications per step, with no
-    exponentiation to the power q^m.
+    for every prime r dividing m.  An element of F_q[x]/(p) is one int of m
+    lanes (`Lanes`), lane j the coefficient of x^j.  The q-power map is
+    F_q-linear with columns x^(qj) mod p (Berlekamp's Q-matrix), built by
+    multiplying by x: a shift by one lane, folding the top lane c back in as
+    c * (x^m mod p) from a table of q entries.  Over GF(2) the map is k*m
+    rows, bit i of lane j going to w^i * x^(qj); applying it XORs the rows
+    of the set bits, and m applications to x give every x^(q^i) mod p.
 
     Non-monic or constant input is rejected as a usage error.
     """
@@ -348,26 +314,36 @@ def is_irreducible(field: BinaryField, p: Poly) -> bool:
     m = len(p) - 1
     if m == 1:
         return True
-    x: Poly = (0, 1)
-    xq = poly_pow_mod(field, x, field.order, p)
-    columns = [(1,)]
+    k = field.k
+    lanes = Lanes(field, m)
+    width = k * m
+    full = (1 << width) - 1
+    # c * (x^m mod p) for every c, by linearity from the k powers w^i
+    low = lanes.pack(p[:-1])  # x^m = p_0 + ... + p_(m-1) x^(m-1), char 2
+    fold = [0]
+    for i in range(k):
+        step = lanes.scale(1 << i, low)
+        fold += [f ^ step for f in fold]
+    columns = [1]
+    v = 1
     for _ in range(m - 1):
-        columns.append(poly_mod(field, poly_mul(field, columns[-1], xq), p))
+        for _ in range(field.order):
+            v <<= k
+            v = (v & full) ^ fold[v >> width]
+        columns.append(v)
+    rows = [lanes.scale(1 << i, col) for col in columns for i in range(k)]
     gcd_steps = {m // r for r in _prime_factors(m)}
-    mul = field.mul
-    v = [0, 1] + [0] * (m - 2)  # coordinates of x^(q^i), i = 0 so far
+    x = v = 1 << k  # x itself: 1 in lane 1
     for i in range(1, m + 1):
-        w = [0] * m
-        for a, col in zip(v, columns):
-            if a:
-                for r, c in enumerate(col):
-                    w[r] ^= mul(a, c)
-        v = w
+        bits, v = reversed(f"{v:0{width}b}"), 0
+        for row, bit in zip(rows, bits):
+            if bit == "1":
+                v ^= row
         if i in gcd_steps:
-            xi = poly_from_coeffs(field, v)
-            if poly_gcd(field, poly_add(field, xi, x), p) != (1,):
+            xi = poly_from_coeffs(field, lanes.unpack(v ^ x, m))
+            if poly_gcd(field, xi, p) != (1,):
                 return False
-    return v == [0, 1] + [0] * (m - 2)
+    return v == x
 
 
 F2 = BinaryField(1, 0b10)
@@ -467,14 +443,23 @@ class ExtField:
         return [[(r, c) for r, c in enumerate(col) if c] for col in cols]
 
     def inv(self, u: tuple) -> tuple:
+        """Extended Euclid on the modulus and u, carrying only u's cofactor:
+        s * u = r mod the modulus for every remainder r.  The modulus is
+        irreducible, so the remainders reach a nonzero constant c, and then
+        u^-1 = s / c."""
+        base = self.base
         if self.d == 1:
-            return (self.base.inv(u[0]),)
-        up = self._to_poly(u)
-        if not up:
+            return (base.inv(u[0]),)
+        r0, r1 = self.modulus, poly_from_coeffs(base, u)
+        if not r1:
             raise ZeroDivisionError("inverse of 0")
-        d, s, _ = poly_extgcd(self.base, up, self.modulus)
-        assert d == (1,), "modulus is irreducible, gcd must be 1"
-        return self._from_poly(s)
+        s0, s1 = ZERO_POLY, (1,)
+        while len(r1) > 1:
+            q, r = poly_divmod(base, r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, poly_add(base, s0, poly_mul(base, q, s1))
+        s = poly_scale(base, base.inv(r1[0]), s1)
+        return s + (0,) * (self.d - len(s))
 
     def pow(self, u: tuple, e: int) -> tuple:
         if e < 0:
@@ -487,31 +472,14 @@ class ExtField:
             e >>= 1
         return r
 
-    def _to_poly(self, u: tuple) -> Poly:
-        c = list(u)
-        while c and c[-1] == 0:
-            c.pop()
-        return tuple(c)
-
-    def _from_poly(self, p: Poly) -> tuple:
-        return tuple(p) + (0,) * (self.d - len(p))
-
     def elements(self) -> Iterator[tuple]:
         """All q^d elements; intended for small fields in exhaustive tests."""
-        q, d = self.base.order, self.d
-        for idx in range(q**d):
-            coords = []
-            for _ in range(d):
-                coords.append(idx % q)
-                idx //= q
-            yield tuple(coords)
+        for coords in itertools.product(self.base.elements(), repeat=self.d):
+            yield coords[::-1]  # coordinate 0 varies fastest
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExtField)
-            and self.base == other.base
-            and self.modulus == other.modulus
-        )
+        same = isinstance(other, ExtField) and self.base == other.base
+        return same and self.modulus == other.modulus
 
     def __hash__(self) -> int:
         return hash((self.base, self.modulus))

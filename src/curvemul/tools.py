@@ -41,6 +41,7 @@ from .curve import (
     Curve,
     CurveFunction,
     InfinitePlace,
+    PlaceChecks,
     PlaceEvaluationError,
     beta_from_ideal,
     on_curve_check,
@@ -164,16 +165,20 @@ def instance_from_document(doc, name: str = "instance") -> InstanceSpec:
             raise InstanceError(f"basis[{i}]: {e}") from e
 
     places = []
+    residues: dict = {}  # one ExtField, so one irreducibility test, per modulus
     for i, pdoc in enumerate(_get(doc, "places", list, "")):
         where = f"places[{i}]."
         kind = _get(pdoc, "kind", str, where)
         label = pdoc.get("label") or f"places[{i}]"
         declared = _get(pdoc, "degree", int, where)
         if kind == "affine":
-            try:
-                res = ExtField(field, _coeffs(pdoc, "residue_modulus", where))
-            except ValueError as e:
-                raise InstanceError(f"{label}: {e}") from e
+            modulus = tuple(_coeffs(pdoc, "residue_modulus", where))
+            res = residues.get(modulus)
+            if res is None:
+                try:
+                    res = residues[modulus] = ExtField(field, modulus)
+                except ValueError as e:
+                    raise InstanceError(f"{label}: {e}") from e
             if declared != res.d:
                 raise InstanceFileError(
                     f"{label}: declared degree {declared} disagrees with the "
@@ -367,39 +372,27 @@ def verify_instance(
     add = checks.append
     field = spec.field
 
-    add(
-        CheckResult(
-            "q-modulus-irreducible",
-            is_irreducible(field, spec.q_modulus),
-            f"degree {spec.n} over GF({field.order})",
-        )
-    )
-    for tag, den in (("d1", spec.d1_den), ("d2", spec.d2_den)):
-        add(
-            CheckResult(
-                f"{tag}-denominator-irreducible",
-                is_irreducible(field, den),
-                poly_text(field, den),
-            )
-        )
+    for name, p, detail in (
+        ("q-modulus", spec.q_modulus, f"degree {spec.n} over GF({field.order})"),
+        ("d1-denominator", spec.d1_den, poly_text(field, spec.d1_den)),
+        ("d2-denominator", spec.d2_den, poly_text(field, spec.d2_den)),
+    ):
+        add(CheckResult(f"{name}-irreducible", is_irreducible(field, p), detail))
     add(CheckResult("q-on-curve", on_curve_check(spec.curve, spec.q_place)))
+    # the loader's packed pass: on the curve, and off the supports of D1, D2
+    checks_at = PlaceChecks(spec.curve, (spec.d1_den, spec.d2_den))
+    results = [checks_at(p) for p in spec.candidate_places]
     add(
         CheckResult(
             "candidates-on-curve",
-            all(on_curve_check(spec.curve, p) for p in spec.candidate_places),
+            all(on_curve for on_curve, _ in results),
             f"{len(spec.candidate_places)} candidate places",
         )
     )
-    disjoint = True
-    for p in spec.candidate_places:
-        if isinstance(p, AffinePlace):
-            for den in (spec.d1_den, spec.d2_den):
-                if poly_eval_ext(p.residue, den, p.x_img) == p.residue.zero():
-                    disjoint = False
     add(
         CheckResult(
             "support-disjoint",
-            disjoint,
+            not any(any(meets) for _, meets in results),
             "no candidate place meets the pole divisors",
         )
     )
@@ -566,7 +559,11 @@ def parse_vector(field: BinaryField, text: str, n: int) -> list[int]:
         # int() alone would also take a sign, '_' separators and non-ASCII digits
         if not (p.isascii() and p.isdigit()):
             raise ValueError(f"'{p}' is not a decimal integer")
-        v = int(p)
+        digits = p.lstrip("0") or "0"
+        # too long to be below q, and maybe past int()'s 4300-digit limit
+        if len(digits) > len(str(field.order - 1)):
+            raise ValueError(f"value of {len(p)} digits is outside GF({field.order})")
+        v = int(digits)
         if v >= field.order:
             raise ValueError(f"value {v} is outside GF({field.order})")
         out.append(v)

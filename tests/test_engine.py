@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvemul import engine, tools
+from curvemul import curve, engine, galois, tools
 from curvemul.curve import (
     AffinePlace,
     InfinitePlace,
@@ -267,6 +267,25 @@ def test_each_candidate_evaluated_at_most_once(monkeypatch):
         assert sorted(built) == sorted(
             ["Q", swapped] + [p.label for p in compiled.places]
         ), name
+
+
+def test_compile_packs_the_basis_once(monkeypatch):
+    # the good-basis check at Q and every candidate share one packing
+    built = []
+
+    class Counting(curve.PackedFamily):
+        __slots__ = ()
+
+        def __init__(self, field, functions):
+            built.append(len(functions))
+            super().__init__(field, functions)
+
+    monkeypatch.setattr(curve, "PackedFamily", Counting)
+    monkeypatch.setattr(engine, "PackedFamily", Counting)
+    for name in NAMES:
+        built.clear()
+        compile_instance(SPECS[name])
+        assert built == [SPECS[name].size], name
 
 
 def test_den_vanishing_candidate_named():

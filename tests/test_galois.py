@@ -17,12 +17,10 @@ from curvemul.galois import (
     poly_degree,
     poly_divmod,
     poly_eval_ext,
-    poly_extgcd,
     poly_from_coeffs,
     poly_gcd,
     poly_mod,
     poly_mul,
-    poly_pow_mod,
 )
 
 
@@ -216,14 +214,11 @@ def test_poly_divmod_roundtrip_random():
             assert poly_degree(r) < poly_degree(g)
 
 
-def test_poly_gcd_and_extgcd():
+def test_poly_gcd():
     # gcd((x+1)^2 * (x^2+x+1), (x+1) * x) = x+1 over F_2
     f = poly_mul(F2, poly_mul(F2, (1, 1), (1, 1)), (1, 1, 1))
     g = poly_mul(F2, (1, 1), (0, 1))
     assert poly_gcd(F2, f, g) == (1, 1)
-    d, u, v = poly_extgcd(F2, f, g)
-    assert d == (1, 1)
-    assert poly_add(F2, poly_mul(F2, u, f), poly_mul(F2, v, g)) == d
 
 
 def test_is_irreducible():
@@ -273,11 +268,57 @@ def test_is_irreducible_counts_match_necklace_formula(field, top):
         assert got == want, (q, m)
 
 
-def test_poly_pow_mod():
-    m = (1, 0, 0, 1, 0, 1)  # x^5+x^3+1
-    # x^32 mod m must equal x (Frobenius fixes nothing below full degree... x^(2^5)=x)
-    assert poly_pow_mod(F2, (0, 1), 32, m) == (0, 1)
-    assert poly_pow_mod(F2, (0, 1), 2, m) == (0, 0, 1)
+def tuple_rabin(field, p):
+    """Reference: Rabin's test on tuple polynomials, as it ran before the
+    lane version.  x^q mod p by square-and-multiply, the Frobenius matrix's
+    columns (x^q)^j mod p, then m matrix-vector products from x."""
+    m = len(p) - 1
+    if m == 1:
+        return True
+    x = (0, 1)
+    xq, power, e = (1,), x, field.order
+    while e:
+        if e & 1:
+            xq = poly_mod(field, poly_mul(field, xq, power), p)
+        power = poly_mod(field, poly_mul(field, power, power), p)
+        e >>= 1
+    columns = [(1,)]
+    for _ in range(m - 1):
+        columns.append(poly_mod(field, poly_mul(field, columns[-1], xq), p))
+    primes = [r for r in range(2, m + 1) if m % r == 0 and all(r % s for s in range(2, r))]
+    gcd_steps = {m // r for r in primes}
+    v = [0, 1] + [0] * (m - 2)
+    for i in range(1, m + 1):
+        w = [0] * m
+        for a, col in zip(v, columns):
+            if a:
+                for r, c in enumerate(col):
+                    w[r] ^= field.mul(a, c)
+        v = w
+        if i in gcd_steps:
+            xi = poly_from_coeffs(field, v)
+            if poly_gcd(field, poly_add(field, xi, x), p) != (1,):
+                return False
+    return v == [0, 1] + [0] * (m - 2)
+
+
+@pytest.mark.parametrize("field, top", [(F2, 9), (F4, 5), (F16, 3)], ids=["F2", "F4", "F16"])
+def test_is_irreducible_matches_tuple_reference(field, top):
+    for m in range(1, top + 1):
+        for low in itertools.product(range(field.order), repeat=m):
+            p = low + (1,)
+            assert is_irreducible(field, p) == tuple_rabin(field, p), p
+
+
+def test_is_irreducible_matches_tuple_reference_gf256():
+    rng = random.Random(256)
+    verdicts = []
+    for _ in range(300):
+        m = rng.randrange(2, 7)
+        p = tuple(rng.randrange(256) for _ in range(m)) + (1,)
+        verdicts.append(is_irreducible(F256, p))
+        assert verdicts[-1] == tuple_rabin(F256, p), p
+    assert 0 < sum(verdicts) < 300
 
 
 F32 = ExtField(F2, (1, 0, 0, 1, 0, 1))  # F_2[t]/(t^5+t^3+1)

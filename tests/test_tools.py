@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from curvemul import cli, tools
+from curvemul import cli, engine, galois, tools
 from curvemul.curve import PlaceEvaluationError
 from curvemul.engine import InstanceError, InstanceSpec, compile_instance
 from curvemul.galois import F2, F4, is_irreducible
@@ -199,6 +199,29 @@ def test_mutated_documents_raise_only_loader_errors():
             pytest.fail(f"{path} = {value}: {e!r}")
 
 
+def test_each_modulus_tested_once_per_load(monkeypatch):
+    # f4_5 has 12 affine places over 6 distinct residue moduli, f2_5 7 over 3
+    tested = []
+    real = galois.is_irreducible
+
+    def counting(field, p):
+        tested.append((field, tuple(p)))
+        return real(field, p)
+
+    monkeypatch.setattr(galois, "is_irreducible", counting)
+    monkeypatch.setattr(engine, "is_irreducible", counting)
+    for name, distinct in (("f16_13", 16), ("f4_5", 6), ("f2_5", 3)):
+        tested.clear()
+        spec = tools.load_bundled(name)
+        moduli = {p.residue.modulus for p in spec.candidate_places if hasattr(p, "residue")}
+        assert len(moduli) == distinct
+        assert len(tested) == len(set(tested)), name
+        # Q, D1, D2 and each candidate modulus; the base field's own modulus
+        # is tested over F2 when k > 1
+        want = {spec.q_modulus, spec.d1_den, spec.d2_den} | moduli
+        assert {p for field, p in tested if field == spec.field} == want, name
+
+
 def test_round_trip_document_equals_file():
     spec = tools.instance_from_document(doc_copy(), name="f2_5")
     other = tools.load_instance(F2_5_PATH)
@@ -315,6 +338,10 @@ def test_parse_vector():
         tools.parse_vector(F4, "2,1,0", 5)
     with pytest.raises(ValueError, match="outside GF\\(4\\)"):
         tools.parse_vector(F4, "2,1,0,0,4", 5)
+    # past int()'s 4300-digit limit: the count, not the digits
+    with pytest.raises(ValueError, match="^value of 5000 digits is outside GF\\(4\\)$"):
+        tools.parse_vector(F4, "2,1,0,0," + "9" * 5000, 5)
+    assert tools.parse_vector(F4, "2,1,0,0," + "0" * 5000 + "3", 5) == [2, 1, 0, 0, 3]
     # int() would take each of these: a sign, a digit separator, a
     # non-ASCII digit
     for bad in ("t", "+3", "-1", "1_0", "\u0661", ""):
@@ -425,6 +452,10 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "outside GF(4)" in capsys.readouterr().err
     assert cli.main(["mul", str(F4_5_PATH), "--x", "1,0", "--y", "1,0,0,0,0"]) == 2
     assert "expected 5" in capsys.readouterr().err
+    assert cli.main(["mul", str(F4_5_PATH), "--x", "0," + "9" * 5000 + ",0,0,0",
+                     "--y", "1,0,0,0,0"]) == 2
+    err = capsys.readouterr().err
+    assert "value of 5000 digits is outside GF(4)" in err and "9999" not in err
     code = cli.main(["mul", str(F4_5_PATH), "--x", "1,0,0,0,0", "--y", "1,0,1,0,\u0661"])
     assert code == 2
     captured = capsys.readouterr()

@@ -387,9 +387,9 @@ class PlaceChecks:
     def __init__(self, curve: Curve, supports: Sequence[Poly] = ()):
         self.curve = curve
         self.packed = PackedPolys(curve.field, [curve.rhs_num, curve.rhs_den, *supports])
-        self._none = [False] * len(supports)
+        self._none = (False,) * len(supports)
 
-    def __call__(self, place) -> tuple[bool, list[bool]]:
+    def __call__(self, place) -> tuple[bool, Sequence[bool]]:
         """Whether the place lies on the curve, and for each support whether
         it vanishes at the place (a place over infinity meets none).
 

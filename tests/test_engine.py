@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvemul import curve, engine, galois, tools
+from curvemul import curve, engine, tools
 from curvemul.curve import (
     AffinePlace,
     InfinitePlace,

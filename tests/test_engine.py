@@ -370,6 +370,59 @@ def test_tampered_basis_rejected():
         compile_instance(bad)
 
 
+def _f2_5_swapped(spec):
+    basis = list(spec.basis)
+    basis[1], basis[2] = basis[2], basis[1]
+    return basis
+
+
+def _f2_5_pole(spec):
+    # the modulus of Q vanishes at Q
+    return list(spec.basis[:-1]) + [curve.CurveFunction(spec.field, (), (1,), spec.q_modulus)]
+
+
+def _f16_13_dense_and_pole(spec):
+    basis = list(spec.basis)
+    basis[13] = curve.CurveFunction(spec.field, (), (1,), spec.basis[1].den)
+    basis[26] = curve.CurveFunction(spec.field, (), (1,), spec.q_modulus)
+    return basis
+
+
+POLE_AT_Q = "pole at Q: denominator vanishes at place 'Q' (support collision)"
+
+
+@pytest.mark.parametrize(
+    "name, build, failures",
+    [
+        ("f2_5", _f2_5_swapped, [
+            ("f_2", "eval at Q = [0, 0, 1, 0, 0], want [0, 1, 0, 0, 0]"),
+            ("f_3", "eval at Q = [0, 1, 0, 0, 0], want [0, 0, 1, 0, 0]"),
+        ]),
+        ("f2_5", _f2_5_pole, [("f_11", POLE_AT_Q)]),
+        ("f16_13", _f16_13_dense_and_pole, [
+            ("f_14", "eval at Q = [13, 6, 0, 0, 1, 3, 12, 2, 3, 5, 4, 4, 13], "
+                     "want [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]"),
+            ("f_27", POLE_AT_Q),
+        ]),
+    ],
+    ids=["f2_5-swapped", "f2_5-pole", "f16_13-dense-and-pole"],
+)
+def test_good_basis_failure_details(name, build, failures):
+    spec = SPECS[name]
+    bad = InstanceSpec(
+        "tampered", spec.field, spec.curve, spec.n, spec.q_place,
+        spec.d1_den, spec.d2_den, build(spec), spec.candidate_places,
+    )
+    checks = verify_good_basis(bad)
+    assert [c.name for c in checks] == [f"f_{j}" for j in range(1, spec.size + 1)]
+    assert [(c.name, c.detail) for c in checks if not c.ok] == failures
+    assert all(c.detail == "" for c in checks if c.ok)
+    first, detail = failures[0]
+    with pytest.raises(InstanceError) as caught:
+        compile_instance(bad)
+    assert str(caught.value) == f"good-basis check failed at {first}: {detail}"
+
+
 def test_duplicate_candidate_rejected():
     spec = SPECS["f2_5"]
     with pytest.raises(InstanceError, match="duplicates"):

@@ -65,10 +65,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_mul(args) -> int:
     spec = tools.load_instance(args.file)
-    compiled = compile_instance(spec)
+    # the operands need only the field and n: a malformed one skips compiling
     x = tools.parse_vector(spec.field, args.x, spec.n)
     y = tools.parse_vector(spec.field, args.y, spec.n)
-    z, _ = compiled.multiply(x, y)
+    z, _ = compile_instance(spec).multiply(x, y)
     print(tools.format_vector(z))
     return 0
 

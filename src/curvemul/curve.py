@@ -8,11 +8,12 @@ presented by the branch value y(infinity) in {0, 1}.  Evaluation at the
 latter goes through power-series expansion in the local parameter s = 1/x.
 
 `PlaceEvaluator` evaluates a whole family of functions (a basis) at one
-place, computing once what the family shares: at an affine place one Horner
-pass over the x-image runs on the family's coefficients packed in GF(2^k)
-lanes (`PackedFamily`), with one inverse per distinct denominator; at a place
-over infinity the y-branch series is expanded once.  `evaluate` is its
-one-function case.
+place, computing once what the family shares: at an affine place of degree d
+one Horner pass over the x-image runs on the family's coefficients packed in
+GF(2^k) lanes (`PackedFamily`), on columns folded by x^(q^d) = x and shared
+by the two places over that x-image, with one inverse per distinct
+denominator, taken only when a value is asked for; at a place over infinity
+the y-branch series is expanded once.  `evaluate` is its one-function case.
 """
 
 from __future__ import annotations
@@ -33,7 +34,12 @@ from .galois import (
 
 
 class PlaceEvaluationError(Exception):
-    """Raised when a function has a pole at the requested place."""
+    """Raised when a function has a pole at the requested place; `index` is
+    the function's position in its family, where it has one."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class Curve:
@@ -194,23 +200,42 @@ def branch_series(curve: Curve, branch_y0: int, prec: int) -> list[int]:
 class PackedPolys:
     """Polynomials over one field packed as lane columns (`galois.Lanes`):
     lane i holds polynomial i, column j the coefficients of x^j.  Packing
-    does not depend on the point, so one packing serves every place."""
+    does not depend on the point, so one packing serves every place; it
+    lives for one load or compile and keeps what places share, the columns
+    folded for each residue field size and the Horner pass at each x-image."""
 
-    __slots__ = ("lanes", "columns")
+    __slots__ = ("lanes", "columns", "_folded", "_passes")
 
     def __init__(self, field: BinaryField, polys: Sequence[Poly]):
         self.lanes = Lanes(field, len(polys))
         top = max([1] + [len(p) for p in polys])
         padded = [p + (0,) * (top - len(p)) for p in polys]
         self.columns = [self.lanes.pack(col) for col in zip(*padded)]
+        self._folded: dict = {}
+        self._passes: dict = {}
 
     def horner(self, res: ExtField, x_img: tuple) -> list[int]:
         """Every polynomial's value at x_img in the residue field res, as d
         coordinate lane vectors: lane i of vector r is coordinate r of the
-        value of polynomial i.  One Horner pass, multiplying by x_img as its
-        d x d matrix over F_q."""
-        x_times = res.mul_map(x_img)
-        columns, apply = self.columns, self.lanes.apply
+        value of polynomial i.  Run once per residue modulus and x-image (the
+        two places over one x-image share it), so do not mutate the result."""
+        key = (res.modulus, x_img)
+        if key not in self._passes:
+            self._passes[key] = self._horner(res, x_img)
+        return self._passes[key]
+
+    def _horner(self, res: ExtField, x_img: tuple) -> list[int]:
+        """One Horner pass, multiplying by x_img as its d x d matrix over F_q,
+        on the columns reduced mod x^(q^d) - x: every element of F_(q^d) is a
+        root, so column j >= q^d folds into column j - (q^d - 1), once per d."""
+        size = res.order
+        columns = self._folded.get(size)
+        if columns is None:
+            columns = self._folded[size] = list(self.columns)
+            while len(columns) > size:
+                top = columns.pop()
+                columns[len(columns) - size + 1] ^= top
+        x_times, apply = res.mul_map(x_img), self.lanes.apply
         acc = [columns[-1]] + [0] * (res.d - 1)
         for column in reversed(columns[:-1]):
             acc = apply(x_times, acc)
@@ -250,26 +275,25 @@ class PackedFamily(PackedPolys):
 
 
 class PlaceEvaluator:
-    """Values of a fixed family of functions at one place, sharing the work
-    the family repeats.
+    """Values of a fixed family of functions at one place.
 
-    At an affine place of degree d the whole family is evaluated in lanes
-    (see `PackedFamily`): one Horner pass over the x-image runs on d
-    coordinate lane vectors, multiplying by the x-image as its d x d matrix
-    over F_q; the ay lanes are then multiplied by the y-image the same way
-    and the b lanes added; and each distinct denominator is inverted once in
-    the residue field and applied, as a matrix, to the lanes of the
-    functions that share it.  At a place over x = infinity the y-branch is
-    expanded once in the local parameter s = 1/x, to the largest precision
-    the family needs, and each distinct denominator is inverted as a series
-    once.
+    At an affine place of degree d the family's Horner pass at the x-image
+    gives d coordinate lane vectors; the ay lanes times the y-image (a d x d
+    matrix over F_q) plus the b lanes are the numerators.  The first `rows`
+    or `value` divides: each distinct denominator is inverted once and
+    applied, as a matrix, to the numerators sharing it; `takes_powers` does
+    not divide.  At a place over x = infinity the y-branch is expanded once
+    in s = 1/x, and each distinct denominator is inverted as a series once.
 
     `functions` is a sequence of functions or a `PackedFamily`, which lets
-    the evaluators of many places share one packing.  The values live on
-    the object only; build one per place and drop it.
+    the evaluators of many places share one packing.  Build one per place
+    and drop it.
     """
 
-    __slots__ = ("curve", "place", "functions", "_affine", "_branch", "_inverses")
+    __slots__ = (
+        "curve", "place", "functions", "_family", "_num", "_dens", "_rows", "_poles",
+        "_branch", "_inverses",
+    )
 
     def __init__(self, curve: Curve, place, functions):
         family = functions
@@ -278,9 +302,17 @@ class PlaceEvaluator:
         self.curve = curve
         self.place = place
         self.functions = family.functions
+        self._family = family
+        self._rows = None
         self._inverses: dict = {}
         if isinstance(place, AffinePlace):
-            self._affine = _affine_values(family, place)
+            res = place.residue
+            width = res.base.k * len(self.functions)
+            block = (1 << width) - 1  # the F lanes of one of the ay, b, den blocks
+            acc = family.horner(res, place.x_img)
+            num = family.lanes.apply(res.mul_map(place.y_img), [a & block for a in acc])
+            self._num = [u ^ ((a >> width) & block) for u, a in zip(num, acc)]
+            self._dens = [a >> (2 * width) for a in acc]
         elif isinstance(place, InfinitePlace):
             prec = max(0, max(_pivot(f) for f in self.functions)) + 1
             self._branch = branch_series(curve, place.branch_y0, prec)
@@ -291,18 +323,67 @@ class PlaceEvaluator:
         """Coordinates of the j-th function's value, as `degree` base-field
         ints; raises PlaceEvaluationError when it has a pole here."""
         if isinstance(self.place, InfinitePlace):
-            return [self._at_infinity(self.functions[j])]
-        v = self._affine[j]
-        if v is None:
-            raise PlaceEvaluationError(
-                f"denominator vanishes at place {self.place.label or self.place!r} "
-                "(support collision)"
-            )
-        return list(v)
+            return [self._at_infinity(j)]
+        return list(self._lane(self._divided((j,)), j))
 
-    def _at_infinity(self, f: CurveFunction) -> int:
-        """Writes f in s = 1/x and reads off the constant coefficient; any
-        nonzero coefficient at a negative power is a pole."""
+    def rows(self) -> list[int]:
+        """All values as `degree` coordinate lane vectors: lane j of vector r
+        is coordinate r of the j-th function's value, so vector r is row r of
+        the place's block of evaluation rows, packed.  Raises
+        PlaceEvaluationError for the first function with a pole here."""
+        count = len(self.functions)
+        if isinstance(self.place, InfinitePlace):
+            return [self._family.lanes.pack([self._at_infinity(j) for j in range(count)])]
+        return self._divided(range(count))
+
+    def takes_powers(self, powers: Sequence[int]) -> list[bool]:
+        """Whether the j-th function's value at this affine place is t^s,
+        s = powers[j] < degree and t the residue generator, or 0 where s < 0:
+        den_j != 0 and num_j = t^s * den_j, read off one `ExtField.ladder`
+        per distinct denominator, with no division."""
+        res = self.place.residue
+        zero = res.zero()
+        out = [False] * len(powers)
+        for idx, _ in self._family.dens:
+            den = self._lane(self._dens, idx[0])
+            if any(den):
+                ladder = res.ladder(den)
+                for j in idx:
+                    s = powers[j]
+                    out[j] = self._lane(self._num, j) == (ladder[s] if s >= 0 else zero)
+        return out
+
+    def _lane(self, vectors: Sequence[int], j: int) -> tuple:
+        k, mask = self.curve.field.k, self.curve.field.order - 1
+        return tuple([(a >> (k * j)) & mask for a in vectors])
+
+    def _divided(self, wanted: Sequence[int]) -> list[int]:
+        """The values as lane vectors, divided out on the first call; raises
+        PlaceEvaluationError for the first function in `wanted` whose
+        denominator vanishes here."""
+        if self._rows is None:
+            res, lanes = self.place.residue, self._family.lanes
+            out = [0] * res.d
+            self._poles = set()
+            for idx, mask in self._family.dens:
+                den = self._lane(self._dens, idx[0])
+                if not any(den):
+                    self._poles.update(idx)
+                    continue
+                part = lanes.apply(res.mul_map(res.inv(den)), [u & mask for u in self._num])
+                out = [o ^ p for o, p in zip(out, part)]
+            self._rows = out
+        for j in wanted:
+            if j in self._poles:
+                raise PlaceEvaluationError(
+                    f"denominator vanishes at place {self.place.label or self.place!r} "
+                    "(support collision)", j)
+        return self._rows
+
+    def _at_infinity(self, j: int) -> int:
+        """Writes the j-th function f in s = 1/x and reads off the constant
+        coefficient; any nonzero coefficient at a negative power is a pole."""
+        f = self.functions[j]
         m = max(len(f.ay), len(f.b), 1) - 1
         pivot = _pivot(f)
         if pivot < 0:
@@ -328,7 +409,7 @@ class PlaceEvaluator:
         g = series_mul(field, num, inv, prec)
         if any(g[:pivot]):
             raise PlaceEvaluationError(
-                f"function has a pole at {self.place.label or self.place!r}"
+                f"function has a pole at {self.place.label or self.place!r}", j
             )
         return g[pivot]
 
@@ -337,35 +418,6 @@ def _pivot(f: CurveFunction) -> int:
     """The power of s = 1/x whose coefficient is f's value at infinity:
     max(deg ay, deg b) - deg den."""
     return max(len(f.ay), len(f.b), 1) - len(f.den)
-
-
-def _affine_values(family: PackedFamily, place: AffinePlace) -> list:
-    """Each function's value at an affine place as a coordinate tuple, or
-    None where its denominator vanishes there."""
-    res = place.residue
-    lanes, d = family.lanes, res.d
-    count = len(family.functions)
-    k, width = res.base.k, res.base.k * count
-    block = (1 << width) - 1  # the F lanes of one of the ay, b, den blocks
-    acc = family.horner(res, place.x_img)
-    ay = [a & block for a in acc]
-    num = lanes.apply(res.mul_map(place.y_img), ay)
-    num = [u ^ ((a >> width) & block) for u, a in zip(num, acc)]
-    dens = [a >> (2 * width) for a in acc]
-    out = [0] * d
-    poles: list[int] = []
-    lane = res.base.order - 1
-    for idx, mask in family.dens:
-        dv = tuple([(a >> (k * idx[0])) & lane for a in dens])
-        if not any(dv):
-            poles.extend(idx)
-            continue
-        part = lanes.apply(res.mul_map(res.inv(dv)), [u & mask for u in num])
-        out = [o ^ p for o, p in zip(out, part)]
-    values: list = list(zip(*(lanes.unpack(o, count) for o in out)))
-    for j in poles:
-        values[j] = None
-    return values
 
 
 def evaluate(curve: Curve, f: CurveFunction, place) -> list[int]:

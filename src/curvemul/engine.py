@@ -11,14 +11,15 @@ straight-line schedule together with its operation report, which is read off
 the shapes of what it schedules.
 
 Set-up runs on packed GF(2^k) lanes (`galois.Lanes`) and does each piece of
-work once.  Validation evaluates rhs_num, rhs_den, D1 and D2 at each
-candidate in one Horner pass (`curve.PlaceChecks`).  Compilation packs the
-basis once (`curve.PackedFamily`), shared by the good-basis check at Q and
-every candidate; each candidate is evaluated at most once by one
-`PlaceEvaluator` (one Horner pass for the whole basis, one inverse per
-distinct denominator); and the one incremental Gauss-Jordan elimination
-(`linalg.RowBasis`, one packed int per row) that selects the places also
-certifies T and yields T^-1.
+work once.  Validation evaluates rhs_num, rhs_den, D1 and D2 in one Horner
+pass per candidate x-image (`curve.PlaceChecks`).  Compilation packs the
+basis once (`curve.PackedFamily`) for Q and every candidate.  Q's ladder is
+checked without a division, as ay(t)*beta + b(t) = t^s * den(t).  Each
+candidate is evaluated at most once (`curve.PlaceEvaluator`: one folded
+Horner pass per x-image, one inverse per distinct denominator), and its
+packed rows go straight into the one elimination (`linalg.RowBasis`) that
+selects the places, certifies T and yields T^-1; only accepted rows are
+unpacked, into T, and no matrix compile builds checks its entries.
 
 One product of x, y in F_{q^n} (length-n coordinate tuples over F_q) runs:
 
@@ -270,21 +271,20 @@ def verify_good_basis(spec: InstanceSpec) -> list[CheckResult]:
 def _good_basis_checks(spec: InstanceSpec, family: PackedFamily) -> list[CheckResult]:
     n = spec.n
     at_q = PlaceEvaluator(spec.curve, spec.q_place, family)
+    # alpha is the residue generator t (`validate` insists), so the ladder
+    # wants t^s, s < n, or zero for s = -1
+    powers = [j - 1 if j <= n else j - n if j <= 2 * n - 1 else -1
+              for j in range(1, len(spec.basis) + 1)]
     results = []
-    for idx in range(len(spec.basis)):
-        j = idx + 1
-        # alpha is the residue generator t (`validate` insists), so alpha^s,
-        # s < n, is the s-th coordinate vector; s = -1 gives zero
-        s = j - 1 if j <= n else j - n if j <= 2 * n - 1 else -1
-        want = tuple([int(i == s) for i in range(n)])
-        try:
-            got = tuple(at_q.value(idx))
-        except PlaceEvaluationError as e:
-            results.append(CheckResult(f"f_{j}", False, f"pole at Q: {e}"))
-            continue
-        ok = got == want
-        detail = "" if ok else f"eval at Q = {list(got)}, want {list(want)}"
-        results.append(CheckResult(f"f_{j}", ok, detail))
+    for idx, (s, ok) in enumerate(zip(powers, at_q.takes_powers(powers))):
+        detail = ""
+        if not ok:  # only a failing function is divided out, for an exact detail
+            want = [int(i == s) for i in range(n)]
+            try:
+                detail = f"eval at Q = {at_q.value(idx)}, want {want}"
+            except PlaceEvaluationError as e:
+                detail = f"pole at Q: {e}"
+        results.append(CheckResult(f"f_{idx + 1}", ok, detail))
     return results
 
 
@@ -341,26 +341,14 @@ class CompiledMultiplier:
         return tuple(z), self.report
 
 
-def _evaluation_rows(spec: InstanceSpec, family: PackedFamily, place) -> list[list[int]]:
-    at_place = PlaceEvaluator(spec.curve, place, family)
-    blocks = []
-    for idx in range(len(spec.basis)):
-        try:
-            blocks.append(at_place.value(idx))
-        except PlaceEvaluationError as e:
-            raise InstanceError(
-                f"basis function f_{idx + 1} has a pole at place {place.label}: {e}"
-            ) from e
-    return [[blocks[j][r] for j in range(len(blocks))] for r in range(place.degree)]
-
-
 def compile_instance(spec: InstanceSpec) -> CompiledMultiplier:
     """Select places, build T, certify it invertible, and freeze the multiplier.
 
     One pass over the candidates in order: a candidate whose degree still
     fits is evaluated once and kept only if its rows raise rank(T) by its
     degree.  The selection stops at rank 2n+g-1, where the same elimination
-    has certified T and recorded T^-1.
+    has certified T and recorded T^-1.  The rows stay packed from evaluation
+    through elimination; only the accepted ones are unpacked, into T.
     """
     family = PackedFamily(spec.field, spec.basis)
     for check in _good_basis_checks(spec, family):
@@ -370,12 +358,18 @@ def compile_instance(spec: InstanceSpec) -> CompiledMultiplier:
     target = spec.size
     basis = RowBasis(spec.field, target)
     places = []
-    rows: list[list[int]] = []
+    rows: list[int] = []
     for p in spec.candidate_places:
         if basis.rank + p.degree > target:
             continue
-        block = _evaluation_rows(spec, family, p)
-        if basis.add(block):
+        at_place = PlaceEvaluator(spec.curve, p, family)
+        try:
+            block = at_place.rows()
+        except PlaceEvaluationError as e:
+            raise InstanceError(
+                f"basis function f_{e.index + 1} has a pole at place {p.label}: {e}"
+            ) from e
+        if basis.add_packed(block):
             places.append(p)
             rows.extend(block)
             if basis.rank == target:
@@ -385,12 +379,10 @@ def compile_instance(spec: InstanceSpec) -> CompiledMultiplier:
             f"candidate places reach only rank {basis.rank} of the required {target}"
         )
 
-    T = Matrix.from_rows(spec.field, rows)
-    T_inv = basis.inverse()
-    n = spec.n
-    T_inv_top = Matrix.from_rows(
-        spec.field, [list(T_inv.row(i)) for i in range(2 * n - 1)]
-    )
+    # built from field arithmetic, so no matrix below checks its entries
+    n, top = spec.n, 2 * spec.n - 1
+    T = Matrix.from_packed(spec.field, target, rows)
+    T_inv_top = Matrix.trusted(spec.field, top, target, basis.inverse().entries[: top * target])
     # the one place that fixes how operands embed (see the module docstring)
     T_x = T.take_columns(list(range(n)))
     T_y = T.take_columns([0] + list(range(n, 2 * n - 1)))

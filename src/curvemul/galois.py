@@ -60,16 +60,24 @@ class BinaryField:
         # the real test (which needs F2, constructed through this fast path)
         if k > 1 and not is_irreducible(F2, tuple([modulus >> i & 1 for i in range(k + 1)])):
             raise ValueError("modulus must be irreducible over F_2")
-        q = self.order
-        self._table = tuple(
-            tuple(self._reduce(_bits_mul(a, b)) for b in range(q)) for a in range(q)
-        )
+        # row a of the table by F_2-linearity in b: a * b is the XOR of the
+        # a * w^i over the set bits i of b, and a * w^(i+1) is a * w^i
+        # shifted, with w^k folded back in as modulus - w^k
+        table = []
+        for a in range(self.order):
+            row = [0]
+            for _ in range(k):
+                row += [r ^ a for r in row]
+                a <<= 1
+                a ^= modulus if a >> k else 0
+            table.append(tuple(row))
+        self._table = tuple(table)
         # every nonzero row of the table holds exactly one 1; entry 0 is unused
         self._inverses = (0,) + tuple(row.index(1) for row in self._table[1:])
         # for `Lanes`: each element as k binary digits, and row c of the
         # table at the powers w^i, i < k (what bit i of a lane adds to the
         # lane's product by c)
-        self._lane_bits = tuple([format(v, f"0{k}b") for v in range(q)])
+        self._lane_bits = tuple([format(v, f"0{k}b") for v in range(self.order)])
         self._bit_products = tuple(
             [tuple([row[1 << i] for i in range(k)]) for row in self._table]
         )
@@ -91,12 +99,6 @@ class BinaryField:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return self._inverses[a]
-
-    def _reduce(self, bits: int) -> int:
-        m, top = self.modulus, self.modulus.bit_length()
-        while bits.bit_length() >= top:
-            bits ^= m << (bits.bit_length() - top)
-        return bits
 
     def elements(self) -> range:
         return range(self.order)
@@ -181,16 +183,6 @@ class Lanes:
                     acc ^= p * t
                 out[r] = acc
         return out
-
-
-def _bits_mul(a: int, b: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +416,9 @@ class ExtField:
                         conv[i - d + j] ^= mul(c, m[j])
         return tuple(conv[:d])
 
-    def mul_map(self, z: tuple) -> tuple:
-        """Multiplication by z as a linear map on coordinates, for
-        `Lanes.apply`: entry s lists the pairs (r, c), c != 0, where c is
-        coordinate r of z * t^s.  Each column is the one before times t,
-        a shift plus one multiple of the modulus."""
+    def ladder(self, z: tuple) -> list[tuple]:
+        """z * t^s for s = 0 .. d-1, as coordinate tuples.  Each is the one
+        before times t: a shift plus one multiple of the modulus."""
         mul, m = self.base.mul, self.modulus
         col = tuple(z)
         cols = [col]
@@ -438,9 +428,15 @@ class ExtField:
             if top:
                 col = tuple([a ^ mul(top, b) for a, b in zip(col, m)])
             cols.append(col)
+        return cols
+
+    def mul_map(self, z: tuple) -> list:
+        """Multiplication by z as a linear map on coordinates, for
+        `Lanes.apply`: entry s lists the pairs (r, c), c != 0, where c is
+        coordinate r of z * t^s (`ladder`)."""
         # list comprehensions, not tuple() of generators: those grow their
         # result by resizing, and on this path raised the peak memory
-        return [[(r, c) for r, c in enumerate(col) if c] for col in cols]
+        return [[(r, c) for r, c in enumerate(col) if c] for col in self.ladder(z)]
 
     def inv(self, u: tuple) -> tuple:
         """Extended Euclid on the modulus and u, carrying only u's cofactor:

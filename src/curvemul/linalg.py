@@ -1,11 +1,13 @@
 """Dense linear algebra over a binary field: rank, inverse, matrix-vector.
 
-Matrices are immutable row-major tuples of field ints.  `RowBasis` is the
-one elimination routine: it takes rows a block at a time, keeps only blocks
-that raise the rank by their size, and reads the inverse off the row
-combinations it records; `rank` and `invert` are thin uses of it.  It works
-on rows packed into GF(2^k) lanes (`galois.Lanes`), so an elimination step
-costs O(k) big-int operations whatever the row length.
+Matrices are immutable row-major tuples of field ints; `Matrix(...)` and
+`from_rows` check every entry, while `trusted` and `from_packed` take the
+results of field arithmetic as they are.  `RowBasis` is the one elimination
+routine: it takes rows a block at a time, keeps only blocks that raise the
+rank by their size, and reads the inverse off the row combinations it
+records; `rank` and `invert` are thin uses of it.  It works on rows packed
+into GF(2^k) lanes (`galois.Lanes`), so an elimination step costs O(k)
+big-int operations whatever the row length.
 
 `mat_vec` performs one base-field multiplication per matrix entry whatever
 the values, so the cost of a product is fixed by the matrix shape; the
@@ -45,6 +47,19 @@ class Matrix:
             flat.extend(row)
         return cls(field, r, c, flat)
 
+    @classmethod
+    def trusted(cls, field: BinaryField, rows: int, cols: int, entries: Sequence[int]) -> "Matrix":
+        """A matrix of entries from field arithmetic, shape and entries unchecked."""
+        m = cls.__new__(cls)
+        m.field, m.rows, m.cols, m.entries = field, rows, cols, tuple(entries)
+        return m
+
+    @classmethod
+    def from_packed(cls, field: BinaryField, cols: int, rows: Sequence[int]) -> "Matrix":
+        """`trusted`, row i being lanes 0..cols-1 of the lane vector rows[i]."""
+        mask, shifts = field.order - 1, range(0, field.k * cols, field.k)
+        return cls.trusted(field, len(rows), cols, [(r >> s) & mask for r in rows for s in shifts])
+
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
@@ -54,7 +69,7 @@ class Matrix:
             base = i * self.cols
             for j in cols:
                 flat.append(self.entries[base + j])
-        return Matrix(self.field, self.rows, len(cols), flat)
+        return Matrix.trusted(self.field, self.rows, len(cols), flat)
 
     def __eq__(self, other) -> bool:
         return (
@@ -80,7 +95,8 @@ class RowBasis:
     Each row is one packed int (`galois.Lanes`): its `cols` reduced entries
     in lanes 0..cols-1, then its combination weights.  An elimination step
     is one lane scale and one XOR, and a row's pivot is its lowest nonzero
-    entry lane.
+    entry lane.  `add_packed` takes rows already in that layout, as place
+    evaluation gives them; `add` packs lists of ints and hands them on.
     """
 
     __slots__ = ("field", "cols", "_lanes", "_entries", "_pivots", "_rows")
@@ -104,15 +120,21 @@ class RowBasis:
         for row in block:
             if len(row) != cols:
                 raise ValueError(f"row length {len(row)} does not match {cols} columns")
+        return self.add_packed([self._lanes.pack(row) for row in block])
+
+    def add_packed(self, block: Sequence[int]) -> bool:
+        """`add` for rows already packed: entry i of a row in lane i of one
+        int, no lane from `cols` on set."""
+        cols = self.cols
         if self.rank + len(block) > cols:
             return False
         k, lane = self.field.k, self.field.order - 1
-        inv, pack, scale = self.field.inv, self._lanes.pack, self._lanes.scale
+        inv, scale = self.field.inv, self._lanes.scale
         # ints are immutable and the lists are copies, so a rejected block
         # leaves the committed basis untouched
         pivots, rows = list(self._pivots), list(self._rows)
-        for row in block:
-            v = pack(row) | 1 << (k * (cols + len(rows)))
+        for v in block:
+            v |= 1 << (k * (cols + len(rows)))
             for p, r in zip(pivots, rows):
                 c = (v >> p) & lane
                 if c:
@@ -138,10 +160,8 @@ class RowBasis:
         if self.rank < cols:
             raise SingularMatrixError(f"matrix is singular (rank {self.rank} of {cols})")
         shift = self.field.k * cols
-        unpack = self._lanes.unpack
         by_pivot = sorted(zip(self._pivots, self._rows))
-        rows = [unpack(r >> shift, cols) for _, r in by_pivot]
-        return Matrix.from_rows(self.field, rows)
+        return Matrix.from_packed(self.field, cols, [r >> shift for _, r in by_pivot])
 
 
 def _row_basis(m: Matrix) -> RowBasis:

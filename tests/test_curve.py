@@ -2,11 +2,14 @@ import random
 
 import pytest
 
+import itertools
+
 from curvemul.galois import (
     F2,
     F4,
     F16,
     ExtField,
+    Lanes,
     is_irreducible,
     poly_add,
     poly_eval_ext,
@@ -18,6 +21,7 @@ from curvemul.curve import (
     Curve,
     CurveFunction,
     InfinitePlace,
+    PackedPolys,
     PlaceEvaluationError,
     beta_from_ideal,
     branch_series,
@@ -299,3 +303,44 @@ def test_curve_function_validation():
     assert CurveFunction.constant_one(F4).is_constant_one()
     assert not CurveFunction(F4, [], [2], [1]).is_constant_one()
     assert CurveFunction(F4, [], [2], [2]).is_constant_one()
+
+
+def _first_irreducible(base, d):
+    for low in itertools.product(base.elements(), repeat=d):
+        if low[0] and is_irreducible(base, low + (1,)):  # x divides the rest
+            return low + (1,)
+
+
+@pytest.mark.parametrize(
+    "base, d",
+    [(base, d) for base in (F2, F4, F16) for d in (1, 2, 4)],
+    ids=lambda v: f"F{v.order}" if hasattr(v, "order") else f"d{v}",
+)
+def test_folded_horner_matches_plain_horner(base, d, monkeypatch):
+    # polynomials long enough that columns fold into columns that fold again;
+    # every x of F_(q^d) up to 16 elements, seeded ones beyond (F16^4 has
+    # 65536, more than any packing here has columns, so nothing folds there)
+    res = ExtField(base, _first_irreducible(base, d))
+    rng = random.Random(res.order)
+    length = 2 * res.order + 3 if res.order <= 256 else 40
+    polys = [
+        poly_from_coeffs(base, [rng.randrange(base.order) for _ in range(length)]),
+        poly_from_coeffs(base, [rng.randrange(base.order) for _ in range(length // 2)]),
+        poly_from_coeffs(base, [0] * (length - 1) + [1]),  # x^(length - 1)
+    ]
+    packed = PackedPolys(base, polys)
+    if res.order <= 16:
+        xs = list(res.elements())
+    else:
+        xs = [res.zero(), res.one()] + [
+            tuple([rng.randrange(base.order) for _ in range(d)]) for _ in range(32)
+        ]
+    for x in xs:
+        want = [poly_eval_ext(res, p, x) for p in polys]
+        assert packed.values(res, x) == want, x
+    # a pass takes one Horner step per folded column but the top one
+    steps = []
+    real_apply = Lanes.apply
+    monkeypatch.setattr(Lanes, "apply", lambda *a: steps.append(1) or real_apply(*a))
+    PackedPolys(base, polys).horner(res, xs[-1])
+    assert len(steps) == min(length, res.order) - 1

@@ -288,6 +288,36 @@ def test_compile_packs_the_basis_once(monkeypatch):
         assert built == [SPECS[name].size], name
 
 
+def test_one_horner_pass_per_fibre(monkeypatch):
+    # the two places over one x-image share the family's Horner pass: f16_13
+    # evaluates Q and 27 rational places over 14 x-images
+    passes, evaluated = [], []
+    real_pass = curve.PackedPolys._horner
+
+    def counting_pass(self, res, x_img):
+        passes.append((res.modulus, x_img))
+        return real_pass(self, res, x_img)
+
+    class Counting(PlaceEvaluator):
+        __slots__ = ()
+
+        def __init__(self, curve, place, functions):
+            evaluated.append(place)
+            super().__init__(curve, place, functions)
+
+    monkeypatch.setattr(curve.PackedPolys, "_horner", counting_pass)
+    monkeypatch.setattr(engine, "PlaceEvaluator", Counting)
+    for name, affine, fibres in (("f16_13", 28, 15), ("f4_5", 10, 6), ("f2_5", 6, 5)):
+        passes.clear()
+        evaluated.clear()
+        compile_instance(SPECS[name])
+        places = [p for p in evaluated if isinstance(p, AffinePlace)]
+        assert places[0] is SPECS[name].q_place
+        assert len(places) == affine, name
+        assert sorted(passes) == sorted({(p.residue.modulus, p.x_img) for p in places}), name
+        assert len(passes) == fibres, name
+
+
 def test_den_vanishing_candidate_named():
     spec = SPECS["f2_5"]
     res = ExtField(spec.field, spec.d1_den)
@@ -421,6 +451,22 @@ def test_good_basis_failure_details(name, build, failures):
     with pytest.raises(InstanceError) as caught:
         compile_instance(bad)
     assert str(caught.value) == f"good-basis check failed at {first}: {detail}"
+
+
+def test_good_basis_zero_over_zero_is_a_pole():
+    # numerator and denominator both vanish at Q: no value there, even though
+    # the numerator matches 0 times the denominator
+    spec = SPECS["f2_5"]
+    basis = list(spec.basis[:-1]) + [
+        curve.CurveFunction(spec.field, spec.q_modulus, (), spec.q_modulus)
+    ]
+    bad = InstanceSpec(
+        "tampered", spec.field, spec.curve, spec.n, spec.q_place,
+        spec.d1_den, spec.d2_den, basis, spec.candidate_places,
+    )
+    assert [(c.name, c.detail) for c in verify_good_basis(bad) if not c.ok] == [
+        ("f_11", POLE_AT_Q)
+    ]
 
 
 def test_duplicate_candidate_rejected():

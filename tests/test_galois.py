@@ -61,6 +61,42 @@ def test_fe_mul_against_oracle_exhaustive():
                 assert field.mul(a, b) == slow_mul(a, b, field.modulus, field.k)
 
 
+def _bits_mul(a, b):
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a <<= 1
+        b >>= 1
+    return r
+
+
+def _reduce(bits, modulus):
+    top = modulus.bit_length()
+    while bits.bit_length() >= top:
+        bits ^= modulus << (bits.bit_length() - top)
+    return bits
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_product_table_matches_bit_loop(k):
+    # every modulus of degree k <= 4, the first one for larger k; each
+    # product multiplied as bit polynomials and reduced on its own
+    fields = []
+    for low in range(1 << k):
+        try:
+            fields.append(BinaryField(k, 1 << k | low))
+        except ValueError:
+            continue
+        if k > 4:
+            break
+    assert fields
+    for field in fields:
+        for a in field.elements():
+            want = [_reduce(_bits_mul(a, b), field.modulus) for b in field.elements()]
+            assert [field.mul(a, b) for b in field.elements()] == want, (field, a)
+
+
 def test_fe_mul_examples():
     # a * a^3 = a^4 = w + 1
     assert F16.mul(2, 8) == 0b0011
@@ -159,6 +195,10 @@ def test_lane_apply_matches_ext_mul(base, modulus):
         out = lanes.apply(ext.mul_map(z), coords)
         got = list(zip(*(lanes.unpack(o, count) for o in out)))
         assert got == [ext.mul(z, u) for u in us]
+        ladder = [z]
+        for _ in range(ext.d - 1):
+            ladder.append(ext.mul(ladder[-1], ext.gen()))
+        assert ext.ladder(z) == ladder
 
 
 def test_field_spec_validation():

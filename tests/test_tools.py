@@ -463,6 +463,22 @@ def test_cli_error_paths(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("x, y, message", [
+    ("1,0", "1", "error: expected 13 comma-separated values, got 2"),
+    ("1" + ",0" * 11 + ",16", "1" + ",0" * 12, "error: value 16 is outside GF(16)"),
+    ("1" + ",0" * 12, "1" + ",0" * 11 + ",x", "error: 'x' is not a decimal integer"),
+], ids=["length", "range", "digits"])
+def test_cli_mul_rejects_operands_before_compiling(monkeypatch, capsys, x, y, message):
+    def no_compile(spec):
+        raise AssertionError("a malformed operand must not pay for compiling")
+
+    monkeypatch.setattr(cli, "compile_instance", no_compile)
+    assert cli.main(["mul", str(F16_13_PATH), "--x", x, "--y", y]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == message
+    assert captured.out == ""
+
+
 def test_cli_usage_error_is_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main([])

@@ -14,47 +14,6 @@ from . import tools
 from .engine import InstanceError, compile_instance
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="curvemul",
-        description="Finite-field multiplication through curve evaluation "
-        "and interpolation, with exact operation accounting.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="run every structural check on an instance file")
-    p.add_argument("file", help="instance JSON file")
-
-    p = sub.add_parser("mul", help="multiply two field elements")
-    p.add_argument("file", help="instance JSON file")
-    p.add_argument("--x", required=True, help="first operand, comma-separated coordinates")
-    p.add_argument("--y", required=True, help="second operand, comma-separated coordinates")
-
-    p = sub.add_parser("selftest", help="compare against the polynomial oracle")
-    p.add_argument("file", help="instance JSON file")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=42)
-
-    p = sub.add_parser("bench", help="time repeated products")
-    p.add_argument("file", help="instance JSON file")
-    p.add_argument("--reps", type=int, default=50)
-    p.add_argument("--seed", type=int, default=7)
-
-    p = sub.add_parser("counts", help="print the per-product operation counts")
-    p.add_argument("file", help="instance JSON file")
-
-    p = sub.add_parser(
-        "split-search",
-        help="find irreducible polynomials whose place splits on the curve",
-    )
-    p.add_argument("file", help="instance JSON file (supplies the field and curve)")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-
-    return parser
-
-
 def _cmd_verify(args) -> int:
     spec = tools.load_instance(args.file)
     report = tools.verify_instance(spec)
@@ -126,6 +85,10 @@ def _cmd_counts(args) -> int:
 
 def _cmd_split_search(args) -> int:
     spec = tools.load_instance(args.file)
+    # checked here: over GF(2) up to degree 8 split_search scans exhaustively
+    # and ignores trials
+    if args.trials < 1:
+        raise ValueError("trials must be >= 1")
     found = tools.split_search(spec.curve, args.degree, args.trials, args.seed)
     for p in found:
         print(f"{tools.poly_text(spec.field, p)}  coeffs {tools.format_vector(p)}")
@@ -133,20 +96,64 @@ def _cmd_split_search(args) -> int:
     return 0
 
 
+_FILE = ("file", {"help": "instance JSON file"})
+
+# name: (help, handler, arguments as (name or flag, add_argument options))
 _COMMANDS = {
-    "verify": _cmd_verify,
-    "mul": _cmd_mul,
-    "selftest": _cmd_selftest,
-    "bench": _cmd_bench,
-    "counts": _cmd_counts,
-    "split-search": _cmd_split_search,
+    "verify": ("run every structural check on an instance file", _cmd_verify, [_FILE]),
+    "mul": ("multiply two field elements", _cmd_mul, [
+        _FILE,
+        ("--x", {"required": True, "help": "first operand, comma-separated coordinates"}),
+        ("--y", {"required": True, "help": "second operand, comma-separated coordinates"}),
+    ]),
+    "selftest": ("compare against the polynomial oracle", _cmd_selftest, [
+        _FILE,
+        ("--trials", {"type": int, "default": 1000}),
+        ("--seed", {"type": int, "default": 42}),
+    ]),
+    "bench": ("time repeated products", _cmd_bench, [
+        _FILE,
+        ("--reps", {"type": int, "default": 50}),
+        ("--seed", {"type": int, "default": 7}),
+    ]),
+    "counts": ("print the per-product operation counts", _cmd_counts, [_FILE]),
+    "split-search": (
+        "find irreducible polynomials whose place splits on the curve", _cmd_split_search, [
+            ("file", {"help": "instance JSON file (supplies the field and curve)"}),
+            ("--degree", {"type": int, "required": True}),
+            ("--trials", {"type": int, "default": 200}),
+            ("--seed", {"type": int, "default": 0}),
+        ]),
 }
 
 
+def _build_parser(names=tuple(_COMMANDS)) -> argparse.ArgumentParser:
+    """The top-level parser with the subparsers of the commands `names`."""
+    parser = argparse.ArgumentParser(
+        prog="curvemul",
+        description="Finite-field multiplication through curve evaluation "
+        "and interpolation, with exact operation accounting.",
+    )
+    # usage lines list the subparsers' names: with fewer than all of them,
+    # list the full table instead (with all, the errors name "command")
+    metavar = None if len(names) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, _, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+    return parser
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a call parses one command, so it builds only that subparser; without a
+    # command name first (no argument, -h, a typo) help and errors need all
+    names = argv[:1] if argv and argv[0] in _COMMANDS else tuple(_COMMANDS)
+    args = _build_parser(names).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][1](args)
     except (tools.InstanceFileError, InstanceError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

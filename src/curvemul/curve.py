@@ -14,6 +14,9 @@ GF(2^k) lanes (`PackedFamily`), on columns folded by x^(q^d) = x and shared
 by the two places over that x-image, with one inverse per distinct
 denominator, taken only when a value is asked for; at a place over infinity
 the y-branch series is expanded once.  `evaluate` is its one-function case.
+The same packing carries the curve's rhs_num and rhs_den and the supports a
+place must avoid, so one pass per x-image also serves the place checks
+(`PackedFamily.check`).
 """
 
 from __future__ import annotations
@@ -201,8 +204,8 @@ class PackedPolys:
     """Polynomials over one field packed as lane columns (`galois.Lanes`):
     lane i holds polynomial i, column j the coefficients of x^j.  Packing
     does not depend on the point, so one packing serves every place; it
-    lives for one load or compile and keeps what places share, the columns
-    folded for each residue field size and the Horner pass at each x-image."""
+    keeps what places share, the columns folded for each residue field size
+    and the Horner pass at each x-image, for as long as it lives."""
 
     __slots__ = ("lanes", "columns", "_folded", "_passes")
 
@@ -242,6 +245,11 @@ class PackedPolys:
             acc[0] ^= column
         return acc
 
+    def lane(self, vectors: Sequence[int], j: int) -> tuple:
+        """Lane j of coordinate lane vectors: the j-th polynomial's value."""
+        k, mask = self.lanes.field.k, self.lanes.field.order - 1
+        return tuple([(a >> (k * j)) & mask for a in vectors])
+
     def values(self, res: ExtField, x_img: tuple) -> list[tuple]:
         """Every polynomial's value at x_img, as coordinate tuples."""
         lanes = self.lanes
@@ -249,29 +257,62 @@ class PackedPolys:
 
 
 class PackedFamily(PackedPolys):
-    """A family of F functions (a basis) as `PackedPolys`: lanes 0..F-1 hold
-    their ay, F..2F-1 their b and 2F..3F-1 their den.  One family is built
-    per set-up and shared by the `PlaceEvaluator` of every place."""
+    """A curve's family of F functions (a basis) and the polynomials its
+    place checks read, as `PackedPolys`: lanes 0..F-1 hold the functions'
+    ay, F..2F-1 their b and 2F..3F-1 their den, then come rhs_num, rhs_den
+    and the `supports` (such as the denominators of D1 and D2).  One family
+    is built per instance and serves its place checks and the
+    `PlaceEvaluator` of every place, so each x-image costs one Horner pass."""
 
-    __slots__ = ("functions", "dens")
+    __slots__ = ("curve", "functions", "dens", "_none")
 
-    def __init__(self, field: BinaryField, functions: Sequence[CurveFunction]):
+    def __init__(
+        self, curve: Curve, functions: Sequence[CurveFunction], supports: Sequence[Poly] = ()
+    ):
+        self.curve = curve
         self.functions = tuple(functions)
         super().__init__(
-            field,
+            curve.field,
             [f.ay for f in self.functions]
             + [f.b for f in self.functions]
-            + [f.den for f in self.functions],
+            + [f.den for f in self.functions]
+            + [curve.rhs_num, curve.rhs_den, *supports],
         )
+        self._none = (False,) * len(supports)
         # each distinct denominator: the functions sharing it, and the lane
         # mask that selects them
         by_den: dict = {}
         for j, f in enumerate(self.functions):
             by_den.setdefault(f.den, []).append(j)
-        k, lane = field.k, field.order - 1
+        k, lane = curve.field.k, curve.field.order - 1
         self.dens = [
             (idx, sum([lane << (k * j) for j in idx])) for idx in by_den.values()
         ]
+
+    def check(self, place) -> tuple[bool, Sequence[bool]]:
+        """Whether the place lies on the curve, and for each support whether
+        it vanishes at the place (a place over infinity meets none).
+
+        Over infinity the fibre splits iff rhs vanishes there, i.e. deg
+        rhs_den > deg rhs_num (`rhs_series`).  At an affine place, once
+        rhs_den(x) != 0, y^2 + y = rhs_num(x)/rhs_den(x) is tested without an
+        inverse, as (y^2 + y) * rhs_den(x) = rhs_num(x).
+        """
+        curve = self.curve
+        if isinstance(place, InfinitePlace):
+            return len(curve.rhs_den) > len(curve.rhs_num), self._none
+        if not isinstance(place, AffinePlace):
+            raise TypeError(f"not a place: {place!r}")
+        res = place.residue
+        if res.base != curve.field:
+            return False, self._none
+        acc = self.horner(res, place.x_img)
+        num, den, *supports = [
+            self.lane(acc, j) for j in range(3 * len(self.functions), self.lanes.count)
+        ]
+        y = place.y_img
+        on_curve = any(den) and res.mul(res.add(res.mul(y, y), y), den) == num
+        return on_curve, [not any(v) for v in supports]
 
 
 class PlaceEvaluator:
@@ -298,7 +339,7 @@ class PlaceEvaluator:
     def __init__(self, curve: Curve, place, functions):
         family = functions
         if not isinstance(family, PackedFamily):
-            family = PackedFamily(curve.field, functions)
+            family = PackedFamily(curve, functions)
         self.curve = curve
         self.place = place
         self.functions = family.functions
@@ -324,7 +365,7 @@ class PlaceEvaluator:
         ints; raises PlaceEvaluationError when it has a pole here."""
         if isinstance(self.place, InfinitePlace):
             return [self._at_infinity(j)]
-        return list(self._lane(self._divided((j,)), j))
+        return list(self._family.lane(self._divided((j,)), j))
 
     def rows(self) -> list[int]:
         """All values as `degree` coordinate lane vectors: lane j of vector r
@@ -345,17 +386,13 @@ class PlaceEvaluator:
         zero = res.zero()
         out = [False] * len(powers)
         for idx, _ in self._family.dens:
-            den = self._lane(self._dens, idx[0])
+            den = self._family.lane(self._dens, idx[0])
             if any(den):
                 ladder = res.ladder(den)
                 for j in idx:
                     s = powers[j]
-                    out[j] = self._lane(self._num, j) == (ladder[s] if s >= 0 else zero)
+                    out[j] = self._family.lane(self._num, j) == (ladder[s] if s >= 0 else zero)
         return out
-
-    def _lane(self, vectors: Sequence[int], j: int) -> tuple:
-        k, mask = self.curve.field.k, self.curve.field.order - 1
-        return tuple([(a >> (k * j)) & mask for a in vectors])
 
     def _divided(self, wanted: Sequence[int]) -> list[int]:
         """The values as lane vectors, divided out on the first call; raises
@@ -366,7 +403,7 @@ class PlaceEvaluator:
             out = [0] * res.d
             self._poles = set()
             for idx, mask in self._family.dens:
-                den = self._lane(self._dens, idx[0])
+                den = self._family.lane(self._dens, idx[0])
                 if not any(den):
                     self._poles.update(idx)
                     continue
@@ -429,46 +466,6 @@ def evaluate(curve: Curve, f: CurveFunction, place) -> list[int]:
 # place validity
 
 
-class PlaceChecks:
-    """Place checks against one curve: rhs_num, rhs_den and the `supports`
-    (such as the denominators of D1 and D2) are packed once, and each affine
-    place evaluates them all in one Horner pass over its x-image."""
-
-    __slots__ = ("curve", "packed", "_none")
-
-    def __init__(self, curve: Curve, supports: Sequence[Poly] = ()):
-        self.curve = curve
-        self.packed = PackedPolys(curve.field, [curve.rhs_num, curve.rhs_den, *supports])
-        self._none = (False,) * len(supports)
-
-    def __call__(self, place) -> tuple[bool, Sequence[bool]]:
-        """Whether the place lies on the curve, and for each support whether
-        it vanishes at the place (a place over infinity meets none).
-
-        Over infinity the fibre splits iff rhs vanishes there, i.e. deg
-        rhs_den > deg rhs_num (`rhs_series`).  At an affine place, once
-        rhs_den(x) != 0, y^2 + y = rhs_num(x)/rhs_den(x) is tested without an
-        inverse, as (y^2 + y) * rhs_den(x) = rhs_num(x).
-        """
-        curve = self.curve
-        if isinstance(place, InfinitePlace):
-            return len(curve.rhs_den) > len(curve.rhs_num), self._none
-        if not isinstance(place, AffinePlace):
-            raise TypeError(f"not a place: {place!r}")
-        res = place.residue
-        if res.base != curve.field:
-            return False, self._none
-        num, den, *supports = self.packed.values(res, place.x_img)
-        y = place.y_img
-        on_curve = any(den) and res.mul(res.add(res.mul(y, y), y), den) == num
-        return on_curve, [not any(v) for v in supports]
-
-
-def on_curve_check(curve: Curve, place) -> bool:
-    """Whether the place's data satisfies the curve equation (`PlaceChecks`)."""
-    return PlaceChecks(curve)(place)[0]
-
-
 def generates_residue(place: AffinePlace) -> bool:
     """Whether x_img and y_img generate the residue field as an algebra.
 
@@ -490,8 +487,9 @@ def generates_residue(place: AffinePlace) -> bool:
 def beta_from_ideal(res: ExtField, y_num: Poly, y_den: Poly) -> tuple:
     """Image of y in a residue field presented as y = y_num(x)/y_den(x), with
     the residue generator t as the x-image: the usual presentation
-    F_q[x]/(m), t = x mod m."""
-    num, den = PackedPolys(res.base, [y_num, y_den]).values(res, res.gen())
+    F_q[x]/(m), t = x mod m, where a polynomial's value at t is its
+    remainder mod m."""
+    num, den = [res.reduce(list(p) + [0] * res.d) for p in (y_num, y_den)]
     if not any(den):
         raise PlaceEvaluationError("y-presentation denominator vanishes at the place")
     return res.mul(num, res.inv(den))

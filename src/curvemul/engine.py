@@ -11,15 +11,16 @@ straight-line schedule together with its operation report, which is read off
 the shapes of what it schedules.
 
 Set-up runs on packed GF(2^k) lanes (`galois.Lanes`) and does each piece of
-work once.  Validation evaluates rhs_num, rhs_den, D1 and D2 in one Horner
-pass per candidate x-image (`curve.PlaceChecks`).  Compilation packs the
-basis once (`curve.PackedFamily`) for Q and every candidate.  Q's ladder is
-checked without a division, as ay(t)*beta + b(t) = t^s * den(t).  Each
-candidate is evaluated at most once (`curve.PlaceEvaluator`: one folded
-Horner pass per x-image, one inverse per distinct denominator), and its
-packed rows go straight into the one elimination (`linalg.RowBasis`) that
-selects the places, certifies T and yields T^-1; only accepted rows are
-unpacked, into T, and no matrix compile builds checks its entries.
+work once.  Validation packs the basis, rhs_num, rhs_den, D1 and D2 once
+(`InstanceSpec.family`, a `curve.PackedFamily`) and runs one folded Horner
+pass per x-image of Q and the candidates; its place checks, the good-basis
+check, compilation and `tools.verify_instance` read those passes.  Q's
+ladder is checked without a division, as ay(t)*beta + b(t) = t^s * den(t).
+Each candidate is evaluated at most once (`curve.PlaceEvaluator`: one
+inverse per distinct denominator), and its packed rows go straight into the
+one elimination (`linalg.RowBasis`) that selects the places, certifies T and
+yields T^-1; only accepted rows are unpacked, into T, and no matrix compile
+builds checks its entries.
 
 One product of x, y in F_{q^n} (length-n coordinate tuples over F_q) runs:
 
@@ -48,11 +49,9 @@ from .curve import (
     CurveFunction,
     InfinitePlace,
     PackedFamily,
-    PlaceChecks,
     PlaceEvaluationError,
     PlaceEvaluator,
     generates_residue,
-    on_curve_check,
 )
 from .galois import (
     BinaryField,
@@ -122,6 +121,7 @@ class InstanceSpec:
         "d2_den",
         "basis",
         "candidate_places",
+        "family",
     )
 
     def __init__(
@@ -171,7 +171,10 @@ class InstanceSpec:
             # operand coordinates are powers of the x-image, which must be the
             # residue generator for the polynomial reference product to agree
             raise InstanceError("Q must be presented with x mapping to the residue generator")
-        if not on_curve_check(self.curve, qp):
+        # the basis, rhs_num, rhs_den, D1 and D2 packed once: the place checks
+        # here, the good-basis check and compile read its passes (`family`)
+        self.family = PackedFamily(self.curve, self.basis, (self.d1_den, self.d2_den))
+        if not self.family.check(qp)[0]:
             raise InstanceError("place Q does not lie on the curve")
         if not generates_residue(qp):
             raise InstanceError("x,y images at Q do not generate the residue field")
@@ -194,8 +197,6 @@ class InstanceSpec:
 
     def _validate_candidates(self) -> None:
         seen = set()
-        # rhs_num, rhs_den, D1 and D2 packed once, evaluated in one pass per place
-        checks = PlaceChecks(self.curve, (self.d1_den, self.d2_den))
         for p in self.candidate_places:
             if isinstance(p, AffinePlace):
                 if p.residue.base != self.field:
@@ -208,7 +209,7 @@ class InstanceSpec:
                     )
                 if p.residue.modulus == self.q_modulus:
                     raise InstanceError(f"candidate {p.label} coincides with Q")
-                on_curve, meets = checks(p)
+                on_curve, meets = self.family.check(p)
                 if not on_curve:
                     raise InstanceError(f"candidate {p.label} does not lie on the curve")
                 if not generates_residue(p):
@@ -222,7 +223,7 @@ class InstanceSpec:
                         )
                 key = (p.residue.modulus, p.x_img, p.y_img)
             elif isinstance(p, InfinitePlace):
-                if not checks(p)[0]:
+                if not self.family.check(p)[0]:
                     raise InstanceError(
                         f"candidate {p.label}: the curve has no split places over x=infinity"
                     )
@@ -265,12 +266,8 @@ def verify_good_basis(spec: InstanceSpec) -> list[CheckResult]:
     n < j <= 2n-1, and 0 for the g completion functions at the end,
     where alpha is the image of x at Q.
     """
-    return _good_basis_checks(spec, PackedFamily(spec.field, spec.basis))
-
-
-def _good_basis_checks(spec: InstanceSpec, family: PackedFamily) -> list[CheckResult]:
     n = spec.n
-    at_q = PlaceEvaluator(spec.curve, spec.q_place, family)
+    at_q = PlaceEvaluator(spec.curve, spec.q_place, spec.family)
     # alpha is the residue generator t (`validate` insists), so the ladder
     # wants t^s, s < n, or zero for s = -1
     powers = [j - 1 if j <= n else j - n if j <= 2 * n - 1 else -1
@@ -350,8 +347,7 @@ def compile_instance(spec: InstanceSpec) -> CompiledMultiplier:
     has certified T and recorded T^-1.  The rows stay packed from evaluation
     through elimination; only the accepted ones are unpacked, into T.
     """
-    family = PackedFamily(spec.field, spec.basis)
-    for check in _good_basis_checks(spec, family):
+    for check in verify_good_basis(spec):
         if not check.ok:
             raise InstanceError(f"good-basis check failed at {check.name}: {check.detail}")
 
@@ -362,7 +358,7 @@ def compile_instance(spec: InstanceSpec) -> CompiledMultiplier:
     for p in spec.candidate_places:
         if basis.rank + p.degree > target:
             continue
-        at_place = PlaceEvaluator(spec.curve, p, family)
+        at_place = PlaceEvaluator(spec.curve, p, spec.family)
         try:
             block = at_place.rows()
         except PlaceEvaluationError as e:

@@ -399,7 +399,7 @@ class ExtField:
         return self.reduce(conv)
 
     def reduce(self, conv: list[int]) -> tuple:
-        """Remainder of a coefficient list (lowest degree first, at most 2d-1
+        """Remainder of a coefficient list (lowest degree first, at least d
         entries) by the monic modulus, as coordinates.  Overwrites ``conv``.
 
         Its multiplications are by modulus coefficients, constants of the

@@ -41,10 +41,8 @@ from .curve import (
     Curve,
     CurveFunction,
     InfinitePlace,
-    PlaceChecks,
     PlaceEvaluationError,
     beta_from_ideal,
-    on_curve_check,
 )
 from .engine import (
     CheckResult,
@@ -378,10 +376,9 @@ def verify_instance(
         ("d2-denominator", spec.d2_den, poly_text(field, spec.d2_den)),
     ):
         add(CheckResult(f"{name}-irreducible", is_irreducible(field, p), detail))
-    add(CheckResult("q-on-curve", on_curve_check(spec.curve, spec.q_place)))
-    # the loader's packed pass: on the curve, and off the supports of D1, D2
-    checks_at = PlaceChecks(spec.curve, (spec.d1_den, spec.d2_den))
-    results = [checks_at(p) for p in spec.candidate_places]
+    # the loader's checks, on its passes: on the curve, off the supports of D1, D2
+    add(CheckResult("q-on-curve", spec.family.check(spec.q_place)[0]))
+    results = [spec.family.check(p) for p in spec.candidate_places]
     add(
         CheckResult(
             "candidates-on-curve",

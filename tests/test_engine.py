@@ -270,27 +270,33 @@ def test_each_candidate_evaluated_at_most_once(monkeypatch):
 
 
 def test_compile_packs_the_basis_once(monkeypatch):
-    # the good-basis check at Q and every candidate share one packing
+    # one packing per instance from load through compile and verify: the
+    # loader's place checks, the good-basis check at Q and every candidate
+    # read it, and Q's y-image takes none
     built = []
+    real_init = curve.PackedPolys.__init__
 
-    class Counting(curve.PackedFamily):
-        __slots__ = ()
+    def counting_init(self, field, polys):
+        built.append(len(polys))
+        real_init(self, field, polys)
 
-        def __init__(self, field, functions):
-            built.append(len(functions))
-            super().__init__(field, functions)
-
-    monkeypatch.setattr(curve, "PackedFamily", Counting)
-    monkeypatch.setattr(engine, "PackedFamily", Counting)
+    monkeypatch.setattr(curve.PackedPolys, "__init__", counting_init)
     for name in NAMES:
         built.clear()
-        compile_instance(SPECS[name])
-        assert built == [SPECS[name].size], name
+        spec = tools.load_bundled(name)
+        compile_instance(spec)
+        verify_good_basis(spec)
+        tools.verify_instance(spec, spot_checks=1)
+        # ay, b, den of each basis function, then rhs_num, rhs_den, D1, D2
+        assert built == [3 * spec.size + 4], name
 
 
 def test_one_horner_pass_per_fibre(monkeypatch):
-    # the two places over one x-image share the family's Horner pass: f16_13
-    # evaluates Q and 27 rational places over 14 x-images
+    # one pass per (residue modulus, x-image) from load through compile and
+    # verify, Q's included: the loader's place checks make them and the rest
+    # read them.  The two places over one x-image share one: f16_13's Q and
+    # 32 candidates lie over 17 keys, and compile evaluates Q and 27
+    # rational places over 14 x-images
     passes, evaluated = [], []
     real_pass = curve.PackedPolys._horner
 
@@ -307,15 +313,29 @@ def test_one_horner_pass_per_fibre(monkeypatch):
 
     monkeypatch.setattr(curve.PackedPolys, "_horner", counting_pass)
     monkeypatch.setattr(engine, "PlaceEvaluator", Counting)
-    for name, affine, fibres in (("f16_13", 28, 15), ("f4_5", 10, 6), ("f2_5", 6, 5)):
+    for name, affine, fibres, keys in (
+        ("f16_13", 28, 15, 17), ("f4_5", 10, 6, 7), ("f2_5", 6, 5, 5),
+    ):
         passes.clear()
         evaluated.clear()
-        compile_instance(SPECS[name])
+        spec = tools.load_bundled(name)
+        loaded = list(passes)
+        compile_instance(spec)
         places = [p for p in evaluated if isinstance(p, AffinePlace)]
-        assert places[0] is SPECS[name].q_place
+        verify_good_basis(spec)
+        tools.verify_instance(spec, spot_checks=1)
+        assert places[0] is spec.q_place
         assert len(places) == affine, name
-        assert sorted(passes) == sorted({(p.residue.modulus, p.x_img) for p in places}), name
-        assert len(passes) == fibres, name
+        assert len({(p.residue.modulus, p.x_img) for p in places}) == fibres, name
+        everywhere = {
+            (p.residue.modulus, p.x_img)
+            for p in (spec.q_place,) + spec.candidate_places
+            if isinstance(p, AffinePlace)
+        }
+        assert len(everywhere) == keys, name
+        assert passes == loaded, name  # compile and verify run none of their own
+        assert sorted(passes) == sorted(everywhere), name
+        assert passes.count((spec.q_modulus, spec.q_place.x_img)) == 1, name
 
 
 def test_den_vanishing_candidate_named():

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import json
 import random
@@ -430,11 +431,14 @@ def test_cli_selftest_rejects_nonpositive_trials(trials, capsys):
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_cli_split_search_rejects_nonpositive_trials(trials, capsys):
-    code = cli.main(["split-search", str(F4_5_PATH), "--degree", "3", "--trials", trials])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert "error: trials must be >= 1" in captured.err
-    assert "splitting polynomial(s)" not in captured.out
+    # f4_5 samples; f2_5 at degree 3 is scanned exhaustively, where
+    # split_search itself ignores trials
+    for path in (F4_5_PATH, F2_5_PATH):
+        code = cli.main(["split-search", str(path), "--degree", "3", "--trials", trials])
+        assert code == 2, path
+        captured = capsys.readouterr()
+        assert "error: trials must be >= 1" in captured.err
+        assert "splitting polynomial(s)" not in captured.out
 
 
 def test_cli_split_search(capsys):
@@ -486,3 +490,66 @@ def test_cli_usage_error_is_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["split-search", str(F2_5_PATH)])  # --degree is required
     assert exc.value.code == 2
+
+
+# one valid argv per command; parsing alone never opens the file
+CLI_ARGV = {
+    "verify": ["verify", "f.json"],
+    "mul": ["mul", "f.json", "--x", "1,0", "--y", "0,1"],
+    "selftest": ["selftest", "f.json", "--trials", "3", "--seed", "5"],
+    "bench": ["bench", "f.json", "--reps", "2"],
+    "counts": ["counts", "f.json"],
+    "split-search": ["split-search", "f.json", "--degree", "4", "--seed", "1"],
+}
+
+
+def test_cli_one_subparser_parses_as_the_full_parser(monkeypatch):
+    assert list(CLI_ARGV) == list(cli._COMMANDS)
+    seen = []
+    for name, (help_text, _, arguments) in cli._COMMANDS.items():
+        monkeypatch.setitem(
+            cli._COMMANDS, name, (help_text, lambda args: seen.append(args) or 0, arguments)
+        )
+    for name, argv in CLI_ARGV.items():
+        assert cli.main(argv) == 0
+        assert seen.pop() == cli._build_parser().parse_args(argv), name
+
+
+def run_cli(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cli_one_subparser_prints_as_the_full_parser(monkeypatch, capsys):
+    cases = [["--help"], [], ["nope"]]
+    for name, argv in CLI_ARGV.items():
+        cases += [[name, "--help"], [name], argv + ["extra"]]  # [name]: no file
+    cases += [CLI_ARGV["mul"][:4], CLI_ARGV["split-search"][:2]]  # no --y, no --degree
+    lazy = [run_cli(argv, capsys) for argv in cases]
+    real = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda names: real())
+    full = [run_cli(argv, capsys) for argv in cases]
+    for argv, got, want in zip(cases, lazy, full):
+        assert got == want, argv
+        assert got[0] in (0, 2) and (got[1] or got[2]), argv
+    _, _, err = lazy[cases.index(CLI_ARGV["mul"] + ["extra"])]
+    assert "usage: curvemul [-h] {verify,mul,selftest,bench,counts,split-search} ..." in err
+    assert "curvemul: error: unrecognized arguments: extra" in err
+
+
+def test_cli_mul_builds_one_subparser(monkeypatch, capsys):
+    built = []
+    real = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return real(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert cli.main(["mul", str(F4_5_PATH), "--x", "2,1,0,0,0", "--y", "1,2,2,0,0"]) == 0
+    assert capsys.readouterr().out.strip() == "2,2,1,2,0"
+    assert built == ["mul"]

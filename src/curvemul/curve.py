@@ -250,11 +250,6 @@ class PackedPolys:
         k, mask = self.lanes.field.k, self.lanes.field.order - 1
         return tuple([(a >> (k * j)) & mask for a in vectors])
 
-    def values(self, res: ExtField, x_img: tuple) -> list[tuple]:
-        """Every polynomial's value at x_img, as coordinate tuples."""
-        lanes = self.lanes
-        return list(zip(*[lanes.unpack(a, lanes.count) for a in self.horner(res, x_img)]))
-
 
 class PackedFamily(PackedPolys):
     """A curve's family of F functions (a basis) and the polynomials its

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -24,6 +25,7 @@ from curvemul.curve import (
     PackedFamily,
     PackedPolys,
     PlaceEvaluationError,
+    PlaceEvaluator,
     beta_from_ideal,
     branch_series,
     evaluate,
@@ -350,3 +352,108 @@ def test_folded_horner_matches_plain_horner(base, d, monkeypatch):
     monkeypatch.setattr(Lanes, "apply", lambda *a: steps.append(1) or real_apply(*a))
     PackedPolys(base, polys).horner(res, xs[-1])
     assert len(steps) == min(length, res.order) - 1
+
+
+def series_at_infinity(curve, f, place):
+    """Reference: f's value at a place over infinity by series division in
+    s = 1/x, or None where f has a pole there.  With m = max(deg ay, deg b)
+    and pivot = m - deg den, s^m (ay(1/s) y(s) + b(1/s)) / (s^deg den
+    den(1/s)) is s^pivot f, so its coefficients below s^pivot must vanish
+    and the one at s^pivot is the value."""
+    field = curve.field
+    m = max(len(f.ay), len(f.b), 1) - 1
+    pivot = m - (len(f.den) - 1)
+    if pivot < 0:
+        return 0
+    prec = pivot + 1
+    a_shift = [0] * prec
+    for i, c in enumerate(f.ay):
+        if m - i < prec:
+            a_shift[m - i] = c
+    num = series_mul(field, a_shift, branch_series(curve, place.branch_y0, prec), prec)
+    for i, c in enumerate(f.b):
+        if m - i < prec:
+            num[m - i] ^= c
+    g = series_mul(field, num, series_inv(field, list(reversed(f.den)), prec), prec)
+    return None if any(g[:pivot]) else g[pivot]
+
+
+def random_family_at_infinity(rng, curve):
+    """Functions on `curve` whose denominators repeat, mostly non-monic:
+    random ones (some with poles over infinity), ones with deg ay > deg den
+    made regular on one branch by cancelling b against ay * y there, and a
+    pair sharing a denominator of which only one has a pole."""
+    field = curve.field
+    q = field.order
+
+    def poly(length):
+        return [rng.randrange(q) for _ in range(length)]
+
+    dens = [poly(rng.randrange(4)) + [rng.randrange(1, q)] for _ in range(rng.randrange(1, 4))]
+    functions = []
+    for _ in range(rng.randrange(1, 7)):
+        den = rng.choice(dens)
+        kind = rng.randrange(3)
+        if kind == 0:
+            ay, b = poly(rng.randrange(len(den) + 2)), poly(rng.randrange(len(den) + 2))
+        else:
+            # coefficient of x^e in ay * y + b is b_e + sum_k y_k ay_(e+k)
+            top = len(den) + rng.randrange(1, 4)  # deg ay = top - 1 > deg den
+            ay = poly(top - 1) + [rng.randrange(1, q)]
+            y = branch_series(curve, rng.randrange(2), top)
+            b = poly(len(den))
+            for e in range(len(den), top):
+                c = 0
+                for k in range(top - e):
+                    c ^= field.mul(y[k], ay[e + k])
+                b.append(c)
+            if kind == 2:
+                b[rng.randrange(len(b))] ^= rng.randrange(q)
+        functions.append(CurveFunction(field, ay, b, den))
+    den = rng.choice(dens)
+    shared = [
+        CurveFunction(field, [], [0] * len(den) + [1], den),  # pole of order 1
+        CurveFunction(field, [], poly(len(den)), den),
+    ]
+    at = rng.randrange(len(functions) + 1)
+    functions[at:at] = shared if rng.randrange(2) else shared[::-1]
+    return functions
+
+
+def test_values_at_infinity_match_series_division():
+    places = (InfinitePlace(0, "P_inf_1"), InfinitePlace(1))
+    for field in (F2, F4, F16):
+        curve = Curve(field, [0, 1], [1, 1, 0, 1], 2)
+        rng = random.Random(field.order)
+        poles = 0
+        for _ in range(40):
+            functions = random_family_at_infinity(rng, curve)
+            family = PackedFamily(curve, functions)
+            for place in places:
+                message = f"function has a pole at {place.label or place!r}"
+                want = [series_at_infinity(curve, f, place) for f in functions]
+                at = PlaceEvaluator(curve, place, family)
+                for j, v in enumerate(want):
+                    if v is None:
+                        poles += 1
+                        with pytest.raises(PlaceEvaluationError) as err:
+                            at.value(j)
+                        assert str(err.value) == message
+                        assert err.value.index == j
+                    else:
+                        assert at.value(j) == [v], (field, place, j)
+                # the one-function case
+                if want[0] is None:
+                    with pytest.raises(PlaceEvaluationError, match="^" + re.escape(message)):
+                        evaluate(curve, functions[0], place)
+                else:
+                    assert evaluate(curve, functions[0], place) == [want[0]]
+                at = PlaceEvaluator(curve, place, family)
+                if None in want:
+                    with pytest.raises(PlaceEvaluationError) as err:
+                        at.rows()
+                    assert str(err.value) == message
+                    assert err.value.index == want.index(None)
+                else:
+                    assert at.rows() == [family.lanes.pack(want)]
+        assert poles > 100, field

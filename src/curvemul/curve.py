@@ -311,55 +311,84 @@ class PackedFamily(PackedPolys):
 
 
 class PlaceEvaluator:
-    """Values of a fixed family of functions at one place.
+    """Values of a `PackedFamily` of functions at one place.
+
+    Every place gives numerator lane vectors, one per coordinate of its
+    residue field, and for each distinct denominator one residue-field value
+    to divide by.  The first `rows` or `value` divides: each divisor is
+    inverted once and applied, as a matrix, to the numerators sharing it;
+    `takes_powers` does not divide.
 
     At an affine place of degree d the family's Horner pass at the x-image
     gives d coordinate lane vectors; the ay lanes times the y-image (a d x d
-    matrix over F_q) plus the b lanes are the numerators.  The first `rows`
-    or `value` divides: each distinct denominator is inverted once and
-    applied, as a matrix, to the numerators sharing it; `takes_powers` does
-    not divide.  At a place over x = infinity the y-branch is expanded once
-    in s = 1/x, and each distinct denominator is inverted as a series once.
+    matrix over F_q) plus the b lanes are the numerators, the den lanes the
+    divisors, and a function whose divisor is 0 has a pole.
 
-    `functions` is a sequence of functions or a `PackedFamily`, which lets
-    the evaluators of many places share one packing.  Build one per place
-    and drop it.
+    A place over x = infinity has residue field F_q.  With s = 1/x and the
+    branch y = sum_k y_k s^k (`branch_series`), the coefficient of x^e in
+    ay(x)*y + b(x) is c_e = b_e + sum_k y_k ay_(e+k): the family's b column e
+    plus its ay columns e+k scaled by y_k.  As den = lead(den) x^deg(den)
+    (1 + O(s)), a function is regular there iff c_e = 0 for every
+    e > deg den, and its value is then c_(deg den) / lead(den): the
+    numerator is c_(deg den) and the divisor lead(den).  For e >= deg den the
+    sum reaches ay_(e+k) only while k <= deg ay - deg den, so y_0 .. y_K, K
+    the family's largest deg ay - deg den, give every c_e read exactly.
+    Poles are found per function: two functions sharing a denominator can
+    differ here.
+
+    Build one per place and drop it; the family is shared by all places.
     """
 
     __slots__ = (
-        "curve", "place", "functions", "_family", "_num", "_dens", "_rows", "_poles",
-        "_branch", "_inverses",
+        "curve", "place", "functions", "_family", "_res", "_num", "_dens", "_rows", "_poles",
     )
 
-    def __init__(self, curve: Curve, place, functions):
-        family = functions
+    def __init__(self, curve: Curve, place, family: PackedFamily):
         if not isinstance(family, PackedFamily):
-            family = PackedFamily(curve, functions)
+            family = PackedFamily(curve, family)
         self.curve = curve
         self.place = place
         self.functions = family.functions
         self._family = family
         self._rows = None
-        self._inverses: dict = {}
+        self._poles: set = set()
+        width = curve.field.k * len(self.functions)
+        block = (1 << width) - 1  # the F lanes of one of the ay, b, den blocks
+        lanes, lane = family.lanes, family.lane
         if isinstance(place, AffinePlace):
-            res = place.residue
-            width = res.base.k * len(self.functions)
-            block = (1 << width) - 1  # the F lanes of one of the ay, b, den blocks
+            self._res = res = place.residue
             acc = family.horner(res, place.x_img)
-            num = family.lanes.apply(res.mul_map(place.y_img), [a & block for a in acc])
+            num = lanes.apply(res.mul_map(place.y_img), [a & block for a in acc])
             self._num = [u ^ ((a >> width) & block) for u, a in zip(num, acc)]
-            self._dens = [a >> (2 * width) for a in acc]
+            dens = [a >> (2 * width) for a in acc]
+            self._dens = [lane(dens, idx[0]) for idx, _ in family.dens]
         elif isinstance(place, InfinitePlace):
-            prec = max(0, max(_pivot(f) for f in self.functions)) + 1
-            self._branch = branch_series(curve, place.branch_y0, prec)
+            self._res = ExtField(curve.field, (0, 1))  # F_q as F_q[t]/(t)
+            top = max([0] + [len(f.ay) - len(f.den) for f in self.functions])
+            ys = branch_series(curve, place.branch_y0, top + 1)
+            columns = family.columns
+            c = []
+            for e, column in enumerate(columns):
+                ce = (column >> width) & block
+                for y, ay in zip(ys, columns[e:]):
+                    ce ^= lanes.scale(y, ay & block)
+                c.append(ce)
+            num, self._dens = 0, []
+            for idx, mask in family.dens:
+                den = self.functions[idx[0]].den
+                num ^= c[len(den) - 1] & mask
+                above = 0
+                for ce in c[len(den):]:
+                    above |= ce & mask
+                self._poles.update([j for j in idx if any(lane((above,), j))])
+                self._dens.append((den[-1],))
+            self._num = [num]
         else:
             raise TypeError(f"not a place: {place!r}")
 
     def value(self, j: int) -> list[int]:
         """Coordinates of the j-th function's value, as `degree` base-field
         ints; raises PlaceEvaluationError when it has a pole here."""
-        if isinstance(self.place, InfinitePlace):
-            return [self._at_infinity(j)]
         return list(self._family.lane(self._divided((j,)), j))
 
     def rows(self) -> list[int]:
@@ -367,38 +396,32 @@ class PlaceEvaluator:
         is coordinate r of the j-th function's value, so vector r is row r of
         the place's block of evaluation rows, packed.  Raises
         PlaceEvaluationError for the first function with a pole here."""
-        count = len(self.functions)
-        if isinstance(self.place, InfinitePlace):
-            return [self._family.lanes.pack([self._at_infinity(j) for j in range(count)])]
-        return self._divided(range(count))
+        return self._divided(range(len(self.functions)))
 
     def takes_powers(self, powers: Sequence[int]) -> list[bool]:
-        """Whether the j-th function's value at this affine place is t^s,
-        s = powers[j] < degree and t the residue generator, or 0 where s < 0:
-        den_j != 0 and num_j = t^s * den_j, read off one `ExtField.ladder`
-        per distinct denominator, with no division."""
-        res = self.place.residue
+        """Whether the j-th function's value here is t^s, s = powers[j] <
+        degree and t the residue generator, or 0 where s < 0: divisor != 0
+        and num_j = t^s * divisor, read off one `ExtField.ladder` per
+        distinct denominator, with no division."""
+        res, lane = self._res, self._family.lane
         zero = res.zero()
         out = [False] * len(powers)
-        for idx, _ in self._family.dens:
-            den = self._family.lane(self._dens, idx[0])
+        for (idx, _), den in zip(self._family.dens, self._dens):
             if any(den):
                 ladder = res.ladder(den)
                 for j in idx:
                     s = powers[j]
-                    out[j] = self._family.lane(self._num, j) == (ladder[s] if s >= 0 else zero)
+                    out[j] = lane(self._num, j) == (ladder[s] if s >= 0 else zero)
         return out
 
     def _divided(self, wanted: Sequence[int]) -> list[int]:
         """The values as lane vectors, divided out on the first call; raises
-        PlaceEvaluationError for the first function in `wanted` whose
-        denominator vanishes here."""
+        PlaceEvaluationError for the first function in `wanted` with a pole
+        here."""
         if self._rows is None:
-            res, lanes = self.place.residue, self._family.lanes
+            res, lanes = self._res, self._family.lanes
             out = [0] * res.d
-            self._poles = set()
-            for idx, mask in self._family.dens:
-                den = self._family.lane(self._dens, idx[0])
+            for (idx, mask), den in zip(self._family.dens, self._dens):
                 if not any(den):
                     self._poles.update(idx)
                     continue
@@ -407,54 +430,17 @@ class PlaceEvaluator:
             self._rows = out
         for j in wanted:
             if j in self._poles:
+                where = repr(self.place.label or self.place)
+                if isinstance(self.place, InfinitePlace):
+                    raise PlaceEvaluationError(f"function has a pole at {where}", j)
                 raise PlaceEvaluationError(
-                    f"denominator vanishes at place {self.place.label or self.place!r} "
-                    "(support collision)", j)
+                    f"denominator vanishes at place {where} (support collision)", j)
         return self._rows
-
-    def _at_infinity(self, j: int) -> int:
-        """Writes the j-th function f in s = 1/x and reads off the constant
-        coefficient; any nonzero coefficient at a negative power is a pole."""
-        f = self.functions[j]
-        m = max(len(f.ay), len(f.b), 1) - 1
-        pivot = _pivot(f)
-        if pivot < 0:
-            # f vanishes to order deg(den) - m at the place
-            return 0
-        field = self.curve.field
-        prec = pivot + 1
-        # s^m * (ay(1/s) y(s) + b(1/s)), exact up to s^pivot
-        a_shift = [0] * prec
-        for i, c in enumerate(f.ay):
-            if m - i < prec:
-                a_shift[m - i] = c
-        num = series_mul(field, a_shift, self._branch, prec)
-        for i, c in enumerate(f.b):
-            if m - i < prec:
-                num[m - i] ^= c
-        # f * s^pivot = num / reversed(den); den's leading coeff is nonzero
-        inv = self._inverses.get(f.den)
-        if inv is None:
-            inv = self._inverses[f.den] = series_inv(
-                field, list(reversed(f.den)), len(self._branch)
-            )
-        g = series_mul(field, num, inv, prec)
-        if any(g[:pivot]):
-            raise PlaceEvaluationError(
-                f"function has a pole at {self.place.label or self.place!r}", j
-            )
-        return g[pivot]
-
-
-def _pivot(f: CurveFunction) -> int:
-    """The power of s = 1/x whose coefficient is f's value at infinity:
-    max(deg ay, deg b) - deg den."""
-    return max(len(f.ay), len(f.b), 1) - len(f.den)
 
 
 def evaluate(curve: Curve, f: CurveFunction, place) -> list[int]:
     """Coordinates of f's value at a place, as `degree` base-field ints."""
-    return PlaceEvaluator(curve, place, (f,)).value(0)
+    return PlaceEvaluator(curve, place, PackedFamily(curve, (f,))).value(0)
 
 
 # ---------------------------------------------------------------------------

@@ -458,8 +458,6 @@ class ExtField:
         return s + (0,) * (self.d - len(s))
 
     def pow(self, u: tuple, e: int) -> tuple:
-        if e < 0:
-            return self.pow(self.inv(u), -e)
         r = self.one()
         while e:
             if e & 1:

@@ -267,8 +267,9 @@ def check_total_split(curve: Curve, qpoly) -> bool:
 
     For y^2 + y = rhs this is the additive Hilbert-90 criterion: with b a
     root of qpoly, the fibre splits iff the absolute trace of rhs(b) is 0.
-    Raises PlaceEvaluationError when rhs_den(b) = 0 (the fibre is then
-    ramified or polar, not split).
+    Raises ValueError when qpoly is not monic irreducible (building its
+    residue field runs Rabin's test), and PlaceEvaluationError when
+    rhs_den(b) = 0 (the fibre is then ramified or polar, not split).
     """
     res = ExtField(curve.field, poly_from_coeffs(curve.field, qpoly))
     b = res.gen()
@@ -299,11 +300,10 @@ def split_search(curve: Curve, degree: int, trials: int, seed: int = 0) -> list[
     field = curve.field
 
     def accept(p: Poly) -> bool:
-        if not is_irreducible(field, p):
-            return False
+        # check_total_split's residue field runs the one irreducibility test
         try:
             return check_total_split(curve, p)
-        except PlaceEvaluationError:
+        except (ValueError, PlaceEvaluationError):
             return False
 
     if field.order == 2 and degree <= 8:
@@ -559,7 +559,7 @@ def parse_vector(field: BinaryField, text: str, n: int) -> list[int]:
         digits = p.lstrip("0") or "0"
         # too long to be below q, and maybe past int()'s 4300-digit limit
         if len(digits) > len(str(field.order - 1)):
-            raise ValueError(f"value of {len(p)} digits is outside GF({field.order})")
+            raise ValueError(f"value of {len(digits)} digits is outside GF({field.order})")
         v = int(digits)
         if v >= field.order:
             raise ValueError(f"value {v} is outside GF({field.order})")

@@ -271,6 +271,36 @@ def test_split_search_sampling_is_seeded():
         assert tools.check_total_split(curve, p)
 
 
+def test_split_search_tests_each_candidate_once(monkeypatch):
+    # Rabin's test runs once per distinct candidate, where check_total_split
+    # builds the residue field; the found list is what testing
+    # irreducibility first and the split second gives
+    real = galois.is_irreducible
+    for name, degree, trials in (("f4_5", 5, 300), ("f2_5", 8, 0)):
+        curve = tools.load_bundled(name).curve
+        tested = []
+
+        def counting(field, p):
+            tested.append(p)
+            return real(field, p)
+
+        monkeypatch.setattr(galois, "is_irreducible", counting)
+        monkeypatch.setattr(tools, "is_irreducible", counting)
+        found = tools.split_search(curve, degree, trials)
+        monkeypatch.undo()
+        assert len(tested) == len(set(tested)), name
+        if curve.field.order == 2:
+            assert len(tested) == 2**degree  # every monic polynomial, once
+
+        def splits(p):
+            try:
+                return tools.check_total_split(curve, p)
+            except PlaceEvaluationError:
+                return False
+
+        assert found == [p for p in tested if real(curve.field, p) and splits(p)], name
+
+
 def test_split_search_rejects_bad_degree():
     curve = tools.load_bundled("f2_5").curve
     with pytest.raises(ValueError):
@@ -343,6 +373,9 @@ def test_parse_vector():
     with pytest.raises(ValueError, match="^value of 5000 digits is outside GF\\(4\\)$"):
         tools.parse_vector(F4, "2,1,0,0," + "9" * 5000, 5)
     assert tools.parse_vector(F4, "2,1,0,0," + "0" * 5000 + "3", 5) == [2, 1, 0, 0, 3]
+    # the count is of the digits past the leading zeros, which the check reads
+    with pytest.raises(ValueError, match="^value of 3 digits is outside GF\\(16\\)$"):
+        tools.parse_vector(galois.F16, "0000123", 1)
     # int() would take each of these: a sign, a digit separator, a
     # non-ASCII digit
     for bad in ("t", "+3", "-1", "1_0", "\u0661", ""):

@@ -4,18 +4,22 @@ their places, and evaluation of y-linear function representatives.
 A function is carried as (ay(x)*y + b(x)) / den(x).  Places come in two
 kinds: affine places, presented by an explicit residue field F_q[t]/(m)
 together with the images of x and y in it; and places over x = infinity,
-presented by the branch value y(infinity) in {0, 1}.  Evaluation at the
-latter goes through power-series expansion in the local parameter s = 1/x.
+presented by the branch value y(infinity) in {0, 1} of y's expansion in the
+local parameter s = 1/x (`branch_series`).
 
-`PlaceEvaluator` evaluates a whole family of functions (a basis) at one
-place, computing once what the family shares: at an affine place of degree d
-one Horner pass over the x-image runs on the family's coefficients packed in
-GF(2^k) lanes (`PackedFamily`), on columns folded by x^(q^d) = x and shared
-by the two places over that x-image, with one inverse per distinct
-denominator, taken only when a value is asked for; at a place over infinity
-the y-branch series is expanded once.  `evaluate` is its one-function case.
-The same packing carries the curve's rhs_num and rhs_den and the supports a
-place must avoid, so one pass per x-image also serves the place checks
+`PlaceEvaluator` evaluates a whole family of functions (a basis), packed
+once in GF(2^k) lanes (`PackedFamily`), at one place, and every place takes
+one path: numerator lane vectors, then one inverse per distinct
+denominator, taken only when a value is asked for.  At an affine place of
+degree d the numerators come from one Horner pass over the x-image, on
+columns folded by x^(q^d) = x and shared by the two places over that
+x-image.  Over infinity a function's numerator is c_(deg den), where c_e =
+b_e + sum_k y_k ay_(e+k) is the coefficient of x^e in ay(x)*y + b(x): one
+combination of the packed columns; it is regular there iff c_e = 0 for
+every e > deg den, and y_k for k <= deg ay - deg den read those c_e
+exactly.  `evaluate` is the one-function case.  The same packing
+carries the curve's rhs_num and rhs_den and the supports a place must
+avoid, so one pass per x-image also serves the place checks
 (`PackedFamily.check`).
 """
 
@@ -313,46 +317,37 @@ class PackedFamily(PackedPolys):
 class PlaceEvaluator:
     """Values of a `PackedFamily` of functions at one place.
 
-    Every place gives numerator lane vectors, one per coordinate of its
-    residue field, and for each distinct denominator one residue-field value
-    to divide by.  The first `rows` or `value` divides: each divisor is
-    inverted once and applied, as a matrix, to the numerators sharing it;
-    `takes_powers` does not divide.
+    Every place yields numerator lane vectors, one per coordinate of its
+    residue field, and one divisor per distinct denominator.  The first
+    `rows` or `value` inverts each nonzero divisor once and applies it, as a
+    matrix, to the numerators sharing it; `takes_powers` does not divide.
 
     At an affine place of degree d the family's Horner pass at the x-image
-    gives d coordinate lane vectors; the ay lanes times the y-image (a d x d
-    matrix over F_q) plus the b lanes are the numerators, the den lanes the
-    divisors, and a function whose divisor is 0 has a pole.
+    gives d coordinate lane vectors: the ay lanes times the y-image (a d x d
+    matrix over F_q) plus the b lanes are the numerators, and the den lanes
+    the divisors; a divisor 0 is a pole of every function sharing it.
 
     A place over x = infinity has residue field F_q.  With s = 1/x and the
     branch y = sum_k y_k s^k (`branch_series`), the coefficient of x^e in
-    ay(x)*y + b(x) is c_e = b_e + sum_k y_k ay_(e+k): the family's b column e
-    plus its ay columns e+k scaled by y_k.  As den = lead(den) x^deg(den)
-    (1 + O(s)), a function is regular there iff c_e = 0 for every
-    e > deg den, and its value is then c_(deg den) / lead(den): the
-    numerator is c_(deg den) and the divisor lead(den).  For e >= deg den the
-    sum reaches ay_(e+k) only while k <= deg ay - deg den, so y_0 .. y_K, K
-    the family's largest deg ay - deg den, give every c_e read exactly.
-    Poles are found per function: two functions sharing a denominator can
-    differ here.
+    ay(x)*y + b(x) is c_e = b_e + sum_k y_k ay_(e+k): the b column e plus the
+    ay columns e+k scaled by y_k.  As den = lead(den) x^deg(den) (1 + O(s)),
+    a function is regular there iff c_e = 0 for every e > deg den, and its
+    value is c_(deg den) / lead(den), that numerator over that divisor.
+    Poles are per function: functions sharing a denominator can differ here.
+    For e >= deg den the sum stops at k = deg ay - deg den, so y_0 .. y_K, K
+    the family's largest deg ay - deg den, make every c_e read exact.
 
-    Build one per place and drop it; the family is shared by all places.
+    Build one per place and drop it; one family serves every place.
     """
 
-    __slots__ = (
-        "curve", "place", "functions", "_family", "_res", "_num", "_dens", "_rows", "_poles",
-    )
+    __slots__ = ("place", "_family", "_res", "_num", "_dens", "_rows", "_poles")
 
     def __init__(self, curve: Curve, place, family: PackedFamily):
-        if not isinstance(family, PackedFamily):
-            family = PackedFamily(curve, family)
-        self.curve = curve
         self.place = place
-        self.functions = family.functions
         self._family = family
         self._rows = None
         self._poles: set = set()
-        width = curve.field.k * len(self.functions)
+        width = curve.field.k * len(family.functions)
         block = (1 << width) - 1  # the F lanes of one of the ay, b, den blocks
         lanes, lane = family.lanes, family.lane
         if isinstance(place, AffinePlace):
@@ -364,25 +359,17 @@ class PlaceEvaluator:
             self._dens = [lane(dens, idx[0]) for idx, _ in family.dens]
         elif isinstance(place, InfinitePlace):
             self._res = ExtField(curve.field, (0, 1))  # F_q as F_q[t]/(t)
-            top = max([0] + [len(f.ay) - len(f.den) for f in self.functions])
-            ys = branch_series(curve, place.branch_y0, top + 1)
-            columns = family.columns
-            c = []
-            for e, column in enumerate(columns):
-                ce = (column >> width) & block
-                for y, ay in zip(ys, columns[e:]):
-                    ce ^= lanes.scale(y, ay & block)
-                c.append(ce)
-            num, self._dens = 0, []
+            top = max([0] + [len(f.ay) - len(f.den) for f in family.functions])
+            c = [(col >> width) & block for col in family.columns]  # the b lanes
+            for k, y in enumerate(branch_series(curve, place.branch_y0, top + 1)):
+                for e, col in enumerate(family.columns[k:]):
+                    c[e] ^= lanes.scale(y, col & block)
+            self._num, self._dens = [0], []
             for idx, mask in family.dens:
-                den = self.functions[idx[0]].den
-                num ^= c[len(den) - 1] & mask
-                above = 0
-                for ce in c[len(den):]:
-                    above |= ce & mask
-                self._poles.update([j for j in idx if any(lane((above,), j))])
+                den = family.functions[idx[0]].den
+                self._num[0] ^= c[len(den) - 1] & mask
+                self._poles.update([j for j in idx if any(lane(c[len(den):], j))])
                 self._dens.append((den[-1],))
-            self._num = [num]
         else:
             raise TypeError(f"not a place: {place!r}")
 
@@ -396,7 +383,7 @@ class PlaceEvaluator:
         is coordinate r of the j-th function's value, so vector r is row r of
         the place's block of evaluation rows, packed.  Raises
         PlaceEvaluationError for the first function with a pole here."""
-        return self._divided(range(len(self.functions)))
+        return self._divided(range(len(self._family.functions)))
 
     def takes_powers(self, powers: Sequence[int]) -> list[bool]:
         """Whether the j-th function's value here is t^s, s = powers[j] <

@@ -8,6 +8,7 @@ from curvemul import curve, engine, tools
 from curvemul.curve import (
     AffinePlace,
     InfinitePlace,
+    PackedFamily,
     PlaceEvaluator,
     branch_series,
     series_inv,
@@ -243,7 +244,7 @@ def test_evaluator_matches_horner_reference():
     for name in NAMES:
         spec = SPECS[name]
         for place in (spec.q_place,) + spec.candidate_places:
-            at_place = PlaceEvaluator(spec.curve, place, spec.basis)
+            at_place = PlaceEvaluator(spec.curve, place, PackedFamily(spec.curve, spec.basis))
             for idx, f in enumerate(spec.basis):
                 want = horner_value(spec.curve, f, place)
                 assert at_place.value(idx) == want, (name, place.label, idx)

@@ -368,7 +368,11 @@ class PlaceEvaluator:
             for idx, mask in family.dens:
                 den = family.functions[idx[0]].den
                 self._num[0] ^= c[len(den) - 1] & mask
-                self._poles.update([j for j in idx if any(lane(c[len(den):], j))])
+                above = 0  # lane j is nonzero iff some c_e, e > deg den, is: a pole
+                for ce in c[len(den):]:
+                    above |= ce & mask
+                if above:
+                    self._poles.update([j for j in idx if any(lane((above,), j))])
                 self._dens.append((den[-1],))
         else:
             raise TypeError(f"not a place: {place!r}")

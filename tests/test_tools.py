@@ -249,6 +249,54 @@ def test_check_total_split_known_values():
         tools.check_total_split(curve, (0, 0, 1))
 
 
+def _horner(res, f, z):
+    acc = res.zero()
+    for c in reversed(f):
+        acc = res.mul(acc, z)
+        acc = (acc[0] ^ c,) + acc[1:]
+    return acc
+
+
+def _split_reference(curve, qpoly):
+    """check_total_split by Horner evaluation at the generator b and the
+    trace as a sum of the squares b^(2^i)."""
+    res = galois.ExtField(curve.field, galois.poly_from_coeffs(curve.field, qpoly))
+    b = res.gen()
+    den = _horner(res, curve.rhs_den, b)
+    if den == res.zero():
+        raise PlaceEvaluationError(
+            "curve denominator vanishes at a root of the candidate polynomial"
+        )
+    val = res.mul(_horner(res, curve.rhs_num, b), res.inv(den))
+    trace = res.zero()
+    for _ in range(curve.field.k * res.d):
+        trace = res.add(trace, val)
+        val = res.mul(val, val)
+    return trace == res.zero()
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def test_check_total_split_matches_reference_on_every_small_polynomial():
+    # every monic polynomial of degree 1 .. top over each bundled curve's field
+    cases, kinds = 0, set()
+    for name, top in (("f2_5", 8), ("f4_5", 4), ("f16_13", 2)):
+        curve = tools.load_bundled(name).curve
+        for degree in range(1, top + 1):
+            for p in tools._all_monic(curve.field, degree):
+                got = _outcome(tools.check_total_split, curve, p)
+                assert got == _outcome(_split_reference, curve, p), (name, p)
+                cases += 1
+                kinds.add(got if isinstance(got, bool) else got[0])
+    assert cases == 510 + 340 + 272
+    assert kinds == {True, False, ValueError, PlaceEvaluationError}
+
+
 def test_split_search_exhaustive_degree_5():
     curve = tools.load_bundled("f2_5").curve
     found = tools.split_search(curve, 5, trials=0)

@@ -36,6 +36,7 @@ from .galois import (
     poly_degree,
     poly_from_coeffs,
     poly_gcd,
+    poly_mul,
     _prime_factors,
 )
 
@@ -79,10 +80,6 @@ class CurveFunction:
         self.den = poly_from_coeffs(field, den)
         if not self.den:
             raise ValueError("function denominator must be nonzero")
-
-    @classmethod
-    def constant_one(cls, field: BinaryField) -> "CurveFunction":
-        return cls(field, ZERO_POLY, (1,), (1,))
 
     def is_constant_one(self) -> bool:
         return self.ay == ZERO_POLY and self.b == self.den
@@ -140,14 +137,7 @@ class InfinitePlace:
 
 
 def series_mul(field: BinaryField, a, b, prec: int) -> list[int]:
-    out = [0] * prec
-    mul = field.mul
-    for i, ai in enumerate(a[:prec]):
-        if ai:
-            for j, bj in enumerate(b[: prec - i]):
-                if bj:
-                    out[i + j] ^= mul(ai, bj)
-    return out
+    return (list(poly_mul(field, a[:prec], b[:prec])) + [0] * prec)[:prec]
 
 
 def series_inv(field: BinaryField, a, prec: int) -> list[int]:
@@ -457,10 +447,10 @@ def generates_residue(place: AffinePlace) -> bool:
 
 
 def beta_from_ideal(res: ExtField, y_num: Poly, y_den: Poly) -> tuple:
-    """Image of y in a residue field presented as y = y_num(x)/y_den(x), with
-    the residue generator t as the x-image: the usual presentation
-    F_q[x]/(m), t = x mod m, where a polynomial's value at t is its
-    remainder mod m."""
+    """y_num(t)/y_den(t) at the residue generator t = x mod m, where a
+    polynomial's value is its remainder mod m: the image of y at a place
+    presented as y = y_num(x)/y_den(x) with x-image t (the usual F_q[x]/(m)),
+    and the rhs(b) of `tools.check_total_split`."""
     num, den = [res.reduce(list(p) + [0] * res.d) for p in (y_num, y_den)]
     if not any(den):
         raise PlaceEvaluationError("y-presentation denominator vanishes at the place")

@@ -10,7 +10,8 @@ Representation conventions, used throughout the package:
   field it works in.
 * A polynomial over a field is a tuple of such ints, index ``j`` holding the
   coefficient of ``x**j``, with no trailing zeros.  The zero polynomial is the
-  empty tuple.
+  empty tuple.  `poly_mul` is the one schoolbook convolution: `ExtField.mul`
+  reduces its result and `curve.series_mul` truncates it.
 * An element of an extension GF(q^d) = F_q[t]/(m) is a length-``d`` tuple of
   base-field ints: coordinates in the basis (1, t, ..., t**(d-1)).
 * A lane vector (`Lanes`) packs many elements of GF(2^k) into one int, k bits
@@ -26,8 +27,7 @@ base field the bundled multiplier instances use.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 Poly = tuple  # tuple of base-field ints, little-endian, no trailing zeros
 ZERO_POLY: Poly = ()
@@ -88,9 +88,6 @@ class BinaryField:
             raise ValueError(f"{v!r} is not an element of {self!r}")
         return v
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         """Product of two elements; a and b are taken on trust, unchecked."""
         return self._table[a][b]
@@ -99,9 +96,6 @@ class BinaryField:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return self._inverses[a]
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BinaryField) and self.modulus == other.modulus
@@ -186,7 +180,7 @@ class Lanes:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over a BinaryField (or any object with add/mul/inv/check)
+# polynomials over a BinaryField
 
 
 def poly_from_coeffs(field: BinaryField, coeffs: Iterable[int]) -> Poly:
@@ -370,10 +364,8 @@ class ExtField:
         return (1,) + (0,) * (self.d - 1)
 
     def gen(self) -> tuple:
-        """The residue class of t."""
-        if self.d == 1:
-            return (self.modulus[0],)  # t = m0 in characteristic 2
-        return (0, 1) + (0,) * (self.d - 2)
+        """The residue class of t: its remainder mod the modulus."""
+        return self.reduce([0, 1] + [0] * self.d)
 
     def from_coords(self, coords: Sequence[int]) -> tuple:
         if len(coords) != self.d:
@@ -384,19 +376,12 @@ class ExtField:
         return tuple(a ^ b for a, b in zip(u, v))
 
     def mul(self, u: tuple, v: tuple) -> tuple:
-        """Schoolbook product: full convolution, then `reduce`.
+        """Schoolbook product: the convolution `poly_mul`, then `reduce`.
 
-        This is the reference multiplication the counted kernels are tested
-        against; it performs d*d base-field multiplications plus reduction.
+        The reference multiplication the counted kernels are tested against:
+        at most d*d base-field multiplications, plus reduction.
         """
-        mul = self.base.mul
-        conv = [0] * (2 * self.d - 1)
-        for i, a in enumerate(u):
-            if a:
-                for j, b in enumerate(v):
-                    if b:
-                        conv[i + j] ^= mul(a, b)
-        return self.reduce(conv)
+        return self.reduce(list(poly_mul(self.base, u, v)) + [0] * self.d)
 
     def reduce(self, conv: list[int]) -> tuple:
         """Remainder of a coefficient list (lowest degree first, at least d
@@ -466,11 +451,6 @@ class ExtField:
             e >>= 1
         return r
 
-    def elements(self) -> Iterator[tuple]:
-        """All q^d elements; intended for small fields in exhaustive tests."""
-        for coords in itertools.product(self.base.elements(), repeat=self.d):
-            yield coords[::-1]  # coordinate 0 varies fastest
-
     def __eq__(self, other) -> bool:
         same = isinstance(other, ExtField) and self.base == other.base
         return same and self.modulus == other.modulus
@@ -480,16 +460,6 @@ class ExtField:
 
     def __repr__(self) -> str:
         return f"ExtField({self.base!r}, deg {self.d})"
-
-
-def poly_eval_ext(ext: ExtField, f: Poly, z: tuple) -> tuple:
-    """Evaluate a base-field polynomial at an extension element (Horner)."""
-    acc = ext.zero()
-    for c in reversed(f):
-        acc = ext.mul(acc, z)
-        if c:
-            acc = (acc[0] ^ c,) + acc[1:]
-    return acc
 
 
 def absolute_trace(ext: ExtField, z: tuple) -> int:

@@ -1,7 +1,7 @@
 """Dense linear algebra over a binary field: rank, inverse, matrix-vector.
 
-Matrices are immutable row-major tuples of field ints; `Matrix(...)` and
-`from_rows` check every entry, while `trusted` and `from_packed` take the
+Matrices are immutable row-major tuples of field ints; `Matrix(...)`
+checks every entry, while `trusted` and `from_packed` take the
 results of field arithmetic as they are.  `RowBasis` is the one elimination
 routine: it takes rows a block at a time, keeps only blocks that raise the
 rank by their size, and reads the inverse off the row combinations it
@@ -35,17 +35,6 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.entries = tuple(field.check(v) for v in entries)
-
-    @classmethod
-    def from_rows(cls, field: BinaryField, rows: Sequence[Sequence[int]]) -> "Matrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            flat.extend(row)
-        return cls(field, r, c, flat)
 
     @classmethod
     def trusted(cls, field: BinaryField, rows: int, cols: int, entries: Sequence[int]) -> "Matrix":

@@ -61,9 +61,9 @@ from .galois import (
     absolute_trace,
     is_irreducible,
     poly_degree,
-    poly_eval_ext,
     poly_from_coeffs,
 )
+from .kernels import KERNEL_COST
 from .linalg import rank
 
 
@@ -131,10 +131,14 @@ def instance_from_document(doc, name: str = "instance") -> InstanceSpec:
     except ValueError as e:
         raise InstanceError(f"curve: {e}") from e
 
+    # degrees before Rabin's test (it costs more than degree^2), as validate words them
     n = _get(doc, "n", int, "")
     qdoc = _get(doc, "Q", dict, "")
+    q_modulus = _elements(field, qdoc, "modulus", "Q.")
+    if poly_degree(poly_from_coeffs(field, q_modulus)) != n:
+        raise InstanceError("place Q must have residue degree n over the base field")
     try:
-        q_res = ExtField(field, _coeffs(qdoc, "modulus", "Q."))
+        q_res = ExtField(field, q_modulus)
     except ValueError as e:
         raise InstanceError(f"Q.modulus: {e}") from e
     try:
@@ -171,17 +175,22 @@ def instance_from_document(doc, name: str = "instance") -> InstanceSpec:
         declared = _get(pdoc, "degree", int, where)
         if kind == "affine":
             modulus = tuple(_coeffs(pdoc, "residue_modulus", where))
-            res = residues.get(modulus)
-            if res is None:
-                try:
+            try:
+                degree = len(poly_from_coeffs(field, modulus)) - 1
+                if declared != degree > 0:
+                    raise InstanceFileError(
+                        f"{label}: declared degree {declared} disagrees with the "
+                        f"residue modulus of degree {degree}"
+                    )
+                if declared not in KERNEL_COST:
+                    raise InstanceError(
+                        f"candidate {label} has degree {declared}, no kernel available"
+                    )
+                res = residues.get(modulus)
+                if res is None:
                     res = residues[modulus] = ExtField(field, modulus)
-                except ValueError as e:
-                    raise InstanceError(f"{label}: {e}") from e
-            if declared != res.d:
-                raise InstanceFileError(
-                    f"{label}: declared degree {declared} disagrees with the "
-                    f"residue modulus of degree {res.d}"
-                )
+            except ValueError as e:
+                raise InstanceError(f"{label}: {e}") from e
             x_img = _elements(field, pdoc, "x_img", where)
             y_img = _elements(field, pdoc, "y_img", where)
             if len(x_img) != res.d or len(y_img) != res.d:
@@ -265,20 +274,20 @@ def check_total_split(curve: Curve, qpoly) -> bool:
     """True iff the place of F_q(x) cut out by the monic irreducible qpoly
     splits into two distinct places of the same degree on the curve.
 
-    For y^2 + y = rhs this is the additive Hilbert-90 criterion: with b a
-    root of qpoly, the fibre splits iff the absolute trace of rhs(b) is 0.
+    For y^2 + y = rhs this is the additive Hilbert-90 criterion: with b the
+    root t of qpoly in F_q[t]/(qpoly), the fibre splits iff the absolute
+    trace of rhs(b) is 0, read off remainders (`curve.beta_from_ideal`).
     Raises ValueError when qpoly is not monic irreducible (building its
     residue field runs Rabin's test), and PlaceEvaluationError when
     rhs_den(b) = 0 (the fibre is then ramified or polar, not split).
     """
     res = ExtField(curve.field, poly_from_coeffs(curve.field, qpoly))
-    b = res.gen()
-    den = poly_eval_ext(res, curve.rhs_den, b)
-    if den == res.zero():
+    try:
+        val = beta_from_ideal(res, curve.rhs_num, curve.rhs_den)
+    except PlaceEvaluationError:
         raise PlaceEvaluationError(
             "curve denominator vanishes at a root of the candidate polynomial"
-        )
-    val = res.mul(poly_eval_ext(res, curve.rhs_num, b), res.inv(den))
+        ) from None
     return absolute_trace(res, val) == 0
 
 

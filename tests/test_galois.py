@@ -16,7 +16,6 @@ from curvemul.galois import (
     poly_add,
     poly_degree,
     poly_divmod,
-    poly_eval_ext,
     poly_from_coeffs,
     poly_gcd,
     poly_mod,
@@ -56,8 +55,8 @@ def test_f16_generator_powers_match_oracle():
 
 def test_fe_mul_against_oracle_exhaustive():
     for field in (F2, F4, F16):
-        for a in field.elements():
-            for b in field.elements():
+        for a in range(field.order):
+            for b in range(field.order):
                 assert field.mul(a, b) == slow_mul(a, b, field.modulus, field.k)
 
 
@@ -92,9 +91,9 @@ def test_product_table_matches_bit_loop(k):
             break
     assert fields
     for field in fields:
-        for a in field.elements():
-            want = [_reduce(_bits_mul(a, b), field.modulus) for b in field.elements()]
-            assert [field.mul(a, b) for b in field.elements()] == want, (field, a)
+        for a in range(field.order):
+            want = [_reduce(_bits_mul(a, b), field.modulus) for b in range(field.order)]
+            assert [field.mul(a, b) for b in range(field.order)] == want, (field, a)
 
 
 def test_fe_mul_examples():
@@ -111,13 +110,9 @@ def test_field_axioms_random():
             a = rng.randrange(field.order)
             b = rng.randrange(field.order)
             c = rng.randrange(field.order)
-            assert field.add(a, b) == field.add(b, a)
             assert field.mul(a, b) == field.mul(b, a)
-            assert field.mul(a, field.add(b, c)) == field.add(
-                field.mul(a, b), field.mul(a, c)
-            )
+            assert field.mul(a, b ^ c) == field.mul(a, b) ^ field.mul(a, c)
             assert field.mul(a, field.mul(b, c)) == field.mul(field.mul(a, b), c)
-            assert field.add(a, a) == 0
             assert field.mul(a, 1) == a
 
 
@@ -142,11 +137,11 @@ LANE_FIELDS = pytest.mark.parametrize(
 @LANE_FIELDS
 def test_lane_scale_exhaustive(field):
     q = field.order
-    values = list(field.elements())
+    values = list(range(field.order))
     every = Lanes(field, q)
     packed = every.pack(values)
     pair = Lanes(field, 2)
-    for c in field.elements():
+    for c in range(field.order):
         # every value beside its neighbours; equality of the packed ints also
         # rules out a carry across lanes or bits past the last lane
         assert every.scale(c, packed) == every.pack([field.mul(c, v) for v in values])
@@ -364,6 +359,12 @@ def test_is_irreducible_matches_tuple_reference_gf256():
 F32 = ExtField(F2, (1, 0, 0, 1, 0, 1))  # F_2[t]/(t^5+t^3+1)
 
 
+def ext_elements(ext):
+    """All q^d elements of ext, coordinate 0 varying fastest."""
+    for coords in itertools.product(range(ext.base.order), repeat=ext.d):
+        yield coords[::-1]
+
+
 def test_ext_coords_roundtrip():
     b = F32.gen()
     assert F32.from_coords([0, 1, 0, 0, 0]) == b
@@ -372,6 +373,7 @@ def test_ext_coords_roundtrip():
         F32.from_coords([0, 1])
     with pytest.raises(ValueError):
         F32.from_coords([0, 1, 0, 0, 2])
+    assert ExtField(F4, (3, 1)).gen() == (3,)  # t = -3 = 3 in characteristic 2
 
 
 def test_ext_mul_example():
@@ -397,7 +399,7 @@ def test_ext_pow_ladder_matches_repeated_mul():
 
 def test_ext_inv():
     assert F32.inv(F32.one()) == F32.one()
-    for u in F32.elements():
+    for u in ext_elements(F32):
         if u == F32.zero():
             with pytest.raises(ZeroDivisionError):
                 F32.inv(u)
@@ -411,7 +413,7 @@ def test_ext_over_f4():
     assert E.order == 16
     t = E.gen()
     assert E.mul(t, t) == E.add(t, E.from_coords([2, 0]))  # t^2 = t + a
-    for u in E.elements():
+    for u in ext_elements(E):
         if u != E.zero():
             assert E.mul(u, E.inv(u)) == E.one()
     # multiplicative order of the full group is 15
@@ -424,18 +426,10 @@ def test_ext_over_f4():
     assert cur == E.one() and len(seen) == 15
 
 
-def test_poly_eval_ext():
-    # x^5 + x^3 + 1 vanishes at b by construction
-    assert poly_eval_ext(F32, (1, 0, 0, 1, 0, 1), F32.gen()) == F32.zero()
-    # constant polynomial
-    assert poly_eval_ext(F32, (1,), F32.gen()) == F32.one()
-    assert poly_eval_ext(F32, ZERO_POLY, F32.gen()) == F32.zero()
-
-
 def test_absolute_trace_f32():
     assert absolute_trace(F32, F32.one()) == 1  # 5 odd repetitions of 1
     assert absolute_trace(F32, F32.zero()) == 0
-    values = [absolute_trace(F32, u) for u in F32.elements()]
+    values = [absolute_trace(F32, u) for u in ext_elements(F32)]
     assert values.count(0) == 16 and values.count(1) == 16
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -18,6 +19,12 @@ E16B = ExtField(F2, (1, 0, 0, 1, 1))  # F_16 over F_2, t^4+t^3+1
 E16C = ExtField(F2, (1, 1, 0, 0, 1))  # F_16 over F_2, t^4+t+1
 
 
+def ext_elements(ext):
+    """All q^d elements of ext, coordinate 0 varying fastest."""
+    for coords in itertools.product(range(ext.base.order), repeat=ext.d):
+        yield coords[::-1]
+
+
 def test_kernel_cost_table():
     assert KERNEL_COST == {1: 1, 2: 3, 4: 9}
 
@@ -32,8 +39,8 @@ def test_mul_d1():
 
 def test_mul_d2_exhaustive_against_schoolbook():
     for ext in (E4, E16):
-        for u in ext.elements():
-            for v in ext.elements():
+        for u in ext_elements(ext):
+            for v in ext_elements(ext):
                 c = BilinearCounter()
                 assert mul_d2(ext, u, v, c) == ext.mul(u, v)
                 assert c.bilinear_mults == 3
@@ -70,8 +77,8 @@ def test_mul_d4_random_against_schoolbook():
 
 def test_mul_d4_exhaustive_f2():
     c = BilinearCounter()
-    for u in E16B.elements():
-        for v in E16B.elements():
+    for u in ext_elements(E16B):
+        for v in ext_elements(E16B):
             assert mul_d4(E16B, u, v, c) == E16B.mul(u, v)
     assert c.bilinear_mults == 9 * 256
 

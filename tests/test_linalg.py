@@ -6,6 +6,10 @@ from curvemul.galois import F2, F4, F16, BinaryField
 from curvemul.linalg import Matrix, RowBasis, SingularMatrixError, invert, mat_vec, rank
 
 
+def from_rows(field, rows):
+    return Matrix(field, len(rows), len(rows[0]) if rows else 0, [v for r in rows for v in r])
+
+
 def unit_vectors(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -18,25 +22,23 @@ def test_shape_validation():
     with pytest.raises(ValueError):
         Matrix(F4, 2, 2, [1, 2, 3])
     with pytest.raises(ValueError):
-        Matrix.from_rows(F4, [[1, 2], [3]])
-    with pytest.raises(ValueError):
         Matrix(F4, 1, 1, [7])  # not an F_4 element
     with pytest.raises(ValueError):
         RowBasis(F4, 2).add([[1, 2, 3]])
 
 
 def test_rank_examples():
-    assert rank(Matrix.from_rows(F16, unit_vectors(5))) == 5
+    assert rank(from_rows(F16, unit_vectors(5))) == 5
     assert rank(Matrix(F4, 2, 3, [0] * 6)) == 0
     # second row is a times the first over F_4
-    m = Matrix.from_rows(F4, [[1, 2, 3], [2, 3, 1]])
+    m = from_rows(F4, [[1, 2, 3], [2, 3, 1]])
     assert rank(m) == 1
-    m = Matrix.from_rows(F2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    m = from_rows(F2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     assert rank(m) == 2  # rows sum to zero
     # more rows than columns: rank is capped by the columns
-    m = Matrix.from_rows(F4, [[1, 0], [2, 3], [0, 1], [3, 3]])
+    m = from_rows(F4, [[1, 0], [2, 3], [0, 1], [3, 3]])
     assert rank(m) == 2
-    assert rank(Matrix.from_rows(F16, [[0], [5], [7]])) == 1
+    assert rank(from_rows(F16, [[0], [5], [7]])) == 1
 
 
 def test_rank_row_operation_invariance():
@@ -51,24 +53,24 @@ def test_rank_row_operation_invariance():
             i, j = rng.sample(range(m.rows), 2)
             c = rng.randrange(field.order)
             rows[i] = [a ^ field.mul(c, b) for a, b in zip(rows[i], rows[j])]
-            assert rank(Matrix.from_rows(field, rows)) == r
+            assert rank(from_rows(field, rows)) == r
         # appending a linear combination of rows keeps rank
         comb = [0] * m.cols
         for i in range(m.rows):
             c = rng.randrange(field.order)
             comb = [a ^ field.mul(c, b) for a, b in zip(comb, rows[i])]
-        assert rank(Matrix.from_rows(field, rows + [comb])) == r
+        assert rank(from_rows(field, rows + [comb])) == r
 
 
 def test_invert_examples():
     # diag(a, a^2) over F_4 inverts to diag(a^2, a)
-    m = Matrix.from_rows(F4, [[2, 0], [0, 3]])
-    assert invert(m) == Matrix.from_rows(F4, [[3, 0], [0, 2]])
+    m = from_rows(F4, [[2, 0], [0, 3]])
+    assert invert(m) == from_rows(F4, [[3, 0], [0, 2]])
     # an F_2 involution
-    m = Matrix.from_rows(F2, [[1, 1], [0, 1]])
+    m = from_rows(F2, [[1, 1], [0, 1]])
     assert invert(m) == m
     with pytest.raises(SingularMatrixError):
-        invert(Matrix.from_rows(F4, [[1, 2], [2, 3]]))  # row2 = a*row1
+        invert(from_rows(F4, [[1, 2], [2, 3]]))  # row2 = a*row1
     with pytest.raises(SingularMatrixError):
         invert(Matrix(F4, 2, 3, [0] * 6))
 
@@ -84,7 +86,7 @@ def test_row_basis_rejects_a_block_whole():
     # had the rejected block left its first row behind, rank 1 + 2 would
     # not fit and this block would be refused
     assert basis.add([[0, 1, 1], [0, 0, 1]])
-    assert basis.inverse() == invert(Matrix.from_rows(F4, [[1, 2, 0], [0, 1, 1], [0, 0, 1]]))
+    assert basis.inverse() == invert(from_rows(F4, [[1, 2, 0], [0, 1, 1], [0, 0, 1]]))
     assert not basis.add([[1, 1, 1]])  # already full rank
     assert basis.rank == 3
 
@@ -134,7 +136,7 @@ class ListRowBasis:
         if self.rank < self.cols:
             raise SingularMatrixError("singular")
         by_pivot = sorted(zip(self.pivots, self.rows))
-        return Matrix.from_rows(self.field, [r[self.cols:] for _, r in by_pivot])
+        return from_rows(self.field, [r[self.cols:] for _, r in by_pivot])
 
 
 def _combination(rng, field, rows, cols):
@@ -192,7 +194,7 @@ def test_rank_and_invert_match_list_reference(field):
         if rng.random() < 0.4 and n > 1:
             rows[-1] = _combination(rng, field, rows[:-1], n)
             rng.shuffle(rows)
-        m = Matrix.from_rows(field, rows)
+        m = from_rows(field, rows)
         ref = ListRowBasis(field, n)
         for row in rows:
             ref.add([row])
@@ -223,7 +225,7 @@ def test_invert_random_roundtrip():
 
 
 def test_mat_vec_values():
-    m = Matrix.from_rows(F4, [[1, 2], [3, 0], [0, 0]])
+    m = from_rows(F4, [[1, 2], [3, 0], [0, 0]])
     assert mat_vec(m, [1, 1]) == [3, 3, 0]
     assert mat_vec(m, [0, 2]) == [F4.mul(2, 2), 0, 0]
     with pytest.raises(ValueError):
@@ -231,9 +233,9 @@ def test_mat_vec_values():
 
 
 def test_take_columns():
-    m = Matrix.from_rows(F4, [[0, 1, 2, 3], [3, 2, 1, 0]])
+    m = from_rows(F4, [[0, 1, 2, 3], [3, 2, 1, 0]])
     sub = m.take_columns([0, 2])
-    assert sub == Matrix.from_rows(F4, [[0, 2], [3, 1]])
+    assert sub == from_rows(F4, [[0, 2], [3, 1]])
     v = [2, 3]
     # multiplying the submatrix equals embedding zeros in the skipped columns
     assert mat_vec(sub, v) == mat_vec(m, [2, 0, 3, 0])

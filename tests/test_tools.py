@@ -115,6 +115,45 @@ def test_declared_degree_must_match_residue():
         tools.instance_from_document(doc)
 
 
+def test_modulus_degrees_checked_before_rabin(monkeypatch):
+    # Rabin's test on a degree-2039 modulus (an 8 KB document) can take most
+    # of a second; its degree alone rejects it, with validate's messages
+    tested = []
+    real = galois.is_irreducible
+
+    def counting(field, p):
+        tested.append(len(p) - 1)
+        return real(field, p)
+
+    monkeypatch.setattr(galois, "is_irreducible", counting)
+    monkeypatch.setattr(engine, "is_irreducible", counting)
+    big = [1, 1] + [0] * 2037 + [1]
+    base = json.loads(F4_5_PATH.read_text(encoding="utf-8"))
+    i = next(i for i, p in enumerate(base["places"]) if p["kind"] == "affine")
+    label = base["places"][i]["label"]
+    cases = [
+        ({("places", i, "residue_modulus"): big}, tools.InstanceFileError,
+         f"{label}: declared degree {base['places'][i]['degree']} disagrees "
+         "with the residue modulus of degree 2039"),
+        ({("places", i, "residue_modulus"): big, ("places", i, "degree"): 2039},
+         InstanceError, f"candidate {label} has degree 2039, no kernel available"),
+        ({("Q", "modulus"): big}, InstanceError,
+         "place Q must have residue degree n over the base field"),
+        # a constant modulus is still reported as such
+        ({("places", i, "residue_modulus"): [1]}, InstanceError,
+         f"{label}: extension modulus must be monic of degree >= 1"),
+    ]
+    for changes, error, message in cases:
+        doc = copy.deepcopy(base)
+        for path, value in changes.items():
+            _set(doc, path, value)
+        tested.clear()
+        with pytest.raises(error) as exc:
+            tools.instance_from_document(doc)
+        assert str(exc.value) == message
+        assert max(tested, default=0) < 2039
+
+
 def test_unknown_place_kind_rejected():
     doc = doc_copy()
     doc["places"][0]["kind"] = "ramified"

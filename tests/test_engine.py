@@ -142,6 +142,22 @@ def test_op_report_exact():
         assert OpReport.expected(n, g, compiled.place_degrees) == report
 
 
+def test_records_repr_equality_and_immutability():
+    report = COMPILED["f16_13"].report
+    assert repr(report) == "OpReport(step1_scalar=702, step2_bilinear=27, step3_scalar=675)"
+    check = engine.CheckResult("compile", True)
+    assert repr(check) == "CheckResult(name='compile', ok=True, detail='', advisory=False)"
+    assert check == engine.CheckResult(name="compile", ok=True, detail="", advisory=False)
+    assert OpReport(1, 2, 3) == OpReport(step1_scalar=1, step2_bilinear=2, step3_scalar=3)
+    for name in NAMES:
+        assert COMPILED[name].report == COMPILED[name].expected_report
+    with pytest.raises(AttributeError):
+        report.step1_scalar = 0
+    with pytest.raises(AttributeError):
+        check.ok = False
+    assert report.step1_scalar == 702 and check.ok
+
+
 def test_op_report_constant_across_inputs():
     compiled = COMPILED["f2_5"]
     _, r1 = compiled.multiply([1, 0, 1, 1, 0], [0, 1, 1, 0, 1])

@@ -7,9 +7,9 @@ import re
 import pytest
 
 from curvemul import cli, engine, galois, tools
-from curvemul.curve import PlaceEvaluationError
+from curvemul.curve import AffinePlace, PlaceEvaluationError
 from curvemul.engine import InstanceError, InstanceSpec, compile_instance
-from curvemul.galois import F2, F4, is_irreducible
+from curvemul.galois import F2, F4, ExtField, is_irreducible
 
 F2_5_PATH = tools.bundled_instance_path("f2_5")
 F4_5_PATH = tools.bundled_instance_path("f4_5")
@@ -421,6 +421,35 @@ def test_verify_instance_reports_compile_failure():
     lines = report.lines()
     assert any(l.startswith("[FAIL] good-basis-ladder") for l in lines)
     assert lines[-1].startswith("FAIL swapped")
+
+
+def _verify_with_extra_candidate(place):
+    # appended after load, so only verify_instance's own candidate loop sees it
+    spec = tools.load_bundled("f2_5")
+    spec.candidate_places = spec.candidate_places + (place,)
+    report = tools.verify_instance(spec)
+    return {c.name: c.ok for c in report.checks}, report
+
+
+def test_verify_instance_checks_the_last_candidate_on_curve():
+    # over x = 1, y^2 + y = x / (x^3 + x + 1) = 1 has no root in F2
+    off_curve = AffinePlace(ExtField(F2, (1, 1)), (1,), (0,), "off")
+    checks, report = _verify_with_extra_candidate(off_curve)
+    assert not checks["candidates-on-curve"]
+    assert checks["support-disjoint"]
+    assert not report.ok
+
+
+def test_verify_instance_checks_the_last_candidate_support():
+    # x-image t, a root of D1 = x^6 + x^5 + x^4 + x + 1; the y-image solves
+    # y^2 + y = rhs(t) there, so the place lies on the curve
+    spec = tools.load_bundled("f2_5")
+    res = ExtField(F2, spec.d1_den)
+    on_d1 = AffinePlace(res, res.gen(), (0, 0, 1, 1, 1, 0), "over-D1")
+    checks, report = _verify_with_extra_candidate(on_d1)
+    assert checks["candidates-on-curve"]
+    assert not checks["support-disjoint"]
+    assert not report.ok
 
 
 def test_selftest_passes():

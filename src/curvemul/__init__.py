@@ -9,7 +9,8 @@ The package splits into:
 * `kernels` — Karatsuba-style bilinear multiplication kernels.
 * `engine` — instance validation, compilation, and the multiplier with its
   operation report, fixed at compile time.
-* `tools` — instance-file I/O, verification reports, self-test, bench, CLI.
+* `tools` — instance-file I/O, verification reports, self-test, bench.
+* `cli` — the `curvemul` command line over `tools`.
 """
 
 __version__ = "0.1.0"

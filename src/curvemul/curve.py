@@ -25,7 +25,7 @@ avoid, so one pass per x-image also serves the place checks
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .galois import (
     BinaryField,

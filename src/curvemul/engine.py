@@ -39,9 +39,9 @@ are structurally zero, so their columns are never scheduled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .curve import (
     AffinePlace,
@@ -70,13 +70,10 @@ class InstanceError(Exception):
     """Instance data violates a build invariant; the message names it."""
 
 
-@dataclass(frozen=True)
-class OpReport:
+class OpReport(namedtuple("OpReport", "step1_scalar step2_bilinear step3_scalar")):
     """Exact base-field multiplication counts for one product."""
 
-    step1_scalar: int
-    step2_bilinear: int
-    step3_scalar: int
+    __slots__ = ()
 
     @property
     def total(self) -> int:
@@ -99,12 +96,19 @@ def aggregate_bound(n: int, g: int, r: int) -> Fraction:
     return 8 * n * n + n * (4 * g - 5) + (2 * n + 2 * g - 2 + r) * sup
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
-    advisory: bool = False
+CheckResult = namedtuple("CheckResult", "name ok detail advisory", defaults=("", False))
+
+
+def check_shape(n, g: int, basis_size: int) -> None:
+    """n, genus and basis length: checks that cost nothing, so they run first."""
+    if not isinstance(n, int) or n < 2:
+        raise InstanceError("extension degree n must be an integer >= 2")
+    if g < 1:
+        raise InstanceError("curve genus must be >= 1")
+    if basis_size != 2 * n + g - 1:
+        raise InstanceError(
+            f"basis must have 2n+g-1 = {2 * n + g - 1} functions, got {basis_size}"
+        )
 
 
 class InstanceSpec:
@@ -157,15 +161,11 @@ class InstanceSpec:
         return 2 * self.n + self.g - 1
 
     def validate(self) -> None:
-        n, g = self.n, self.curve.genus
-        if not isinstance(n, int) or n < 2:
-            raise InstanceError("extension degree n must be an integer >= 2")
-        if g < 1:
-            raise InstanceError("curve genus must be >= 1")
+        check_shape(self.n, self.curve.genus, len(self.basis))
         if self.curve.field != self.field:
             raise InstanceError("curve is defined over a different base field")
         qp = self.q_place
-        if qp.residue.base != self.field or qp.degree != n:
+        if qp.residue.base != self.field or qp.degree != self.n:
             raise InstanceError("place Q must have residue degree n over the base field")
         if qp.x_img != qp.residue.gen():
             # operands are polynomials in the x-image, so it must be t for reference_mul
@@ -185,10 +185,6 @@ class InstanceSpec:
             raise InstanceError("D1 and D2 denominators must be distinct")
         if self.d1_den == self.q_modulus or self.d2_den == self.q_modulus:
             raise InstanceError("D1/D2 denominators must avoid the modulus of Q")
-        if len(self.basis) != self.size:
-            raise InstanceError(
-                f"basis must have 2n+g-1 = {self.size} functions, got {len(self.basis)}"
-            )
         if not self.basis[0].is_constant_one():
             raise InstanceError("f_1 must be the constant function 1")
         self._validate_candidates()

@@ -27,7 +27,7 @@ base field the bundled multiplier instances use.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 Poly = tuple  # tuple of base-field ints, little-endian, no trailing zeros
 ZERO_POLY: Poly = ()

@@ -11,7 +11,7 @@ by constants of the instance and are never counted.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .galois import BinaryField, ExtField
 

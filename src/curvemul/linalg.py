@@ -16,7 +16,7 @@ engine reads its operation counts from those shapes at compile time.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .galois import BinaryField, Lanes
 

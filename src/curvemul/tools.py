@@ -30,11 +30,9 @@ import json
 import random
 import statistics
 import time
-from dataclasses import dataclass
-from fractions import Fraction
-from importlib import resources
+from collections import namedtuple
+from collections.abc import Sequence
 from pathlib import Path
-from typing import Sequence
 
 from .curve import (
     AffinePlace,
@@ -50,6 +48,7 @@ from .engine import (
     InstanceError,
     InstanceSpec,
     aggregate_bound,
+    check_shape,
     compile_instance,
     reference_mul,
     verify_good_basis,
@@ -131,12 +130,14 @@ def instance_from_document(doc, name: str = "instance") -> InstanceSpec:
     except ValueError as e:
         raise InstanceError(f"curve: {e}") from e
 
-    # degrees before Rabin's test (it costs more than degree^2), as validate words them
+    # cheap checks before Rabin's test (it costs more than degree^2), in validate's words
     n = _get(doc, "n", int, "")
     qdoc = _get(doc, "Q", dict, "")
     q_modulus = _elements(field, qdoc, "modulus", "Q.")
     if poly_degree(poly_from_coeffs(field, q_modulus)) != n:
         raise InstanceError("place Q must have residue degree n over the base field")
+    bdocs = _get(doc, "basis", list, "")
+    check_shape(n, curve.genus, len(bdocs))
     try:
         q_res = ExtField(field, q_modulus)
     except ValueError as e:
@@ -152,7 +153,7 @@ def instance_from_document(doc, name: str = "instance") -> InstanceSpec:
     q_place = AffinePlace(q_res, q_res.gen(), q_y, label="Q")
 
     basis = []
-    for i, bdoc in enumerate(_get(doc, "basis", list, "")):
+    for i, bdoc in enumerate(bdocs):
         where = f"basis[{i}]."
         try:
             basis.append(
@@ -242,17 +243,18 @@ def load_instance(path) -> InstanceSpec:
     return instance_from_document(doc, name=path.stem)
 
 
+_INSTANCES = Path(__file__).with_name("instances")
+
+
 def bundled_instance_names() -> list[str]:
-    root = resources.files(__package__) / "instances"
-    return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
+    return sorted(p.stem for p in _INSTANCES.glob("*.json"))
 
 
 def bundled_instance_path(name: str) -> Path:
     """Filesystem path of a bundled instance ('f16_13', 'f4_5', 'f2_5')."""
     if name.endswith(".json"):
         name = name[:-5]
-    target = resources.files(__package__) / "instances" / f"{name}.json"
-    path = Path(str(target))
+    path = _INSTANCES / f"{name}.json"
     if not path.is_file():
         raise InstanceFileError(
             f"no bundled instance '{name}' (available: "
@@ -339,10 +341,8 @@ def split_search(curve: Curve, degree: int, trials: int, seed: int = 0) -> list[
 # verification report
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    instance: str
-    checks: tuple
+class VerifyReport(namedtuple("VerifyReport", "instance checks")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -450,7 +450,7 @@ def verify_instance(
     add(
         CheckResult(
             "aggregate-bound",
-            Fraction(rep.total) <= bound,
+            rep.total <= bound,
             f"total {rep.total} <= {bound}",
         )
     )
@@ -489,11 +489,8 @@ def verify_instance(
 # selftest / bench
 
 
-@dataclass(frozen=True)
-class SelftestResult:
-    trials: int
-    failures: int
-    first_failure: tuple | None  # (x, y, expected, got)
+class SelftestResult(namedtuple("SelftestResult", "trials failures first_failure")):
+    __slots__ = ()  # first_failure is (x, y, expected, got), or None
 
     @property
     def ok(self) -> bool:
@@ -520,12 +517,8 @@ def selftest(compiled: CompiledMultiplier, trials: int = 1000, seed: int = 42):
     return SelftestResult(trials, failures, first)
 
 
-@dataclass(frozen=True)
-class BenchResult:
-    reps: int
-    median_seconds: float
-    mean_seconds: float
-    report: object  # the constant OpReport
+# report is the constant OpReport
+BenchResult = namedtuple("BenchResult", "reps median_seconds mean_seconds report")
 
 
 def bench(compiled: CompiledMultiplier, reps: int = 50, seed: int = 7) -> BenchResult:

@@ -3,6 +3,9 @@ import copy
 import json
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,7 +120,8 @@ def test_declared_degree_must_match_residue():
 
 def test_modulus_degrees_checked_before_rabin(monkeypatch):
     # Rabin's test on a degree-2039 modulus (an 8 KB document) can take most
-    # of a second; its degree alone rejects it, with validate's messages
+    # of a second; its degree, or the basis length, rejects it first, with
+    # validate's messages
     tested = []
     real = galois.is_irreducible
 
@@ -139,6 +143,9 @@ def test_modulus_degrees_checked_before_rabin(monkeypatch):
          InstanceError, f"candidate {label} has degree 2039, no kernel available"),
         ({("Q", "modulus"): big}, InstanceError,
          "place Q must have residue degree n over the base field"),
+        # n matches Q's modulus, but f4_5 has 11 basis functions, not 4079
+        ({("n",): 2039, ("Q", "modulus"): big}, InstanceError,
+         "basis must have 2n+g-1 = 4079 functions, got 11"),
         # a constant modulus is still reported as such
         ({("places", i, "residue_modulus"): [1]}, InstanceError,
          f"{label}: extension modulus must be monic of degree >= 1"),
@@ -443,8 +450,7 @@ def test_verify_instance_checks_the_last_candidate_on_curve():
 def test_verify_instance_checks_the_last_candidate_support():
     # x-image t, a root of D1 = x^6 + x^5 + x^4 + x + 1; the y-image solves
     # y^2 + y = rhs(t) there, so the place lies on the curve
-    spec = tools.load_bundled("f2_5")
-    res = ExtField(F2, spec.d1_den)
+    res = ExtField(F2, (1, 1, 0, 0, 1, 1, 1))
     on_d1 = AffinePlace(res, res.gen(), (0, 0, 1, 1, 1, 0), "over-D1")
     checks, report = _verify_with_extra_candidate(on_d1)
     assert checks["candidates-on-curve"]
@@ -630,6 +636,22 @@ def test_cli_mul_rejects_operands_before_compiling(monkeypatch, capsys, x, y, me
     captured = capsys.readouterr()
     assert captured.err.strip() == message
     assert captured.out == ""
+
+
+def test_cli_imports_only_the_stdlib_it_runs():
+    # a fresh interpreter without site, this checkout's src/ first on the path
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import curvemul.cli; "
+        "print(' '.join(m for m in sys.argv[2:] if m in sys.modules))"
+    )
+    heavy = ["dataclasses", "inspect", "typing", "importlib.resources"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(src), *heavy],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == []
 
 
 def test_cli_usage_error_is_exit_2():

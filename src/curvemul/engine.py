@@ -11,16 +11,18 @@ straight-line schedule together with its operation report, which is read off
 the shapes of what it schedules.
 
 Set-up runs on packed GF(2^k) lanes (`galois.Lanes`) and does each piece of
-work once.  Validation packs the basis, rhs_num, rhs_den, D1 and D2 once
-(`InstanceSpec.family`, a `curve.PackedFamily`) and runs one folded Horner
-pass per x-image of Q and the candidates; its place checks, the good-basis
-check, compilation and `tools.verify_instance` read those passes.  Q's
-ladder is checked without a division, as ay(t)*beta + b(t) = t^s * den(t).
-Each candidate is evaluated at most once (`curve.PlaceEvaluator`: one
-inverse per distinct denominator), and its packed rows go straight into the
-one elimination (`linalg.RowBasis`) that selects the places, certifies T and
-yields T^-1; only accepted rows are unpacked, into T, and no matrix compile
-builds checks its entries.
+work once.  Validation is one ordered list of rules (`InstanceSpec.checks`):
+the constructor raises the first that fails and `tools.verify_instance`
+reports them all.  The rules linear in the data run first; then the basis,
+rhs_num, rhs_den, D1 and D2 are packed once (`InstanceSpec.family`, a
+`curve.PackedFamily`) and one folded Horner pass runs per x-image of Q and
+the candidates; the place checks, the good-basis check and compilation read
+those passes.  Q's ladder is checked without a division, as
+ay(t)*beta + b(t) = t^s * den(t).  Each candidate is evaluated at most once
+(`curve.PlaceEvaluator`: one inverse per distinct denominator), and its
+packed rows go straight into the one elimination (`linalg.RowBasis`) that
+selects the places, certifies T and yields T^-1; only accepted rows are
+unpacked, into T, and no matrix compile builds checks its entries.
 
 One product of x, y in F_{q^n} (length-n coordinate tuples over F_q) runs:
 
@@ -40,8 +42,9 @@ are structurally zero, so their columns are never scheduled.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from functools import lru_cache
 
 from .curve import (
     AffinePlace,
@@ -99,16 +102,33 @@ def aggregate_bound(n: int, g: int, r: int) -> Fraction:
 CheckResult = namedtuple("CheckResult", "name ok detail advisory", defaults=("", False))
 
 
-def check_shape(n, g: int, basis_size: int) -> None:
-    """n, genus and basis length: checks that cost nothing, so they run first."""
-    if not isinstance(n, int) or n < 2:
-        raise InstanceError("extension degree n must be an integer >= 2")
-    if g < 1:
-        raise InstanceError("curve genus must be >= 1")
-    if basis_size != 2 * n + g - 1:
-        raise InstanceError(
-            f"basis must have 2n+g-1 = {2 * n + g - 1} functions, got {basis_size}"
-        )
+@lru_cache(maxsize=None)
+def _passed(name: str) -> CheckResult:
+    return CheckResult(name, True)
+
+
+def _rule(name: str, ok: bool, message: str) -> CheckResult:
+    """One rule's result; the InstanceError message is its detail if it fails.
+    A pass is one shared record per name: a load yields hundreds of them."""
+    return _passed(name) if ok else CheckResult(name, False, message)
+
+
+def raise_first_failure(results: Iterable[CheckResult]) -> None:
+    """Raise the first failed rule's message as an InstanceError; with lazy
+    `results`, the rules after it never run."""
+    for check in results:
+        if not check.ok:
+            raise InstanceError(check.detail)
+
+
+def shape_checks(n, g: int, basis_size: int) -> Iterator[CheckResult]:
+    """n, genus and basis length: rules that cost nothing, so they run first."""
+    yield _rule("extension-degree", isinstance(n, int) and n >= 2,
+                "extension degree n must be an integer >= 2")
+    yield _rule("genus", g >= 1, "curve genus must be >= 1")
+    size = 2 * n + g - 1
+    yield _rule("basis-length", basis_size == size,
+                f"basis must have 2n+g-1 = {size} functions, got {basis_size}")
 
 
 class InstanceSpec:
@@ -150,6 +170,7 @@ class InstanceSpec:
         self.d2_den = poly_from_coeffs(field, d2_den)
         self.basis = tuple(basis)
         self.candidate_places = tuple(candidate_places)
+        self.family = None  # packed by the first run of `checks`
         self.validate()
 
     @property
@@ -161,72 +182,82 @@ class InstanceSpec:
         return 2 * self.n + self.g - 1
 
     def validate(self) -> None:
-        check_shape(self.n, self.curve.genus, len(self.basis))
-        if self.curve.field != self.field:
-            raise InstanceError("curve is defined over a different base field")
-        qp = self.q_place
-        if qp.residue.base != self.field or qp.degree != self.n:
-            raise InstanceError("place Q must have residue degree n over the base field")
-        if qp.x_img != qp.residue.gen():
-            # operands are polynomials in the x-image, so it must be t for reference_mul
-            # to agree; t generates F_q[t]/(m), so Q needs no generates_residue check
-            raise InstanceError("Q must be presented with x mapping to the residue generator")
-        # the basis, rhs_num, rhs_den, D1 and D2 packed once: the place checks
-        # here, the good-basis check and compile read its passes (`family`)
-        self.family = PackedFamily(self.curve, self.basis, (self.d1_den, self.d2_den))
-        if not self.family.check(qp)[0]:
-            raise InstanceError("place Q does not lie on the curve")
-        for label, d in (("D1", self.d1_den), ("D2", self.d2_den)):
-            if not poly_is_monic(d) or len(d) < 2:
-                raise InstanceError(f"{label} denominator must be monic of degree >= 1")
-            if not is_irreducible(self.field, d):
-                raise InstanceError(f"{label} denominator must be irreducible")
-        if self.d1_den == self.d2_den:
-            raise InstanceError("D1 and D2 denominators must be distinct")
-        if self.d1_den == self.q_modulus or self.d2_den == self.q_modulus:
-            raise InstanceError("D1/D2 denominators must avoid the modulus of Q")
-        if not self.basis[0].is_constant_one():
-            raise InstanceError("f_1 must be the constant function 1")
-        self._validate_candidates()
+        raise_first_failure(self.checks())
 
-    def _validate_candidates(self) -> None:
-        seen = set()
+    def checks(self) -> Iterator[CheckResult]:
+        """Every rule the instance must satisfy, lazily and in the order
+        `validate` raises them: one result per rule, and per candidate for
+        the rules on candidates.
+
+        The rules linear in the data come first, so data that breaks one
+        costs no packing, Horner pass, Rabin test or generation test.  Then
+        the basis, rhs_num, rhs_den, D1 and D2 are packed, once per instance
+        (`family`): the place checks here, the good-basis check and compile
+        read its passes.
+        """
+        field, qp = self.field, self.q_place
+        yield from shape_checks(self.n, self.curve.genus, len(self.basis))
+        yield _rule("curve-field", self.curve.field == field,
+                    "curve is defined over a different base field")
+        yield _rule("q-residue-degree", qp.residue.base == field and qp.degree == self.n,
+                    "place Q must have residue degree n over the base field")
+        # operands are polynomials in the x-image, so it must be t for reference_mul
+        # to agree; t generates F_q[t]/(m), so Q needs no generates_residue check
+        yield _rule("q-x-is-generator", qp.x_img == qp.residue.gen(),
+                    "Q must be presented with x mapping to the residue generator")
+        dens = [(label, d, poly_is_monic(d) and len(d) >= 2)
+                for label, d in (("d1", self.d1_den), ("d2", self.d2_den))]
+        for label, d, monic in dens:
+            yield _rule(f"{label}-denominator-monic", monic,
+                        f"{label.upper()} denominator must be monic of degree >= 1")
+        yield _rule("denominators-distinct", self.d1_den != self.d2_den,
+                    "D1 and D2 denominators must be distinct")
+        yield _rule("denominators-avoid-q", self.q_modulus not in (self.d1_den, self.d2_den),
+                    "D1/D2 denominators must avoid the modulus of Q")
+        yield _rule("f1-is-one", self.basis[0].is_constant_one(),
+                    "f_1 must be the constant function 1")
+
+        places, seen = [], set()
         for p in self.candidate_places:
+            is_place = isinstance(p, (AffinePlace, InfinitePlace))
+            yield _rule("candidates-are-places", is_place, f"candidate {p!r} is not a place")
+            if not is_place:
+                continue
+            places.append(p)
             if isinstance(p, AffinePlace):
-                if p.residue.base != self.field:
-                    raise InstanceError(
-                        f"candidate {p.label} has a residue field over the wrong base"
-                    )
-                if p.degree not in KERNEL_COST:
-                    raise InstanceError(
-                        f"candidate {p.label} has degree {p.degree}, no kernel available"
-                    )
-                if p.residue.modulus == self.q_modulus:
-                    raise InstanceError(f"candidate {p.label} coincides with Q")
-                on_curve, meets = self.family.check(p)
-                if not on_curve:
-                    raise InstanceError(f"candidate {p.label} does not lie on the curve")
-                if not generates_residue(p):
-                    raise InstanceError(
-                        f"candidate {p.label} does not generate its residue field"
-                    )
-                for dlabel, hit in zip(("D1", "D2"), meets):
-                    if hit:
-                        raise InstanceError(
-                            f"candidate {p.label} meets the support of {dlabel}"
-                        )
+                yield _rule("candidates-base-field", p.residue.base == field,
+                            f"candidate {p.label} has a residue field over the wrong base")
+                yield _rule("candidates-have-kernels", p.degree in KERNEL_COST,
+                            f"candidate {p.label} has degree {p.degree}, no kernel available")
+                yield _rule("candidates-avoid-q", p.residue.modulus != self.q_modulus,
+                            f"candidate {p.label} coincides with Q")
                 key = (p.residue.modulus, p.x_img, p.y_img)
-            elif isinstance(p, InfinitePlace):
-                if not self.family.check(p)[0]:
-                    raise InstanceError(
-                        f"candidate {p.label}: the curve has no split places over x=infinity"
-                    )
-                key = ("inf", p.branch_y0)
             else:
-                raise InstanceError(f"candidate {p!r} is not a place")
-            if key in seen:
-                raise InstanceError(f"candidate {p.label} duplicates an earlier place")
+                key = ("inf", p.branch_y0)
+            yield _rule("candidates-distinct", key not in seen,
+                        f"candidate {p.label} duplicates an earlier place")
             seen.add(key)
+
+        if self.family is None:
+            self.family = PackedFamily(self.curve, self.basis, (self.d1_den, self.d2_den))
+        check = self.family.check
+        yield _rule("q-on-curve", check(qp)[0], "place Q does not lie on the curve")
+        for label, d, monic in dens:  # Rabin's test takes monic input only
+            yield _rule(f"{label}-denominator-irreducible", monic and is_irreducible(field, d),
+                        f"{label.upper()} denominator must be irreducible")
+        for p in places:
+            on_curve, meets = check(p)
+            if isinstance(p, InfinitePlace):
+                yield _rule("candidates-on-curve", on_curve,
+                            f"candidate {p.label}: the curve has no split places over x=infinity")
+                continue
+            yield _rule("candidates-on-curve", on_curve,
+                        f"candidate {p.label} does not lie on the curve")
+            yield _rule("candidates-generate-residue", generates_residue(p),
+                        f"candidate {p.label} does not generate its residue field")
+            hit = next((d for d, m in zip(("D1", "D2"), meets) if m), None)
+            yield _rule("support-disjoint", hit is None,
+                        f"candidate {p.label} meets the support of {hit}")
 
 
 def _check_operand(spec: InstanceSpec, v: Sequence[int]) -> None:

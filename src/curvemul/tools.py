@@ -48,9 +48,10 @@ from .engine import (
     InstanceError,
     InstanceSpec,
     aggregate_bound,
-    check_shape,
     compile_instance,
+    raise_first_failure,
     reference_mul,
+    shape_checks,
     verify_good_basis,
 )
 from .galois import (
@@ -137,7 +138,7 @@ def instance_from_document(doc, name: str = "instance") -> InstanceSpec:
     if poly_degree(poly_from_coeffs(field, q_modulus)) != n:
         raise InstanceError("place Q must have residue degree n over the base field")
     bdocs = _get(doc, "basis", list, "")
-    check_shape(n, curve.genus, len(bdocs))
+    raise_first_failure(shape_checks(n, curve.genus, len(bdocs)))
     try:
         q_res = ExtField(field, q_modulus)
     except ValueError as e:
@@ -175,9 +176,11 @@ def instance_from_document(doc, name: str = "instance") -> InstanceSpec:
         label = pdoc.get("label") or f"places[{i}]"
         declared = _get(pdoc, "degree", int, where)
         if kind == "affine":
-            modulus = tuple(_coeffs(pdoc, "residue_modulus", where))
+            coeffs = _coeffs(pdoc, "residue_modulus", where)
             try:
-                degree = len(poly_from_coeffs(field, modulus)) - 1
+                # trimmed, so a copy with trailing zeros finds the same field
+                modulus = poly_from_coeffs(field, coeffs)
+                degree = len(modulus) - 1
                 if declared != degree > 0:
                     raise InstanceFileError(
                         f"{label}: declared degree {declared} disagrees with the "
@@ -369,119 +372,54 @@ class VerifyReport(namedtuple("VerifyReport", "instance checks")):
 def verify_instance(
     spec: InstanceSpec, spot_checks: int = 25, seed: int = 2024
 ) -> VerifyReport:
-    """Re-run every structural check on a loaded instance and compile it.
+    """Re-run every rule of `InstanceSpec.checks` on a loaded instance and
+    compile it.
 
     The loader already rejects broken data outright; this produces the
-    per-check evidence trail, plus compile-time facts (selected places,
-    rank certificate, operation counts, oracle spot-checks).
+    per-rule evidence trail, one line per rule name (a rule on candidates
+    shows its first failing candidate), plus compile-time facts (selected
+    places, rank certificate, operation counts, oracle spot-checks).
     """
-    checks: list[CheckResult] = []
-    add = checks.append
-    field = spec.field
-
-    for name, p, detail in (
-        ("q-modulus", spec.q_modulus, f"degree {spec.n} over GF({field.order})"),
-        ("d1-denominator", spec.d1_den, poly_text(field, spec.d1_den)),
-        ("d2-denominator", spec.d2_den, poly_text(field, spec.d2_den)),
-    ):
-        add(CheckResult(f"{name}-irreducible", is_irreducible(field, p), detail))
-    # the loader's checks, on its passes: on the curve, off the supports of D1, D2
-    add(CheckResult("q-on-curve", spec.family.check(spec.q_place)[0]))
-    results = [spec.family.check(p) for p in spec.candidate_places]
-    add(
-        CheckResult(
-            "candidates-on-curve",
-            all(on_curve for on_curve, _ in results),
-            f"{len(spec.candidate_places)} candidate places",
-        )
-    )
-    add(
-        CheckResult(
-            "support-disjoint",
-            not any(any(meets) for _, meets in results),
-            "no candidate place meets the pole divisors",
-        )
-    )
-
+    rules: dict = {}  # one line per rule name, a candidate rule's at its first failure
+    for c in spec.checks():
+        if rules.setdefault(c.name, c).ok and not c.ok:
+            rules[c.name] = c
     ladder = verify_good_basis(spec)
     bad = [c for c in ladder if not c.ok]
-    detail = f"{len(ladder) - len(bad)}/{len(ladder)} basis functions match at Q"
+    ladder_detail = f"{len(ladder) - len(bad)}/{len(ladder)} basis functions match at Q"
     if bad:
-        detail += f"; first failure {bad[0].name}: {bad[0].detail}"
-    add(CheckResult("good-basis-ladder", not bad, detail))
-
+        ladder_detail += f"; first failure {bad[0].name}: {bad[0].detail}"
+    checks = [
+        # proved when the loader built Q's residue field; `checks` takes it on trust
+        CheckResult("q-modulus-irreducible", is_irreducible(spec.field, spec.q_modulus),
+                    f"degree {spec.n} over GF({spec.field.order})"),
+        *rules.values(),
+        CheckResult("good-basis-ladder", not bad, ladder_detail),
+    ]
     try:
         compiled = compile_instance(spec)
     except InstanceError as e:
-        add(CheckResult("compile", False, str(e)))
-        return VerifyReport(spec.name, tuple(checks))
-    add(
-        CheckResult(
-            "compile",
-            True,
-            "selected " + ", ".join(f"{p.label}" for p in compiled.places),
-        )
-    )
-    got_rank = rank(compiled.T)
-    add(
-        CheckResult(
-            "evaluation-rank",
-            got_rank == spec.size,
-            f"rank(T) = {got_rank}, required {spec.size}",
-        )
-    )
-
-    rng = random.Random(seed)
-
-    def rand_vec() -> list[int]:
-        return [rng.randrange(field.order) for _ in range(spec.n)]
-
-    z, rep = compiled.multiply(rand_vec(), rand_vec())
-    exp = compiled.expected_report
-    add(
-        CheckResult(
-            "operation-counts",
-            rep == exp,
-            f"step1={rep.step1_scalar} step2={rep.step2_bilinear} "
-            f"step3={rep.step3_scalar}",
-        )
-    )
+        return VerifyReport(spec.name, (*checks, CheckResult("compile", False, str(e))))
+    rep, got_rank = compiled.report, rank(compiled.T)
     bound = aggregate_bound(spec.n, spec.g, max(compiled.place_degrees))
-    add(
-        CheckResult(
-            "aggregate-bound",
-            rep.total <= bound,
-            f"total {rep.total} <= {bound}",
-        )
-    )
-
-    mismatch = None
-    for _ in range(spot_checks):
-        x, y = rand_vec(), rand_vec()
-        got, _ = compiled.multiply(x, y)
-        want = reference_mul(field, spec.q_modulus, x, y)
-        if got != want:
-            mismatch = (x, y, want, got)
-            break
-    add(
-        CheckResult(
-            "oracle-spot-check",
-            mismatch is None,
-            f"{spot_checks} random products against the polynomial oracle"
-            if mismatch is None
-            else f"x={mismatch[0]} y={mismatch[1]} want={list(mismatch[2])} "
-            f"got={list(mismatch[3])}",
-        )
-    )
-    add(
-        CheckResult(
-            "degree-sum-injectivity",
-            compiled.meets_injectivity_bound,
-            "sufficient condition sum(degrees) > 2n+2g-2; the rank "
-            "certificate above is what guarantees injectivity",
-            advisory=True,
-        )
-    )
+    result = selftest(compiled, spot_checks, seed)
+    spot = f"{spot_checks} random products against the polynomial oracle"
+    if not result.ok:
+        x, y, want, got = result.first_failure
+        spot = f"x={list(x)} y={list(y)} want={list(want)} got={list(got)}"
+    checks += [
+        CheckResult("compile", True, "selected " + ", ".join(p.label for p in compiled.places)),
+        CheckResult("evaluation-rank", got_rank == spec.size,
+                    f"rank(T) = {got_rank}, required {spec.size}"),
+        CheckResult("operation-counts", rep == compiled.expected_report,
+                    f"step1={rep.step1_scalar} step2={rep.step2_bilinear} "
+                    f"step3={rep.step3_scalar}"),
+        CheckResult("aggregate-bound", rep.total <= bound, f"total {rep.total} <= {bound}"),
+        CheckResult("oracle-spot-check", result.ok, spot),
+        CheckResult("degree-sum-injectivity", compiled.meets_injectivity_bound,
+                    "sufficient condition sum(degrees) > 2n+2g-2; the rank "
+                    "certificate above is what guarantees injectivity", advisory=True),
+    ]
     return VerifyReport(spec.name, tuple(checks))
 
 

@@ -617,6 +617,51 @@ def test_candidate_rejection_named(build, message):
     assert str(exc.value) == message
 
 
+def swapped_f1(spec):
+    return rebuilt(spec, basis=(spec.basis[1], spec.basis[0]) + spec.basis[2:])
+
+
+def dup_of_third(spec):
+    return with_extra_candidate(spec, spec.candidate_places[2])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (swapped_f1, "f_1 must be the constant function 1"),
+        (lambda s: rebuilt(s, d2_den=s.d1_den), "D1 and D2 denominators must be distinct"),
+        (lambda s: rebuilt(s, d2_den=s.q_modulus), "D1/D2 denominators must avoid the modulus of Q"),
+        (dup_of_third, "candidate P_4 duplicates an earlier place"),
+    ],
+    ids=["f1-not-one", "D1-equals-D2", "D2-equals-Q", "duplicate"],
+)
+def test_cheap_faults_rejected_before_packing(monkeypatch, build, message):
+    # a fault that a linear scan finds costs no packing, Horner pass, Rabin
+    # test or generation test: those rules run after every cheap one
+    calls = []
+    real_init, real_pass = curve.PackedPolys.__init__, curve.PackedPolys._horner
+
+    def counting_init(self, field, polys):
+        calls.append("pack")
+        real_init(self, field, polys)
+
+    def counting_pass(self, res, x_img):
+        calls.append("horner")
+        return real_pass(self, res, x_img)
+
+    def counted(name, real):
+        return lambda *args: calls.append(name) or real(*args)
+
+    monkeypatch.setattr(curve.PackedPolys, "__init__", counting_init)
+    monkeypatch.setattr(curve.PackedPolys, "_horner", counting_pass)
+    monkeypatch.setattr(engine, "is_irreducible", counted("rabin", engine.is_irreducible))
+    monkeypatch.setattr(engine, "generates_residue", counted("gen", engine.generates_residue))
+    with pytest.raises(InstanceError) as exc:
+        build(SPECS["f16_13"])
+    assert str(exc.value) == message
+    assert calls == []
+
+
 def test_equal_denominators_rejected():
     spec = SPECS["f2_5"]
     with pytest.raises(InstanceError, match="distinct"):

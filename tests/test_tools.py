@@ -267,6 +267,12 @@ def test_each_modulus_tested_once_per_load(monkeypatch):
         # is tested over F2 when k > 1
         want = {spec.q_modulus, spec.d1_den, spec.d2_den} | moduli
         assert {p for field, p in tested if field == spec.field} == want, name
+    # R_2's residue modulus again, with a trailing zero: still one field, one test
+    doc = doc_copy()
+    doc["places"][6]["residue_modulus"].append(0)
+    tested.clear()
+    tools.instance_from_document(doc)
+    assert len(tested) == len(set(tested))
 
 
 def test_round_trip_document_equals_file():
@@ -407,12 +413,17 @@ def test_split_search_rejects_bad_degree():
 
 def test_verify_instance_passes_for_bundled():
     for name in tools.bundled_instance_names():
-        report = tools.verify_instance(tools.load_bundled(name))
+        spec = tools.load_bundled(name)
+        report = tools.verify_instance(spec)
         assert report.ok
         lines = report.lines()
         assert lines[-1].startswith(f"PASS {name}")
         assert any("evaluation-rank" in l for l in lines)
         assert any("[note] degree-sum-injectivity" in l for l in lines)
+        # one line per rule of the constructor, in its order
+        names = [re.match(r"\[(?: ok |note|FAIL)\] (\S+)", l).group(1) for l in lines[:-1]]
+        rules = list(dict.fromkeys(c.name for c in spec.checks()))
+        assert [n for n in names if n in rules] == rules
 
 
 def test_verify_instance_reports_compile_failure():
@@ -456,6 +467,24 @@ def test_verify_instance_checks_the_last_candidate_support():
     assert checks["candidates-on-curve"]
     assert not checks["support-disjoint"]
     assert not report.ok
+
+
+def test_verify_instance_checks_the_last_candidate_is_new():
+    spec = tools.load_bundled("f2_5")
+    checks, report = _verify_with_extra_candidate(spec.candidate_places[2])
+    assert not report.ok
+    assert not checks["candidates-distinct"]
+    assert checks["candidates-on-curve"] and checks["support-disjoint"]
+    assert "[FAIL] candidates-distinct — candidate P_3 duplicates an earlier place" in report.lines()
+
+
+def test_verify_instance_checks_the_last_candidate_generates():
+    # x = y = 0 lie in F_2, on the curve, so they generate no field of degree 2
+    res = ExtField(F2, (1, 1, 1))
+    checks, report = _verify_with_extra_candidate(AffinePlace(res, [0, 0], [0, 0], "W"))
+    assert not report.ok
+    assert not checks["candidates-generate-residue"]
+    assert checks["candidates-on-curve"] and checks["candidates-distinct"]
 
 
 def test_selftest_passes():

@@ -452,6 +452,7 @@ def beta_from_ideal(res: ExtField, y_num: Poly, y_den: Poly) -> tuple:
     presented as y = y_num(x)/y_den(x) with x-image t (the usual F_q[x]/(m)),
     and the rhs(b) of `tools.check_total_split`."""
     num, den = [res.reduce(list(p) + [0] * res.d) for p in (y_num, y_den)]
-    if not any(den):
-        raise PlaceEvaluationError("y-presentation denominator vanishes at the place")
-    return res.mul(num, res.inv(den))
+    try:
+        return res.mul(num, res.inv(den))
+    except ZeroDivisionError:  # den is 0, or a non-unit while m is unproven
+        raise PlaceEvaluationError("y-presentation denominator vanishes at the place") from None

@@ -11,13 +11,13 @@ straight-line schedule together with its operation report, which is read off
 the shapes of what it schedules.
 
 Set-up runs on packed GF(2^k) lanes (`galois.Lanes`) and does each piece of
-work once.  Validation is one ordered list of rules (`InstanceSpec.checks`):
-the constructor raises the first that fails and `tools.verify_instance`
-reports them all.  The rules linear in the data run first; then the basis,
-rhs_num, rhs_den, D1 and D2 are packed once (`InstanceSpec.family`, a
-`curve.PackedFamily`) and one folded Horner pass runs per x-image of Q and
-the candidates; the place checks, the good-basis check and compilation read
-those passes.  Q's ladder is checked without a division, as
+work once.  Validation is one ordered list of rules (`InstanceSpec.checks`),
+the only place that knows them: the constructor raises the first that fails
+and `tools.verify_instance` reports them all.  The rules linear in the data
+run first; then Rabin's test on Q's and the candidates' residue moduli; then
+the basis, rhs_num, rhs_den, D1 and D2 are packed once (`family`) and one
+folded Horner pass runs per x-image, which the place checks, the good-basis
+check and compilation read.  Q's ladder is checked without a division, as
 ay(t)*beta + b(t) = t^s * den(t).  Each candidate is evaluated at most once
 (`curve.PlaceEvaluator`: one inverse per distinct denominator), and its
 packed rows go straight into the one elimination (`linalg.RowBasis`) that
@@ -121,14 +121,16 @@ def raise_first_failure(results: Iterable[CheckResult]) -> None:
             raise InstanceError(check.detail)
 
 
-def shape_checks(n, g: int, basis_size: int) -> Iterator[CheckResult]:
-    """n, genus and basis length: rules that cost nothing, so they run first."""
+def shape_checks(n, g: int, basis_size: int, field, q_residue) -> Iterator[CheckResult]:
+    """n, genus, basis length, Q's degree: free, so first (in the loader, before Q's y-image)."""
     yield _rule("extension-degree", isinstance(n, int) and n >= 2,
                 "extension degree n must be an integer >= 2")
     yield _rule("genus", g >= 1, "curve genus must be >= 1")
     size = 2 * n + g - 1
     yield _rule("basis-length", basis_size == size,
                 f"basis must have 2n+g-1 = {size} functions, got {basis_size}")
+    yield _rule("q-residue-degree", q_residue.base == field and q_residue.d == n,
+                "place Q must have residue degree n over the base field")
 
 
 class InstanceSpec:
@@ -186,21 +188,18 @@ class InstanceSpec:
 
     def checks(self) -> Iterator[CheckResult]:
         """Every rule the instance must satisfy, lazily and in the order
-        `validate` raises them: one result per rule, and per candidate for
-        the rules on candidates.
+        `validate` raises them: one result per rule, and per candidate for the
+        rules on candidates.  A candidate that is no place over `field` (a
+        non-place, another base, a reducible modulus) drops out at that rule.
 
-        The rules linear in the data come first, so data that breaks one
-        costs no packing, Horner pass, Rabin test or generation test.  Then
-        the basis, rhs_num, rhs_den, D1 and D2 are packed, once per instance
-        (`family`): the place checks here, the good-basis check and compile
-        read its passes.
-        """
+        The rules linear in the data come first; then Rabin's test, once per
+        modulus, on Q's and the candidates' residue fields, which the loader
+        builds unproven; then `family` packs the basis, rhs_num, rhs_den, D1
+        and D2 once, for the place checks, the good-basis check and compile."""
         field, qp = self.field, self.q_place
-        yield from shape_checks(self.n, self.curve.genus, len(self.basis))
+        yield from shape_checks(self.n, self.curve.genus, len(self.basis), field, qp.residue)
         yield _rule("curve-field", self.curve.field == field,
                     "curve is defined over a different base field")
-        yield _rule("q-residue-degree", qp.residue.base == field and qp.degree == self.n,
-                    "place Q must have residue degree n over the base field")
         # operands are polynomials in the x-image, so it must be t for reference_mul
         # to agree; t generates F_q[t]/(m), so Q needs no generates_residue check
         yield _rule("q-x-is-generator", qp.x_img == qp.residue.gen(),
@@ -223,27 +222,39 @@ class InstanceSpec:
             yield _rule("candidates-are-places", is_place, f"candidate {p!r} is not a place")
             if not is_place:
                 continue
-            places.append(p)
             if isinstance(p, AffinePlace):
                 yield _rule("candidates-base-field", p.residue.base == field,
                             f"candidate {p.label} has a residue field over the wrong base")
+                if p.residue.base != field:  # Rabin's test over `field` would misread it
+                    continue
                 yield _rule("candidates-have-kernels", p.degree in KERNEL_COST,
                             f"candidate {p.label} has degree {p.degree}, no kernel available")
                 yield _rule("candidates-avoid-q", p.residue.modulus != self.q_modulus,
                             f"candidate {p.label} coincides with Q")
-                key = (p.residue.modulus, p.x_img, p.y_img)
+                key = (p.residue, p.x_img, p.y_img)
             else:
                 key = ("inf", p.branch_y0)
             yield _rule("candidates-distinct", key not in seen,
                         f"candidate {p.label} duplicates an earlier place")
             seen.add(key)
+            places.append(p)
+
+        rabin = lru_cache(maxsize=None)(is_irreducible)  # one test per modulus
+        ok = rabin(qp.residue.base, self.q_modulus)
+        yield CheckResult("q-modulus-irreducible", ok, f"degree {qp.degree} over GF({field.order})"
+                          if ok else "Q.modulus: extension modulus must be irreducible")
+        for p in places:
+            if isinstance(p, AffinePlace):
+                yield _rule("candidates-residue-irreducible", rabin(field, p.residue.modulus),
+                            f"{p.label}: extension modulus must be irreducible")
+        places = [p for p in places if p.degree == 1 or rabin(field, p.residue.modulus)]
 
         if self.family is None:
             self.family = PackedFamily(self.curve, self.basis, (self.d1_den, self.d2_den))
         check = self.family.check
         yield _rule("q-on-curve", check(qp)[0], "place Q does not lie on the curve")
         for label, d, monic in dens:  # Rabin's test takes monic input only
-            yield _rule(f"{label}-denominator-irreducible", monic and is_irreducible(field, d),
+            yield _rule(f"{label}-denominator-irreducible", monic and rabin(field, d),
                         f"{label.upper()} denominator must be irreducible")
         for p in places:
             on_curve, meets = check(p)

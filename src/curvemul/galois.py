@@ -347,14 +347,23 @@ class ExtField:
     __slots__ = ("base", "modulus", "d", "order")
 
     def __init__(self, base: BinaryField, modulus: Poly):
+        self._take(base, modulus)
+        if not is_irreducible(base, self.modulus):
+            raise ValueError("extension modulus must be irreducible")
+
+    @classmethod
+    def unproven(cls, base: BinaryField, modulus: Poly) -> "ExtField":
+        """`ExtField(base, modulus)` minus Rabin's test, for `InstanceSpec.checks`
+        to prove; until then `inv` may meet a non-unit."""
+        ext = cls.__new__(cls)
+        ext._take(base, modulus)
+        return ext
+
+    def _take(self, base: BinaryField, modulus: Poly) -> None:
         modulus = poly_from_coeffs(base, modulus)
         if not poly_is_monic(modulus) or len(modulus) < 2:
             raise ValueError("extension modulus must be monic of degree >= 1")
-        if not is_irreducible(base, modulus):
-            raise ValueError("extension modulus must be irreducible")
-        self.base = base
-        self.modulus = modulus
-        self.d = len(modulus) - 1
+        self.base, self.modulus, self.d = base, modulus, len(modulus) - 1
         self.order = base.order**self.d
 
     def zero(self) -> tuple:
@@ -425,20 +434,20 @@ class ExtField:
 
     def inv(self, u: tuple) -> tuple:
         """Extended Euclid on the modulus and u, carrying only u's cofactor:
-        s * u = r mod the modulus for every remainder r.  The modulus is
-        irreducible, so the remainders reach a nonzero constant c, and then
-        u^-1 = s / c."""
+        s * u = r mod the modulus for every remainder r.  For a unit u (any
+        u != 0 if the modulus is irreducible) they reach a nonzero constant c,
+        and u^-1 = s / c; otherwise they reach 0: ZeroDivisionError."""
         base = self.base
         if self.d == 1:
             return (base.inv(u[0]),)
         r0, r1 = self.modulus, poly_from_coeffs(base, u)
-        if not r1:
-            raise ZeroDivisionError("inverse of 0")
         s0, s1 = ZERO_POLY, (1,)
         while len(r1) > 1:
             q, r = poly_divmod(base, r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, poly_add(base, s0, poly_mul(base, q, s1))
+        if not r1:
+            raise ZeroDivisionError("inverse of a non-unit")
         s = poly_scale(base, base.inv(r1[0]), s1)
         return s + (0,) * (self.d - len(s))
 

@@ -20,7 +20,7 @@ Polynomial coefficients are arrays of non-negative integers < 2^k, listed
 from the constant term up; bit i of each integer is the coefficient of w^i
 in the base-field representation.  The place Q is always presented with x
 mapping to the residue-class generator t, so only its y-image (as a
-fraction y_num(t)/y_den(t)) is stored.
+fraction y_num(t)/y_den(t)) is stored.  A place's optional label is a string.
 """
 
 from __future__ import annotations
@@ -59,11 +59,9 @@ from .galois import (
     ExtField,
     Poly,
     absolute_trace,
-    is_irreducible,
     poly_degree,
     poly_from_coeffs,
 )
-from .kernels import KERNEL_COST
 from .linalg import rank
 
 
@@ -110,7 +108,7 @@ def instance_from_document(doc, name: str = "instance") -> InstanceSpec:
     """Build a validated InstanceSpec from a parsed JSON document.
 
     Raises InstanceFileError for structural problems and InstanceError for
-    semantic ones, always naming the first failed invariant.
+    semantic ones (`InstanceSpec.checks`), always naming the first failed one.
     """
     fdoc = _get(doc, "field", dict, "")
     k = _get(fdoc, "k", int, "field.")
@@ -131,18 +129,16 @@ def instance_from_document(doc, name: str = "instance") -> InstanceSpec:
     except ValueError as e:
         raise InstanceError(f"curve: {e}") from e
 
-    # cheap checks before Rabin's test (it costs more than degree^2), in validate's words
     n = _get(doc, "n", int, "")
     qdoc = _get(doc, "Q", dict, "")
-    q_modulus = _elements(field, qdoc, "modulus", "Q.")
-    if poly_degree(poly_from_coeffs(field, q_modulus)) != n:
-        raise InstanceError("place Q must have residue degree n over the base field")
     bdocs = _get(doc, "basis", list, "")
-    raise_first_failure(shape_checks(n, curve.genus, len(bdocs)))
+    # residue fields are built unproven: InstanceSpec proves them after its linear rules
     try:
-        q_res = ExtField(field, q_modulus)
+        q_res = ExtField.unproven(field, _elements(field, qdoc, "modulus", "Q."))
     except ValueError as e:
         raise InstanceError(f"Q.modulus: {e}") from e
+    # Q's y-image inverse costs degree^2, so the shape and Q's degree go first
+    raise_first_failure(shape_checks(n, curve.genus, len(bdocs), field, q_res))
     try:
         q_y = beta_from_ideal(
             q_res,
@@ -169,32 +165,21 @@ def instance_from_document(doc, name: str = "instance") -> InstanceSpec:
             raise InstanceError(f"basis[{i}]: {e}") from e
 
     places = []
-    residues: dict = {}  # one ExtField, so one irreducibility test, per modulus
     for i, pdoc in enumerate(_get(doc, "places", list, "")):
         where = f"places[{i}]."
         kind = _get(pdoc, "kind", str, where)
-        label = pdoc.get("label") or f"places[{i}]"
+        label = (_get(pdoc, "label", str, where) if "label" in pdoc else "") or f"places[{i}]"
         declared = _get(pdoc, "degree", int, where)
         if kind == "affine":
-            coeffs = _coeffs(pdoc, "residue_modulus", where)
             try:
-                # trimmed, so a copy with trailing zeros finds the same field
-                modulus = poly_from_coeffs(field, coeffs)
-                degree = len(modulus) - 1
-                if declared != degree > 0:
-                    raise InstanceFileError(
-                        f"{label}: declared degree {declared} disagrees with the "
-                        f"residue modulus of degree {degree}"
-                    )
-                if declared not in KERNEL_COST:
-                    raise InstanceError(
-                        f"candidate {label} has degree {declared}, no kernel available"
-                    )
-                res = residues.get(modulus)
-                if res is None:
-                    res = residues[modulus] = ExtField(field, modulus)
+                res = ExtField.unproven(field, _coeffs(pdoc, "residue_modulus", where))
             except ValueError as e:
                 raise InstanceError(f"{label}: {e}") from e
+            if declared != res.d:
+                raise InstanceFileError(
+                    f"{label}: declared degree {declared} disagrees with the "
+                    f"residue modulus of degree {res.d}"
+                )
             x_img = _elements(field, pdoc, "x_img", where)
             y_img = _elements(field, pdoc, "y_img", where)
             if len(x_img) != res.d or len(y_img) != res.d:
@@ -389,13 +374,7 @@ def verify_instance(
     ladder_detail = f"{len(ladder) - len(bad)}/{len(ladder)} basis functions match at Q"
     if bad:
         ladder_detail += f"; first failure {bad[0].name}: {bad[0].detail}"
-    checks = [
-        # proved when the loader built Q's residue field; `checks` takes it on trust
-        CheckResult("q-modulus-irreducible", is_irreducible(spec.field, spec.q_modulus),
-                    f"degree {spec.n} over GF({spec.field.order})"),
-        *rules.values(),
-        CheckResult("good-basis-ladder", not bad, ladder_detail),
-    ]
+    checks = [*rules.values(), CheckResult("good-basis-ladder", not bad, ladder_detail)]
     try:
         compiled = compile_instance(spec)
     except InstanceError as e:

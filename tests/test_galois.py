@@ -451,3 +451,18 @@ def test_ext_spec_validation():
         ExtField(F2, (1, 0, 1))  # reducible
     with pytest.raises(ValueError):
         ExtField(F4, (1, 2))  # non-monic
+
+
+def test_unproven_field_skips_only_rabins_test():
+    # (t+1)^2 over F2: ExtField rejects it; the unproven path builds the ring,
+    # in which t+1 has no inverse and t (t*t = 1) has one
+    with pytest.raises(ValueError, match="irreducible"):
+        ExtField(F2, (1, 0, 1))
+    ring = ExtField.unproven(F2, (1, 0, 1, 0))
+    assert ring.modulus == (1, 0, 1) and ring.d == 2
+    assert ring == ExtField.unproven(F2, (1, 0, 1))
+    with pytest.raises(ZeroDivisionError):
+        ring.inv((1, 1))
+    assert ring.inv((0, 1)) == (0, 1)
+    with pytest.raises(ValueError, match="monic"):
+        ExtField.unproven(F4, (1, 2))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from curvemul import cli, engine, galois, tools
-from curvemul.curve import AffinePlace, PlaceEvaluationError
+from curvemul.curve import AffinePlace, PackedPolys, PlaceEvaluationError, generates_residue
 from curvemul.engine import InstanceError, InstanceSpec, compile_instance
 from curvemul.galois import F2, F4, ExtField, is_irreducible
 
@@ -139,8 +139,10 @@ def test_modulus_degrees_checked_before_rabin(monkeypatch):
         ({("places", i, "residue_modulus"): big}, tools.InstanceFileError,
          f"{label}: declared degree {base['places'][i]['degree']} disagrees "
          "with the residue modulus of degree 2039"),
+        # the kernel rule is InstanceSpec's, so the schema's coordinate count,
+        # the other fault here, is found first
         ({("places", i, "residue_modulus"): big, ("places", i, "degree"): 2039},
-         InstanceError, f"candidate {label} has degree 2039, no kernel available"),
+         tools.InstanceFileError, f"{label}: x_img and y_img must have 2039 coordinates"),
         ({("Q", "modulus"): big}, InstanceError,
          "place Q must have residue degree n over the base field"),
         # n matches Q's modulus, but f4_5 has 11 basis functions, not 4079
@@ -218,32 +220,40 @@ def test_boolean_for_integer_key_rejected(path, where):
         tools.instance_from_document(doc)
 
 
-def _int_leaves(node, path=()):
+def _leaves(node, path=()):
     if isinstance(node, dict):
         for key, child in node.items():
-            yield from _int_leaves(child, path + (key,))
+            yield from _leaves(child, path + (key,))
     elif isinstance(node, list):
         for i, child in enumerate(node):
-            yield from _int_leaves(child, path + (i,))
-    elif isinstance(node, int) and not isinstance(node, bool):
+            yield from _leaves(child, path + (i,))
+    elif isinstance(node, (int, str)) and not isinstance(node, bool):
         yield path
 
 
 def test_mutated_documents_raise_only_loader_errors():
-    # seeded and bounded: 400 copies of f2_5.json, one integer leaf changed in each
-    leaves = list(_int_leaves(BASE_DOC))
+    # seeded and bounded: 400 copies of f2_5.json, one integer or string leaf
+    # (a place's kind or label) changed in each; verify runs on every copy
+    # that loads, and a report is the only outcome
+    leaves = list(_leaves(BASE_DOC))
+    strings = [p for p in leaves if p[-1] in ("kind", "label")]  # 18 of 355 leaves
     rng = random.Random(2024)
+    values = [-1, 0, 1, 2, 3, 5, 16, 255, 2**16, "", "affine", "infinite", "P_3"]
     for _ in range(400):
         doc = doc_copy()
-        path = rng.choice(leaves)
-        value = rng.choice([-1, 0, 1, 2, 3, 5, 16, 255, 2**16])
+        path = rng.choice(strings if rng.random() < 0.25 else leaves)
+        value = rng.choice(values)
         _set(doc, path, value)
         try:
-            tools.instance_from_document(doc)
+            spec = tools.instance_from_document(doc)
         except (tools.InstanceFileError, InstanceError):
-            pass
+            continue
         except Exception as e:
-            pytest.fail(f"{path} = {value}: {e!r}")
+            pytest.fail(f"{path} = {value!r}: {e!r}")
+        try:
+            tools.verify_instance(spec, spot_checks=2)
+        except Exception as e:
+            pytest.fail(f"verify with {path} = {value!r}: {e!r}")
 
 
 def test_each_modulus_tested_once_per_load(monkeypatch):
@@ -273,6 +283,100 @@ def test_each_modulus_tested_once_per_load(monkeypatch):
     tested.clear()
     tools.instance_from_document(doc)
     assert len(tested) == len(set(tested))
+
+
+def _swap_f1(doc):
+    doc["basis"][0], doc["basis"][1] = doc["basis"][1], doc["basis"][0]
+    return "f_1 must be the constant function 1"
+
+
+def _d2_is_d1(doc):
+    doc["d2_modulus"] = doc["d1_modulus"]
+    return "D1 and D2 denominators must be distinct"
+
+
+def _d2_is_q(doc):
+    doc["d2_modulus"] = doc["Q"]["modulus"]
+    return "D1/D2 denominators must avoid the modulus of Q"
+
+
+def _duplicate_place(doc):
+    doc["places"].append(copy.deepcopy(doc["places"][2]))
+    return f"candidate {doc['places'][2]['label']} duplicates an earlier place"
+
+
+def _degree_3_place(doc):
+    # x^3 + x + 1 is irreducible over GF(2), GF(4) and GF(16); no kernel has degree 3
+    doc["places"].append({"kind": "affine", "degree": 3, "residue_modulus": [1, 1, 0, 1],
+                          "x_img": [0, 1, 0], "y_img": [0, 0, 0], "label": "W"})
+    return "candidate W has degree 3, no kernel available"
+
+
+def _basis_one_short(doc):
+    size = len(doc["basis"])
+    doc["basis"].pop()
+    return f"basis must have 2n+g-1 = {size} functions, got {size - 1}"
+
+
+@pytest.mark.parametrize("name", ["f16_13", "f4_5", "f2_5"])
+@pytest.mark.parametrize(
+    "fault",
+    [_swap_f1, _d2_is_d1, _d2_is_q, _duplicate_place, _degree_3_place, _basis_one_short],
+    ids=["f1-not-one", "D1-equals-D2", "D2-equals-Q", "duplicate", "no-kernel", "basis-short"],
+)
+def test_cheap_faults_rejected_before_rabin_on_load(monkeypatch, name, fault):
+    # the loader twin of test_engine's test_cheap_faults_rejected_before_packing:
+    # a document that breaks one rule linear in the data gets the constructor's
+    # message with no Rabin test over its field, Horner pass or generation test
+    doc = json.loads(tools.bundled_instance_path(name).read_text(encoding="utf-8"))
+    message = fault(doc)
+    field = tools.load_bundled(name).field
+    calls = []
+    real_rabin, real_pass = galois.is_irreducible, PackedPolys._horner
+
+    def counting_rabin(f, p):
+        if f == field:  # building GF(2^k) tests its modulus over GF(2)
+            calls.append("rabin")
+        return real_rabin(f, p)
+
+    def counting_pass(self, res, x_img):
+        calls.append("horner")
+        return real_pass(self, res, x_img)
+
+    def counting_gen(place):
+        calls.append("gen")
+        return generates_residue(place)
+
+    monkeypatch.setattr(galois, "is_irreducible", counting_rabin)
+    monkeypatch.setattr(engine, "is_irreducible", counting_rabin)
+    monkeypatch.setattr(PackedPolys, "_horner", counting_pass)
+    monkeypatch.setattr(engine, "generates_residue", counting_gen)
+    with pytest.raises(InstanceError) as exc:
+        tools.instance_from_document(doc)
+    assert str(exc.value) == message
+    assert calls == []
+
+
+def test_reducible_candidate_modulus_named():
+    # the loader builds the field unproven; InstanceSpec's rule names it
+    doc = doc_copy()
+    i = next(i for i, p in enumerate(doc["places"]) if p.get("degree") == 2)
+    doc["places"][i]["residue_modulus"] = [1, 0, 1]  # (x + 1)^2
+    with pytest.raises(InstanceError) as exc:
+        tools.instance_from_document(doc)
+    assert str(exc.value) == f"{doc['places'][i]['label']}: extension modulus must be irreducible"
+
+
+def test_q_denominator_without_inverse_is_an_instance_error():
+    # Q's modulus (x^3 + x + 1)(x^2 + x + 1) is reducible, and Q's y_den
+    # x^3 + x + 1 has no inverse modulo it: the y-image, computed before
+    # Rabin's test, reports it
+    doc = doc_copy()
+    assert doc["Q"]["y_den"] == [1, 1, 0, 1]
+    doc["Q"]["modulus"] = [1, 0, 0, 0, 1, 1]
+    with pytest.raises(InstanceError) as exc:
+        tools.instance_from_document(doc)
+    assert str(exc.value) == "Q: y-presentation denominator vanishes at the place"
 
 
 def test_round_trip_document_equals_file():
@@ -385,7 +489,6 @@ def test_split_search_tests_each_candidate_once(monkeypatch):
             return real(field, p)
 
         monkeypatch.setattr(galois, "is_irreducible", counting)
-        monkeypatch.setattr(tools, "is_irreducible", counting)
         found = tools.split_search(curve, degree, trials)
         monkeypatch.undo()
         assert len(tested) == len(set(tested)), name
@@ -485,6 +588,20 @@ def test_verify_instance_checks_the_last_candidate_generates():
     assert not report.ok
     assert not checks["candidates-generate-residue"]
     assert checks["candidates-on-curve"] and checks["candidates-distinct"]
+
+
+@pytest.mark.parametrize("place, failure", [
+    # P_3's coefficients over GF(4): neither a duplicate of P_3 nor a place
+    # whose curve equation is read over f2_5's GF(2)
+    (AffinePlace(ExtField(F4, (0, 1)), (0,), (0,), "P_3"),
+     "candidates-base-field — candidate P_3 has a residue field over the wrong base"),
+    # (t + 1)^2: no field, so no curve or generation test either
+    (AffinePlace(ExtField.unproven(F2, (1, 0, 1)), (1, 0), (0, 0), "W"),
+     "candidates-residue-irreducible — W: extension modulus must be irreducible"),
+], ids=["wrong-base", "reducible"])
+def test_verify_instance_reports_a_non_place_candidate_once(place, failure):
+    checks, report = _verify_with_extra_candidate(place)
+    assert [l for l in report.lines() if l.startswith("[FAIL]")] == [f"[FAIL] {failure}"]
 
 
 def test_selftest_passes():
@@ -649,6 +766,14 @@ def test_cli_error_paths(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "is not a decimal integer" in captured.err
     assert captured.out == ""
+    doc = doc_copy()
+    doc["places"][2]["label"] = 7
+    numbered = tmp_path / "numbered.json"
+    numbered.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["verify", str(numbered)]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "Traceback" not in captured.err
+    assert "key 'places[2].label' has the wrong type" in captured.err
 
 
 @pytest.mark.parametrize("x, y, message", [

@@ -30,6 +30,8 @@ One product of x, y in F_{q^n} (length-n coordinate tuples over F_q) runs:
    2n(2n+g-1) base-field multiplications, independent of the inputs;
 2. one componentwise product in the selected residue fields — the only
    bilinear step, costing the sum of kernel costs (1, 3 or 9 per place);
+   reduction folds in through product-table rows fixed per residue field at
+   compile time, products by constants of the field, so never counted;
 3. the first 2n-1 rows of inverse(T) applied to the componentwise
    product — (2n-1)(2n+g-1) multiplications;
 4. an addition-only recombination of the 2n-1 interpolation coordinates.

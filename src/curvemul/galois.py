@@ -39,13 +39,13 @@ class BinaryField:
     """GF(2^k) presented as F_2[w]/(modulus), for 1 <= k <= MAX_K.
 
     ``modulus`` is the defining polynomial as a bitmask (bit i = coeff of w^i),
-    monic of degree k and irreducible over F_2.  The q*q product table is
-    built once here, and the inverse table is read off it, so `mul` and
-    `inv` are lookups; that is what caps k.
+    monic of degree k and irreducible over F_2.  The q*q product table
+    (``table[a][b]`` is a * b) is built once here, and the inverse table is
+    read off it, so `mul` and `inv` are lookups; that is what caps k.
     """
 
     __slots__ = (
-        "k", "modulus", "order", "_table", "_inverses", "_lane_bits", "_bit_products"
+        "k", "modulus", "order", "table", "_inverses", "_lane_bits", "_bit_products", "_hash"
     )
 
     def __init__(self, k: int, modulus: int):
@@ -56,6 +56,7 @@ class BinaryField:
         self.k = k
         self.modulus = modulus
         self.order = 1 << k
+        self._hash = hash((k, modulus))
         # degree-1 bit-polynomials are always irreducible; higher degrees get
         # the real test (which needs F2, constructed through this fast path)
         if k > 1 and not is_irreducible(F2, tuple([modulus >> i & 1 for i in range(k + 1)])):
@@ -71,15 +72,15 @@ class BinaryField:
                 a <<= 1
                 a ^= modulus if a >> k else 0
             table.append(tuple(row))
-        self._table = tuple(table)
+        self.table = tuple(table)
         # every nonzero row of the table holds exactly one 1; entry 0 is unused
-        self._inverses = (0,) + tuple(row.index(1) for row in self._table[1:])
+        self._inverses = (0,) + tuple(row.index(1) for row in self.table[1:])
         # for `Lanes`: each element as k binary digits, and row c of the
         # table at the powers w^i, i < k (what bit i of a lane adds to the
         # lane's product by c)
         self._lane_bits = tuple([format(v, f"0{k}b") for v in range(self.order)])
         self._bit_products = tuple(
-            [tuple([row[1 << i] for i in range(k)]) for row in self._table]
+            [tuple([row[1 << i] for i in range(k)]) for row in self.table]
         )
 
     def check(self, v: int) -> int:
@@ -90,7 +91,7 @@ class BinaryField:
 
     def mul(self, a: int, b: int) -> int:
         """Product of two elements; a and b are taken on trust, unchecked."""
-        return self._table[a][b]
+        return self.table[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -101,7 +102,7 @@ class BinaryField:
         return isinstance(other, BinaryField) and self.modulus == other.modulus
 
     def __hash__(self) -> int:
-        return hash((self.k, self.modulus))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"GF(2^{self.k}; {self.modulus:#b})"
@@ -344,7 +345,7 @@ F16 = BinaryField(4, 0b10011)  # w^4 + w + 1
 class ExtField:
     """GF(q^d) as base[t]/(modulus); elements are length-d coordinate tuples."""
 
-    __slots__ = ("base", "modulus", "d", "order")
+    __slots__ = ("base", "modulus", "d", "order", "_hash", "_fold")
 
     def __init__(self, base: BinaryField, modulus: Poly):
         self._take(base, modulus)
@@ -365,6 +366,8 @@ class ExtField:
             raise ValueError("extension modulus must be monic of degree >= 1")
         self.base, self.modulus, self.d = base, modulus, len(modulus) - 1
         self.order = base.order**self.d
+        self._hash = hash((base, modulus))
+        self._fold = None  # built by the first `fold_rows`
 
     def zero(self) -> tuple:
         return (0,) * self.d
@@ -424,6 +427,18 @@ class ExtField:
             cols.append(col)
         return cols
 
+    def fold_rows(self) -> tuple:
+        """Reduction by the modulus as fixed data, built once: entry j - d,
+        j = d .. 2d-2, holds per coordinate r the product-table row at
+        coordinate r of t^j mod the modulus, so a coefficient c at t^j adds
+        row[c] to coordinate r (a zero coordinate gives the zero row)."""
+        if self._fold is None:
+            table = self.base.table
+            # t^d = modulus - t^d, and `ladder` walks on to t^(2d-2)
+            powers = self.ladder(self.modulus[:-1])[: self.d - 1]
+            self._fold = tuple([tuple([table[c] for c in col]) for col in powers])
+        return self._fold
+
     def mul_map(self, z: tuple) -> list:
         """Multiplication by z as a linear map on coordinates, for
         `Lanes.apply`: entry s lists the pairs (r, c), c != 0, where c is
@@ -465,7 +480,7 @@ class ExtField:
         return same and self.modulus == other.modulus
 
     def __hash__(self) -> int:
-        return hash((self.base, self.modulus))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"ExtField({self.base!r}, deg {self.d})"

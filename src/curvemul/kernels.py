@@ -3,10 +3,12 @@
 Each kernel is a fixed straight-line program: the number of bilinear
 (operand-by-operand) base-field multiplications it performs is a constant of
 the kernel — 1, 3, and 9 respectively (`KERNEL_COST`) — independent of the
-operand values; the engine reads its step-2 count from them.  An optional
-`BilinearCounter` tallies the multiplications actually performed.
-Multiplications by modulus coefficients during reduction are multiplications
-by constants of the instance and are never counted.
+operand values; the engine reads its step-2 count from them.  Each is one
+lookup in the base field's product table.  An optional `BilinearCounter`
+tallies the multiplications actually performed.  The high convolution
+coefficients fold in through rows of that table fixed per residue field
+(`ExtField.fold_rows`, warmed by `KernelPlan`): multiplications by constants
+of the field, F_q-linear, which are never counted.
 """
 
 from __future__ import annotations
@@ -31,17 +33,7 @@ class BilinearCounter:
 def mul_d1(field: BinaryField, a: int, b: int, counter: BilinearCounter | None = None) -> int:
     if counter is not None:
         counter.bilinear_mults += 1
-    return field.mul(a, b)
-
-
-def _kara2(base: BinaryField, a0, a1, b0, b1, counter: BilinearCounter | None):
-    """(a0 + a1 t)(b0 + b1 t) as 3 coefficients, using 3 multiplications."""
-    if counter is not None:
-        counter.bilinear_mults += 3
-    p0 = base.mul(a0, b0)
-    p2 = base.mul(a1, b1)
-    pm = base.mul(a0 ^ a1, b0 ^ b1)
-    return p0, pm ^ p0 ^ p2, p2
+    return field.table[a][b]
 
 
 def mul_d2(
@@ -50,23 +42,42 @@ def mul_d2(
     """Karatsuba product in a degree-2 residue field: 3 bilinear mults."""
     if ext.d != 2:
         raise ValueError("mul_d2 needs a degree-2 extension")
-    c0, c1, c2 = _kara2(ext.base, u[0], u[1], v[0], v[1], counter)
-    return ext.reduce([c0, c1, c2])
+    if counter is not None:
+        counter.bilinear_mults += 3
+    t = ext.base.table
+    ((r0, r1),) = ext.fold_rows()
+    (a0, a1), (b0, b1) = u, v
+    p0, p2 = t[a0][b0], t[a1][b1]
+    return p0 ^ r0[p2], t[a0 ^ a1][b0 ^ b1] ^ p0 ^ p2 ^ r1[p2]
 
 
 def mul_d4(
     ext: ExtField, u: Sequence[int], v: Sequence[int], counter: BilinearCounter | None = None
 ) -> tuple:
-    """Two-level Karatsuba in a degree-4 residue field: 9 bilinear mults."""
+    """Two-level Karatsuba in a degree-4 residue field: 9 bilinear mults.
+    The products lo, hi, mid of the halves take 3 each; the convolution is
+    lo + (mid - lo - hi) t^2 + hi t^4, and its t^4, t^5, t^6 fold in."""
     if ext.d != 4:
         raise ValueError("mul_d4 needs a degree-4 extension")
-    base = ext.base
-    lo = _kara2(base, u[0], u[1], v[0], v[1], counter)
-    hi = _kara2(base, u[2], u[3], v[2], v[3], counter)
-    mid = _kara2(base, u[0] ^ u[2], u[1] ^ u[3], v[0] ^ v[2], v[1] ^ v[3], counter)
-    cross = tuple(m ^ a ^ b for m, a, b in zip(mid, lo, hi))
-    conv = [lo[0], lo[1], lo[2] ^ cross[0], cross[1], cross[2] ^ hi[0], hi[1], hi[2]]
-    return ext.reduce(conv)
+    if counter is not None:
+        counter.bilinear_mults += 9
+    t = ext.base.table
+    (r40, r41, r42, r43), (r50, r51, r52, r53), (r60, r61, r62, r63) = ext.fold_rows()
+    (a0, a1, a2, a3), (b0, b1, b2, b3) = u, v
+    l0, l2 = t[a0][b0], t[a1][b1]
+    l1 = t[a0 ^ a1][b0 ^ b1] ^ l0 ^ l2
+    h0, h2 = t[a2][b2], t[a3][b3]
+    h1 = t[a2 ^ a3][b2 ^ b3] ^ h0 ^ h2
+    s0, s1, w0, w1 = a0 ^ a2, a1 ^ a3, b0 ^ b2, b1 ^ b3
+    m0, m2 = t[s0][w0], t[s1][w1]
+    m1 = t[s0 ^ s1][w0 ^ w1] ^ m0 ^ m2
+    c2, c3, c4 = l2 ^ m0 ^ l0 ^ h0, m1 ^ l1 ^ h1, m2 ^ l2 ^ h2 ^ h0
+    return (
+        l0 ^ r40[c4] ^ r50[h1] ^ r60[h2],
+        l1 ^ r41[c4] ^ r51[h1] ^ r61[h2],
+        c2 ^ r42[c4] ^ r52[h1] ^ r62[h2],
+        c3 ^ r43[c4] ^ r53[h1] ^ r63[h2],
+    )
 
 
 class KernelPlan:
@@ -89,8 +100,10 @@ class KernelPlan:
             d = 1 if ext is None else ext.d
             if d not in KERNEL_COST:
                 raise ValueError(f"no kernel for residue degree {d}")
-            if ext is not None and ext.base != field:
-                raise ValueError("residue field has the wrong base")
+            if ext is not None:
+                if ext.base != field:
+                    raise ValueError("residue field has the wrong base")
+                ext.fold_rows()  # built here, not on the first product
             checked.append((offset, ext))
             cursor += d
         self.groups = tuple(checked)
@@ -107,16 +120,13 @@ class KernelPlan:
         """Componentwise product of two coordinate vectors, group by group."""
         if len(zv) != self.total or len(tv) != self.total:
             raise ValueError("coordinate vectors do not match the plan size")
-        out = [0] * self.total
+        field = self.field
+        out = []
         for offset, ext in self.groups:
             if ext is None:
-                out[offset] = mul_d1(self.field, zv[offset], tv[offset], counter)
-            elif ext.d == 2:
-                out[offset : offset + 2] = mul_d2(
-                    ext, zv[offset : offset + 2], tv[offset : offset + 2], counter
-                )
+                out.append(mul_d1(field, zv[offset], tv[offset], counter))
             else:
-                out[offset : offset + 4] = mul_d4(
-                    ext, zv[offset : offset + 4], tv[offset : offset + 4], counter
-                )
+                end = offset + ext.d
+                kernel = mul_d2 if ext.d == 2 else mul_d4
+                out += kernel(ext, zv[offset:end], tv[offset:end], counter)
         return out

@@ -363,7 +363,10 @@ def verify_instance(
     The loader already rejects broken data outright; this produces the
     per-rule evidence trail, one line per rule name (a rule on candidates
     shows its first failing candidate), plus compile-time facts (selected
-    places, rank certificate, operation counts, oracle spot-checks).
+    places, rank certificate, operation counts, oracle spot-checks), and the
+    bilinear certificate: `multiply` against `reference_mul` on all n^2 pairs
+    of basis vectors.  That suffices, as steps 1, 3 and 4 are F_q-linear and
+    step 2 is F_q-bilinear: two bilinear maps that agree there agree everywhere.
     """
     rules: dict = {}  # one line per rule name, a candidate rule's at its first failure
     for c in spec.checks():
@@ -382,6 +385,12 @@ def verify_instance(
     rep, got_rank = compiled.report, rank(compiled.T)
     bound = aggregate_bound(spec.n, spec.g, max(compiled.place_degrees))
     result = selftest(compiled, spot_checks, seed)
+    units = [[int(i == j) for j in range(spec.n)] for i in range(spec.n)]
+    wrong = [(x, y) for x in units for y in units
+             if compiled.multiply(x, y)[0] != reference_mul(spec.field, spec.q_modulus, x, y)]
+    cert = f"{spec.n**2 - len(wrong)}/{spec.n**2} basis pairs match the polynomial oracle"
+    if wrong:
+        cert += f"; first failure x={wrong[0][0]} y={wrong[0][1]}"
     spot = f"{spot_checks} random products against the polynomial oracle"
     if not result.ok:
         x, y, want, got = result.first_failure
@@ -394,6 +403,7 @@ def verify_instance(
                     f"step1={rep.step1_scalar} step2={rep.step2_bilinear} "
                     f"step3={rep.step3_scalar}"),
         CheckResult("aggregate-bound", rep.total <= bound, f"total {rep.total} <= {bound}"),
+        CheckResult("bilinear-certificate", not wrong, cert),
         CheckResult("oracle-spot-check", result.ok, spot),
         CheckResult("degree-sum-injectivity", compiled.meets_injectivity_bound,
                     "sufficient condition sum(degrees) > 2n+2g-2; the rank "

@@ -466,3 +466,26 @@ def test_unproven_field_skips_only_rabins_test():
     assert ring.inv((0, 1)) == (0, 1)
     with pytest.raises(ValueError, match="monic"):
         ExtField.unproven(F4, (1, 2))
+
+
+def test_field_hash_and_equality():
+    # each hash is fixed when the field is built, with the values it always had
+    assert hash(BinaryField(2, 0b111)) == hash(F4) == hash((2, 0b111))
+    assert BinaryField(2, 0b111) == F4 != F16
+    ext = ExtField(F2, (1, 1, 1))
+    same = ExtField.unproven(BinaryField(1, 0b10), (1, 1, 1, 0))
+    assert ext == same != ExtField(F2, (1, 1, 0, 0, 1))
+    assert hash(ext) == hash(same) == hash((F2, (1, 1, 1)))
+    assert len({F4, BinaryField(2, 0b111), ext, same}) == 2
+
+
+@pytest.mark.parametrize(
+    "base, modulus", [(F2, (1, 1, 1)), (F4, (2, 1, 1)), (F2, (1, 0, 0, 1, 1)), (F16, (2, 1))]
+)
+def test_fold_rows_hold_the_reduced_powers_of_t(base, modulus):
+    ext = ExtField(base, modulus)
+    rows = ext.fold_rows()
+    assert len(rows) == ext.d - 1 and ext.fold_rows() is rows  # built once
+    for j, row in enumerate(rows, start=ext.d):
+        power = ext.reduce([0] * j + [1])
+        assert row == tuple(base.table[c] for c in power)

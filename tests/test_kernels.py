@@ -1,9 +1,12 @@
+import functools
 import itertools
 import random
 
 import pytest
 
-from curvemul.galois import F2, F4, ExtField, is_irreducible
+from curvemul import tools
+from curvemul.engine import compile_instance
+from curvemul.galois import F2, F4, BinaryField, ExtField, is_irreducible
 from curvemul.kernels import (
     KERNEL_COST,
     BilinearCounter,
@@ -17,6 +20,13 @@ E4 = ExtField(F2, (1, 1, 1))  # F_4 over F_2
 E16 = ExtField(F4, (2, 1, 1))  # F_16 over F_4
 E16B = ExtField(F2, (1, 0, 0, 1, 1))  # F_16 over F_2, t^4+t^3+1
 E16C = ExtField(F2, (1, 1, 0, 0, 1))  # F_16 over F_2, t^4+t+1
+PLANS = {name: compile_instance(tools.load_bundled(name)).plan
+         for name in ("f16_13", "f4_5", "f2_5")}
+
+
+def residue_fields(name, d):
+    """The degree-d residue fields of the places a bundled instance selects."""
+    return [ext for _, ext in PLANS[name].groups if ext is not None and ext.d == d]
 
 
 def ext_elements(ext):
@@ -38,7 +48,9 @@ def test_mul_d1():
 
 
 def test_mul_d2_exhaustive_against_schoolbook():
-    for ext in (E4, E16):
+    bundled = residue_fields("f2_5", 2) + residue_fields("f4_5", 2)
+    assert len(bundled) == 3
+    for ext in (E4, E16, *bundled):
         for u in ext_elements(ext):
             for v in ext_elements(ext):
                 c = BilinearCounter()
@@ -76,11 +88,65 @@ def test_mul_d4_random_against_schoolbook():
 
 
 def test_mul_d4_exhaustive_f2():
-    c = BilinearCounter()
-    for u in ext_elements(E16B):
-        for v in ext_elements(E16B):
-            assert mul_d4(E16B, u, v, c) == E16B.mul(u, v)
-    assert c.bilinear_mults == 9 * 256
+    (bundled,) = residue_fields("f2_5", 4)
+    for ext in (E16B, bundled):
+        c = BilinearCounter()
+        for u in ext_elements(ext):
+            for v in ext_elements(ext):
+                assert mul_d4(ext, u, v, c) == ext.mul(u, v)
+        assert c.bilinear_mults == 9 * 256
+
+
+class RowCountingTable(tuple):
+    """A product table that counts its outer-row lookups: ``table[a][b]``
+    is one lookup, a row bound ahead of time (``row[c]``) is none."""
+
+    def __new__(cls, rows):
+        table = super().__new__(cls, rows)
+        table.lookups = 0
+        return table
+
+    def __getitem__(self, a):
+        self.lookups += 1
+        return tuple.__getitem__(self, a)
+
+
+def counted_copy(plan):
+    """The plan over a fresh copy of its base field whose table counts, with
+    every residue field rebuilt over that copy and its fold rows warmed."""
+    field = BinaryField(plan.field.k, plan.field.modulus)
+    field.table = RowCountingTable(field.table)
+    groups = [(o, None if e is None else ExtField(field, e.modulus)) for o, e in plan.groups]
+    return KernelPlan(field, groups), field.table
+
+
+@pytest.mark.parametrize("name", sorted(PLANS))
+def test_step2_table_lookups_at_run_time(name):
+    # each operand-by-operand product is one outer lookup in the product
+    # table, so the lookups are the 1/3/9 multiplications themselves; the
+    # fold rows were bound at compile time and do not show.  A schoolbook
+    # kernel would take 4/16, plus its reduction.
+    plan, table = counted_copy(PLANS[name])
+    q = plan.field.order
+    for offset, ext in plan.groups:
+        if ext is None:
+            pairs = itertools.product(range(q), repeat=2)
+            run = lambda a, b: mul_d1(plan.field, a, b)  # noqa: E731
+        else:
+            pairs = itertools.product(ext_elements(ext), repeat=2)
+            run = functools.partial(mul_d2 if ext.d == 2 else mul_d4, ext)
+        for a, b in pairs:
+            table.lookups = 0
+            run(a, b)
+            assert table.lookups == KERNEL_COST[1 if ext is None else ext.d], (offset, a, b)
+    rng = random.Random(5)
+    for _ in range(50):
+        zv = [rng.randrange(q) for _ in range(plan.total)]
+        tv = [rng.randrange(q) for _ in range(plan.total)]
+        table.lookups = 0
+        c = BilinearCounter()
+        plan.hadamard(zv, tv, c)
+        assert table.lookups == c.bilinear_mults == plan.advertised_cost
 
 
 def test_counts_do_not_depend_on_values():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from curvemul import cli, engine, galois, tools
+from curvemul import cli, engine, galois, kernels, tools
 from curvemul.curve import AffinePlace, PackedPolys, PlaceEvaluationError, generates_residue
 from curvemul.engine import InstanceError, InstanceSpec, compile_instance
 from curvemul.galois import F2, F4, ExtField, is_irreducible
@@ -522,6 +522,8 @@ def test_verify_instance_passes_for_bundled():
         lines = report.lines()
         assert lines[-1].startswith(f"PASS {name}")
         assert any("evaluation-rank" in l for l in lines)
+        pairs = spec.n**2  # 169/25/25
+        assert f"[ ok ] bilinear-certificate — {pairs}/{pairs} basis pairs match" in lines[-4]
         assert any("[note] degree-sum-injectivity" in l for l in lines)
         # one line per rule of the constructor, in its order
         names = [re.match(r"\[(?: ok |note|FAIL)\] (\S+)", l).group(1) for l in lines[:-1]]
@@ -542,6 +544,21 @@ def test_verify_instance_reports_compile_failure():
     lines = report.lines()
     assert any(l.startswith("[FAIL] good-basis-ladder") for l in lines)
     assert lines[-1].startswith("FAIL swapped")
+
+
+def test_verify_instance_bilinear_certificate_names_a_wrong_pair(monkeypatch):
+    # a degree-4 kernel that forgets its top coordinate: the basis pairs whose
+    # product reaches it differ, and the certificate names the first of them
+    def wrong(ext, u, v, counter=None):
+        return ext.mul(tuple(u), tuple(v))[:3] + (0,)
+
+    monkeypatch.setattr(kernels, "mul_d4", wrong)
+    report = tools.verify_instance(tools.load_bundled("f2_5"))
+    cert = next(c for c in report.checks if c.name == "bilinear-certificate")
+    assert not report.ok and not cert.ok
+    assert re.fullmatch(r"(\d+)/25 basis pairs match the polynomial oracle; "
+                        r"first failure x=\[.*\] y=\[.*\]", cert.detail)
+    assert int(cert.detail.split("/")[0]) < 25
 
 
 def _verify_with_extra_candidate(place):

@@ -33,8 +33,11 @@ One product of x, y in F_{q^n} (length-n coordinate tuples over F_q) runs:
    reduction folds in through product-table rows fixed per residue field at
    compile time, products by constants of the field, so never counted;
 3. the first 2n-1 rows of inverse(T) applied to the componentwise
-   product — (2n-1)(2n+g-1) multiplications;
-4. an addition-only recombination of the 2n-1 interpolation coordinates.
+   product — (2n-1)(2n+g-1) multiplications by the paper's convention, run
+   as 2n+g-1 lookups of a column's multiple fixed at compile time, XORed
+   into one lane vector (`galois.Lanes`);
+4. an addition-only recombination of the 2n-1 interpolation coordinates,
+   on that lane vector; only the n output lanes are unpacked.
 
 Why only n live columns in step 1: the basis is built so that x embeds on
 f_1..f_n and y on f_1, f_{n+1}..f_{2n-1}; all other embedded coordinates
@@ -60,6 +63,7 @@ from .curve import (
 )
 from .galois import (
     BinaryField,
+    Lanes,
     Poly,
     is_irreducible,
     poly_from_coeffs,
@@ -326,7 +330,8 @@ def verify_good_basis(spec: InstanceSpec) -> list[CheckResult]:
 class CompiledMultiplier:
     """Frozen straight-line multiplier for one instance."""
 
-    __slots__ = ("spec", "places", "T", "T_x", "T_y", "T_inv_top", "plan", "report")
+    __slots__ = ("spec", "places", "T", "T_x", "T_y", "T_inv_top", "plan", "report",
+                 "step3_columns")
 
     def __init__(self, spec, places, T, T_x, T_y, T_inv_top, plan):
         self.spec = spec
@@ -336,13 +341,22 @@ class CompiledMultiplier:
         self.T_y = T_y
         self.T_inv_top = T_inv_top
         self.plan = plan
-        # every product schedules one multiplication per entry of the three
-        # matrices and the plan's kernels, whatever the operand values
+        # the paper's count: one multiplication per entry of the three matrices
+        # (step 3's looked up below) and the plan's kernels, whatever the values
         self.report = OpReport(
             step1_scalar=T_x.rows * T_x.cols + T_y.rows * T_y.cols,
             step2_bilinear=plan.advertised_cost,
             step3_scalar=T_inv_top.rows * T_inv_top.cols,
         )
+        # step3_columns[j][a] is a times column j of T_inv_top, one lane vector:
+        # the transpose is packed whole, scaled once per a and cut into columns
+        field, top, size = spec.field, T_inv_top.rows, T_inv_top.cols
+        lanes, width = Lanes(field, top * size), field.k * top
+        packed = lanes.pack([v for j in range(size) for v in T_inv_top.entries[j::size]])
+        multiples = [lanes.scale(a, packed) for a in range(field.order)]
+        mask = (1 << width) - 1
+        self.step3_columns = tuple(tuple([(m >> s) & mask for m in multiples])
+                                   for s in range(0, width * size, width))
 
     @property
     def place_degrees(self) -> list[int]:
@@ -367,13 +381,13 @@ class CompiledMultiplier:
         spec = self.spec
         _check_operand(spec, x)
         _check_operand(spec, y)
-        n = spec.n
-        zv = mat_vec(self.T_x, x)
-        tv = mat_vec(self.T_y, y)
-        had = self.plan.hadamard(zv, tv)
-        w = mat_vec(self.T_inv_top, had)
-        z = [w[0]] + [w[j] ^ w[n + j - 1] for j in range(1, n)]
-        return tuple(z), self.report
+        had = self.plan.hadamard(mat_vec(self.T_x, x), mat_vec(self.T_y, y))
+        w = 0
+        for column, c in zip(self.step3_columns, had):
+            w ^= column[c]
+        k, mask = spec.field.k, spec.field.order - 1
+        z = w ^ ((w >> (k * spec.n)) << k)  # step 4: lane n+j-1 into lane j, 0 < j < n
+        return tuple([(z >> s) & mask for s in range(0, k * spec.n, k)]), self.report
 
 
 def compile_instance(spec: InstanceSpec) -> CompiledMultiplier:

@@ -10,8 +10,10 @@ into GF(2^k) lanes (`galois.Lanes`), so an elimination step costs O(k)
 big-int operations whatever the row length.
 
 `mat_vec` performs one base-field multiplication per matrix entry whatever
-the values, so the cost of a product is fixed by the matrix shape; the
-engine reads its operation counts from those shapes at compile time.
+the values, so its cost is fixed by the matrix shape.  The engine runs
+step 1 of a product through it; it reads step 1's operation count from
+those shapes, and step 3's from the shape of the matrix whose columns it
+looks up.
 """
 
 from __future__ import annotations

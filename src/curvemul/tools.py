@@ -57,6 +57,7 @@ from .engine import (
 from .galois import (
     BinaryField,
     ExtField,
+    Lanes,
     Poly,
     absolute_trace,
     poly_degree,
@@ -354,6 +355,18 @@ class VerifyReport(namedtuple("VerifyReport", "instance checks")):
         return out
 
 
+def _step3_table_fault(compiled: CompiledMultiplier):
+    """(j, a) of the first stored step-3 multiple that is not a times column j
+    of T_inv_top, packed entry by entry from the product table, or None."""
+    m, field, stored = compiled.T_inv_top, compiled.spec.field, compiled.step3_columns
+    pack, q = Lanes(field, m.rows).pack, field.order
+    for j, a in itertools.product(range(m.cols), range(q)):
+        want = pack([field.table[a][v] for v in m.entries[j :: m.cols]])
+        if len(stored) != m.cols or len(stored[j]) != q or stored[j][a] != want:
+            return j, a
+    return None
+
+
 def verify_instance(
     spec: InstanceSpec, spot_checks: int = 25, seed: int = 2024
 ) -> VerifyReport:
@@ -365,8 +378,11 @@ def verify_instance(
     shows its first failing candidate), plus compile-time facts (selected
     places, rank certificate, operation counts, oracle spot-checks), and the
     bilinear certificate: `multiply` against `reference_mul` on all n^2 pairs
-    of basis vectors.  That suffices, as steps 1, 3 and 4 are F_q-linear and
-    step 2 is F_q-bilinear: two bilinear maps that agree there agree everywhere.
+    of basis vectors.  That suffices, as steps 1 and 4 are F_q-linear and
+    step 2 is F_q-bilinear, and step 3 (lookups of stored multiples) is
+    F_q-linear when each multiple `step3_columns[j][a]` is a times column j
+    of T_inv_top, which the certificate checks first, entry by entry through
+    the product table: two bilinear maps that agree there agree everywhere.
     """
     rules: dict = {}  # one line per rule name, a candidate rule's at its first failure
     for c in spec.checks():
@@ -385,12 +401,16 @@ def verify_instance(
     rep, got_rank = compiled.report, rank(compiled.T)
     bound = aggregate_bound(spec.n, spec.g, max(compiled.place_degrees))
     result = selftest(compiled, spot_checks, seed)
+    fault = _step3_table_fault(compiled)
     units = [[int(i == j) for j in range(spec.n)] for i in range(spec.n)]
     wrong = [(x, y) for x in units for y in units
              if compiled.multiply(x, y)[0] != reference_mul(spec.field, spec.q_modulus, x, y)]
     cert = f"{spec.n**2 - len(wrong)}/{spec.n**2} basis pairs match the polynomial oracle"
     if wrong:
         cert += f"; first failure x={wrong[0][0]} y={wrong[0][1]}"
+    if fault:
+        cert = (f"step-3 multiple {fault[1]} of column {fault[0]} is not "
+                f"{fault[1]} times that column of T_inv_top; {cert}")
     spot = f"{spot_checks} random products against the polynomial oracle"
     if not result.ok:
         x, y, want, got = result.first_failure
@@ -403,7 +423,7 @@ def verify_instance(
                     f"step1={rep.step1_scalar} step2={rep.step2_bilinear} "
                     f"step3={rep.step3_scalar}"),
         CheckResult("aggregate-bound", rep.total <= bound, f"total {rep.total} <= {bound}"),
-        CheckResult("bilinear-certificate", not wrong, cert),
+        CheckResult("bilinear-certificate", not (wrong or fault), cert),
         CheckResult("oracle-spot-check", result.ok, spot),
         CheckResult("degree-sum-injectivity", compiled.meets_injectivity_bound,
                     "sufficient condition sum(degrees) > 2n+2g-2; the rank "

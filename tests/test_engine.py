@@ -23,7 +23,7 @@ from curvemul.engine import (
     reference_mul,
     verify_good_basis,
 )
-from curvemul.galois import F2, F4, F16, ExtField
+from curvemul.galois import F2, F4, F16, ExtField, Lanes
 from curvemul.linalg import rank
 
 NAMES = ("f16_13", "f4_5", "f2_5")
@@ -65,7 +65,7 @@ def test_published_first_examples():
 def test_oracle_equivalence_random():
     for name in NAMES:
         spec, compiled = SPECS[name], COMPILED[name]
-        rng = random.Random(hash(name) & 0xFFFF)
+        rng = random.Random(f"oracle/{name}")  # a str seed is not salted per process
         for _ in range(200):
             x = random_operand(rng, spec)
             y = random_operand(rng, spec)
@@ -140,6 +140,51 @@ def test_op_report_exact():
         assert compiled.expected_report == report
         assert report is compiled.report  # fixed at compile time
         assert OpReport.expected(n, g, compiled.place_degrees) == report
+
+
+def test_multiply_runs_step3_by_lookup(monkeypatch):
+    # step 1 is the only mat-vec left, one per operand; step 3 reads the
+    # compiled multiples of T_inv_top's columns, whatever the coordinates
+    calls = []
+    real = engine.mat_vec
+    monkeypatch.setattr(engine, "mat_vec", lambda m, v: calls.append(m) or real(m, v))
+    for name in NAMES:
+        spec, compiled = SPECS[name], COMPILED[name]
+        rng = random.Random(8)
+        for _ in range(5):
+            calls.clear()
+            compiled.multiply(random_operand(rng, spec), random_operand(rng, spec))
+            assert calls == [compiled.T_x, compiled.T_y]  # none on T_inv_top
+
+
+def test_step3_columns_are_the_multiples_of_t_inv_top():
+    for name in NAMES:
+        compiled = COMPILED[name]
+        m, field = compiled.T_inv_top, SPECS[name].field
+        lanes = Lanes(field, m.rows)
+        assert len(compiled.step3_columns) == m.cols
+        for j, multiples in enumerate(compiled.step3_columns):
+            column = m.entries[j :: m.cols]
+            assert [lanes.unpack(v, m.rows + 1) for v in multiples] == [
+                [field.mul(a, c) for c in column] + [0] for a in range(field.order)
+            ]
+
+
+def test_step3_table_takes_at_most_q_scales(monkeypatch):
+    # freezing the multiplier builds the step-3 table: the transpose of
+    # T_inv_top is one lane vector, scaled once per a in F_q; a scale per
+    # column per a would be (2n+g-1) times as many, in set-up time
+    scaled = []
+    real = Lanes.scale
+    monkeypatch.setattr(Lanes, "scale", lambda self, c, v: scaled.append(c) or real(self, c, v))
+    for name in NAMES:
+        c = COMPILED[name]
+        scaled.clear()
+        frozen = engine.CompiledMultiplier(
+            c.spec, c.places, c.T, c.T_x, c.T_y, c.T_inv_top, c.plan
+        )
+        assert frozen.step3_columns == c.step3_columns
+        assert 0 < len(scaled) <= SPECS[name].field.order, name
 
 
 def test_records_repr_equality_and_immutability():

@@ -561,6 +561,33 @@ def test_verify_instance_bilinear_certificate_names_a_wrong_pair(monkeypatch):
     assert int(cert.detail.split("/")[0]) < 25
 
 
+@pytest.mark.parametrize("lane, pairs", [(0, 20), (9, 25)], ids=["in-lanes", "above-lanes"])
+def test_verify_instance_bilinear_certificate_names_a_wrong_step3_multiple(
+    monkeypatch, lane, pairs
+):
+    # one stored multiple of one T_inv_top column off by one bit: step 3 is
+    # then not F_q-linear, and agreement on the basis pairs no longer proves
+    # agreement everywhere.  A bit in lane 9, above f4_5's 2n-1 = 9 lanes,
+    # changes no product, so only the check on the table itself sees it.
+    real = tools.compile_instance
+
+    def corrupted(spec):
+        compiled = real(spec)
+        columns = [list(c) for c in compiled.step3_columns]
+        columns[4][3] ^= 1 << (spec.field.k * lane)
+        compiled.step3_columns = tuple(tuple(c) for c in columns)
+        return compiled
+
+    monkeypatch.setattr(tools, "compile_instance", corrupted)
+    report = tools.verify_instance(tools.load_bundled("f4_5"))
+    cert = next(c for c in report.checks if c.name == "bilinear-certificate")
+    assert not report.ok and not cert.ok
+    assert cert.detail.startswith(
+        "step-3 multiple 3 of column 4 is not 3 times that column of T_inv_top; "
+        f"{pairs}/25 basis pairs match the polynomial oracle"
+    )
+
+
 def _verify_with_extra_candidate(place):
     # appended after load, so only verify_instance's own candidate loop sees it
     spec = tools.load_bundled("f2_5")

@@ -91,7 +91,7 @@ def _cmd_split_search(args) -> int:
         raise ValueError("trials must be >= 1")
     found = tools.split_search(spec.curve, args.degree, args.trials, args.seed)
     for p in found:
-        print(f"{tools.poly_text(spec.field, p)}  coeffs {tools.format_vector(p)}")
+        print(f"{tools.poly_text(p)}  coeffs {tools.format_vector(p)}")
     print(f"{len(found)} splitting polynomial(s) of degree {args.degree}")
     return 0
 

@@ -327,17 +327,18 @@ class PlaceEvaluator:
     For e >= deg den the sum stops at k = deg ay - deg den, so y_0 .. y_K, K
     the family's largest deg ay - deg den, make every c_e read exact.
 
-    Build one per place and drop it; one family serves every place.
+    Build one per place and drop it; one family, which carries its curve,
+    serves every place.
     """
 
     __slots__ = ("place", "_family", "_res", "_num", "_dens", "_rows", "_poles")
 
-    def __init__(self, curve: Curve, place, family: PackedFamily):
+    def __init__(self, place, family: PackedFamily):
         self.place = place
         self._family = family
         self._rows = None
         self._poles: set = set()
-        width = curve.field.k * len(family.functions)
+        width = family.lanes.field.k * len(family.functions)
         block = (1 << width) - 1  # the F lanes of one of the ay, b, den blocks
         lanes, lane = family.lanes, family.lane
         if isinstance(place, AffinePlace):
@@ -348,10 +349,10 @@ class PlaceEvaluator:
             dens = [a >> (2 * width) for a in acc]
             self._dens = [lane(dens, idx[0]) for idx, _ in family.dens]
         elif isinstance(place, InfinitePlace):
-            self._res = ExtField(curve.field, (0, 1))  # F_q as F_q[t]/(t)
+            self._res = ExtField(family.lanes.field, (0, 1))  # F_q as F_q[t]/(t)
             top = max([0] + [len(f.ay) - len(f.den) for f in family.functions])
             c = [(col >> width) & block for col in family.columns]  # the b lanes
-            for k, y in enumerate(branch_series(curve, place.branch_y0, top + 1)):
+            for k, y in enumerate(branch_series(family.curve, place.branch_y0, top + 1)):
                 for e, col in enumerate(family.columns[k:]):
                     c[e] ^= lanes.scale(y, col & block)
             self._num, self._dens = [0], []
@@ -421,7 +422,7 @@ class PlaceEvaluator:
 
 def evaluate(curve: Curve, f: CurveFunction, place) -> list[int]:
     """Coordinates of f's value at a place, as `degree` base-field ints."""
-    return PlaceEvaluator(curve, place, PackedFamily(curve, (f,))).value(0)
+    return PlaceEvaluator(place, PackedFamily(curve, (f,))).value(0)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +452,7 @@ def beta_from_ideal(res: ExtField, y_num: Poly, y_den: Poly) -> tuple:
     polynomial's value is its remainder mod m: the image of y at a place
     presented as y = y_num(x)/y_den(x) with x-image t (the usual F_q[x]/(m)),
     and the rhs(b) of `tools.check_total_split`."""
-    num, den = [res.reduce(list(p) + [0] * res.d) for p in (y_num, y_den)]
+    num, den = [res.from_poly(p) for p in (y_num, y_den)]
     try:
         return res.mul(num, res.inv(den))
     except ZeroDivisionError:  # den is 0, or a non-unit while m is unproven

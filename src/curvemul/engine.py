@@ -309,7 +309,7 @@ def verify_good_basis(spec: InstanceSpec) -> list[CheckResult]:
     where alpha is the image of x at Q.
     """
     n = spec.n
-    at_q = PlaceEvaluator(spec.curve, spec.q_place, spec.family)
+    at_q = PlaceEvaluator(spec.q_place, spec.family)
     # alpha is the residue generator t (`validate` insists), so the ladder
     # wants t^s, s < n, or zero for s = -1
     powers = [j - 1 if j <= n else j - n if j <= 2 * n - 1 else -1
@@ -410,7 +410,7 @@ def compile_instance(spec: InstanceSpec) -> CompiledMultiplier:
     for p in spec.candidate_places:
         if basis.rank + p.degree > target:
             continue
-        at_place = PlaceEvaluator(spec.curve, p, spec.family)
+        at_place = PlaceEvaluator(p, spec.family)
         try:
             block = at_place.rows()
         except PlaceEvaluationError as e:

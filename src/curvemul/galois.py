@@ -11,7 +11,9 @@ Representation conventions, used throughout the package:
 * A polynomial over a field is a tuple of such ints, index ``j`` holding the
   coefficient of ``x**j``, with no trailing zeros.  The zero polynomial is the
   empty tuple.  `poly_mul` is the one schoolbook convolution: `ExtField.mul`
-  reduces its result and `curve.series_mul` truncates it.
+  reduces its result through `poly_mod` and `curve.series_mul` truncates it.
+  `poly_divmod` is the one polynomial remainder loop; the kernels reduce
+  through rows fixed per residue field instead (`ExtField.fold_rows`).
 * An element of an extension GF(q^d) = F_q[t]/(m) is a length-``d`` tuple of
   base-field ints: coordinates in the basis (1, t, ..., t**(d-1)).
 * A lane vector (`Lanes`) packs many elements of GF(2^k) into one int, k bits
@@ -377,7 +379,16 @@ class ExtField:
 
     def gen(self) -> tuple:
         """The residue class of t: its remainder mod the modulus."""
-        return self.reduce([0, 1] + [0] * self.d)
+        return self.from_poly((0, 1))
+
+    def from_poly(self, p: Poly) -> tuple:
+        """The residue class of the polynomial p in t, as coordinates: its
+        remainder by the modulus (`poly_mod`), padded."""
+        return self._padded(poly_mod(self.base, p, self.modulus))
+
+    def _padded(self, r: Poly) -> tuple:
+        """A polynomial of degree < d as its d coordinates."""
+        return r + (0,) * (self.d - len(r))
 
     def from_coords(self, coords: Sequence[int]) -> tuple:
         if len(coords) != self.d:
@@ -388,30 +399,15 @@ class ExtField:
         return tuple(a ^ b for a, b in zip(u, v))
 
     def mul(self, u: tuple, v: tuple) -> tuple:
-        """Schoolbook product: the convolution `poly_mul`, then `reduce`.
+        """Schoolbook product: the convolution `poly_mul`, then its remainder
+        by the modulus through `poly_mod` (`from_poly`).
 
         The reference multiplication the counted kernels are tested against:
-        at most d*d base-field multiplications, plus reduction.
+        at most d*d base-field multiplications, plus reduction, whose
+        multiplications are by modulus coefficients, constants of the field,
+        which the operation counts never include.
         """
-        return self.reduce(list(poly_mul(self.base, u, v)) + [0] * self.d)
-
-    def reduce(self, conv: list[int]) -> tuple:
-        """Remainder of a coefficient list (lowest degree first, at least d
-        entries) by the monic modulus, as coordinates.  Overwrites ``conv``.
-
-        Its multiplications are by modulus coefficients, constants of the
-        field, which the operation counts never include.
-        """
-        d = self.d
-        m = self.modulus
-        mul = self.base.mul
-        for i in range(len(conv) - 1, d - 1, -1):
-            c = conv[i]
-            if c:
-                for j in range(d):
-                    if m[j]:
-                        conv[i - d + j] ^= mul(c, m[j])
-        return tuple(conv[:d])
+        return self.from_poly(poly_mul(self.base, u, v))
 
     def ladder(self, z: tuple) -> list[tuple]:
         """z * t^s for s = 0 .. d-1, as coordinate tuples.  Each is the one
@@ -463,8 +459,7 @@ class ExtField:
             s0, s1 = s1, poly_add(base, s0, poly_mul(base, q, s1))
         if not r1:
             raise ZeroDivisionError("inverse of a non-unit")
-        s = poly_scale(base, base.inv(r1[0]), s1)
-        return s + (0,) * (self.d - len(s))
+        return self._padded(poly_scale(base, base.inv(r1[0]), s1))
 
     def pow(self, u: tuple, e: int) -> tuple:
         r = self.one()

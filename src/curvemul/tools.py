@@ -94,15 +94,20 @@ def _coeffs(doc, key: str, where: str) -> list[int]:
     return value
 
 
+def _built(where: str, build, *args):
+    """build(*args), the loader's one translation of a builder's error: a
+    ValueError or PlaceEvaluationError it raises becomes an InstanceError
+    reading "<where>: <its message>", with it as the cause."""
+    try:
+        return build(*args)
+    except (ValueError, PlaceEvaluationError) as e:
+        raise InstanceError(f"{where}: {e}") from e
+
+
 def _elements(field: BinaryField, doc, key: str, where: str) -> list[int]:
     """Like `_coeffs`, but every value must also be an element of ``field``."""
     value = _coeffs(doc, key, where)
-    try:
-        for c in value:
-            field.check(c)
-    except ValueError as e:
-        raise InstanceError(f"{where}{key}: {e}") from e
-    return value
+    return _built(f"{where}{key}", lambda: [field.check(c) for c in value])
 
 
 def instance_from_document(doc, name: str = "instance") -> InstanceSpec:
@@ -114,56 +119,29 @@ def instance_from_document(doc, name: str = "instance") -> InstanceSpec:
     fdoc = _get(doc, "field", dict, "")
     k = _get(fdoc, "k", int, "field.")
     modulus_bits = _get(fdoc, "modulus_bits", int, "field.")
-    try:
-        field = BinaryField(k, modulus_bits)
-    except ValueError as e:
-        raise InstanceError(f"field: {e}") from e
+    field = _built("field", BinaryField, k, modulus_bits)
 
     cdoc = _get(doc, "curve", dict, "")
-    try:
-        curve = Curve(
-            field,
-            _coeffs(cdoc, "rhs_num", "curve."),
-            _coeffs(cdoc, "rhs_den", "curve."),
-            _get(cdoc, "genus", int, "curve."),
-        )
-    except ValueError as e:
-        raise InstanceError(f"curve: {e}") from e
+    curve = _built("curve", Curve, field, _coeffs(cdoc, "rhs_num", "curve."),
+                   _coeffs(cdoc, "rhs_den", "curve."), _get(cdoc, "genus", int, "curve."))
 
     n = _get(doc, "n", int, "")
     qdoc = _get(doc, "Q", dict, "")
     bdocs = _get(doc, "basis", list, "")
     # residue fields are built unproven: InstanceSpec proves them after its linear rules
-    try:
-        q_res = ExtField.unproven(field, _elements(field, qdoc, "modulus", "Q."))
-    except ValueError as e:
-        raise InstanceError(f"Q.modulus: {e}") from e
+    q_res = _built("Q.modulus", ExtField.unproven, field, _elements(field, qdoc, "modulus", "Q."))
     # Q's y-image inverse costs degree^2, so the shape and Q's degree go first
     raise_first_failure(shape_checks(n, curve.genus, len(bdocs), field, q_res))
-    try:
-        q_y = beta_from_ideal(
-            q_res,
-            poly_from_coeffs(field, _elements(field, qdoc, "y_num", "Q.")),
-            poly_from_coeffs(field, _elements(field, qdoc, "y_den", "Q.")),
-        )
-    except PlaceEvaluationError as e:
-        raise InstanceError(f"Q: {e}") from e
+    q_y = _built("Q", beta_from_ideal, q_res,
+                 poly_from_coeffs(field, _elements(field, qdoc, "y_num", "Q.")),
+                 poly_from_coeffs(field, _elements(field, qdoc, "y_den", "Q.")))
     q_place = AffinePlace(q_res, q_res.gen(), q_y, label="Q")
 
     basis = []
     for i, bdoc in enumerate(bdocs):
         where = f"basis[{i}]."
-        try:
-            basis.append(
-                CurveFunction(
-                    field,
-                    _coeffs(bdoc, "ay", where),
-                    _coeffs(bdoc, "b", where),
-                    _coeffs(bdoc, "den", where),
-                )
-            )
-        except ValueError as e:
-            raise InstanceError(f"basis[{i}]: {e}") from e
+        basis.append(_built(f"basis[{i}]", CurveFunction, field, _coeffs(bdoc, "ay", where),
+                            _coeffs(bdoc, "b", where), _coeffs(bdoc, "den", where)))
 
     places = []
     for i, pdoc in enumerate(_get(doc, "places", list, "")):
@@ -172,10 +150,7 @@ def instance_from_document(doc, name: str = "instance") -> InstanceSpec:
         label = (_get(pdoc, "label", str, where) if "label" in pdoc else "") or f"places[{i}]"
         declared = _get(pdoc, "degree", int, where)
         if kind == "affine":
-            try:
-                res = ExtField.unproven(field, _coeffs(pdoc, "residue_modulus", where))
-            except ValueError as e:
-                raise InstanceError(f"{label}: {e}") from e
+            res = _built(label, ExtField.unproven, field, _coeffs(pdoc, "residue_modulus", where))
             if declared != res.d:
                 raise InstanceFileError(
                     f"{label}: declared degree {declared} disagrees with the "
@@ -192,10 +167,7 @@ def instance_from_document(doc, name: str = "instance") -> InstanceSpec:
             if declared != 1:
                 raise InstanceFileError(f"{label}: infinite places have degree 1")
             branch = _get(pdoc, "branch_y0", int, where)
-            try:
-                places.append(InfinitePlace(branch, label))
-            except ValueError as e:
-                raise InstanceError(f"{label}: {e}") from e
+            places.append(_built(label, InfinitePlace, branch, label))
         else:
             raise InstanceFileError(
                 f"key '{where}kind' must be 'affine' or 'infinite'"
@@ -367,9 +339,7 @@ def _step3_table_fault(compiled: CompiledMultiplier):
     return None
 
 
-def verify_instance(
-    spec: InstanceSpec, spot_checks: int = 25, seed: int = 2024
-) -> VerifyReport:
+def verify_instance(spec: InstanceSpec, spot_checks: int = 25) -> VerifyReport:
     """Re-run every rule of `InstanceSpec.checks` on a loaded instance and
     compile it.
 
@@ -400,11 +370,10 @@ def verify_instance(
         return VerifyReport(spec.name, (*checks, CheckResult("compile", False, str(e))))
     rep, got_rank = compiled.report, rank(compiled.T)
     bound = aggregate_bound(spec.n, spec.g, max(compiled.place_degrees))
-    result = selftest(compiled, spot_checks, seed)
+    result = selftest(compiled, spot_checks, seed=2024)
     fault = _step3_table_fault(compiled)
     units = [[int(i == j) for j in range(spec.n)] for i in range(spec.n)]
-    wrong = [(x, y) for x in units for y in units
-             if compiled.multiply(x, y)[0] != reference_mul(spec.field, spec.q_modulus, x, y)]
+    wrong = _oracle_mismatches(compiled, itertools.product(units, units))
     cert = f"{spec.n**2 - len(wrong)}/{spec.n**2} basis pairs match the polynomial oracle"
     if wrong:
         cert += f"; first failure x={wrong[0][0]} y={wrong[0][1]}"
@@ -444,24 +413,38 @@ class SelftestResult(namedtuple("SelftestResult", "trials failures first_failure
         return self.failures == 0
 
 
+def _random_pairs(spec: InstanceSpec, count: int, seed: int):
+    """`count` seeded operand pairs (x, y) of random coordinate lists, drawn
+    lazily, x before y."""
+    rng, q, n = random.Random(seed), spec.field.order, spec.n
+    return (([rng.randrange(q) for _ in range(n)], [rng.randrange(q) for _ in range(n)])
+            for _ in range(count))
+
+
+def _oracle_mismatches(compiled: CompiledMultiplier, pairs) -> list[tuple]:
+    """The operand pairs (x, y) on which `multiply` and the polynomial oracle
+    `reference_mul` disagree, in order, each as (x, y, want, got): want the
+    oracle's product, got multiply's."""
+    spec = compiled.spec
+    out = []
+    for x, y in pairs:
+        got, _ = compiled.multiply(x, y)
+        want = reference_mul(spec.field, spec.q_modulus, x, y)
+        if got != want:
+            out.append((x, y, want, got))
+    return out
+
+
 def selftest(compiled: CompiledMultiplier, trials: int = 1000, seed: int = 42):
     """Compare multiply against the polynomial oracle on seeded random pairs."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    spec = compiled.spec
-    rng = random.Random(seed)
-    failures = 0
+    wrong = _oracle_mismatches(compiled, _random_pairs(compiled.spec, trials, seed))
     first = None
-    for _ in range(trials):
-        x = [rng.randrange(spec.field.order) for _ in range(spec.n)]
-        y = [rng.randrange(spec.field.order) for _ in range(spec.n)]
-        got, _ = compiled.multiply(x, y)
-        want = reference_mul(spec.field, spec.q_modulus, x, y)
-        if got != want:
-            failures += 1
-            if first is None:
-                first = (tuple(x), tuple(y), want, got)
-    return SelftestResult(trials, failures, first)
+    if wrong:
+        x, y, want, got = wrong[0]
+        first = (tuple(x), tuple(y), want, got)
+    return SelftestResult(trials, len(wrong), first)
 
 
 # report is the constant OpReport
@@ -472,15 +455,7 @@ def bench(compiled: CompiledMultiplier, reps: int = 50, seed: int = 7) -> BenchR
     """Median/mean wall time of one product over seeded random inputs."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    spec = compiled.spec
-    rng = random.Random(seed)
-    pairs = [
-        (
-            [rng.randrange(spec.field.order) for _ in range(spec.n)],
-            [rng.randrange(spec.field.order) for _ in range(spec.n)],
-        )
-        for _ in range(reps)
-    ]
+    pairs = list(_random_pairs(compiled.spec, reps, seed))
     times = []
     report = None
     for x, y in pairs:
@@ -520,7 +495,7 @@ def format_vector(v: Sequence[int]) -> str:
     return ",".join(str(c) for c in v)
 
 
-def poly_text(field: BinaryField, p: Poly, var: str = "x") -> str:
+def poly_text(p: Poly) -> str:
     """Human-readable rendering, highest-degree term first."""
     if not p:
         return "0"
@@ -532,6 +507,6 @@ def poly_text(field: BinaryField, p: Poly, var: str = "x") -> str:
         if j == 0:
             terms.append(str(c))
         else:
-            power = var if j == 1 else f"{var}^{j}"
+            power = "x" if j == 1 else f"x^{j}"
             terms.append(power if c == 1 else f"{c}*{power}")
     return " + ".join(terms)

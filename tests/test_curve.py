@@ -451,7 +451,7 @@ def test_values_at_infinity_match_series_division():
             for place in places:
                 message = f"function has a pole at {place.label or place!r}"
                 want = [series_at_infinity(curve, f, place) for f in functions]
-                at = PlaceEvaluator(curve, place, family)
+                at = PlaceEvaluator(place, family)
                 for j, v in enumerate(want):
                     if v is None:
                         poles += 1
@@ -467,7 +467,7 @@ def test_values_at_infinity_match_series_division():
                         evaluate(curve, functions[0], place)
                 else:
                     assert evaluate(curve, functions[0], place) == [want[0]]
-                at = PlaceEvaluator(curve, place, family)
+                at = PlaceEvaluator(place, family)
                 if None in want:
                     with pytest.raises(PlaceEvaluationError) as err:
                         at.rows()

@@ -314,7 +314,7 @@ def test_evaluator_matches_horner_reference():
     for name in NAMES:
         spec = SPECS[name]
         for place in (spec.q_place,) + spec.candidate_places:
-            at_place = PlaceEvaluator(spec.curve, place, PackedFamily(spec.curve, spec.basis))
+            at_place = PlaceEvaluator(place, PackedFamily(spec.curve, spec.basis))
             for idx, f in enumerate(spec.basis):
                 want = horner_value(spec.curve, f, place)
                 assert at_place.value(idx) == want, (name, place.label, idx)
@@ -327,9 +327,9 @@ def test_each_candidate_evaluated_at_most_once(monkeypatch):
     class Counting(PlaceEvaluator):
         __slots__ = ()
 
-        def __init__(self, curve, place, functions):
+        def __init__(self, place, family):
             built.append(place.label)
-            super().__init__(curve, place, functions)
+            super().__init__(place, family)
 
     monkeypatch.setattr(engine, "PlaceEvaluator", Counting)
     for name, swapped in (("f4_5", "Q_1"), ("f2_5", "R_1")):
@@ -378,9 +378,9 @@ def test_one_horner_pass_per_fibre(monkeypatch):
     class Counting(PlaceEvaluator):
         __slots__ = ()
 
-        def __init__(self, curve, place, functions):
+        def __init__(self, place, family):
             evaluated.append(place)
-            super().__init__(curve, place, functions)
+            super().__init__(place, family)
 
     monkeypatch.setattr(curve.PackedPolys, "_horner", counting_pass)
     monkeypatch.setattr(engine, "PlaceEvaluator", Counting)

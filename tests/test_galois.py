@@ -487,5 +487,5 @@ def test_fold_rows_hold_the_reduced_powers_of_t(base, modulus):
     rows = ext.fold_rows()
     assert len(rows) == ext.d - 1 and ext.fold_rows() is rows  # built once
     for j, row in enumerate(rows, start=ext.d):
-        power = ext.reduce([0] * j + [1])
+        power = ext.from_poly((0,) * j + (1,))
         assert row == tuple(base.table[c] for c in power)

@@ -204,6 +204,38 @@ def test_out_of_range_value_named(path, value, match):
 
 
 @pytest.mark.parametrize(
+    "path, value, error, message",
+    [
+        (("Q", "y_num", 0), 5, ValueError, "Q.y_num: 5 is not an element of GF(2^1; 0b10)"),
+        (("field",), {"k": 9, "modulus_bits": 0b1000010001}, ValueError,
+         "field: field degree must be between 1 and 8"),
+        (("curve", "rhs_num"), [], ValueError,
+         "curve: curve right-hand side must be a nonzero rational function"),
+        (("Q", "modulus"), [1], ValueError,
+         "Q.modulus: extension modulus must be monic of degree >= 1"),
+        (("basis", 1, "den"), [], ValueError, "basis[1]: function denominator must be nonzero"),
+        (("places", 2, "residue_modulus"), [1], ValueError,
+         "P_3: extension modulus must be monic of degree >= 1"),
+        (("places", 0, "branch_y0"), 2, ValueError,
+         "P_inf_1: branch value of y at infinity must be 0 or 1"),
+        (("Q", "y_den"), [1, 0, 0, 1, 0, 1], PlaceEvaluationError,
+         "Q: y-presentation denominator vanishes at the place"),
+    ],
+    ids=["element", "field", "curve", "Q.modulus", "basis", "residue", "branch", "Q.y-image"],
+)
+def test_loader_translation_sites_pinned(path, value, error, message):
+    # each site where the loader turns a builder's error into an InstanceError
+    # naming where it failed: the exact text, and the original as the cause
+    doc = doc_copy()
+    _set(doc, path, value)
+    with pytest.raises(InstanceError) as exc:
+        tools.instance_from_document(doc)
+    assert type(exc.value) is InstanceError
+    assert str(exc.value) == message
+    assert type(exc.value.__cause__) is error
+
+
+@pytest.mark.parametrize(
     "path, where",
     [
         (("field", "k"), "field.k"),
@@ -660,6 +692,38 @@ def test_selftest_passes():
             tools.selftest(compiled, trials=trials)
 
 
+def test_selftest_and_spot_check_report_the_first_mismatch_in_draw_order(monkeypatch):
+    # a multiplier wrong exactly when x[0] = 1: selftest draws x, then y, per
+    # trial, counts every mismatch and keeps the first; verify's spot check
+    # is the same draw with 25 trials from seed 2024
+    compiled = compile_instance(tools.load_bundled("f2_5"))
+    honest = engine.CompiledMultiplier.multiply
+
+    def wrong_where_x0_is_one(self, x, y):
+        z, report = honest(self, x, y)
+        return (z[0] ^ x[0],) + z[1:], report
+
+    monkeypatch.setattr(engine.CompiledMultiplier, "multiply", wrong_where_x0_is_one)
+    monkeypatch.setattr(tools, "compile_instance", lambda spec: compiled)
+
+    def drawn(trials, seed):
+        rng = random.Random(seed)
+        pairs = [([rng.randrange(2) for _ in range(5)], [rng.randrange(2) for _ in range(5)])
+                 for _ in range(trials)]
+        bad = [(x, y) for x, y in pairs if x[0] == 1]
+        x, y = bad[0]
+        want = engine.reference_mul(F2, compiled.spec.q_modulus, x, y)
+        return len(bad), (tuple(x), tuple(y), want, (want[0] ^ 1,) + want[1:])
+
+    result = tools.selftest(compiled, trials=40, seed=5)
+    assert (result.failures, result.first_failure) == drawn(40, 5)
+    _, (x, y, want, got) = drawn(25, 2024)
+    report = tools.verify_instance(compiled.spec)
+    spot = next(c for c in report.checks if c.name == "oracle-spot-check")
+    assert not spot.ok
+    assert spot.detail == f"x={list(x)} y={list(y)} want={list(want)} got={list(got)}"
+
+
 def test_bench_reports_constant_counts():
     compiled = compile_instance(tools.load_bundled("f4_5"))
     result = tools.bench(compiled, reps=5, seed=3)
@@ -702,11 +766,11 @@ def test_format_vector_round_trip():
 
 
 def test_poly_text():
-    assert tools.poly_text(F2, (1, 0, 0, 1, 0, 1)) == "x^5 + x^3 + 1"
-    assert tools.poly_text(F4, (2, 1)) == "x + 2"
-    assert tools.poly_text(F4, (0, 3)) == "3*x"
-    assert tools.poly_text(F2, ()) == "0"
-    assert tools.poly_text(F2, (1,)) == "1"
+    assert tools.poly_text((1, 0, 0, 1, 0, 1)) == "x^5 + x^3 + 1"
+    assert tools.poly_text((2, 1)) == "x + 2"
+    assert tools.poly_text((0, 3)) == "3*x"
+    assert tools.poly_text(()) == "0"
+    assert tools.poly_text((1,)) == "1"
 
 
 # ---------------------------------------------------------------------------

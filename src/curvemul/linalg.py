@@ -10,10 +10,10 @@ into GF(2^k) lanes (`galois.Lanes`), so an elimination step costs O(k)
 big-int operations whatever the row length.
 
 `mat_vec` performs one base-field multiplication per matrix entry whatever
-the values, so its cost is fixed by the matrix shape.  The engine runs
-step 1 of a product through it; it reads step 1's operation count from
-those shapes, and step 3's from the shape of the matrix whose columns it
-looks up.
+the values, so its cost is fixed by the matrix shape; each is one lookup in
+the field's product table, still counted as one multiplication.  The engine
+runs step 1 of a product through it and reads step 1's count from those
+shapes, and step 3's from the shape of the matrix whose columns it looks up.
 """
 
 from __future__ import annotations
@@ -175,16 +175,15 @@ def invert(m: Matrix) -> Matrix:
 
 
 def mat_vec(m: Matrix, v: Sequence[int]) -> list[int]:
-    """m times v: m.rows * m.cols base-field multiplications."""
+    """m times v: m.rows * m.cols base-field multiplications, each one
+    product-table lookup; v's entries are taken on trust, unchecked."""
     if len(v) != m.cols:
         raise ValueError(f"vector length {len(v)} does not match {m.cols} columns")
-    mul = m.field.mul
-    entries = m.entries
-    cols = m.cols
+    table, entries, cols = m.field.table, m.entries, m.cols
     out = []
     for base in range(0, m.rows * cols, cols):
         acc = 0
         for a, x in zip(entries[base : base + cols], v):
-            acc ^= mul(a, x)
+            acc ^= table[a][x]
         out.append(acc)
     return out

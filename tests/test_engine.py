@@ -23,8 +23,8 @@ from curvemul.engine import (
     reference_mul,
     verify_good_basis,
 )
-from curvemul.galois import F2, F4, F16, ExtField, Lanes
-from curvemul.linalg import rank
+from curvemul.galois import F2, F4, F16, BinaryField, ExtField, Lanes
+from curvemul.linalg import mat_vec, rank
 
 NAMES = ("f16_13", "f4_5", "f2_5")
 SPECS = {name: tools.load_bundled(name) for name in NAMES}
@@ -740,8 +740,43 @@ def test_too_few_candidates_fail_at_compile():
 
 
 def test_multiply_rejects_bad_operands():
-    spec, compiled = SPECS["f4_5"], COMPILED["f4_5"]
-    with pytest.raises(ValueError):
-        compiled.multiply([1, 2], [0, 0, 0, 0, 0])
-    with pytest.raises(ValueError):
-        compiled.multiply([0, 0, 0, 0, 0], [0, 0, 0, 0, 4])
+    # step 1 indexes the product table with the coordinates, where -1 would
+    # read table[a][q-1] and give a wrong product: only this guard stops it
+    for name in NAMES:
+        spec, compiled = SPECS[name], COMPILED[name]
+        n, q, zero = spec.n, spec.field.order, [0] * spec.n
+        with pytest.raises(ValueError) as exc:
+            compiled.multiply([1, 0], zero)
+        assert str(exc.value) == f"operand must have {n} coordinates, got 2"
+        with pytest.raises(ValueError) as exc:
+            compiled.multiply(zero, [1] * (n + 1))
+        assert str(exc.value) == f"operand must have {n} coordinates, got {n + 1}"
+        for bad in (-1, q, 1.0):
+            operand = [1] * (n - 1) + [bad]
+            for x, y in ((operand, zero), (zero, operand)):
+                with pytest.raises(ValueError) as exc:
+                    compiled.multiply(x, y)
+                assert str(exc.value) == f"{bad!r} is not an element of {spec.field!r}"
+    # the message as a user reads it, for f2_5's field
+    with pytest.raises(ValueError, match=r"^-1 is not an element of GF\(2\^1; 0b10\)$"):
+        COMPILED["f2_5"].multiply([0, 0, 0, 0, -1], [0] * 5)
+
+
+def test_product_path_makes_no_field_mul_call(monkeypatch):
+    # steps 1 and 2 index the product table, step 3 reads compiled multiples
+    rng = random.Random(17)
+    cases = []
+    for name in NAMES:
+        spec = SPECS[name]
+        for _ in range(5):
+            x, y = random_operand(rng, spec), random_operand(rng, spec)
+            cases.append((name, x, y, reference_mul(spec.field, spec.q_modulus, x, y)))
+
+    def no_mul(self, a, b):
+        raise AssertionError("BinaryField.mul called on the product path")
+
+    monkeypatch.setattr(BinaryField, "mul", no_mul)
+    for name, x, y, want in cases:
+        compiled = COMPILED[name]
+        assert len(mat_vec(compiled.T_x, x)) == len(mat_vec(compiled.T_y, y)) == compiled.T.rows
+        assert compiled.multiply(x, y) == (want, compiled.report)

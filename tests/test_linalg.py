@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from curvemul import tools
+from curvemul.engine import compile_instance
 from curvemul.galois import F2, F4, F16, BinaryField
 from curvemul.linalg import Matrix, RowBasis, SingularMatrixError, invert, mat_vec, rank
 
@@ -230,6 +232,33 @@ def test_mat_vec_values():
     assert mat_vec(m, [0, 2]) == [F4.mul(2, 2), 0, 0]
     with pytest.raises(ValueError):
         mat_vec(m, [1, 2, 3])
+
+
+def schoolbook_mat_vec(m, v):
+    out = []
+    for i in range(m.rows):
+        acc = 0
+        for a, x in zip(m.row(i), v):
+            acc ^= m.field.mul(a, x)
+        out.append(acc)
+    return out
+
+
+def test_mat_vec_matches_schoolbook_field_mul():
+    # mat_vec indexes the product table; the reference calls field.mul
+    rng = random.Random(909)
+    matrices = [random_matrix(rng, field, rows, cols)
+                for field in (F2, F4, F16) for rows, cols in ((27, 13), (11, 5), (9, 9))]
+    for name in ("f16_13", "f4_5", "f2_5"):
+        compiled = compile_instance(tools.load_bundled(name))
+        matrices += [compiled.T_x, compiled.T_y, compiled.T_inv_top]
+    for m in matrices:
+        q = m.field.order
+        vectors = [[0] * m.cols, [q - 1] * m.cols] + [
+            [rng.randrange(q) for _ in range(m.cols)] for _ in range(20)
+        ]
+        for v in vectors:
+            assert mat_vec(m, v) == schoolbook_mat_vec(m, v)
 
 
 def test_take_columns():

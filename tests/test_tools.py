@@ -362,9 +362,10 @@ def test_cheap_faults_rejected_before_rabin_on_load(monkeypatch, name, fault):
     # message with no Rabin test over its field, Horner pass or generation test
     doc = json.loads(tools.bundled_instance_path(name).read_text(encoding="utf-8"))
     message = fault(doc)
-    field = tools.load_bundled(name).field
-    calls = []
-    real_rabin, real_pass = galois.is_irreducible, PackedPolys._horner
+    spec = tools.load_bundled(name)
+    field = spec.field
+    calls, inverses = [], []
+    real_rabin, real_pass, real_inv = galois.is_irreducible, PackedPolys._horner, ExtField.inv
 
     def counting_rabin(f, p):
         if f == field:  # building GF(2^k) tests its modulus over GF(2)
@@ -379,14 +380,24 @@ def test_cheap_faults_rejected_before_rabin_on_load(monkeypatch, name, fault):
         calls.append("gen")
         return generates_residue(place)
 
+    def counting_inv(self, u):
+        inverses.append(self.modulus)
+        return real_inv(self, u)
+
     monkeypatch.setattr(galois, "is_irreducible", counting_rabin)
     monkeypatch.setattr(engine, "is_irreducible", counting_rabin)
     monkeypatch.setattr(PackedPolys, "_horner", counting_pass)
     monkeypatch.setattr(engine, "generates_residue", counting_gen)
+    monkeypatch.setattr(ExtField, "inv", counting_inv)
     with pytest.raises(InstanceError) as exc:
         tools.instance_from_document(doc)
     assert str(exc.value) == message
     assert calls == []
+    # one inverse, modulo Q (degree n): Q's y-image in beta_from_ideal.  The
+    # loader must build Q before InstanceSpec can run its rules, so this one
+    # runs first; shape_checks precede it, so a short basis costs none
+    assert len(spec.q_modulus) == spec.n + 1
+    assert inverses == ([] if fault is _basis_one_short else [spec.q_modulus])
 
 
 def test_reducible_candidate_modulus_named():

@@ -21,8 +21,9 @@ check and compilation read.  Q's ladder is checked without a division, as
 ay(t)*beta + b(t) = t^s * den(t).  Each candidate is evaluated at most once
 (`curve.PlaceEvaluator`: one inverse per distinct denominator), and its
 packed rows go straight into the one elimination (`linalg.RowBasis`) that
-selects the places, certifies T and yields T^-1; only accepted rows are
-unpacked, into T, and no matrix compile builds checks its entries.
+selects the places, certifies T and yields T^-1; the accepted rows are T's
+packed rows, T_x and T_y are lane slices of them, and no matrix compile
+builds checks its entries.
 
 One product of x, y in F_{q^n} (length-n coordinate tuples over F_q) runs:
 
@@ -397,7 +398,8 @@ def compile_instance(spec: InstanceSpec) -> CompiledMultiplier:
     fits is evaluated once and kept only if its rows raise rank(T) by its
     degree.  The selection stops at rank 2n+g-1, where the same elimination
     has certified T and recorded T^-1.  The rows stay packed from evaluation
-    through elimination; only the accepted ones are unpacked, into T.
+    through elimination; the accepted ones are T, and T_x and T_y are lane
+    slices of them.
     """
     for check in verify_good_basis(spec):
         if not check.ok:
@@ -427,13 +429,15 @@ def compile_instance(spec: InstanceSpec) -> CompiledMultiplier:
             f"candidate places reach only rank {basis.rank} of the required {target}"
         )
 
-    # built from field arithmetic, so no matrix below checks its entries
-    n, top = spec.n, 2 * spec.n - 1
-    T = Matrix.from_packed(spec.field, target, rows)
-    T_inv_top = Matrix.trusted(spec.field, top, target, basis.inverse().entries[: top * target])
-    # the one place that fixes how operands embed (see the module docstring)
-    T_x = T.take_columns(list(range(n)))
-    T_y = T.take_columns([0] + list(range(n, 2 * n - 1)))
+    field, n = spec.field, spec.n
+    T = Matrix(field, target, rows)
+    T_inv_top = Matrix(field, target, basis.inverse().packed[: 2 * n - 1])
+    # the one place that fixes how operands embed (see the module docstring):
+    # x on lanes 0..n-1 of each row, y on lane 0 and lanes n..2n-2 moved down
+    # to lanes 1..n-1
+    k, low = field.k, (1 << (field.k * n)) - 1
+    T_x = Matrix(field, n, [r & low for r in rows])
+    T_y = Matrix(field, n, [(r & (field.order - 1)) ^ (((r >> k * n) << k) & low) for r in rows])
 
     groups = []
     offset = 0

@@ -1,13 +1,13 @@
 """Dense linear algebra over a binary field: rank, inverse, matrix-vector.
 
-Matrices are immutable row-major tuples of field ints; `Matrix(...)`
-checks every entry, while `trusted` and `from_packed` take the
-results of field arithmetic as they are.  `RowBasis` is the one elimination
-routine: it takes rows a block at a time, keeps only blocks that raise the
-rank by their size, and reads the inverse off the row combinations it
-records; `rank` and `invert` are thin uses of it.  It works on rows packed
-into GF(2^k) lanes (`galois.Lanes`), so an elimination step costs O(k)
-big-int operations whatever the row length.
+A `Matrix` is immutable and has one constructor, from rows packed into
+GF(2^k) lanes (`galois.Lanes`); it keeps them and the row-major tuple of
+field ints read off them.  Every matrix comes from field arithmetic, so no
+entry is checked.  `RowBasis` is the one elimination routine: it takes
+packed rows a block at a time, keeps only blocks that raise the rank by
+their size, and reads the inverse off the row combinations it records;
+`rank` and `invert` feed it a matrix's packed rows.  An elimination step
+costs O(k) big-int operations whatever the row length.
 
 `mat_vec` performs one base-field multiplication per matrix entry whatever
 the values, so its cost is fixed by the matrix shape; each is one lookup in
@@ -28,39 +28,19 @@ class SingularMatrixError(Exception):
 
 
 class Matrix:
-    __slots__ = ("field", "rows", "cols", "entries")
+    """Rows over `field`, each packed as in `galois.Lanes`: row i is lanes
+    0..cols-1 of packed[i], no lane from `cols` on set.  `entries` holds the
+    same rows unpacked, row-major, read off once here."""
 
-    def __init__(self, field: BinaryField, rows: int, cols: int, entries: Sequence[int]):
-        if rows < 0 or cols < 0 or len(entries) != rows * cols:
-            raise ValueError("entry count does not match shape")
+    __slots__ = ("field", "rows", "cols", "packed", "entries")
+
+    def __init__(self, field: BinaryField, cols: int, packed: Sequence[int]):
         self.field = field
-        self.rows = rows
+        self.rows = len(packed)
         self.cols = cols
-        self.entries = tuple(field.check(v) for v in entries)
-
-    @classmethod
-    def trusted(cls, field: BinaryField, rows: int, cols: int, entries: Sequence[int]) -> "Matrix":
-        """A matrix of entries from field arithmetic, shape and entries unchecked."""
-        m = cls.__new__(cls)
-        m.field, m.rows, m.cols, m.entries = field, rows, cols, tuple(entries)
-        return m
-
-    @classmethod
-    def from_packed(cls, field: BinaryField, cols: int, rows: Sequence[int]) -> "Matrix":
-        """`trusted`, row i being lanes 0..cols-1 of the lane vector rows[i]."""
+        self.packed = tuple(packed)
         mask, shifts = field.order - 1, range(0, field.k * cols, field.k)
-        return cls.trusted(field, len(rows), cols, [(r >> s) & mask for r in rows for s in shifts])
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def take_columns(self, cols: Sequence[int]) -> "Matrix":
-        flat = []
-        for i in range(self.rows):
-            base = i * self.cols
-            for j in cols:
-                flat.append(self.entries[base + j])
-        return Matrix.trusted(self.field, self.rows, len(cols), flat)
+        self.entries = tuple([(r >> s) & mask for r in self.packed for s in shifts])
 
     def __eq__(self, other) -> bool:
         return (
@@ -86,8 +66,8 @@ class RowBasis:
     Each row is one packed int (`galois.Lanes`): its `cols` reduced entries
     in lanes 0..cols-1, then its combination weights.  An elimination step
     is one lane scale and one XOR, and a row's pivot is its lowest nonzero
-    entry lane.  `add_packed` takes rows already in that layout, as place
-    evaluation gives them; `add` packs lists of ints and hands them on.
+    entry lane.  `add_packed` takes rows in that layout, as place evaluation
+    gives them and as `Matrix` keeps them.
     """
 
     __slots__ = ("field", "cols", "_lanes", "_entries", "_pivots", "_rows")
@@ -104,18 +84,10 @@ class RowBasis:
     def rank(self) -> int:
         return len(self._rows)
 
-    def add(self, block: Sequence[Sequence[int]]) -> bool:
-        """Accept the rows of `block` if together they raise the rank by
-        len(block); otherwise leave the basis exactly as it was."""
-        cols = self.cols
-        for row in block:
-            if len(row) != cols:
-                raise ValueError(f"row length {len(row)} does not match {cols} columns")
-        return self.add_packed([self._lanes.pack(row) for row in block])
-
     def add_packed(self, block: Sequence[int]) -> bool:
-        """`add` for rows already packed: entry i of a row in lane i of one
-        int, no lane from `cols` on set."""
+        """Accept the rows of `block` if together they raise the rank by
+        len(block); otherwise leave the basis exactly as it was.  Each row
+        is packed: entry i in lane i of one int, no lane from `cols` on set."""
         cols = self.cols
         if self.rank + len(block) > cols:
             return False
@@ -152,13 +124,13 @@ class RowBasis:
             raise SingularMatrixError(f"matrix is singular (rank {self.rank} of {cols})")
         shift = self.field.k * cols
         by_pivot = sorted(zip(self._pivots, self._rows))
-        return Matrix.from_packed(self.field, cols, [r >> shift for _, r in by_pivot])
+        return Matrix(self.field, cols, [r >> shift for _, r in by_pivot])
 
 
 def _row_basis(m: Matrix) -> RowBasis:
     basis = RowBasis(m.field, m.cols)
-    for i in range(m.rows):
-        basis.add([m.row(i)])
+    for r in m.packed:
+        basis.add_packed([r])
     return basis
 
 

@@ -24,7 +24,7 @@ from curvemul.engine import (
     verify_good_basis,
 )
 from curvemul.galois import F2, F4, F16, BinaryField, ExtField, Lanes
-from curvemul.linalg import mat_vec, rank
+from curvemul.linalg import invert, mat_vec, rank
 
 NAMES = ("f16_13", "f4_5", "f2_5")
 SPECS = {name: tools.load_bundled(name) for name in NAMES}
@@ -268,6 +268,26 @@ def test_setup_is_bit_identical():
             digest(",".join(p.label for p in compiled.places).encode()),
         )
         assert got == SETUP_DIGESTS[name], name
+
+
+def test_operands_embed_on_the_columns_of_t():
+    # the embedding pinned on the matrices themselves: x on columns 0..n-1
+    # of T, y on columns 0, n..2n-2, and T_inv_top the first 2n-1 rows of
+    # T's inverse; each matrix's entries are its packed rows, unpacked
+    def columns(m, js):
+        return [m.entries[i * m.cols + j] for i in range(m.rows) for j in js]
+
+    for name in NAMES:
+        c, n = COMPILED[name], SPECS[name].n
+        T = c.T
+        assert (c.T_x.cols, c.T_y.cols, c.T_inv_top.cols) == (n, n, T.cols)
+        assert list(c.T_x.entries) == columns(T, range(n))
+        assert list(c.T_y.entries) == columns(T, [0, *range(n, 2 * n - 1)])
+        assert c.T_inv_top.entries == invert(T).entries[: (2 * n - 1) * T.cols]
+        for m in (T, c.T_x, c.T_y, c.T_inv_top):
+            lanes = Lanes(m.field, m.cols)
+            assert [v for r in m.packed for v in lanes.unpack(r, m.cols)] == list(m.entries)
+            assert all(r >> (m.field.k * m.cols) == 0 for r in m.packed), name
 
 
 def horner(res, f, z):

@@ -4,12 +4,22 @@ import pytest
 
 from curvemul import tools
 from curvemul.engine import compile_instance
-from curvemul.galois import F2, F4, F16, BinaryField
+from curvemul.galois import F2, F4, F16, BinaryField, Lanes
 from curvemul.linalg import Matrix, RowBasis, SingularMatrixError, invert, mat_vec, rank
 
 
-def from_rows(field, rows):
-    return Matrix(field, len(rows), len(rows[0]) if rows else 0, [v for r in rows for v in r])
+def from_rows(field, rows, cols=None):
+    cols = len(rows[0]) if cols is None else cols
+    return Matrix(field, cols, [Lanes(field, cols).pack(r) for r in rows])
+
+
+def row_entries(m, i):
+    return m.entries[i * m.cols : (i + 1) * m.cols]
+
+
+def add_rows(basis, block):
+    """`RowBasis.add_packed` on a block of rows given as lists of ints."""
+    return basis.add_packed([Lanes(basis.field, basis.cols).pack(r) for r in block])
 
 
 def unit_vectors(n):
@@ -17,21 +27,13 @@ def unit_vectors(n):
 
 
 def random_matrix(rng, field, rows, cols):
-    return Matrix(field, rows, cols, [rng.randrange(field.order) for _ in range(rows * cols)])
-
-
-def test_shape_validation():
-    with pytest.raises(ValueError):
-        Matrix(F4, 2, 2, [1, 2, 3])
-    with pytest.raises(ValueError):
-        Matrix(F4, 1, 1, [7])  # not an F_4 element
-    with pytest.raises(ValueError):
-        RowBasis(F4, 2).add([[1, 2, 3]])
+    return from_rows(field, [[rng.randrange(field.order) for _ in range(cols)]
+                             for _ in range(rows)], cols)
 
 
 def test_rank_examples():
     assert rank(from_rows(F16, unit_vectors(5))) == 5
-    assert rank(Matrix(F4, 2, 3, [0] * 6)) == 0
+    assert rank(Matrix(F4, 3, [0, 0])) == 0
     # second row is a times the first over F_4
     m = from_rows(F4, [[1, 2, 3], [2, 3, 1]])
     assert rank(m) == 1
@@ -50,7 +52,7 @@ def test_rank_row_operation_invariance():
         m = random_matrix(rng, field, rng.randrange(1, 6), rng.randrange(1, 6))
         r = rank(m)
         # add a multiple of one row to another; rank must not move
-        rows = [list(m.row(i)) for i in range(m.rows)]
+        rows = [list(row_entries(m, i)) for i in range(m.rows)]
         if m.rows >= 2:
             i, j = rng.sample(range(m.rows), 2)
             c = rng.randrange(field.order)
@@ -74,22 +76,22 @@ def test_invert_examples():
     with pytest.raises(SingularMatrixError):
         invert(from_rows(F4, [[1, 2], [2, 3]]))  # row2 = a*row1
     with pytest.raises(SingularMatrixError):
-        invert(Matrix(F4, 2, 3, [0] * 6))
+        invert(Matrix(F4, 3, [0, 0]))
 
 
 def test_row_basis_rejects_a_block_whole():
     basis = RowBasis(F4, 3)
-    assert basis.add([[1, 2, 0]])
+    assert add_rows(basis, [[1, 2, 0]])
     # the first row is independent, the second is a times the accepted row
-    assert not basis.add([[0, 1, 1], [2, 3, 0]])
+    assert not add_rows(basis, [[0, 1, 1], [2, 3, 0]])
     assert basis.rank == 1
     with pytest.raises(SingularMatrixError):
         basis.inverse()
     # had the rejected block left its first row behind, rank 1 + 2 would
     # not fit and this block would be refused
-    assert basis.add([[0, 1, 1], [0, 0, 1]])
+    assert add_rows(basis, [[0, 1, 1], [0, 0, 1]])
     assert basis.inverse() == invert(from_rows(F4, [[1, 2, 0], [0, 1, 1], [0, 0, 1]]))
-    assert not basis.add([[1, 1, 1]])  # already full rank
+    assert not add_rows(basis, [[1, 1, 1]])  # already full rank
     assert basis.rank == 3
 
 
@@ -171,7 +173,7 @@ def test_row_basis_matches_list_reference(field):
                     row = [rng.randrange(field.order) for _ in range(cols)]
                 block.append(row)
             rank_before = basis.rank
-            accepted = basis.add(block)
+            accepted = add_rows(basis, block)
             assert accepted == ref.add(block)
             assert basis.rank == ref.rank
             if not accepted:
@@ -238,7 +240,7 @@ def schoolbook_mat_vec(m, v):
     out = []
     for i in range(m.rows):
         acc = 0
-        for a, x in zip(m.row(i), v):
+        for a, x in zip(row_entries(m, i), v):
             acc ^= m.field.mul(a, x)
         out.append(acc)
     return out
@@ -259,12 +261,3 @@ def test_mat_vec_matches_schoolbook_field_mul():
         ]
         for v in vectors:
             assert mat_vec(m, v) == schoolbook_mat_vec(m, v)
-
-
-def test_take_columns():
-    m = from_rows(F4, [[0, 1, 2, 3], [3, 2, 1, 0]])
-    sub = m.take_columns([0, 2])
-    assert sub == from_rows(F4, [[0, 2], [3, 1]])
-    v = [2, 3]
-    # multiplying the submatrix equals embedding zeros in the skipped columns
-    assert mat_vec(sub, v) == mat_vec(m, [2, 0, 3, 0])

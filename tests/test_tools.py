@@ -350,20 +350,16 @@ def _basis_one_short(doc):
     return f"basis must have 2n+g-1 = {size} functions, got {size - 1}"
 
 
-@pytest.mark.parametrize("name", ["f16_13", "f4_5", "f2_5"])
-@pytest.mark.parametrize(
-    "fault",
-    [_swap_f1, _d2_is_d1, _d2_is_q, _duplicate_place, _degree_3_place, _basis_one_short],
-    ids=["f1-not-one", "D1-equals-D2", "D2-equals-Q", "duplicate", "no-kernel", "basis-short"],
-)
-def test_cheap_faults_rejected_before_rabin_on_load(monkeypatch, name, fault):
-    # the loader twin of test_engine's test_cheap_faults_rejected_before_packing:
-    # a document that breaks one rule linear in the data gets the constructor's
-    # message with no Rabin test over its field, Horner pass or generation test
-    doc = json.loads(tools.bundled_instance_path(name).read_text(encoding="utf-8"))
-    message = fault(doc)
-    spec = tools.load_bundled(name)
-    field = spec.field
+CHEAP_FAULTS = [_swap_f1, _d2_is_d1, _d2_is_q, _duplicate_place, _degree_3_place,
+                _basis_one_short]
+CHEAP_FAULT_IDS = ["f1-not-one", "D1-equals-D2", "D2-equals-Q", "duplicate", "no-kernel",
+                   "basis-short"]
+
+
+def _count_load_work(monkeypatch, field):
+    """Count, then run, the loader's expensive work: Rabin's tests over
+    `field`, Horner passes and generation tests into the first list, and the
+    modulus of each `ExtField.inv` call into the second."""
     calls, inverses = [], []
     real_rabin, real_pass, real_inv = galois.is_irreducible, PackedPolys._horner, ExtField.inv
 
@@ -389,6 +385,19 @@ def test_cheap_faults_rejected_before_rabin_on_load(monkeypatch, name, fault):
     monkeypatch.setattr(PackedPolys, "_horner", counting_pass)
     monkeypatch.setattr(engine, "generates_residue", counting_gen)
     monkeypatch.setattr(ExtField, "inv", counting_inv)
+    return calls, inverses
+
+
+@pytest.mark.parametrize("name", ["f16_13", "f4_5", "f2_5"])
+@pytest.mark.parametrize("fault", CHEAP_FAULTS, ids=CHEAP_FAULT_IDS)
+def test_cheap_faults_rejected_before_rabin_on_load(monkeypatch, name, fault):
+    # the loader twin of test_engine's test_cheap_faults_rejected_before_packing:
+    # a document that breaks one rule linear in the data gets the constructor's
+    # message with no Rabin test over its field, Horner pass or generation test
+    doc = json.loads(tools.bundled_instance_path(name).read_text(encoding="utf-8"))
+    message = fault(doc)
+    spec = tools.load_bundled(name)
+    calls, inverses = _count_load_work(monkeypatch, spec.field)
     with pytest.raises(InstanceError) as exc:
         tools.instance_from_document(doc)
     assert str(exc.value) == message
@@ -398,6 +407,66 @@ def test_cheap_faults_rejected_before_rabin_on_load(monkeypatch, name, fault):
     # runs first; shape_checks precede it, so a short basis costs none
     assert len(spec.q_modulus) == spec.n + 1
     assert inverses == ([] if fault is _basis_one_short else [spec.q_modulus])
+
+
+LONG = 10**4  # coefficients in an inflated polynomial
+
+
+def _long_poly(rng, k, coeffs):
+    """coeffs followed by drawn coefficients up to LONG in all, the last 1."""
+    return coeffs + [rng.getrandbits(k) for _ in range(LONG - len(coeffs) - 1)] + [1]
+
+
+def _long_basis_poly(rng, doc):
+    # not f_1, which a longer polynomial would make fail its own rule, and not
+    # the last function, which a fault pops
+    bdoc = doc["basis"][rng.randrange(1, len(doc["basis"]) - 1)]
+    key = rng.choice(("ay", "b", "den"))
+    bdoc[key] = _long_poly(rng, doc["field"]["k"], bdoc[key])
+
+
+def _long_q_y_num(rng, doc):
+    doc["Q"]["y_num"] = _long_poly(rng, doc["field"]["k"], doc["Q"]["y_num"])
+
+
+def _many_candidates(rng, doc):
+    # 500 distinct affine candidates of kernel degrees, each at a drawn
+    # position; their moduli may be reducible, which only Rabin's test sees
+    k, places = doc["field"]["k"], doc["places"]
+    seen = {(tuple(p["residue_modulus"]), tuple(p["x_img"]), tuple(p["y_img"]))
+            for p in places if p["kind"] == "affine"}
+    for i in range(500):
+        while True:
+            d = rng.choice((1, 2, 4))
+            modulus, x_img, y_img = ([rng.getrandbits(k) for _ in range(d)] for _ in range(3))
+            key = (tuple(modulus + [1]), tuple(x_img), tuple(y_img))
+            if key not in seen:
+                break
+        seen.add(key)
+        places.insert(rng.randrange(len(places) + 1), {
+            "kind": "affine", "degree": d, "residue_modulus": modulus + [1],
+            "x_img": x_img, "y_img": y_img, "label": f"X_{i}"})
+
+
+@pytest.mark.parametrize("name", ["f16_13", "f4_5", "f2_5"])
+@pytest.mark.parametrize("fault", CHEAP_FAULTS, ids=CHEAP_FAULT_IDS)
+@pytest.mark.parametrize("inflate", [_long_basis_poly, _long_q_y_num, _many_candidates],
+                         ids=["long-basis-poly", "long-Q-y_num", "500-candidates"])
+def test_seeded_corpus_rejected_before_expensive_work(monkeypatch, name, fault, inflate):
+    # each entry: a bundled file with one expensive field inflated (drawn
+    # with a fixed seed) and one cheap rule broken.  The loader's work up to
+    # the rejection is counted, not timed: no Rabin test over the field, no
+    # Horner pass, no generation test, and at most Q's one inverse
+    doc = json.loads(tools.bundled_instance_path(name).read_text(encoding="utf-8"))
+    inflate(random.Random(f"{name}/{fault.__name__}/{inflate.__name__}"), doc)
+    message = fault(doc)
+    spec = tools.load_bundled(name)
+    calls, inverses = _count_load_work(monkeypatch, spec.field)
+    with pytest.raises(InstanceError) as exc:
+        tools.instance_from_document(doc)
+    assert str(exc.value) == message
+    assert calls == []
+    assert inverses in ([], [spec.q_modulus])
 
 
 def test_reducible_candidate_modulus_named():

@@ -281,8 +281,11 @@ class InstanceSpec:
 def _check_operand(spec: InstanceSpec, v: Sequence[int]) -> None:
     if len(v) != spec.n:
         raise ValueError(f"operand must have {spec.n} coordinates, got {len(v)}")
-    for c in v:
-        spec.field.check(c)
+    # one pass over plain ints (bools are ints); any other operand goes
+    # through the field's own check, which raises on the first bad coordinate
+    if not ({*map(type, v)} <= {int, bool} and 0 <= min(v) and max(v) < spec.field.order):
+        for c in v:
+            spec.field.check(c)
 
 
 def reference_mul(
@@ -431,7 +434,7 @@ def compile_instance(spec: InstanceSpec) -> CompiledMultiplier:
 
     field, n = spec.field, spec.n
     T = Matrix(field, target, rows)
-    T_inv_top = Matrix(field, target, basis.inverse().packed[: 2 * n - 1])
+    T_inv_top = Matrix(field, target, basis.inverse_rows()[: 2 * n - 1])
     # the one place that fixes how operands embed (see the module docstring):
     # x on lanes 0..n-1 of each row, y on lane 0 and lanes n..2n-2 moved down
     # to lanes 1..n-1

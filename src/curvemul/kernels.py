@@ -5,10 +5,11 @@ Each kernel is a fixed straight-line program: the number of bilinear
 the kernel — 1, 3, and 9 respectively (`KERNEL_COST`) — independent of the
 operand values; the engine reads its step-2 count from them.  Each is one
 lookup in the base field's product table.  An optional `BilinearCounter`
-tallies the multiplications actually performed.  The high convolution
-coefficients fold in through rows of that table fixed per residue field
-(`ExtField.fold_rows`, warmed by `KernelPlan`): multiplications by constants
-of the field, F_q-linear, which are never counted.
+tallies them: each kernel advances it by its own cost, `KernelPlan.hadamard`
+by the plan's whole cost once per call, which is the same total.  The high
+convolution coefficients fold in through rows of that table fixed per
+residue field (`ExtField.fold_rows`, warmed by `KernelPlan`): multiplications
+by constants of the field, F_q-linear, which are never counted.
 """
 
 from __future__ import annotations
@@ -85,15 +86,16 @@ class KernelPlan:
 
     Groups are (offset, ext) pairs: ext is None for degree-1 groups (plain
     base-field slots), otherwise the residue ExtField whose degree picks the
-    kernel.  Offsets partition range(total) without gaps or overlaps.
+    kernel.  Offsets partition range(total) without gaps or overlaps.  Each
+    group's kernel is resolved here, once, not on every product.
     """
 
-    __slots__ = ("field", "groups", "total")
+    __slots__ = ("field", "groups", "total", "advertised_cost", "_steps")
 
     def __init__(self, field: BinaryField, groups: Sequence[tuple]):
         self.field = field
-        cursor = 0
-        checked = []
+        cursor = cost = 0
+        checked, steps = [], []
         for offset, ext in groups:
             if offset != cursor:
                 raise ValueError("kernel groups must tile the coordinate range")
@@ -105,28 +107,28 @@ class KernelPlan:
                     raise ValueError("residue field has the wrong base")
                 ext.fold_rows()  # built here, not on the first product
             checked.append((offset, ext))
+            steps.append((offset, offset + d, ext, None if d == 1 else mul_d2 if d == 2 else mul_d4))
             cursor += d
+            cost += KERNEL_COST[d]
         self.groups = tuple(checked)
         self.total = cursor
-
-    @property
-    def advertised_cost(self) -> int:
-        """Bilinear multiplications one `hadamard` call performs."""
-        return sum(KERNEL_COST[1 if ext is None else ext.d] for _, ext in self.groups)
+        self.advertised_cost = cost  # bilinear multiplications per `hadamard` call
+        self._steps = tuple(steps)
 
     def hadamard(
         self, zv: Sequence[int], tv: Sequence[int], counter: BilinearCounter | None = None
     ) -> list[int]:
-        """Componentwise product of two coordinate vectors, group by group."""
+        """Componentwise product of two coordinate vectors, group by group;
+        a counter is advanced by `advertised_cost` once per call."""
         if len(zv) != self.total or len(tv) != self.total:
             raise ValueError("coordinate vectors do not match the plan size")
+        if counter is not None:
+            counter.bilinear_mults += self.advertised_cost
         field = self.field
         out = []
-        for offset, ext in self.groups:
-            if ext is None:
-                out.append(mul_d1(field, zv[offset], tv[offset], counter))
+        for offset, end, ext, kernel in self._steps:
+            if kernel is None:
+                out.append(mul_d1(field, zv[offset], tv[offset]))
             else:
-                end = offset + ext.d
-                kernel = mul_d2 if ext.d == 2 else mul_d4
-                out += kernel(ext, zv[offset:end], tv[offset:end], counter)
+                out += kernel(ext, zv[offset:end], tv[offset:end])
         return out

@@ -1,19 +1,21 @@
 """Dense linear algebra over a binary field: rank, inverse, matrix-vector.
 
 A `Matrix` is immutable and has one constructor, from rows packed into
-GF(2^k) lanes (`galois.Lanes`); it keeps them and the row-major tuple of
-field ints read off them.  Every matrix comes from field arithmetic, so no
-entry is checked.  `RowBasis` is the one elimination routine: it takes
-packed rows a block at a time, keeps only blocks that raise the rank by
-their size, and reads the inverse off the row combinations it records;
-`rank` and `invert` feed it a matrix's packed rows.  An elimination step
-costs O(k) big-int operations whatever the row length.
+GF(2^k) lanes (`galois.Lanes`); it keeps them, the row-major tuple of field
+ints read off them, and each row as its entries' product-table rows
+(`row_tables`), all fixed at construction.  Every matrix comes from field
+arithmetic, so no entry is checked.  `RowBasis` is the one elimination
+routine: it takes packed rows a block at a time, keeps only blocks that
+raise the rank by their size, and reads the inverse off the row combinations
+it records; `rank` and `invert` feed it a matrix's packed rows.  An
+elimination step costs O(k) big-int operations whatever the row length.
 
 `mat_vec` performs one base-field multiplication per matrix entry whatever
-the values, so its cost is fixed by the matrix shape; each is one lookup in
-the field's product table, still counted as one multiplication.  The engine
-runs step 1 of a product through it and reads step 1's count from those
-shapes, and step 3's from the shape of the matrix whose columns it looks up.
+the values, so its cost is fixed by the matrix shape; each is one subscript
+of a product-table row bound at construction, `row_tables[i][j][x]`, still
+counted as one multiplication.  The engine runs step 1 of a product through
+it and reads step 1's count from those shapes, and step 3's from the shape
+of the matrix whose columns it looks up.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ class SingularMatrixError(Exception):
 class Matrix:
     """Rows over `field`, each packed as in `galois.Lanes`: row i is lanes
     0..cols-1 of packed[i], no lane from `cols` on set.  `entries` holds the
-    same rows unpacked, row-major, read off once here."""
+    same rows unpacked, row-major, and `row_tables[i]` row i's entries as
+    their product-table rows (`field.table[a]`), both built once here."""
 
-    __slots__ = ("field", "rows", "cols", "packed", "entries")
+    __slots__ = ("field", "rows", "cols", "packed", "entries", "row_tables")
 
     def __init__(self, field: BinaryField, cols: int, packed: Sequence[int]):
         self.field = field
@@ -41,6 +44,8 @@ class Matrix:
         self.packed = tuple(packed)
         mask, shifts = field.order - 1, range(0, field.k * cols, field.k)
         self.entries = tuple([(r >> s) & mask for r in self.packed for s in shifts])
+        # one pass mapping entries to table rows, cut into rows of `cols`
+        self.row_tables = tuple(zip(*[map(field.table.__getitem__, self.entries)] * cols))
 
     def __eq__(self, other) -> bool:
         return (
@@ -119,12 +124,15 @@ class RowBasis:
 
     def inverse(self) -> Matrix:
         """Inverse of the matrix of accepted rows; needs rank == cols."""
+        return Matrix(self.field, self.cols, self.inverse_rows())
+
+    def inverse_rows(self) -> list[int]:
+        """The inverse's rows, packed as `Matrix` takes them; needs rank == cols."""
         cols = self.cols
         if self.rank < cols:
             raise SingularMatrixError(f"matrix is singular (rank {self.rank} of {cols})")
         shift = self.field.k * cols
-        by_pivot = sorted(zip(self._pivots, self._rows))
-        return Matrix(self.field, cols, [r >> shift for _, r in by_pivot])
+        return [r >> shift for _, r in sorted(zip(self._pivots, self._rows))]
 
 
 def _row_basis(m: Matrix) -> RowBasis:
@@ -148,14 +156,14 @@ def invert(m: Matrix) -> Matrix:
 
 def mat_vec(m: Matrix, v: Sequence[int]) -> list[int]:
     """m times v: m.rows * m.cols base-field multiplications, each one
-    product-table lookup; v's entries are taken on trust, unchecked."""
+    subscript of a product-table row bound at construction (`row_tables`);
+    v's entries are taken on trust, unchecked."""
     if len(v) != m.cols:
         raise ValueError(f"vector length {len(v)} does not match {m.cols} columns")
-    table, entries, cols = m.field.table, m.entries, m.cols
     out = []
-    for base in range(0, m.rows * cols, cols):
+    for row in m.row_tables:
         acc = 0
-        for a, x in zip(entries[base : base + cols], v):
-            acc ^= table[a][x]
+        for t, x in zip(row, v):
+            acc ^= t[x]
         out.append(acc)
     return out

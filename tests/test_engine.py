@@ -771,12 +771,29 @@ def test_multiply_rejects_bad_operands():
         with pytest.raises(ValueError) as exc:
             compiled.multiply(zero, [1] * (n + 1))
         assert str(exc.value) == f"operand must have {n} coordinates, got {n + 1}"
-        for bad in (-1, q, 1.0):
+        for bad in (-1, q, 1.0, "1", None, 2**70):
             operand = [1] * (n - 1) + [bad]
             for x, y in ((operand, zero), (zero, operand)):
                 with pytest.raises(ValueError) as exc:
                     compiled.multiply(x, y)
                 assert str(exc.value) == f"{bad!r} is not an element of {spec.field!r}"
+        # two bad coordinates mid-operand: the message names the first one
+        for first, second in ((q, -1), (2**70, "1"), (-1, None)):
+            operand = [1] * n
+            operand[n // 2 - 1], operand[n // 2] = first, second
+            for x, y in ((operand, zero), (zero, operand)):
+                with pytest.raises(ValueError) as exc:
+                    compiled.multiply(x, y)
+                assert str(exc.value) == f"{first!r} is not an element of {spec.field!r}"
+        # bools are ints: True and False multiply as 1 and 0
+        rng = random.Random(n)
+        for _ in range(5):
+            bits = [rng.randrange(2) for _ in range(n)]
+            y = random_operand(rng, spec)
+            flags = [bool(b) for b in bits]
+            assert compiled.multiply(flags, y) == compiled.multiply(bits, y)
+            assert compiled.multiply(y, flags) == compiled.multiply(y, bits)
+            assert compiled.multiply(flags, flags) == compiled.multiply(bits, bits)
     # the message as a user reads it, for f2_5's field
     with pytest.raises(ValueError, match=r"^-1 is not an element of GF\(2\^1; 0b10\)$"):
         COMPILED["f2_5"].multiply([0, 0, 0, 0, -1], [0] * 5)

@@ -190,3 +190,30 @@ def test_kernel_plan_hadamard():
         assert plan.hadamard(zv, tv) == out
     with pytest.raises(ValueError):
         plan.hadamard([0] * 6, [0] * 7, BilinearCounter())
+
+
+@pytest.mark.parametrize("name", ["f16_13", "f2_5"])
+def test_hadamard_matches_kernels_slot_by_slot(name):
+    # f16_13's plan is all degree-1 slots, f2_5's mixes degrees 1, 2 and 4;
+    # the counter moves by the plan's cost once per call
+    plan = PLANS[name]
+    degrees = [1 if ext is None else ext.d for _, ext in plan.groups]
+    assert set(degrees) == ({1} if name == "f16_13" else {1, 2, 4})
+    rng = random.Random(len(name))
+    q = plan.field.order
+    for _ in range(100):
+        zv = [rng.randrange(q) for _ in range(plan.total)]
+        tv = [rng.randrange(q) for _ in range(plan.total)]
+        want = []
+        for offset, ext in plan.groups:
+            if ext is None:
+                want.append(mul_d1(plan.field, zv[offset], tv[offset]))
+            else:
+                kernel = mul_d2 if ext.d == 2 else mul_d4
+                end = offset + ext.d
+                want += kernel(ext, zv[offset:end], tv[offset:end])
+        c = BilinearCounter()
+        assert plan.hadamard(zv, tv, c) == want == plan.hadamard(zv, tv)
+        assert c.bilinear_mults == plan.advertised_cost == sum(KERNEL_COST[d] for d in degrees)
+        plan.hadamard(zv, tv, c)
+        assert c.bilinear_mults == 2 * plan.advertised_cost

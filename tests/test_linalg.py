@@ -186,6 +186,7 @@ def test_row_basis_matches_list_reference(field):
                     basis.inverse()
             else:
                 assert basis.inverse() == want
+                assert basis.inverse_rows() == list(want.packed)
 
 
 @pytest.mark.parametrize("field", [F2, F4, F16], ids=lambda f: f"F{f.order}")
@@ -260,4 +261,26 @@ def test_mat_vec_matches_schoolbook_field_mul():
             [rng.randrange(q) for _ in range(m.cols)] for _ in range(20)
         ]
         for v in vectors:
+            assert mat_vec(m, v) == schoolbook_mat_vec(m, v)
+
+
+def test_row_tables_are_the_product_table_rows_of_each_row():
+    # mat_vec reads row i through row_tables[i]: the table row of each entry,
+    # the very tuple field.table holds, one per column
+    rng = random.Random(4141)
+    matrices = [random_matrix(rng, field, rows, cols)
+                for field in (F2, F4, F16) for rows, cols in ((27, 13), (11, 5), (9, 9))]
+    matrices += [from_rows(F16, [[7]]), from_rows(F4, [[3], [0], [1], [2]])]
+    for name in ("f16_13", "f4_5", "f2_5"):
+        compiled = compile_instance(tools.load_bundled(name))
+        matrices += [compiled.T, compiled.T_x, compiled.T_y, compiled.T_inv_top]
+    for m in matrices:
+        table, q = m.field.table, m.field.order
+        assert len(m.row_tables) == m.rows
+        for i, row in enumerate(m.row_tables):
+            entries = row_entries(m, i)
+            assert len(row) == m.cols == len(entries)
+            assert all(t is table[a] for t, a in zip(row, entries))
+        for v in [[q - 1] * m.cols] + [[rng.randrange(q) for _ in range(m.cols)]
+                                       for _ in range(10)]:
             assert mat_vec(m, v) == schoolbook_mat_vec(m, v)

@@ -34,11 +34,11 @@ One product of x, y in F_{q^n} (length-n coordinate tuples over F_q) runs:
    reduction folds in through product-table rows fixed per residue field at
    compile time, products by constants of the field, so never counted;
 3. the first 2n-1 rows of inverse(T) applied to the componentwise
-   product — (2n-1)(2n+g-1) multiplications by the paper's convention, run
-   as 2n+g-1 lookups of a column's multiple fixed at compile time, XORed
-   into one lane vector (`galois.Lanes`);
-4. an addition-only recombination of the 2n-1 interpolation coordinates,
-   on that lane vector; only the n output lanes are unpacked.
+   product — (2n-1)(2n+g-1) multiplications by the paper's convention;
+4. an addition-only recombination of the 2n-1 interpolation coordinates
+   into n, folded into step 3's table at compile time: the two run as
+   2n+g-1 lookups of a column's multiple, XORed into one n-lane vector
+   (`galois.Lanes`).
 
 Why only n live columns in step 1: the basis is built so that x embeds on
 f_1..f_n and y on f_1, f_{n+1}..f_{2n-1}; all other embedded coordinates
@@ -332,34 +332,42 @@ def verify_good_basis(spec: InstanceSpec) -> list[CheckResult]:
 
 
 class CompiledMultiplier:
-    """Frozen straight-line multiplier for one instance."""
+    """Frozen straight-line multiplier for one instance: every table a product
+    reads, and its report, built from the selected places and T's and T^-1's rows."""
 
     __slots__ = ("spec", "places", "T", "T_x", "T_y", "T_inv_top", "plan", "report",
                  "step3_columns")
 
-    def __init__(self, spec, places, T, T_x, T_y, T_inv_top, plan):
+    def __init__(self, spec, places, rows, inverse_rows):
+        field, n, size = spec.field, spec.n, spec.size
         self.spec = spec
-        self.places = places
-        self.T = T
-        self.T_x = T_x
-        self.T_y = T_y
-        self.T_inv_top = T_inv_top
-        self.plan = plan
+        self.places = tuple(places)
+        self.T = Matrix(field, size, rows)
+        self.T_inv_top = top = Matrix(field, size, inverse_rows[: 2 * n - 1])
+        # the one place that fixes how operands embed (see the module docstring):
+        # x on lanes 0..n-1 of each row, y on lane 0 and lanes n..2n-2 moved down
+        # to lanes 1..n-1
+        k, low = field.k, (1 << (field.k * n)) - 1
+        self.T_x = T_x = Matrix(field, n, [r & low for r in rows])
+        self.T_y = T_y = Matrix(field, n, [(r & (field.order - 1)) ^ (((r >> k * n) << k) & low)
+                                           for r in rows])
+        self.plan = plan = KernelPlan(field, [p.residue if p.degree > 1 else None for p in places])
         # the paper's count: one multiplication per entry of the three matrices
         # (step 3's looked up below) and the plan's kernels, whatever the values
         self.report = OpReport(
             step1_scalar=T_x.rows * T_x.cols + T_y.rows * T_y.cols,
             step2_bilinear=plan.advertised_cost,
-            step3_scalar=T_inv_top.rows * T_inv_top.cols,
+            step3_scalar=top.rows * top.cols,
         )
-        # step3_columns[j][a] is a times column j of T_inv_top, one lane vector:
-        # the transpose is packed whole, scaled once per a and cut into columns
-        field, top, size = spec.field, T_inv_top.rows, T_inv_top.cols
-        lanes, width = Lanes(field, top * size), field.k * top
-        packed = lanes.pack([v for j in range(size) for v in T_inv_top.entries[j::size]])
+        # step 4 folded into step 3: row n+i-1 of T_inv_top XORed into row i,
+        # 0 < i < n.  step3_columns[j][a] is a times column j of the result, one
+        # n-lane vector: the transpose is packed whole, scaled once per a and cut
+        folded = [top.packed[0]] + [r ^ h for r, h in zip(top.packed[1:n], top.packed[n:])]
+        entries = Matrix(field, size, folded).entries
+        lanes, width = Lanes(field, n * size), k * n
+        packed = lanes.pack([v for j in range(size) for v in entries[j::size]])
         multiples = [lanes.scale(a, packed) for a in range(field.order)]
-        mask = (1 << width) - 1
-        self.step3_columns = tuple(tuple([(m >> s) & mask for m in multiples])
+        self.step3_columns = tuple(tuple([(m >> s) & low for m in multiples])
                                    for s in range(0, width * size, width))
 
     @property
@@ -386,11 +394,10 @@ class CompiledMultiplier:
         _check_operand(spec, x)
         _check_operand(spec, y)
         had = self.plan.hadamard(mat_vec(self.T_x, x), mat_vec(self.T_y, y))
-        w = 0
+        z = 0
         for column, c in zip(self.step3_columns, had):
-            w ^= column[c]
+            z ^= column[c]
         k, mask = spec.field.k, spec.field.order - 1
-        z = w ^ ((w >> (k * spec.n)) << k)  # step 4: lane n+j-1 into lane j, 0 < j < n
         return tuple([(z >> s) & mask for s in range(0, k * spec.n, k)]), self.report
 
 
@@ -401,8 +408,8 @@ def compile_instance(spec: InstanceSpec) -> CompiledMultiplier:
     fits is evaluated once and kept only if its rows raise rank(T) by its
     degree.  The selection stops at rank 2n+g-1, where the same elimination
     has certified T and recorded T^-1.  The rows stay packed from evaluation
-    through elimination; the accepted ones are T, and T_x and T_y are lane
-    slices of them.
+    through elimination; the accepted ones are T's, and `CompiledMultiplier`
+    builds the product from them and T^-1's rows.
     """
     for check in verify_good_basis(spec):
         if not check.ok:
@@ -432,21 +439,4 @@ def compile_instance(spec: InstanceSpec) -> CompiledMultiplier:
             f"candidate places reach only rank {basis.rank} of the required {target}"
         )
 
-    field, n = spec.field, spec.n
-    T = Matrix(field, target, rows)
-    T_inv_top = Matrix(field, target, basis.inverse_rows()[: 2 * n - 1])
-    # the one place that fixes how operands embed (see the module docstring):
-    # x on lanes 0..n-1 of each row, y on lane 0 and lanes n..2n-2 moved down
-    # to lanes 1..n-1
-    k, low = field.k, (1 << (field.k * n)) - 1
-    T_x = Matrix(field, n, [r & low for r in rows])
-    T_y = Matrix(field, n, [(r & (field.order - 1)) ^ (((r >> k * n) << k) & low) for r in rows])
-
-    groups = []
-    offset = 0
-    for p in places:
-        groups.append((offset, p.residue if isinstance(p, AffinePlace) and p.degree > 1 else None))
-        offset += p.degree
-    plan = KernelPlan(spec.field, groups)
-
-    return CompiledMultiplier(spec, tuple(places), T, T_x, T_y, T_inv_top, plan)
+    return CompiledMultiplier(spec, places, rows, basis.inverse_rows())

@@ -4,12 +4,13 @@ Each kernel is a fixed straight-line program: the number of bilinear
 (operand-by-operand) base-field multiplications it performs is a constant of
 the kernel — 1, 3, and 9 respectively (`KERNEL_COST`) — independent of the
 operand values; the engine reads its step-2 count from them.  Each is one
-lookup in the base field's product table.  An optional `BilinearCounter`
-tallies them: each kernel advances it by its own cost, `KernelPlan.hadamard`
-by the plan's whole cost once per call, which is the same total.  The high
-convolution coefficients fold in through rows of that table fixed per
-residue field (`ExtField.fold_rows`, warmed by `KernelPlan`): multiplications
-by constants of the field, F_q-linear, which are never counted.
+lookup in the base field's product table.  `KernelPlan` takes the places'
+residue fields in slot order and runs step 2 as `hadamard`.  An optional
+`BilinearCounter` tallies the multiplications: each kernel advances it by its
+own cost, `hadamard` by the plan's whole cost once per call, the same total.
+The high convolution coefficients fold in through rows of that table fixed
+per residue field (`ExtField.fold_rows`, warmed by `KernelPlan`):
+multiplications by constants of the field, F_q-linear, never counted.
 """
 
 from __future__ import annotations
@@ -82,23 +83,21 @@ def mul_d4(
 
 
 class KernelPlan:
-    """Kernel dispatch for a sequence of residue-field groups.
-
-    Groups are (offset, ext) pairs: ext is None for degree-1 groups (plain
-    base-field slots), otherwise the residue ExtField whose degree picks the
-    kernel.  Offsets partition range(total) without gaps or overlaps.  Each
-    group's kernel is resolved here, once, not on every product.
+    """Kernel dispatch for the places of a product, one entry per place in
+    slot order: None for a degree-1 place (one base-field slot), otherwise
+    its residue ExtField, whose degree picks the kernel and the number of
+    slots.  Each place's offset and kernel are resolved here, once, not on
+    every product.
     """
 
-    __slots__ = ("field", "groups", "total", "advertised_cost", "_steps")
+    __slots__ = ("field", "residues", "total", "advertised_cost", "_steps")
 
-    def __init__(self, field: BinaryField, groups: Sequence[tuple]):
+    def __init__(self, field: BinaryField, residues: Sequence[ExtField | None]):
         self.field = field
-        cursor = cost = 0
-        checked, steps = [], []
-        for offset, ext in groups:
-            if offset != cursor:
-                raise ValueError("kernel groups must tile the coordinate range")
+        self.residues = tuple(residues)
+        offset = cost = 0
+        steps = []
+        for ext in self.residues:
             d = 1 if ext is None else ext.d
             if d not in KERNEL_COST:
                 raise ValueError(f"no kernel for residue degree {d}")
@@ -106,12 +105,10 @@ class KernelPlan:
                 if ext.base != field:
                     raise ValueError("residue field has the wrong base")
                 ext.fold_rows()  # built here, not on the first product
-            checked.append((offset, ext))
             steps.append((offset, offset + d, ext, None if d == 1 else mul_d2 if d == 2 else mul_d4))
-            cursor += d
+            offset += d
             cost += KERNEL_COST[d]
-        self.groups = tuple(checked)
-        self.total = cursor
+        self.total = offset
         self.advertised_cost = cost  # bilinear multiplications per `hadamard` call
         self._steps = tuple(steps)
 

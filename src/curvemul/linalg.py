@@ -122,10 +122,6 @@ class RowBasis:
         self._pivots, self._rows = pivots, rows
         return True
 
-    def inverse(self) -> Matrix:
-        """Inverse of the matrix of accepted rows; needs rank == cols."""
-        return Matrix(self.field, self.cols, self.inverse_rows())
-
     def inverse_rows(self) -> list[int]:
         """The inverse's rows, packed as `Matrix` takes them; needs rank == cols."""
         cols = self.cols
@@ -151,7 +147,7 @@ def invert(m: Matrix) -> Matrix:
     """Inverse of a square matrix; raises SingularMatrixError when rank is deficient."""
     if m.rows != m.cols:
         raise SingularMatrixError("only square matrices can be inverted")
-    return _row_basis(m).inverse()
+    return Matrix(m.field, m.cols, _row_basis(m).inverse_rows())
 
 
 def mat_vec(m: Matrix, v: Sequence[int]) -> list[int]:

@@ -328,18 +328,20 @@ class VerifyReport(namedtuple("VerifyReport", "instance checks")):
 
 
 def _step3_table_fault(compiled: CompiledMultiplier):
-    """(j, a) of the first stored step-3 multiple that is not a times column j
-    of T_inv_top, packed entry by entry from the product table, or None."""
-    m, field, stored = compiled.T_inv_top, compiled.spec.field, compiled.step3_columns
-    pack, q = Lanes(field, m.rows).pack, field.order
-    for j, a in itertools.product(range(m.cols), range(q)):
-        want = pack([field.table[a][v] for v in m.entries[j :: m.cols]])
-        if len(stored) != m.cols or len(stored[j]) != q or stored[j][a] != want:
-            return j, a
+    """(j, a) of the first stored step-3 multiple that is not the n-lane
+    vector a times multiple 1 of column j, or None: q multiples per column,
+    each in n lanes and a times multiple 1, make steps 3 and 4 F_q-linear."""
+    field, n = compiled.spec.field, compiled.spec.n
+    scale, width = Lanes(field, n).scale, field.k * n
+    for j, multiples in enumerate(compiled.step3_columns):
+        for a in range(field.order):
+            if (len(multiples) != field.order or multiples[a] >> width
+                    or multiples[a] != scale(a, multiples[1])):
+                return j, a
     return None
 
 
-def verify_instance(spec: InstanceSpec, spot_checks: int = 25) -> VerifyReport:
+def verify_instance(spec: InstanceSpec) -> VerifyReport:
     """Re-run every rule of `InstanceSpec.checks` on a loaded instance and
     compile it.
 
@@ -348,11 +350,11 @@ def verify_instance(spec: InstanceSpec, spot_checks: int = 25) -> VerifyReport:
     shows its first failing candidate), plus compile-time facts (selected
     places, rank certificate, operation counts, oracle spot-checks), and the
     bilinear certificate: `multiply` against `reference_mul` on all n^2 pairs
-    of basis vectors.  That suffices, as steps 1 and 4 are F_q-linear and
-    step 2 is F_q-bilinear, and step 3 (lookups of stored multiples) is
-    F_q-linear when each multiple `step3_columns[j][a]` is a times column j
-    of T_inv_top, which the certificate checks first, entry by entry through
-    the product table: two bilinear maps that agree there agree everywhere.
+    of basis vectors.  That suffices, as step 1 is F_q-linear and step 2 is
+    F_q-bilinear, and steps 3 and 4 (lookups of stored multiples) are
+    F_q-linear when each multiple `step3_columns[j][a]` is the n-lane vector
+    a times multiple 1 of column j, which the certificate checks first: two
+    bilinear maps that agree on the basis pairs agree everywhere.
     """
     rules: dict = {}  # one line per rule name, a candidate rule's at its first failure
     for c in spec.checks():
@@ -370,7 +372,7 @@ def verify_instance(spec: InstanceSpec, spot_checks: int = 25) -> VerifyReport:
         return VerifyReport(spec.name, (*checks, CheckResult("compile", False, str(e))))
     rep, got_rank = compiled.report, rank(compiled.T)
     bound = aggregate_bound(spec.n, spec.g, max(compiled.place_degrees))
-    result = selftest(compiled, spot_checks, seed=2024)
+    result = selftest(compiled, 25, seed=2024)
     fault = _step3_table_fault(compiled)
     units = [[int(i == j) for j in range(spec.n)] for i in range(spec.n)]
     wrong = _oracle_mismatches(compiled, itertools.product(units, units))
@@ -379,8 +381,8 @@ def verify_instance(spec: InstanceSpec, spot_checks: int = 25) -> VerifyReport:
         cert += f"; first failure x={wrong[0][0]} y={wrong[0][1]}"
     if fault:
         cert = (f"step-3 multiple {fault[1]} of column {fault[0]} is not "
-                f"{fault[1]} times that column of T_inv_top; {cert}")
-    spot = f"{spot_checks} random products against the polynomial oracle"
+                f"{fault[1]} times multiple 1 of that column in {spec.n} lanes; {cert}")
+    spot = f"{result.trials} random products against the polynomial oracle"
     if not result.ok:
         x, y, want, got = result.first_failure
         spot = f"x={list(x)} y={list(y)} want={list(want)} got={list(got)}"

@@ -158,31 +158,33 @@ def test_multiply_runs_step3_by_lookup(monkeypatch):
 
 
 def test_step3_columns_are_the_multiples_of_t_inv_top():
+    # step 4 is folded in: each stored multiple is a times a column of
+    # T_inv_top with entry n+i-1 added to entry i (0 < i < n), in n lanes
     for name in NAMES:
-        compiled = COMPILED[name]
+        compiled, n = COMPILED[name], SPECS[name].n
         m, field = compiled.T_inv_top, SPECS[name].field
-        lanes = Lanes(field, m.rows)
+        lanes = Lanes(field, n)
         assert len(compiled.step3_columns) == m.cols
         for j, multiples in enumerate(compiled.step3_columns):
             column = m.entries[j :: m.cols]
-            assert [lanes.unpack(v, m.rows + 1) for v in multiples] == [
-                [field.mul(a, c) for c in column] + [0] for a in range(field.order)
+            recombined = [column[0]] + [column[i] ^ column[n + i - 1] for i in range(1, n)]
+            assert [lanes.unpack(v, n + 1) for v in multiples] == [
+                [field.mul(a, c) for c in recombined] + [0] for a in range(field.order)
             ]
 
 
 def test_step3_table_takes_at_most_q_scales(monkeypatch):
     # freezing the multiplier builds the step-3 table: the transpose of
-    # T_inv_top is one lane vector, scaled once per a in F_q; a scale per
-    # column per a would be (2n+g-1) times as many, in set-up time
+    # T_inv_top, step 4 folded in, is one lane vector, scaled once per a in
+    # F_q; a scale per column per a would be (2n+g-1) times as many, in
+    # set-up time
     scaled = []
     real = Lanes.scale
     monkeypatch.setattr(Lanes, "scale", lambda self, c, v: scaled.append(c) or real(self, c, v))
     for name in NAMES:
         c = COMPILED[name]
         scaled.clear()
-        frozen = engine.CompiledMultiplier(
-            c.spec, c.places, c.T, c.T_x, c.T_y, c.T_inv_top, c.plan
-        )
+        frozen = engine.CompiledMultiplier(c.spec, c.places, c.T.packed, c.T_inv_top.packed)
         assert frozen.step3_columns == c.step3_columns
         assert 0 < len(scaled) <= SPECS[name].field.order, name
 
@@ -377,7 +379,7 @@ def test_compile_packs_the_basis_once(monkeypatch):
         spec = tools.load_bundled(name)
         compile_instance(spec)
         verify_good_basis(spec)
-        tools.verify_instance(spec, spot_checks=1)
+        tools.verify_instance(spec)
         # ay, b, den of each basis function, then rhs_num, rhs_den, D1, D2
         assert built == [3 * spec.size + 4], name
 
@@ -414,7 +416,7 @@ def test_one_horner_pass_per_fibre(monkeypatch):
         compile_instance(spec)
         places = [p for p in evaluated if isinstance(p, AffinePlace)]
         verify_good_basis(spec)
-        tools.verify_instance(spec, spot_checks=1)
+        tools.verify_instance(spec)
         assert places[0] is spec.q_place
         assert len(places) == affine, name
         assert len({(p.residue.modulus, p.x_img) for p in places}) == fibres, name

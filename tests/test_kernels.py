@@ -26,7 +26,7 @@ PLANS = {name: compile_instance(tools.load_bundled(name)).plan
 
 def residue_fields(name, d):
     """The degree-d residue fields of the places a bundled instance selects."""
-    return [ext for _, ext in PLANS[name].groups if ext is not None and ext.d == d]
+    return [ext for ext in PLANS[name].residues if ext is not None and ext.d == d]
 
 
 def ext_elements(ext):
@@ -116,8 +116,8 @@ def counted_copy(plan):
     every residue field rebuilt over that copy and its fold rows warmed."""
     field = BinaryField(plan.field.k, plan.field.modulus)
     field.table = RowCountingTable(field.table)
-    groups = [(o, None if e is None else ExtField(field, e.modulus)) for o, e in plan.groups]
-    return KernelPlan(field, groups), field.table
+    residues = [None if e is None else ExtField(field, e.modulus) for e in plan.residues]
+    return KernelPlan(field, residues), field.table
 
 
 @pytest.mark.parametrize("name", sorted(PLANS))
@@ -128,7 +128,7 @@ def test_step2_table_lookups_at_run_time(name):
     # kernel would take 4/16, plus its reduction.
     plan, table = counted_copy(PLANS[name])
     q = plan.field.order
-    for offset, ext in plan.groups:
+    for slot, ext in enumerate(plan.residues):
         if ext is None:
             pairs = itertools.product(range(q), repeat=2)
             run = lambda a, b: mul_d1(plan.field, a, b)  # noqa: E731
@@ -138,7 +138,7 @@ def test_step2_table_lookups_at_run_time(name):
         for a, b in pairs:
             table.lookups = 0
             run(a, b)
-            assert table.lookups == KERNEL_COST[1 if ext is None else ext.d], (offset, a, b)
+            assert table.lookups == KERNEL_COST[1 if ext is None else ext.d], (slot, a, b)
     rng = random.Random(5)
     for _ in range(50):
         zv = [rng.randrange(q) for _ in range(plan.total)]
@@ -166,18 +166,16 @@ def test_degree_guards():
 
 
 def test_kernel_plan_tiling():
-    plan = KernelPlan(F2, [(0, None), (1, None), (2, E4), (4, E16B)])
+    plan = KernelPlan(F2, [None, None, E4, E16B])
     assert plan.total == 8
     assert plan.advertised_cost == 1 + 1 + 3 + 9
     with pytest.raises(ValueError):
-        KernelPlan(F2, [(0, None), (2, E4)])  # gap at offset 1
-    with pytest.raises(ValueError):
-        KernelPlan(F2, [(0, E16)])  # residue base is F_4, not F_2
+        KernelPlan(F2, [E16])  # residue base is F_4, not F_2
 
 
 def test_kernel_plan_hadamard():
     rng = random.Random(11)
-    plan = KernelPlan(F2, [(0, None), (1, E4), (3, E16B)])
+    plan = KernelPlan(F2, [None, E4, E16B])
     for _ in range(200):
         zv = [rng.randrange(2) for _ in range(7)]
         tv = [rng.randrange(2) for _ in range(7)]
@@ -197,7 +195,7 @@ def test_hadamard_matches_kernels_slot_by_slot(name):
     # f16_13's plan is all degree-1 slots, f2_5's mixes degrees 1, 2 and 4;
     # the counter moves by the plan's cost once per call
     plan = PLANS[name]
-    degrees = [1 if ext is None else ext.d for _, ext in plan.groups]
+    degrees = [1 if ext is None else ext.d for ext in plan.residues]
     assert set(degrees) == ({1} if name == "f16_13" else {1, 2, 4})
     rng = random.Random(len(name))
     q = plan.field.order
@@ -205,7 +203,7 @@ def test_hadamard_matches_kernels_slot_by_slot(name):
         zv = [rng.randrange(q) for _ in range(plan.total)]
         tv = [rng.randrange(q) for _ in range(plan.total)]
         want = []
-        for offset, ext in plan.groups:
+        for offset, ext in zip(itertools.accumulate(degrees, initial=0), plan.residues):
             if ext is None:
                 want.append(mul_d1(plan.field, zv[offset], tv[offset]))
             else:

@@ -86,11 +86,12 @@ def test_row_basis_rejects_a_block_whole():
     assert not add_rows(basis, [[0, 1, 1], [2, 3, 0]])
     assert basis.rank == 1
     with pytest.raises(SingularMatrixError):
-        basis.inverse()
+        basis.inverse_rows()
     # had the rejected block left its first row behind, rank 1 + 2 would
     # not fit and this block would be refused
     assert add_rows(basis, [[0, 1, 1], [0, 0, 1]])
-    assert basis.inverse() == invert(from_rows(F4, [[1, 2, 0], [0, 1, 1], [0, 0, 1]]))
+    want = invert(from_rows(F4, [[1, 2, 0], [0, 1, 1], [0, 0, 1]]))
+    assert basis.inverse_rows() == list(want.packed)
     assert not add_rows(basis, [[1, 1, 1]])  # already full rank
     assert basis.rank == 3
 
@@ -183,9 +184,8 @@ def test_row_basis_matches_list_reference(field):
                 want = ref.inverse()
             except SingularMatrixError:
                 with pytest.raises(SingularMatrixError):
-                    basis.inverse()
+                    basis.inverse_rows()
             else:
-                assert basis.inverse() == want
                 assert basis.inverse_rows() == list(want.packed)
 
 

@@ -283,7 +283,7 @@ def test_mutated_documents_raise_only_loader_errors():
         except Exception as e:
             pytest.fail(f"{path} = {value!r}: {e!r}")
         try:
-            tools.verify_instance(spec, spot_checks=2)
+            tools.verify_instance(spec)
         except Exception as e:
             pytest.fail(f"verify with {path} = {value!r}: {e!r}")
 
@@ -673,13 +673,13 @@ def test_verify_instance_bilinear_certificate_names_a_wrong_pair(monkeypatch):
     assert int(cert.detail.split("/")[0]) < 25
 
 
-@pytest.mark.parametrize("lane, pairs", [(0, 20), (9, 25)], ids=["in-lanes", "above-lanes"])
+@pytest.mark.parametrize("lane, pairs", [(0, 20), (5, 25)], ids=["in-lanes", "above-lanes"])
 def test_verify_instance_bilinear_certificate_names_a_wrong_step3_multiple(
     monkeypatch, lane, pairs
 ):
-    # one stored multiple of one T_inv_top column off by one bit: step 3 is
+    # one stored multiple of one column off by one bit: steps 3 and 4 are
     # then not F_q-linear, and agreement on the basis pairs no longer proves
-    # agreement everywhere.  A bit in lane 9, above f4_5's 2n-1 = 9 lanes,
+    # agreement everywhere.  A bit in lane 5, above f4_5's n = 5 lanes,
     # changes no product, so only the check on the table itself sees it.
     real = tools.compile_instance
 
@@ -695,9 +695,33 @@ def test_verify_instance_bilinear_certificate_names_a_wrong_step3_multiple(
     cert = next(c for c in report.checks if c.name == "bilinear-certificate")
     assert not report.ok and not cert.ok
     assert cert.detail.startswith(
-        "step-3 multiple 3 of column 4 is not 3 times that column of T_inv_top; "
+        "step-3 multiple 3 of column 4 is not 3 times multiple 1 of that column in 5 lanes; "
         f"{pairs}/25 basis pairs match the polynomial oracle"
     )
+
+
+def test_verify_instance_bilinear_certificate_catches_a_consistent_wrong_column(monkeypatch):
+    # every multiple of one column is a times the same wrong n-lane vector:
+    # the table is F_q-linear, so its check passes, and only the basis pairs
+    # can tell; the certificate counts them and names the first that differs
+    real = tools.compile_instance
+
+    def corrupted(spec):
+        compiled = real(spec)
+        columns = list(compiled.step3_columns)
+        wrong = columns[4][1] ^ 1  # not multiple 1
+        scale = galois.Lanes(spec.field, spec.n).scale
+        columns[4] = tuple(scale(a, wrong) for a in range(spec.field.order))
+        compiled.step3_columns = tuple(columns)
+        return compiled
+
+    monkeypatch.setattr(tools, "compile_instance", corrupted)
+    report = tools.verify_instance(tools.load_bundled("f4_5"))
+    cert = next(c for c in report.checks if c.name == "bilinear-certificate")
+    assert not report.ok and not cert.ok
+    match = re.fullmatch(r"(\d+)/25 basis pairs match the polynomial oracle; "
+                         r"first failure x=\[.*\] y=\[.*\]", cert.detail)
+    assert match and int(match[1]) < 25, cert.detail
 
 
 def _verify_with_extra_candidate(place):

@@ -25,20 +25,20 @@ selects the places, certifies T and yields T^-1; the accepted rows are T's
 packed rows, T_x and T_y are lane slices of them, and no matrix compile
 builds checks its entries.
 
-One product of x, y in F_{q^n} (length-n coordinate tuples over F_q) runs:
+One product of x, y in F_{q^n} (length-n coordinate tuples over F_q) runs
+steps 1-3 in one pass over the selected places, each place in turn:
 
-1. two matrix-vector products through the n live columns of T each —
-   2n(2n+g-1) base-field multiplications, independent of the inputs;
-2. one componentwise product in the selected residue fields — the only
-   bilinear step, costing the sum of kernel costs (1, 3 or 9 per place);
-   reduction folds in through product-table rows fixed per residue field at
-   compile time, products by constants of the field, so never counted;
-3. the first 2n-1 rows of inverse(T) applied to the componentwise
-   product — (2n-1)(2n+g-1) multiplications by the paper's convention;
+1. x and y evaluated there, through the place's rows of T_x and T_y, n live
+   columns each — 2n(2n+g-1) base-field multiplications over all places;
+2. their product in the place's residue field — the only bilinear step,
+   costing the kernel's 1, 3 or 9; reduction folds in through product-table
+   rows fixed per residue field at compile time, products by constants of
+   the field, so never counted;
+3. the place's columns of the first 2n-1 rows of inverse(T) applied to it —
+   (2n-1)(2n+g-1) multiplications in all by the paper's convention;
 4. an addition-only recombination of the 2n-1 interpolation coordinates
-   into n, folded into step 3's table at compile time: the two run as
-   2n+g-1 lookups of a column's multiple, XORed into one n-lane vector
-   (`galois.Lanes`).
+   into n, folded into step 3's table at compile time: the two run as one
+   lookup of a column's multiple per slot, XORed into one n-lane vector.
 
 Why only n live columns in step 1: the basis is built so that x embeds on
 f_1..f_n and y on f_1, f_{n+1}..f_{2n-1}; all other embedded coordinates
@@ -73,7 +73,7 @@ from .galois import (
     poly_mul,
 )
 from .kernels import KERNEL_COST, KernelPlan
-from .linalg import Matrix, RowBasis, mat_vec
+from .linalg import Matrix, RowBasis
 
 
 class InstanceError(Exception):
@@ -333,10 +333,14 @@ def verify_good_basis(spec: InstanceSpec) -> list[CheckResult]:
 
 class CompiledMultiplier:
     """Frozen straight-line multiplier for one instance: every table a product
-    reads, and its report, built from the selected places and T's and T^-1's rows."""
+    reads, and its report, built from the selected places and T's and T^-1's rows.
+    `schedule` has one entry per place, of references only: its rows of T_x and
+    T_y (a rational place's one row each), the offset of its slots and first
+    step-3 column, and its residue field and kernel from the plan.  `multiply`
+    runs steps 1-3 place by place; the counts are those of the matrix shapes."""
 
     __slots__ = ("spec", "places", "T", "T_x", "T_y", "T_inv_top", "plan", "report",
-                 "step3_columns")
+                 "step3_columns", "schedule")
 
     def __init__(self, spec, places, rows, inverse_rows):
         field, n, size = spec.field, spec.n, spec.size
@@ -369,6 +373,10 @@ class CompiledMultiplier:
         multiples = [lanes.scale(a, packed) for a in range(field.order)]
         self.step3_columns = tuple(tuple([(m >> s) & low for m in multiples])
                                    for s in range(0, width * size, width))
+        xs, ys = T_x.row_tables, T_y.row_tables
+        self.schedule = tuple((xs[o], ys[o], o, None, None) if kernel is None else
+                              (xs[o:end], ys[o:end], o, ext, kernel)
+                              for o, end, ext, kernel in plan.steps)
 
     @property
     def place_degrees(self) -> list[int]:
@@ -393,10 +401,26 @@ class CompiledMultiplier:
         spec = self.spec
         _check_operand(spec, x)
         _check_operand(spec, y)
-        had = self.plan.hadamard(mat_vec(self.T_x, x), mat_vec(self.T_y, y))
+        columns, table = self.step3_columns, spec.field.table  # read here, as `verify` checks it
         z = 0
-        for column, c in zip(self.step3_columns, had):
-            z ^= column[c]
+        for row_x, row_y, o, ext, kernel in self.schedule:
+            if kernel is None:  # rational: x's and y's value, their product, its column
+                a = b = 0
+                for s, t, c, d in zip(row_x, row_y, x, y):
+                    a ^= s[c]
+                    b ^= t[d]
+                z ^= columns[o][table[a][b]]
+                continue
+            u, v = [], []  # degree 2 or 4: the coordinates of x's and y's values
+            for rx, ry in zip(row_x, row_y):
+                a = b = 0
+                for s, t, c, d in zip(rx, ry, x, y):
+                    a ^= s[c]
+                    b ^= t[d]
+                u.append(a)
+                v.append(b)
+            for column, c in zip(columns[o:], kernel(ext, u, v)):
+                z ^= column[c]
         k, mask = spec.field.k, spec.field.order - 1
         return tuple([(z >> s) & mask for s in range(0, k * spec.n, k)]), self.report
 

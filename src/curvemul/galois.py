@@ -123,13 +123,14 @@ class Lanes:
     trust, as by `BinaryField.mul`.
     """
 
-    __slots__ = ("field", "count", "_ones", "_mask", "_bits", "_times")
+    __slots__ = ("field", "count", "_full", "_ones", "_mask", "_bits", "_times")
 
     def __init__(self, field: BinaryField, count: int):
         self.field = field
         self.count = count
         self._mask = field.order - 1
-        self._ones = ((1 << (field.k * count)) - 1) // self._mask  # bit 0 of every lane
+        self._full = (1 << (field.k * count)) - 1  # lanes 0..count-1
+        self._ones = self._full // self._mask  # bit 0 of every lane
         self._bits = field._lane_bits
         self._times = field._bit_products
 
@@ -144,9 +145,9 @@ class Lanes:
         return [(v >> s) & mask for s in range(0, k * count, k)]
 
     def scale(self, c: int, v: int) -> int:
-        """Every lane of v times the constant c."""
+        """Lanes 0..count-1 of v, each times the constant c."""
         if c < 2:
-            return v if c else 0
+            return v & self._full if c else 0
         ones = self._ones
         acc = 0
         for i, t in enumerate(self._times[c]):

@@ -5,7 +5,9 @@ Each kernel is a fixed straight-line program: the number of bilinear
 the kernel — 1, 3, and 9 respectively (`KERNEL_COST`) — independent of the
 operand values; the engine reads its step-2 count from them.  Each is one
 lookup in the base field's product table.  `KernelPlan` takes the places'
-residue fields in slot order and runs step 2 as `hadamard`.  An optional
+residue fields in slot order and resolves each place's slots and kernel
+(`steps`), which a product reads, doing a degree-1 lookup inline; `hadamard`
+runs step 2 alone, for the benchmark's replay.  An optional
 `BilinearCounter` tallies the multiplications: each kernel advances it by its
 own cost, `hadamard` by the plan's whole cost once per call, the same total.
 The high convolution coefficients fold in through rows of that table fixed
@@ -86,11 +88,11 @@ class KernelPlan:
     """Kernel dispatch for the places of a product, one entry per place in
     slot order: None for a degree-1 place (one base-field slot), otherwise
     its residue ExtField, whose degree picks the kernel and the number of
-    slots.  Each place's offset and kernel are resolved here, once, not on
-    every product.
+    slots.  Each place's (offset, end, residue, kernel) is resolved here,
+    once, as `steps`, not on every product.
     """
 
-    __slots__ = ("field", "residues", "total", "advertised_cost", "_steps")
+    __slots__ = ("field", "residues", "total", "advertised_cost", "steps")
 
     def __init__(self, field: BinaryField, residues: Sequence[ExtField | None]):
         self.field = field
@@ -110,7 +112,7 @@ class KernelPlan:
             cost += KERNEL_COST[d]
         self.total = offset
         self.advertised_cost = cost  # bilinear multiplications per `hadamard` call
-        self._steps = tuple(steps)
+        self.steps = tuple(steps)
 
     def hadamard(
         self, zv: Sequence[int], tv: Sequence[int], counter: BilinearCounter | None = None
@@ -123,7 +125,7 @@ class KernelPlan:
             counter.bilinear_mults += self.advertised_cost
         field = self.field
         out = []
-        for offset, end, ext, kernel in self._steps:
+        for offset, end, ext, kernel in self.steps:
             if kernel is None:
                 out.append(mul_d1(field, zv[offset], tv[offset]))
             else:

@@ -332,11 +332,10 @@ def _step3_table_fault(compiled: CompiledMultiplier):
     vector a times multiple 1 of column j, or None: q multiples per column,
     each in n lanes and a times multiple 1, make steps 3 and 4 F_q-linear."""
     field, n = compiled.spec.field, compiled.spec.n
-    scale, width = Lanes(field, n).scale, field.k * n
+    scale = Lanes(field, n).scale  # drops any lane from n on, also at a = 1
     for j, multiples in enumerate(compiled.step3_columns):
         for a in range(field.order):
-            if (len(multiples) != field.order or multiples[a] >> width
-                    or multiples[a] != scale(a, multiples[1])):
+            if len(multiples) != field.order or multiples[a] != scale(a, multiples[1]):
                 return j, a
     return None
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvemul import curve, engine, tools
+from curvemul import curve, engine, kernels, linalg, tools
 from curvemul.curve import (
     AffinePlace,
     InfinitePlace,
@@ -142,19 +142,39 @@ def test_op_report_exact():
         assert OpReport.expected(n, g, compiled.place_degrees) == report
 
 
-def test_multiply_runs_step3_by_lookup(monkeypatch):
-    # step 1 is the only mat-vec left, one per operand; step 3 reads the
-    # compiled multiples of T_inv_top's columns, whatever the coordinates
+def test_multiply_runs_place_by_place(monkeypatch):
+    # one pass over the places: x and y are evaluated at each place and
+    # multiplied in its residue field there, by a table lookup at a rational
+    # place and one kernel call at a place of degree 2 or 4, with no mat-vec
+    # and no componentwise product; step 3 reads `step3_columns` as it runs
+    def banned(*args, **kwargs):
+        raise AssertionError("multiply left its pass over the places")
+
     calls = []
-    real = engine.mat_vec
-    monkeypatch.setattr(engine, "mat_vec", lambda m, v: calls.append(m) or real(m, v))
+
+    def counted(real):
+        return lambda ext, u, v, counter=None: calls.append(ext.d) or real(ext, u, v, counter)
+
+    for kernel in ("mul_d2", "mul_d4"):
+        monkeypatch.setattr(kernels, kernel, counted(getattr(kernels, kernel)))
+    monkeypatch.setattr(engine, "mat_vec", banned, raising=False)
+    monkeypatch.setattr(linalg, "mat_vec", banned)
+    monkeypatch.setattr(kernels, "mul_d1", banned)
+    monkeypatch.setattr(kernels.KernelPlan, "hadamard", banned)
     for name in NAMES:
-        spec, compiled = SPECS[name], COMPILED[name]
+        spec, c = SPECS[name], COMPILED[name]
+        # the plan resolves its kernels when the multiplier is built
+        compiled = engine.CompiledMultiplier(spec, c.places, c.T.packed, c.T_inv_top.packed)
         rng = random.Random(8)
         for _ in range(5):
+            x, y = random_operand(rng, spec), random_operand(rng, spec)
             calls.clear()
-            compiled.multiply(random_operand(rng, spec), random_operand(rng, spec))
-            assert calls == [compiled.T_x, compiled.T_y]  # none on T_inv_top
+            assert compiled.multiply(x, y)[0] == reference_mul(spec.field, spec.q_modulus, x, y)
+            assert calls == [d for d in compiled.place_degrees if d > 1], name
+        one = [1] + [0] * (spec.n - 1)
+        assert compiled.multiply(one, one)[0] == tuple(one)
+        compiled.step3_columns = tuple((0,) * spec.field.order for _ in c.step3_columns)
+        assert compiled.multiply(one, one)[0] == (0,) * spec.n, name
 
 
 def test_step3_columns_are_the_multiples_of_t_inv_top():

@@ -152,6 +152,20 @@ def test_lane_scale_exhaustive(field):
 
 
 @LANE_FIELDS
+def test_lane_scale_keeps_count_lanes_for_every_constant(field):
+    # the result has `count` lanes whatever c is, also at c = 0 and c = 1
+    assert Lanes(F4, 2).scale(1, 1 << 8) == 0
+    rng = random.Random(field.k)
+    lanes = Lanes(field, 3)
+    full = (1 << (field.k * 3)) - 1
+    for _ in range(10):
+        v = rng.getrandbits(field.k * 3) | rng.getrandbits(field.k * 4) << (field.k * 3)
+        assert v > full  # high lanes set
+        for c in range(field.order):
+            assert lanes.scale(c, v) == lanes.scale(c, v & full), c
+
+
+@LANE_FIELDS
 def test_lane_pack_round_trip(field):
     rng = random.Random(field.k)
     k = field.k

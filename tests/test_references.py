@@ -1,5 +1,6 @@
 """Every function, method and class defined in src/ is used by the program,
-and every name the benchmark reads from src/ exists.
+every name the benchmark reads from src/ exists, and src/ imports only the
+standard library.
 
 A definition counts as used when a name, an attribute or an import in
 src/curvemul or perfbench refers to it; tests do not count, so a helper
@@ -9,16 +10,21 @@ name alone, so this cannot tell two methods of the same name apart.
 perfbench reaches the program through `common.Program`, one attribute per
 module, and replays a product from the compiled multiplier's attributes;
 a name it reads that src/ no longer has fails here, not only in the
-benchmark's own checks.
+benchmark's own checks.  Its traced pass checks that replay against
+`multiply`, so the replay's steps must still compose to the product.
 """
 
 import ast
 import importlib
+import itertools
+import random
 import re
+import sys
 from pathlib import Path
 
 from curvemul import tools
 from curvemul.engine import compile_instance
+from curvemul.linalg import mat_vec
 
 ROOT = Path(__file__).resolve().parents[1]
 # p.<module>.<name>, program.<module>.<name> (also self.program...) and
@@ -66,3 +72,32 @@ def test_bundled_multipliers_have_what_perfbench_replays():
         for attr in ("T", "T_x", "T_y", "T_inv_top", "plan", "places"):
             assert hasattr(compiled, attr), (name, attr)
         assert callable(compiled.plan.hadamard), name
+
+
+def test_perfbench_replay_equals_multiply():
+    # perfbench replays a product as mat_vec on T_x and T_y, the plan's
+    # componentwise product, mat_vec on T_inv_top and step 4's XOR; on seeded
+    # pairs and the n^2 basis pairs that gives what `multiply` returns
+    rng = random.Random(22)
+    for name in tools.bundled_instance_names():
+        compiled = compile_instance(tools.load_bundled(name))
+        n, q = compiled.spec.n, compiled.spec.field.order
+        units = [[int(i == j) for j in range(n)] for i in range(n)]
+        seeded = [[[rng.randrange(q) for _ in range(n)] for _ in range(2)] for _ in range(50)]
+        for x, y in itertools.chain(itertools.product(units, units), seeded):
+            had = compiled.plan.hadamard(mat_vec(compiled.T_x, x), mat_vec(compiled.T_y, y))
+            w = mat_vec(compiled.T_inv_top, had)
+            z = tuple([w[0]] + [w[j] ^ w[n + j - 1] for j in range(1, n)])
+            assert z == compiled.multiply(x, y)[0], (name, x, y)
+
+
+def test_src_imports_only_the_standard_library():
+    imported = set()
+    for path in sorted((ROOT / "src" / "curvemul").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported and "__future__" in imported
+    assert sorted(imported - set(sys.stdlib_module_names) - {"curvemul"}) == []

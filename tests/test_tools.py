@@ -673,20 +673,25 @@ def test_verify_instance_bilinear_certificate_names_a_wrong_pair(monkeypatch):
     assert int(cert.detail.split("/")[0]) < 25
 
 
-@pytest.mark.parametrize("lane, pairs", [(0, 20), (5, 25)], ids=["in-lanes", "above-lanes"])
+@pytest.mark.parametrize(
+    "a, lane, pairs",
+    [(3, 0, 20), (3, 5, 25), (1, 5, 25)],
+    ids=["in-lanes", "above-lanes", "multiple-1-above-lanes"],
+)
 def test_verify_instance_bilinear_certificate_names_a_wrong_step3_multiple(
-    monkeypatch, lane, pairs
+    monkeypatch, a, lane, pairs
 ):
     # one stored multiple of one column off by one bit: steps 3 and 4 are
     # then not F_q-linear, and agreement on the basis pairs no longer proves
     # agreement everywhere.  A bit in lane 5, above f4_5's n = 5 lanes,
-    # changes no product, so only the check on the table itself sees it.
+    # changes no product, so only the check on the table itself sees it;
+    # on multiple 1 it is seen because a scale by 1 keeps n lanes too.
     real = tools.compile_instance
 
     def corrupted(spec):
         compiled = real(spec)
         columns = [list(c) for c in compiled.step3_columns]
-        columns[4][3] ^= 1 << (spec.field.k * lane)
+        columns[4][a] ^= 1 << (spec.field.k * lane)
         compiled.step3_columns = tuple(tuple(c) for c in columns)
         return compiled
 
@@ -695,7 +700,7 @@ def test_verify_instance_bilinear_certificate_names_a_wrong_step3_multiple(
     cert = next(c for c in report.checks if c.name == "bilinear-certificate")
     assert not report.ok and not cert.ok
     assert cert.detail.startswith(
-        "step-3 multiple 3 of column 4 is not 3 times multiple 1 of that column in 5 lanes; "
+        f"step-3 multiple {a} of column 4 is not {a} times multiple 1 of that column in 5 lanes; "
         f"{pairs}/25 basis pairs match the polynomial oracle"
     )
 

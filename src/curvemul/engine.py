@@ -26,14 +26,15 @@ packed rows, T_x and T_y are lane slices of them, and no matrix compile
 builds checks its entries.
 
 One product of x, y in F_{q^n} (length-n coordinate tuples over F_q) runs
-steps 1-3 in one pass over the selected places, each place in turn:
+step 1 once, then steps 2 and 3 in one pass over the selected places:
 
-1. x and y evaluated there, through the place's rows of T_x and T_y, n live
-   columns each — 2n(2n+g-1) base-field multiplications over all places;
-2. their product in the place's residue field — the only bilinear step,
-   costing the kernel's 1, 3 or 9; reduction folds in through product-table
-   rows fixed per residue field at compile time, products by constants of
-   the field, so never counted;
+1. x and y evaluated at every place through T_x and T_y: n lookups of stored
+   column multiples per operand, XORed into one (2n+g-1)-lane vector, each
+   standing for 2n+g-1 products by constants, 2n(2n+g-1) in all by the paper's convention;
+2. at each place, the product of the two values in its residue field — the
+   only bilinear step, costing the kernel's 1, 3 or 9; reduction folds in
+   through product-table rows fixed per residue field at compile time,
+   products by constants of the field, so never counted;
 3. the place's columns of the first 2n-1 rows of inverse(T) applied to it —
    (2n-1)(2n+g-1) multiplications in all by the paper's convention;
 4. an addition-only recombination of the 2n-1 interpolation coordinates
@@ -331,16 +332,27 @@ def verify_good_basis(spec: InstanceSpec) -> list[CheckResult]:
     return results
 
 
+def _column_multiples(m: Matrix) -> tuple:
+    """Entry [j][a] is a times column j of m, in m.rows lanes: the transpose
+    is packed whole, scaled once per a in F_q and cut into columns."""
+    lanes, width = Lanes(m.field, m.rows * m.cols), m.field.k * m.rows
+    packed = lanes.pack([v for j in range(m.cols) for v in m.entries[j::m.cols]])
+    scaled, low = [lanes.scale(a, packed) for a in range(m.field.order)], (1 << width) - 1
+    return tuple(tuple([(v >> s) & low for v in scaled]) for s in range(0, width * m.cols, width))
+
+
 class CompiledMultiplier:
     """Frozen straight-line multiplier for one instance: every table a product
     reads, and its report, built from the selected places and T's and T^-1's rows.
-    `schedule` has one entry per place, of references only: its rows of T_x and
-    T_y (a rational place's one row each), the offset of its slots and first
-    step-3 column, and its residue field and kernel from the plan.  `multiply`
-    runs steps 1-3 place by place; the counts are those of the matrix shapes."""
+    Step 1 reads `x_columns` and `y_columns`, the column multiples of T_x and
+    T_y; steps 3 and 4 read `step3_columns`.  `schedule` has one entry per place:
+    its slots' bit shifts (one int if rational), the offset of its slots and
+    first step-3 column, and its residue field and kernel from the plan.  The
+    counts are those of the matrix shapes; T_x, T_y and `plan.hadamard` serve
+    the benchmark's replay."""
 
     __slots__ = ("spec", "places", "T", "T_x", "T_y", "T_inv_top", "plan", "report",
-                 "step3_columns", "schedule")
+                 "x_columns", "y_columns", "step3_columns", "schedule")
 
     def __init__(self, spec, places, rows, inverse_rows):
         field, n, size = spec.field, spec.n, spec.size
@@ -348,9 +360,8 @@ class CompiledMultiplier:
         self.places = tuple(places)
         self.T = Matrix(field, size, rows)
         self.T_inv_top = top = Matrix(field, size, inverse_rows[: 2 * n - 1])
-        # the one place that fixes how operands embed (see the module docstring):
-        # x on lanes 0..n-1 of each row, y on lane 0 and lanes n..2n-2 moved down
-        # to lanes 1..n-1
+        # the one place that fixes how operands embed (see the module docstring): x on
+        # lanes 0..n-1 of each row, y on lane 0 and lanes n..2n-2 moved down to 1..n-1
         k, low = field.k, (1 << (field.k * n)) - 1
         self.T_x = T_x = Matrix(field, n, [r & low for r in rows])
         self.T_y = T_y = Matrix(field, n, [(r & (field.order - 1)) ^ (((r >> k * n) << k) & low)
@@ -363,19 +374,13 @@ class CompiledMultiplier:
             step2_bilinear=plan.advertised_cost,
             step3_scalar=top.rows * top.cols,
         )
-        # step 4 folded into step 3: row n+i-1 of T_inv_top XORed into row i,
-        # 0 < i < n.  step3_columns[j][a] is a times column j of the result, one
-        # n-lane vector: the transpose is packed whole, scaled once per a and cut
+        self.x_columns = _column_multiples(T_x)
+        self.y_columns = _column_multiples(T_y)
+        # step 4 folded into step 3: row n+i-1 of T_inv_top XORed into row i, 0 < i < n
         folded = [top.packed[0]] + [r ^ h for r, h in zip(top.packed[1:n], top.packed[n:])]
-        entries = Matrix(field, size, folded).entries
-        lanes, width = Lanes(field, n * size), k * n
-        packed = lanes.pack([v for j in range(size) for v in entries[j::size]])
-        multiples = [lanes.scale(a, packed) for a in range(field.order)]
-        self.step3_columns = tuple(tuple([(m >> s) & low for m in multiples])
-                                   for s in range(0, width * size, width))
-        xs, ys = T_x.row_tables, T_y.row_tables
-        self.schedule = tuple((xs[o], ys[o], o, None, None) if kernel is None else
-                              (xs[o:end], ys[o:end], o, ext, kernel)
+        self.step3_columns = _column_multiples(Matrix(field, size, folded))
+        self.schedule = tuple((k * o, o, None, None) if kernel is None else
+                              (tuple(range(k * o, k * end, k)), o, ext, kernel)
                               for o, end, ext, kernel in plan.steps)
 
     @property
@@ -401,27 +406,19 @@ class CompiledMultiplier:
         spec = self.spec
         _check_operand(spec, x)
         _check_operand(spec, y)
-        columns, table = self.step3_columns, spec.field.table  # read here, as `verify` checks it
-        z = 0
-        for row_x, row_y, o, ext, kernel in self.schedule:
-            if kernel is None:  # rational: x's and y's value, their product, its column
-                a = b = 0
-                for s, t, c, d in zip(row_x, row_y, x, y):
-                    a ^= s[c]
-                    b ^= t[d]
-                z ^= columns[o][table[a][b]]
+        X = Y = z = 0  # step 1: x's and y's values at every slot, 2n+g-1 lanes each
+        for column_x, column_y, c, d in zip(self.x_columns, self.y_columns, x, y):
+            X ^= column_x[c]
+            Y ^= column_y[d]
+        columns, table = self.step3_columns, spec.field.table  # read here, as `verify` checks them
+        k, mask = spec.field.k, spec.field.order - 1
+        for s, o, ext, kernel in self.schedule:
+            if kernel is None:  # rational: the product of x's and y's values, its column
+                z ^= columns[o][table[(X >> s) & mask][(Y >> s) & mask]]
                 continue
-            u, v = [], []  # degree 2 or 4: the coordinates of x's and y's values
-            for rx, ry in zip(row_x, row_y):
-                a = b = 0
-                for s, t, c, d in zip(rx, ry, x, y):
-                    a ^= s[c]
-                    b ^= t[d]
-                u.append(a)
-                v.append(b)
+            u, v = [(X >> t) & mask for t in s], [(Y >> t) & mask for t in s]  # degree 2 or 4
             for column, c in zip(columns[o:], kernel(ext, u, v)):
                 z ^= column[c]
-        k, mask = spec.field.k, spec.field.order - 1
         return tuple([(z >> s) & mask for s in range(0, k * spec.n, k)]), self.report
 
 

@@ -12,9 +12,9 @@ elimination step costs O(k) big-int operations whatever the row length.
 
 `mat_vec` performs one base-field multiplication per matrix entry whatever
 the values, so its cost is fixed by the matrix shape; each is one subscript
-of a product-table row bound at construction, `row_tables[i][j][x]`.  It is
-the benchmark's replay of step 1; a product reads the same `row_tables`
-place by place, and the engine reads steps 1 and 3's counts off the shapes.
+of a product-table row bound at construction, `row_tables[i][j][x]`.  The two
+now serve only the benchmark's replay of steps 1 and 3: a product reads the
+engine's stored column multiples, and the engine reads the counts off shapes.
 """
 
 from __future__ import annotations

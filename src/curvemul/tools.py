@@ -327,16 +327,20 @@ class VerifyReport(namedtuple("VerifyReport", "instance checks")):
         return out
 
 
-def _step3_table_fault(compiled: CompiledMultiplier):
-    """(j, a) of the first stored step-3 multiple that is not the n-lane
-    vector a times multiple 1 of column j, or None: q multiples per column,
-    each in n lanes and a times multiple 1, make steps 3 and 4 F_q-linear."""
-    field, n = compiled.spec.field, compiled.spec.n
-    scale = Lanes(field, n).scale  # drops any lane from n on, also at a = 1
-    for j, multiples in enumerate(compiled.step3_columns):
-        for a in range(field.order):
-            if len(multiples) != field.order or multiples[a] != scale(a, multiples[1]):
-                return j, a
+def _table_fault(compiled: CompiledMultiplier):
+    """The first stored multiple that is not a times multiple 1 of its column
+    in its table's lanes, or None: then step 1 (2n+g-1 lanes) and steps 3 and
+    4 (n lanes) are F_q-linear."""
+    field, n, size = compiled.spec.field, compiled.spec.n, compiled.spec.size
+    for table, width, columns in (("step-1 x", size, compiled.x_columns),
+                                  ("step-1 y", size, compiled.y_columns),
+                                  ("step-3", n, compiled.step3_columns)):
+        scale = Lanes(field, width).scale  # drops any lane from `width` on, also at a = 1
+        for j, multiples in enumerate(columns):
+            for a in range(field.order):
+                if len(multiples) != field.order or multiples[a] != scale(a, multiples[1]):
+                    return (f"{table} multiple {a} of column {j} is not {a} times "
+                            f"multiple 1 of that column in {width} lanes")
     return None
 
 
@@ -349,11 +353,11 @@ def verify_instance(spec: InstanceSpec) -> VerifyReport:
     shows its first failing candidate), plus compile-time facts (selected
     places, rank certificate, operation counts, oracle spot-checks), and the
     bilinear certificate: `multiply` against `reference_mul` on all n^2 pairs
-    of basis vectors.  That suffices, as step 1 is F_q-linear and step 2 is
-    F_q-bilinear, and steps 3 and 4 (lookups of stored multiples) are
-    F_q-linear when each multiple `step3_columns[j][a]` is the n-lane vector
-    a times multiple 1 of column j, which the certificate checks first: two
-    bilinear maps that agree on the basis pairs agree everywhere.
+    of basis vectors.  That suffices, as step 2 is F_q-bilinear, and steps 1,
+    3 and 4 (lookups of stored multiples) are F_q-linear when each multiple
+    in `x_columns`, `y_columns` and `step3_columns` is a times multiple 1 of
+    its column, which the certificate checks first: two bilinear maps that
+    agree on the basis pairs agree everywhere.
     """
     rules: dict = {}  # one line per rule name, a candidate rule's at its first failure
     for c in spec.checks():
@@ -372,15 +376,14 @@ def verify_instance(spec: InstanceSpec) -> VerifyReport:
     rep, got_rank = compiled.report, rank(compiled.T)
     bound = aggregate_bound(spec.n, spec.g, max(compiled.place_degrees))
     result = selftest(compiled, 25, seed=2024)
-    fault = _step3_table_fault(compiled)
+    fault = _table_fault(compiled)
     units = [[int(i == j) for j in range(spec.n)] for i in range(spec.n)]
     wrong = _oracle_mismatches(compiled, itertools.product(units, units))
     cert = f"{spec.n**2 - len(wrong)}/{spec.n**2} basis pairs match the polynomial oracle"
     if wrong:
         cert += f"; first failure x={wrong[0][0]} y={wrong[0][1]}"
     if fault:
-        cert = (f"step-3 multiple {fault[1]} of column {fault[0]} is not "
-                f"{fault[1]} times multiple 1 of that column in {spec.n} lanes; {cert}")
+        cert = f"{fault}; {cert}"
     spot = f"{result.trials} random products against the polynomial oracle"
     if not result.ok:
         x, y, want, got = result.first_failure

@@ -143,10 +143,11 @@ def test_op_report_exact():
 
 
 def test_multiply_runs_place_by_place(monkeypatch):
-    # one pass over the places: x and y are evaluated at each place and
-    # multiplied in its residue field there, by a table lookup at a rational
-    # place and one kernel call at a place of degree 2 or 4, with no mat-vec
-    # and no componentwise product; step 3 reads `step3_columns` as it runs
+    # step 1 is n lookups per operand in `x_columns` and `y_columns`; then one
+    # pass over the places multiplies x's and y's values in each residue field,
+    # by a table lookup at a rational place and one kernel call at a place of
+    # degree 2 or 4, with no mat-vec and no componentwise product.  Steps 1
+    # and 3 read their tables as they run, the tables `verify` checks
     def banned(*args, **kwargs):
         raise AssertionError("multiply left its pass over the places")
 
@@ -173,6 +174,9 @@ def test_multiply_runs_place_by_place(monkeypatch):
             assert calls == [d for d in compiled.place_degrees if d > 1], name
         one = [1] + [0] * (spec.n - 1)
         assert compiled.multiply(one, one)[0] == tuple(one)
+        compiled.x_columns = tuple((0,) * spec.field.order for _ in c.x_columns)
+        assert compiled.multiply(one, one)[0] == (0,) * spec.n, name
+        compiled.x_columns = c.x_columns
         compiled.step3_columns = tuple((0,) * spec.field.order for _ in c.step3_columns)
         assert compiled.multiply(one, one)[0] == (0,) * spec.n, name
 
@@ -193,11 +197,26 @@ def test_step3_columns_are_the_multiples_of_t_inv_top():
             ]
 
 
-def test_step3_table_takes_at_most_q_scales(monkeypatch):
-    # freezing the multiplier builds the step-3 table: the transpose of
-    # T_inv_top, step 4 folded in, is one lane vector, scaled once per a in
-    # F_q; a scale per column per a would be (2n+g-1) times as many, in
-    # set-up time
+def test_step1_columns_are_the_multiples_of_t_x_and_t_y():
+    # x_columns[j][a] is a times column j of T_x, in 2n+g-1 lanes, and
+    # y_columns[j][a] likewise of T_y: lane 2n+g-1 is clear
+    for name in NAMES:
+        compiled, field = COMPILED[name], SPECS[name].field
+        for m, table in ((compiled.T_x, compiled.x_columns), (compiled.T_y, compiled.y_columns)):
+            lanes = Lanes(field, m.rows + 1)
+            assert len(table) == m.cols == SPECS[name].n
+            for j, multiples in enumerate(table):
+                column = m.entries[j :: m.cols]
+                assert [lanes.unpack(v, m.rows + 1) for v in multiples] == [
+                    [field.mul(a, c) for c in column] + [0] for a in range(field.order)
+                ]
+
+
+def test_column_tables_take_at_most_3q_scales(monkeypatch):
+    # freezing the multiplier builds three tables of column multiples, from
+    # T_x, T_y and T_inv_top with step 4 folded in: each packs its transpose as
+    # one lane vector, scaled once per a in F_q; a scale per column per a
+    # would be n or 2n+g-1 times as many, in set-up time
     scaled = []
     real = Lanes.scale
     monkeypatch.setattr(Lanes, "scale", lambda self, c, v: scaled.append(c) or real(self, c, v))
@@ -206,7 +225,7 @@ def test_step3_table_takes_at_most_q_scales(monkeypatch):
         scaled.clear()
         frozen = engine.CompiledMultiplier(c.spec, c.places, c.T.packed, c.T_inv_top.packed)
         assert frozen.step3_columns == c.step3_columns
-        assert 0 < len(scaled) <= SPECS[name].field.order, name
+        assert 0 < len(scaled) <= 3 * SPECS[name].field.order, name
 
 
 def test_records_repr_equality_and_immutability():
@@ -782,8 +801,9 @@ def test_too_few_candidates_fail_at_compile():
 
 
 def test_multiply_rejects_bad_operands():
-    # step 1 indexes the product table with the coordinates, where -1 would
-    # read table[a][q-1] and give a wrong product: only this guard stops it
+    # step 1 indexes x_columns[j] and y_columns[j] with the coordinates, where
+    # -1 would read x_columns[j][-1], multiple q-1, and give a wrong product:
+    # only this guard stops it
     for name in NAMES:
         spec, compiled = SPECS[name], COMPILED[name]
         n, q, zero = spec.n, spec.field.order, [0] * spec.n

@@ -19,3 +19,12 @@ def test_library_quick_start_runs_and_prints_what_it_says():
     assert said and len(printed) == len(said)
     for out, comment in zip(printed, said):
         assert out and comment.startswith(out), (out, comment)
+
+
+def test_line_count_sentence_matches_the_source():
+    # the package's size, the measure the README keeps for each change
+    text = README.read_text(encoding="utf-8")
+    stated = re.search(r"`src/curvemul/\*\.py` is (\d+) lines\.", text)
+    sources = (README.parent / "src" / "curvemul").glob("*.py")
+    actual = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in sources)
+    assert stated and int(stated[1]) == actual

@@ -705,6 +705,38 @@ def test_verify_instance_bilinear_certificate_names_a_wrong_step3_multiple(
     )
 
 
+@pytest.mark.parametrize("table, label", [("x_columns", "x"), ("y_columns", "y")])
+@pytest.mark.parametrize(
+    "a, lane",
+    [(3, 0), (3, 11), (1, 11)],
+    ids=["in-lanes", "above-lanes", "multiple-1-above-lanes"],
+)
+def test_verify_instance_bilinear_certificate_names_a_wrong_step1_multiple(
+    monkeypatch, table, label, a, lane
+):
+    # one stored step-1 multiple off by one bit: step 1 is then not
+    # F_q-linear.  The basis pairs read only multiples 0 and 1, and a bit in
+    # lane 11, above f4_5's 2n+g-1 = 11 lanes, is read by no place, so all
+    # 25 pairs still match and only the check on the table itself sees it
+    real = tools.compile_instance
+
+    def corrupted(spec):
+        compiled = real(spec)
+        columns = [list(c) for c in getattr(compiled, table)]
+        columns[2][a] ^= 1 << (spec.field.k * lane)
+        setattr(compiled, table, tuple(tuple(c) for c in columns))
+        return compiled
+
+    monkeypatch.setattr(tools, "compile_instance", corrupted)
+    report = tools.verify_instance(tools.load_bundled("f4_5"))
+    cert = next(c for c in report.checks if c.name == "bilinear-certificate")
+    assert not report.ok and not cert.ok
+    assert cert.detail == (
+        f"step-1 {label} multiple {a} of column 2 is not {a} times multiple 1 of that column "
+        f"in 11 lanes; 25/25 basis pairs match the polynomial oracle"
+    )
+
+
 def test_verify_instance_bilinear_certificate_catches_a_consistent_wrong_column(monkeypatch):
     # every multiple of one column is a times the same wrong n-lane vector:
     # the table is F_q-linear, so its check passes, and only the basis pairs

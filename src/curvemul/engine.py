@@ -334,10 +334,10 @@ def verify_good_basis(spec: InstanceSpec) -> list[CheckResult]:
 
 def _column_multiples(m: Matrix) -> tuple:
     """Entry [j][a] is a times column j of m, in m.rows lanes: the transpose
-    is packed whole, scaled once per a in F_q and cut into columns."""
+    is packed whole, its multiples built (`Lanes.multiples`), each cut up."""
     lanes, width = Lanes(m.field, m.rows * m.cols), m.field.k * m.rows
     packed = lanes.pack([v for j in range(m.cols) for v in m.entries[j::m.cols]])
-    scaled, low = [lanes.scale(a, packed) for a in range(m.field.order)], (1 << width) - 1
+    scaled, low = lanes.multiples(packed), (1 << width) - 1
     return tuple(tuple([(v >> s) & low for v in scaled]) for s in range(0, width * m.cols, width))
 
 
@@ -345,14 +345,14 @@ class CompiledMultiplier:
     """Frozen straight-line multiplier for one instance: every table a product
     reads, and its report, built from the selected places and T's and T^-1's rows.
     Step 1 reads `x_columns` and `y_columns`, the column multiples of T_x and
-    T_y; steps 3 and 4 read `step3_columns`.  `schedule` has one entry per place:
-    its slots' bit shifts (one int if rational), the offset of its slots and
-    first step-3 column, and its residue field and kernel from the plan.  The
-    counts are those of the matrix shapes; T_x, T_y and `plan.hadamard` serve
-    the benchmark's replay."""
+    T_y; steps 3 and 4 read `step3_columns`; steps 2 and 3 walk `plan.steps`,
+    one entry per place: its slots' bit shifts (one int if rational), the
+    offset of its slots and first step-3 column, its residue field and kernel.
+    The counts are those of the matrix shapes; T_x, T_y, T_inv_top and
+    `plan.hadamard` serve the benchmark's replay."""
 
     __slots__ = ("spec", "places", "T", "T_x", "T_y", "T_inv_top", "plan", "report",
-                 "x_columns", "y_columns", "step3_columns", "schedule")
+                 "x_columns", "y_columns", "step3_columns")
 
     def __init__(self, spec, places, rows, inverse_rows):
         field, n, size = spec.field, spec.n, spec.size
@@ -379,9 +379,6 @@ class CompiledMultiplier:
         # step 4 folded into step 3: row n+i-1 of T_inv_top XORed into row i, 0 < i < n
         folded = [top.packed[0]] + [r ^ h for r, h in zip(top.packed[1:n], top.packed[n:])]
         self.step3_columns = _column_multiples(Matrix(field, size, folded))
-        self.schedule = tuple((k * o, o, None, None) if kernel is None else
-                              (tuple(range(k * o, k * end, k)), o, ext, kernel)
-                              for o, end, ext, kernel in plan.steps)
 
     @property
     def place_degrees(self) -> list[int]:
@@ -412,7 +409,7 @@ class CompiledMultiplier:
             Y ^= column_y[d]
         columns, table = self.step3_columns, spec.field.table  # read here, as `verify` checks them
         k, mask = spec.field.k, spec.field.order - 1
-        for s, o, ext, kernel in self.schedule:
+        for s, o, ext, kernel in self.plan.steps:
             if kernel is None:  # rational: the product of x's and y's values, its column
                 z ^= columns[o][table[(X >> s) & mask][(Y >> s) & mask]]
                 continue

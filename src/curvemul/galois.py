@@ -118,9 +118,9 @@ class Lanes:
     constant c without a loop over the lanes: bit i of a lane contributes
     c * w^i (already reduced by the modulus, so below 2^k) to that lane's
     product, so the product is the XOR over i < k of the 0/1 plane of bit i,
-    shifted down to bit 0 of each lane, times the int c * w^i.  No product
-    of a plane and a constant carries out of its lane.  Values are taken on
-    trust, as by `BinaryField.mul`.
+    shifted down to bit 0 of each lane, times the int c * w^i; no product
+    carries out of its lane.  `multiples` is the one builder of a vector's
+    q multiples, from k scales.  Values are taken on trust, as by `BinaryField.mul`.
     """
 
     __slots__ = ("field", "count", "_full", "_ones", "_mask", "_bits", "_times")
@@ -153,6 +153,14 @@ class Lanes:
         for i, t in enumerate(self._times[c]):
             acc ^= ((v >> i) & ones) * t
         return acc
+
+    def multiples(self, v: int) -> list[int]:
+        """Entry c is `scale(c, v)`: k scales by the w^i, one XOR per entry."""
+        out = [0]
+        for i in range(self.field.k):
+            step = self.scale(1 << i, v)
+            out += [m ^ step for m in out]
+        return out
 
     def apply(
         self, linear_map: Sequence[Sequence[tuple]], vectors: Sequence[int]
@@ -293,7 +301,7 @@ def is_irreducible(field: BinaryField, p: Poly) -> bool:
     lanes (`Lanes`), lane j the coefficient of x^j.  The q-power map is
     F_q-linear with columns x^(qj) mod p (Berlekamp's Q-matrix), built by
     multiplying by x: a shift by one lane, folding the top lane c back in as
-    c * (x^m mod p) from a table of q entries.  Over GF(2) the map is k*m
+    c * (x^m mod p), read off `Lanes.multiples`.  Over GF(2) the map is k*m
     rows, bit i of lane j going to w^i * x^(qj); applying it XORs the rows
     of the set bits, and m applications to x give every x^(q^i) mod p.
 
@@ -308,12 +316,8 @@ def is_irreducible(field: BinaryField, p: Poly) -> bool:
     lanes = Lanes(field, m)
     width = k * m
     full = (1 << width) - 1
-    # c * (x^m mod p) for every c, by linearity from the k powers w^i
-    low = lanes.pack(p[:-1])  # x^m = p_0 + ... + p_(m-1) x^(m-1), char 2
-    fold = [0]
-    for i in range(k):
-        step = lanes.scale(1 << i, low)
-        fold += [f ^ step for f in fold]
+    # c * (x^m mod p) for every c; x^m = p_0 + ... + p_(m-1) x^(m-1), char 2
+    fold = lanes.multiples(lanes.pack(p[:-1]))
     columns = [1]
     v = 1
     for _ in range(m - 1):

@@ -5,9 +5,9 @@ Each kernel is a fixed straight-line program: the number of bilinear
 the kernel — 1, 3, and 9 respectively (`KERNEL_COST`) — independent of the
 operand values; the engine reads its step-2 count from them.  Each is one
 lookup in the base field's product table.  `KernelPlan` takes the places'
-residue fields in slot order and resolves each place's slots and kernel
-(`steps`), which a product reads, doing a degree-1 lookup inline; `hadamard`
-runs step 2 alone, for the benchmark's replay.  An optional
+residue fields in slot order and resolves each place's slot shifts, offset
+and kernel (`steps`), which a product reads, doing a degree-1 lookup inline;
+`hadamard` runs step 2 alone, for the benchmark's replay.  An optional
 `BilinearCounter` tallies the multiplications: each kernel advances it by its
 own cost, `hadamard` by the plan's whole cost once per call, the same total.
 The high convolution coefficients fold in through rows of that table fixed
@@ -88,26 +88,29 @@ class KernelPlan:
     """Kernel dispatch for the places of a product, one entry per place in
     slot order: None for a degree-1 place (one base-field slot), otherwise
     its residue ExtField, whose degree picks the kernel and the number of
-    slots.  Each place's (offset, end, residue, kernel) is resolved here,
-    once, as `steps`, not on every product.
+    slots.  `steps` holds, once, what a product reads per place: its slots'
+    bit shifts in a lane vector (one int at degree 1), offset, residue, kernel.
     """
 
-    __slots__ = ("field", "residues", "total", "advertised_cost", "steps")
+    __slots__ = ("field", "total", "advertised_cost", "steps")
 
     def __init__(self, field: BinaryField, residues: Sequence[ExtField | None]):
         self.field = field
-        self.residues = tuple(residues)
+        k = field.k
         offset = cost = 0
         steps = []
-        for ext in self.residues:
+        for ext in residues:
             d = 1 if ext is None else ext.d
             if d not in KERNEL_COST:
                 raise ValueError(f"no kernel for residue degree {d}")
-            if ext is not None:
+            if ext is None:
+                steps.append((k * offset, offset, None, None))
+            else:
                 if ext.base != field:
                     raise ValueError("residue field has the wrong base")
                 ext.fold_rows()  # built here, not on the first product
-            steps.append((offset, offset + d, ext, None if d == 1 else mul_d2 if d == 2 else mul_d4))
+                shifts = tuple(range(k * offset, k * (offset + d), k))
+                steps.append((shifts, offset, ext, mul_d2 if d == 2 else mul_d4))
             offset += d
             cost += KERNEL_COST[d]
         self.total = offset
@@ -125,9 +128,10 @@ class KernelPlan:
             counter.bilinear_mults += self.advertised_cost
         field = self.field
         out = []
-        for offset, end, ext, kernel in self.steps:
+        for _, offset, ext, kernel in self.steps:
             if kernel is None:
                 out.append(mul_d1(field, zv[offset], tv[offset]))
             else:
+                end = offset + ext.d
                 out += kernel(ext, zv[offset:end], tv[offset:end])
         return out

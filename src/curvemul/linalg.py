@@ -1,20 +1,17 @@
 """Dense linear algebra over a binary field: rank, inverse, matrix-vector.
 
 A `Matrix` is immutable and has one constructor, from rows packed into
-GF(2^k) lanes (`galois.Lanes`); it keeps them, the row-major tuple of field
-ints read off them, and each row as its entries' product-table rows
-(`row_tables`), all fixed at construction.  Every matrix comes from field
-arithmetic, so no entry is checked.  `RowBasis` is the one elimination
-routine: it takes packed rows a block at a time, keeps only blocks that
-raise the rank by their size, and reads the inverse off the row combinations
-it records; `rank` and `invert` feed it a matrix's packed rows.  An
-elimination step costs O(k) big-int operations whatever the row length.
+GF(2^k) lanes (`galois.Lanes`); it keeps them and the row-major tuple of
+field ints read off them, both fixed at construction.  Every matrix comes
+from field arithmetic, so no entry is checked.  `RowBasis` is the one
+elimination routine: it takes packed rows a block at a time, keeps only
+blocks that raise the rank by their size, and reads the inverse off the row
+combinations it records; `rank` and `invert` feed it a matrix's packed rows.
+An elimination step costs O(k) big-int operations whatever the row length.
 
-`mat_vec` performs one base-field multiplication per matrix entry whatever
-the values, so its cost is fixed by the matrix shape; each is one subscript
-of a product-table row bound at construction, `row_tables[i][j][x]`.  The two
-now serve only the benchmark's replay of steps 1 and 3: a product reads the
-engine's stored column multiples, and the engine reads the counts off shapes.
+`mat_vec` costs one base-field multiplication, a product-table lookup, per
+entry whatever the values.  Only the benchmark's replay of steps 1 and 3
+runs it: a product reads the engine's stored column multiples.
 """
 
 from __future__ import annotations
@@ -31,10 +28,9 @@ class SingularMatrixError(Exception):
 class Matrix:
     """Rows over `field`, each packed as in `galois.Lanes`: row i is lanes
     0..cols-1 of packed[i], no lane from `cols` on set.  `entries` holds the
-    same rows unpacked, row-major, and `row_tables[i]` row i's entries as
-    their product-table rows (`field.table[a]`), both built once here."""
+    same rows unpacked, row-major, built once here."""
 
-    __slots__ = ("field", "rows", "cols", "packed", "entries", "row_tables")
+    __slots__ = ("field", "rows", "cols", "packed", "entries")
 
     def __init__(self, field: BinaryField, cols: int, packed: Sequence[int]):
         self.field = field
@@ -43,17 +39,6 @@ class Matrix:
         self.packed = tuple(packed)
         mask, shifts = field.order - 1, range(0, field.k * cols, field.k)
         self.entries = tuple([(r >> s) & mask for r in self.packed for s in shifts])
-        # one pass mapping entries to table rows, cut into rows of `cols`
-        self.row_tables = tuple(zip(*[map(field.table.__getitem__, self.entries)] * cols))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
@@ -150,15 +135,15 @@ def invert(m: Matrix) -> Matrix:
 
 
 def mat_vec(m: Matrix, v: Sequence[int]) -> list[int]:
-    """m times v: m.rows * m.cols base-field multiplications, each one
-    subscript of a product-table row bound at construction (`row_tables`);
-    v's entries are taken on trust, unchecked."""
+    """m times v: one lookup `field.table[a][x]` per entry a of m; v's
+    entries are taken on trust, unchecked."""
     if len(v) != m.cols:
         raise ValueError(f"vector length {len(v)} does not match {m.cols} columns")
+    table = m.field.table
     out = []
-    for row in m.row_tables:
+    for row in zip(*[iter(m.entries)] * m.cols):  # the entries cut into rows
         acc = 0
-        for t, x in zip(row, v):
-            acc ^= t[x]
+        for a, x in zip(row, v):
+            acc ^= table[a][x]
         out.append(acc)
     return out

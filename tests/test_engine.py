@@ -212,11 +212,12 @@ def test_step1_columns_are_the_multiples_of_t_x_and_t_y():
                 ]
 
 
-def test_column_tables_take_at_most_3q_scales(monkeypatch):
+def test_column_tables_take_at_most_3k_scales(monkeypatch):
     # freezing the multiplier builds three tables of column multiples, from
     # T_x, T_y and T_inv_top with step 4 folded in: each packs its transpose as
-    # one lane vector, scaled once per a in F_q; a scale per column per a
-    # would be n or 2n+g-1 times as many, in set-up time
+    # one lane vector and builds its q multiples from k scales by the w^i
+    # (`Lanes.multiples`); a scale per a would be q/k times as many, and a
+    # scale per column per a another n or 2n+g-1 times, in set-up time
     scaled = []
     real = Lanes.scale
     monkeypatch.setattr(Lanes, "scale", lambda self, c, v: scaled.append(c) or real(self, c, v))
@@ -225,7 +226,7 @@ def test_column_tables_take_at_most_3q_scales(monkeypatch):
         scaled.clear()
         frozen = engine.CompiledMultiplier(c.spec, c.places, c.T.packed, c.T_inv_top.packed)
         assert frozen.step3_columns == c.step3_columns
-        assert 0 < len(scaled) <= 3 * SPECS[name].field.order, name
+        assert 0 < len(scaled) <= 3 * SPECS[name].field.k, name
 
 
 def test_records_repr_equality_and_immutability():

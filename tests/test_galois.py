@@ -163,6 +163,8 @@ def test_lane_scale_keeps_count_lanes_for_every_constant(field):
         assert v > full  # high lanes set
         for c in range(field.order):
             assert lanes.scale(c, v) == lanes.scale(c, v & full), c
+        # the table of multiples is the scales themselves, entry by entry
+        assert lanes.multiples(v) == [lanes.scale(c, v) for c in range(field.order)]
 
 
 @LANE_FIELDS

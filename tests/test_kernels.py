@@ -24,9 +24,14 @@ PLANS = {name: compile_instance(tools.load_bundled(name)).plan
          for name in ("f16_13", "f4_5", "f2_5")}
 
 
+def residues_of(plan):
+    """The plan's residue fields in slot order, None at a degree-1 place."""
+    return [ext for _, _, ext, _ in plan.steps]
+
+
 def residue_fields(name, d):
     """The degree-d residue fields of the places a bundled instance selects."""
-    return [ext for ext in PLANS[name].residues if ext is not None and ext.d == d]
+    return [ext for ext in residues_of(PLANS[name]) if ext is not None and ext.d == d]
 
 
 def ext_elements(ext):
@@ -116,7 +121,7 @@ def counted_copy(plan):
     every residue field rebuilt over that copy and its fold rows warmed."""
     field = BinaryField(plan.field.k, plan.field.modulus)
     field.table = RowCountingTable(field.table)
-    residues = [None if e is None else ExtField(field, e.modulus) for e in plan.residues]
+    residues = [None if e is None else ExtField(field, e.modulus) for e in residues_of(plan)]
     return KernelPlan(field, residues), field.table
 
 
@@ -128,7 +133,7 @@ def test_step2_table_lookups_at_run_time(name):
     # kernel would take 4/16, plus its reduction.
     plan, table = counted_copy(PLANS[name])
     q = plan.field.order
-    for slot, ext in enumerate(plan.residues):
+    for slot, ext in enumerate(residues_of(plan)):
         if ext is None:
             pairs = itertools.product(range(q), repeat=2)
             run = lambda a, b: mul_d1(plan.field, a, b)  # noqa: E731
@@ -195,7 +200,7 @@ def test_hadamard_matches_kernels_slot_by_slot(name):
     # f16_13's plan is all degree-1 slots, f2_5's mixes degrees 1, 2 and 4;
     # the counter moves by the plan's cost once per call
     plan = PLANS[name]
-    degrees = [1 if ext is None else ext.d for ext in plan.residues]
+    degrees = [1 if ext is None else ext.d for ext in residues_of(plan)]
     assert set(degrees) == ({1} if name == "f16_13" else {1, 2, 4})
     rng = random.Random(len(name))
     q = plan.field.order
@@ -203,7 +208,7 @@ def test_hadamard_matches_kernels_slot_by_slot(name):
         zv = [rng.randrange(q) for _ in range(plan.total)]
         tv = [rng.randrange(q) for _ in range(plan.total)]
         want = []
-        for offset, ext in zip(itertools.accumulate(degrees, initial=0), plan.residues):
+        for offset, ext in zip(itertools.accumulate(degrees, initial=0), residues_of(plan)):
             if ext is None:
                 want.append(mul_d1(plan.field, zv[offset], tv[offset]))
             else:

@@ -13,6 +13,11 @@ def from_rows(field, rows, cols=None):
     return Matrix(field, cols, [Lanes(field, cols).pack(r) for r in rows])
 
 
+def same_matrix(a, b):
+    """Equal field, width and packed rows: the rows and entries follow."""
+    return (a.field, a.cols, a.packed) == (b.field, b.cols, b.packed)
+
+
 def row_entries(m, i):
     return m.entries[i * m.cols : (i + 1) * m.cols]
 
@@ -69,10 +74,10 @@ def test_rank_row_operation_invariance():
 def test_invert_examples():
     # diag(a, a^2) over F_4 inverts to diag(a^2, a)
     m = from_rows(F4, [[2, 0], [0, 3]])
-    assert invert(m) == from_rows(F4, [[3, 0], [0, 2]])
+    assert same_matrix(invert(m), from_rows(F4, [[3, 0], [0, 2]]))
     # an F_2 involution
     m = from_rows(F2, [[1, 1], [0, 1]])
-    assert invert(m) == m
+    assert same_matrix(invert(m), m)
     with pytest.raises(SingularMatrixError):
         invert(from_rows(F4, [[1, 2], [2, 3]]))  # row2 = a*row1
     with pytest.raises(SingularMatrixError):
@@ -208,7 +213,7 @@ def test_rank_and_invert_match_list_reference(field):
             with pytest.raises(SingularMatrixError):
                 invert(m)
         else:
-            assert invert(m) == ref.inverse()
+            assert same_matrix(invert(m), ref.inverse())
 
 
 def test_invert_random_roundtrip():
@@ -264,9 +269,10 @@ def test_mat_vec_matches_schoolbook_field_mul():
             assert mat_vec(m, v) == schoolbook_mat_vec(m, v)
 
 
-def test_row_tables_are_the_product_table_rows_of_each_row():
-    # mat_vec reads row i through row_tables[i]: the table row of each entry,
-    # the very tuple field.table holds, one per column
+def test_mat_vec_matches_schoolbook_on_degenerate_and_bundled_matrices():
+    # mat_vec cuts `entries` into rows of `cols`: random matrices, a 1x1 and
+    # a one-column matrix, and every bundled T give one output per row, each
+    # the dot product field.mul gives
     rng = random.Random(4141)
     matrices = [random_matrix(rng, field, rows, cols)
                 for field in (F2, F4, F16) for rows, cols in ((27, 13), (11, 5), (9, 9))]
@@ -275,12 +281,7 @@ def test_row_tables_are_the_product_table_rows_of_each_row():
         compiled = compile_instance(tools.load_bundled(name))
         matrices += [compiled.T, compiled.T_x, compiled.T_y, compiled.T_inv_top]
     for m in matrices:
-        table, q = m.field.table, m.field.order
-        assert len(m.row_tables) == m.rows
-        for i, row in enumerate(m.row_tables):
-            entries = row_entries(m, i)
-            assert len(row) == m.cols == len(entries)
-            assert all(t is table[a] for t, a in zip(row, entries))
+        q = m.field.order
         for v in [[q - 1] * m.cols] + [[rng.randrange(q) for _ in range(m.cols)]
                                        for _ in range(10)]:
             assert mat_vec(m, v) == schoolbook_mat_vec(m, v)

@@ -28,8 +28,8 @@ builds checks its entries.
 One product of x, y in F_{q^n} (length-n coordinate tuples over F_q) runs
 step 1 once, then steps 2 and 3 in one pass over the selected places:
 
-1. x and y evaluated at every place through T_x and T_y: n lookups of stored
-   column multiples per operand, XORed into one (2n+g-1)-lane vector, each
+1. x and y evaluated at every place through T_x and T_y: n lookups in their
+   column multiples (`Matrix.columns`) per operand, XORed into one (2n+g-1)-lane vector, each
    standing for 2n+g-1 products by constants, 2n(2n+g-1) in all by the paper's convention;
 2. at each place, the product of the two values in its residue field — the
    only bilinear step, costing the kernel's 1, 3 or 9; reduction folds in
@@ -38,8 +38,8 @@ step 1 once, then steps 2 and 3 in one pass over the selected places:
 3. the place's columns of the first 2n-1 rows of inverse(T) applied to it —
    (2n-1)(2n+g-1) multiplications in all by the paper's convention;
 4. an addition-only recombination of the 2n-1 interpolation coordinates
-   into n, folded into step 3's table at compile time: the two run as one
-   lookup of a column's multiple per slot, XORed into one n-lane vector.
+   into n, folded at compile time into each multiple of T_inv_top's columns:
+   the two run as one lookup per slot, XORed into one n-lane vector.
 
 Why only n live columns in step 1: the basis is built so that x embeds on
 f_1..f_n and y on f_1, f_{n+1}..f_{2n-1}; all other embedded coordinates
@@ -65,7 +65,6 @@ from .curve import (
 )
 from .galois import (
     BinaryField,
-    Lanes,
     Poly,
     is_irreducible,
     poly_from_coeffs,
@@ -332,24 +331,15 @@ def verify_good_basis(spec: InstanceSpec) -> list[CheckResult]:
     return results
 
 
-def _column_multiples(m: Matrix) -> tuple:
-    """Entry [j][a] is a times column j of m, in m.rows lanes: the transpose
-    is packed whole, its multiples built (`Lanes.multiples`), each cut up."""
-    lanes, width = Lanes(m.field, m.rows * m.cols), m.field.k * m.rows
-    packed = lanes.pack([v for j in range(m.cols) for v in m.entries[j::m.cols]])
-    scaled, low = lanes.multiples(packed), (1 << width) - 1
-    return tuple(tuple([(v >> s) & low for v in scaled]) for s in range(0, width * m.cols, width))
-
-
 class CompiledMultiplier:
     """Frozen straight-line multiplier for one instance: every table a product
     reads, and its report, built from the selected places and T's and T^-1's rows.
-    Step 1 reads `x_columns` and `y_columns`, the column multiples of T_x and
-    T_y; steps 3 and 4 read `step3_columns`; steps 2 and 3 walk `plan.steps`,
-    one entry per place: its slots' bit shifts (one int if rational), the
-    offset of its slots and first step-3 column, its residue field and kernel.
-    The counts are those of the matrix shapes; T_x, T_y, T_inv_top and
-    `plan.hadamard` serve the benchmark's replay."""
+    Step 1 reads `x_columns` and `y_columns`, which are `T_x.columns` and
+    `T_y.columns`; steps 3 and 4 read `step3_columns`, `T_inv_top.columns`
+    with step 4 folded in; steps 2 and 3 walk `plan.steps`, one entry per
+    place: its slots' bit shifts (one int if rational), the offset of its
+    slots and first step-3 column, its residue field and kernel.  The counts
+    are those of the matrix shapes; the benchmark's `mat_vec` replay reads the same tables."""
 
     __slots__ = ("spec", "places", "T", "T_x", "T_y", "T_inv_top", "plan", "report",
                  "x_columns", "y_columns", "step3_columns")
@@ -374,11 +364,10 @@ class CompiledMultiplier:
             step2_bilinear=plan.advertised_cost,
             step3_scalar=top.rows * top.cols,
         )
-        self.x_columns = _column_multiples(T_x)
-        self.y_columns = _column_multiples(T_y)
-        # step 4 folded into step 3: row n+i-1 of T_inv_top XORed into row i, 0 < i < n
-        folded = [top.packed[0]] + [r ^ h for r, h in zip(top.packed[1:n], top.packed[n:])]
-        self.step3_columns = _column_multiples(Matrix(field, size, folded))
+        self.x_columns, self.y_columns = T_x.columns, T_y.columns
+        # step 4 folded into each multiple of step 3: lane n+i-1 XORed into lane i, 0 < i < n
+        self.step3_columns = tuple(tuple([(w ^ ((w >> k * n) << k)) & low for w in multiples])
+                                   for multiples in top.columns)
 
     @property
     def place_degrees(self) -> list[int]:

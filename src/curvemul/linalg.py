@@ -9,9 +9,9 @@ blocks that raise the rank by their size, and reads the inverse off the row
 combinations it records; `rank` and `invert` feed it a matrix's packed rows.
 An elimination step costs O(k) big-int operations whatever the row length.
 
-`mat_vec` costs one base-field multiplication, a product-table lookup, per
-entry whatever the values.  Only the benchmark's replay of steps 1 and 3
-runs it: a product reads the engine's stored column multiples.
+`Matrix.columns` is the package's one table of column multiples, built on
+first read.  `mat_vec` is one lookup in it per column, XORed into one lane
+vector; a product reads the same tables, through `engine.CompiledMultiplier`.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ class SingularMatrixError(Exception):
 class Matrix:
     """Rows over `field`, each packed as in `galois.Lanes`: row i is lanes
     0..cols-1 of packed[i], no lane from `cols` on set.  `entries` holds the
-    same rows unpacked, row-major, built once here."""
+    same rows unpacked, row-major, built once here, and `columns` on first read."""
 
-    __slots__ = ("field", "rows", "cols", "packed", "entries")
+    __slots__ = ("field", "rows", "cols", "packed", "entries", "_columns")
 
     def __init__(self, field: BinaryField, cols: int, packed: Sequence[int]):
         self.field = field
@@ -39,6 +39,20 @@ class Matrix:
         self.packed = tuple(packed)
         mask, shifts = field.order - 1, range(0, field.k * cols, field.k)
         self.entries = tuple([(r >> s) & mask for r in self.packed for s in shifts])
+        self._columns = None
+
+    @property
+    def columns(self) -> tuple:
+        """Entry [j][a] is a times column j, in `rows` lanes: the transpose is
+        packed whole, its multiples built (`Lanes.multiples`), each cut up."""
+        if self._columns is None:
+            rows, cols, width = self.rows, self.cols, self.field.k * self.rows
+            lanes, low = Lanes(self.field, rows * cols), (1 << width) - 1
+            scaled = lanes.multiples(lanes.pack([v for j in range(cols)
+                                                 for v in self.entries[j::cols]]))
+            self._columns = tuple(tuple([(v >> width * j) & low for v in scaled])
+                                  for j in range(cols))
+        return self._columns
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
@@ -135,15 +149,12 @@ def invert(m: Matrix) -> Matrix:
 
 
 def mat_vec(m: Matrix, v: Sequence[int]) -> list[int]:
-    """m times v: one lookup `field.table[a][x]` per entry a of m; v's
+    """m times v: one lookup `m.columns[j][v[j]]` per column, XORed; v's
     entries are taken on trust, unchecked."""
     if len(v) != m.cols:
         raise ValueError(f"vector length {len(v)} does not match {m.cols} columns")
-    table = m.field.table
-    out = []
-    for row in zip(*[iter(m.entries)] * m.cols):  # the entries cut into rows
-        acc = 0
-        for a, x in zip(row, v):
-            acc ^= table[a][x]
-        out.append(acc)
-    return out
+    acc = 0
+    for column, x in zip(m.columns, v):
+        acc ^= column[x]
+    k, mask = m.field.k, m.field.order - 1
+    return [(acc >> s) & mask for s in range(0, k * m.rows, k)]

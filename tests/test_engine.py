@@ -213,11 +213,12 @@ def test_step1_columns_are_the_multiples_of_t_x_and_t_y():
 
 
 def test_column_tables_take_at_most_3k_scales(monkeypatch):
-    # freezing the multiplier builds three tables of column multiples, from
-    # T_x, T_y and T_inv_top with step 4 folded in: each packs its transpose as
-    # one lane vector and builds its q multiples from k scales by the w^i
-    # (`Lanes.multiples`); a scale per a would be q/k times as many, and a
-    # scale per column per a another n or 2n+g-1 times, in set-up time
+    # freezing the multiplier builds three tables of column multiples
+    # (`Matrix.columns`), of T_x, T_y and T_inv_top, and not T's; step 4 is
+    # folded into each multiple of T_inv_top's, with no scale.  Each table
+    # packs its transpose as one lane vector and builds its q multiples from
+    # k scales by the w^i (`Lanes.multiples`); a scale per a would be q/k
+    # times as many, and a scale per column per a another n or 2n+g-1 times
     scaled = []
     real = Lanes.scale
     monkeypatch.setattr(Lanes, "scale", lambda self, c, v: scaled.append(c) or real(self, c, v))

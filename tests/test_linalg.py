@@ -252,14 +252,7 @@ def schoolbook_mat_vec(m, v):
     return out
 
 
-def test_mat_vec_matches_schoolbook_field_mul():
-    # mat_vec indexes the product table; the reference calls field.mul
-    rng = random.Random(909)
-    matrices = [random_matrix(rng, field, rows, cols)
-                for field in (F2, F4, F16) for rows, cols in ((27, 13), (11, 5), (9, 9))]
-    for name in ("f16_13", "f4_5", "f2_5"):
-        compiled = compile_instance(tools.load_bundled(name))
-        matrices += [compiled.T_x, compiled.T_y, compiled.T_inv_top]
+def assert_mat_vec_matches_schoolbook(rng, matrices):
     for m in matrices:
         q = m.field.order
         vectors = [[0] * m.cols, [q - 1] * m.cols] + [
@@ -269,19 +262,26 @@ def test_mat_vec_matches_schoolbook_field_mul():
             assert mat_vec(m, v) == schoolbook_mat_vec(m, v)
 
 
-def test_mat_vec_matches_schoolbook_on_degenerate_and_bundled_matrices():
-    # mat_vec cuts `entries` into rows of `cols`: random matrices, a 1x1 and
-    # a one-column matrix, and every bundled T give one output per row, each
-    # the dot product field.mul gives
-    rng = random.Random(4141)
+def test_mat_vec_matches_schoolbook_field_mul():
+    # mat_vec XORs one of `columns`' multiples per column and unpacks `rows`
+    # lanes; on random matrices over F2, F4 and F16 each output is the dot
+    # product field.mul gives
+    rng = random.Random(909)
     matrices = [random_matrix(rng, field, rows, cols)
                 for field in (F2, F4, F16) for rows, cols in ((27, 13), (11, 5), (9, 9))]
-    matrices += [from_rows(F16, [[7]]), from_rows(F4, [[3], [0], [1], [2]])]
+    assert_mat_vec_matches_schoolbook(rng, matrices)
+
+
+def test_mat_vec_matches_schoolbook_on_degenerate_and_bundled_matrices():
+    # a 1x1, a one-column matrix, a matrix with no rows and one with no
+    # columns (three zeros out), and every bundled T give one output per
+    # row, each the dot product field.mul gives
+    rng = random.Random(4141)
+    matrices = [from_rows(F16, [[7]]), from_rows(F4, [[3], [0], [1], [2]]),
+                Matrix(F16, 3, []), Matrix(F16, 0, [0, 0, 0])]
     for name in ("f16_13", "f4_5", "f2_5"):
         compiled = compile_instance(tools.load_bundled(name))
         matrices += [compiled.T, compiled.T_x, compiled.T_y, compiled.T_inv_top]
-    for m in matrices:
-        q = m.field.order
-        for v in [[q - 1] * m.cols] + [[rng.randrange(q) for _ in range(m.cols)]
-                                       for _ in range(10)]:
-            assert mat_vec(m, v) == schoolbook_mat_vec(m, v)
+    assert_mat_vec_matches_schoolbook(rng, matrices)
+    assert mat_vec(Matrix(F16, 3, []), [5, 6, 7]) == []
+    assert mat_vec(Matrix(F16, 0, [0, 0, 0]), []) == [0, 0, 0]

@@ -72,6 +72,15 @@ def test_bundled_multipliers_have_what_perfbench_replays():
         for attr in ("T", "T_x", "T_y", "T_inv_top", "plan", "places"):
             assert hasattr(compiled, attr), (name, attr)
         assert callable(compiled.plan.hadamard), name
+        # the replay's mat_vec reads the tables the product reads: step 1's
+        # are the matrices' own, step 3's each the step-4 fold of T_inv_top's
+        assert compiled.T_x.columns is compiled.x_columns, name
+        assert compiled.T_y.columns is compiled.y_columns, name
+        k, n = compiled.spec.field.k, compiled.spec.n
+        low = (1 << k * n) - 1
+        assert compiled.step3_columns == tuple(
+            tuple([(w ^ ((w >> k * n) << k)) & low for w in multiples])
+            for multiples in compiled.T_inv_top.columns), name
 
 
 def test_perfbench_replay_equals_multiply():

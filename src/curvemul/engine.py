@@ -26,20 +26,21 @@ packed rows, T_x and T_y are lane slices of them, and no matrix compile
 builds checks its entries.
 
 One product of x, y in F_{q^n} (length-n coordinate tuples over F_q) runs
-step 1 once, then steps 2 and 3 in one pass over the selected places:
+in byte lanes, lane i byte i of an int, each step a few `bytes` calls:
 
 1. x and y evaluated at every place through T_x and T_y: n lookups in their
    column multiples (`Matrix.columns`) per operand, XORed into one (2n+g-1)-lane vector, each
    standing for 2n+g-1 products by constants, 2n(2n+g-1) in all by the paper's convention;
 2. at each place, the product of the two values in its residue field — the
-   only bilinear step, costing the kernel's 1, 3 or 9; reduction folds in
-   through product-table rows fixed per residue field at compile time,
-   products by constants of the field, so never counted;
-3. the place's columns of the first 2n-1 rows of inverse(T) applied to it —
+   only bilinear step, costing the kernel's 1, 3 or 9: one `translate` of all
+   slots' bytes (x's value in the low k bits, y's in the next k), then the
+   kernel of each place of degree 2 or 4 over its slots, folding reduction in
+   through product-table rows fixed per residue field, so never counted;
+3. the columns of the first 2n-1 rows of inverse(T) applied to the products —
    (2n-1)(2n+g-1) multiplications in all by the paper's convention;
 4. an addition-only recombination of the 2n-1 interpolation coordinates
    into n, folded at compile time into each multiple of T_inv_top's columns:
-   the two run as one lookup per slot, XORed into one n-lane vector.
+   the two run as one lookup per slot, XORed into the product's n bytes.
 
 Why only n live columns in step 1: the basis is built so that x embeds on
 f_1..f_n and y on f_1, f_{n+1}..f_{2n-1}; all other embedded coordinates
@@ -51,7 +52,8 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import getitem, xor
 
 from .curve import (
     AffinePlace,
@@ -281,11 +283,8 @@ class InstanceSpec:
 def _check_operand(spec: InstanceSpec, v: Sequence[int]) -> None:
     if len(v) != spec.n:
         raise ValueError(f"operand must have {spec.n} coordinates, got {len(v)}")
-    # one pass over plain ints (bools are ints); any other operand goes
-    # through the field's own check, which raises on the first bad coordinate
-    if not ({*map(type, v)} <= {int, bool} and 0 <= min(v) and max(v) < spec.field.order):
-        for c in v:
-            spec.field.check(c)
+    for c in v:
+        spec.field.check(c)
 
 
 def reference_mul(
@@ -334,15 +333,14 @@ def verify_good_basis(spec: InstanceSpec) -> list[CheckResult]:
 class CompiledMultiplier:
     """Frozen straight-line multiplier for one instance: every table a product
     reads, and its report, built from the selected places and T's and T^-1's rows.
-    Step 1 reads `x_columns` and `y_columns`, which are `T_x.columns` and
-    `T_y.columns`; steps 3 and 4 read `step3_columns`, `T_inv_top.columns`
-    with step 4 folded in; steps 2 and 3 walk `plan.steps`, one entry per
-    place: its slots' bit shifts (one int if rational), the offset of its
-    slots and first step-3 column, its residue field and kernel.  The counts
-    are those of the matrix shapes; the benchmark's `mat_vec` replay reads the same tables."""
+    Step 1 reads `x_columns` and `y_columns`, `T_x.columns` and `T_y.columns`;
+    step 2 `step2_table`, whose entry a | b << k is a * b, and `plan.kernel_steps`;
+    steps 3 and 4 `step3_columns`, `T_inv_top.columns` with step 4 folded in.
+    All are in byte lanes.  The counts are those of the matrix shapes; the
+    benchmark's `mat_vec` replay reads the same tables."""
 
     __slots__ = ("spec", "places", "T", "T_x", "T_y", "T_inv_top", "plan", "report",
-                 "x_columns", "y_columns", "step3_columns")
+                 "x_columns", "y_columns", "step3_columns", "step2_table")
 
     def __init__(self, spec, places, rows, inverse_rows):
         field, n, size = spec.field, spec.n, spec.size
@@ -352,10 +350,9 @@ class CompiledMultiplier:
         self.T_inv_top = top = Matrix(field, size, inverse_rows[: 2 * n - 1])
         # the one place that fixes how operands embed (see the module docstring): x on
         # lanes 0..n-1 of each row, y on lane 0 and lanes n..2n-2 moved down to 1..n-1
-        k, low = field.k, (1 << (field.k * n)) - 1
+        k, mask, low = field.k, field.order - 1, (1 << (field.k * n)) - 1
         self.T_x = T_x = Matrix(field, n, [r & low for r in rows])
-        self.T_y = T_y = Matrix(field, n, [(r & (field.order - 1)) ^ (((r >> k * n) << k) & low)
-                                           for r in rows])
+        self.T_y = T_y = Matrix(field, n, [(r & mask) ^ (((r >> k * n) << k) & low) for r in rows])
         self.plan = plan = KernelPlan(field, [p.residue if p.degree > 1 else None for p in places])
         # the paper's count: one multiplication per entry of the three matrices
         # (step 3's looked up below) and the plan's kernels, whatever the values
@@ -365,9 +362,12 @@ class CompiledMultiplier:
             step3_scalar=top.rows * top.cols,
         )
         self.x_columns, self.y_columns = T_x.columns, T_y.columns
-        # step 4 folded into each multiple of step 3: lane n+i-1 XORed into lane i, 0 < i < n
-        self.step3_columns = tuple(tuple([(w ^ ((w >> k * n) << k)) & low for w in multiples])
-                                   for multiples in top.columns)
+        # step 4 folded into each multiple of step 3: byte n+i-1 XORed into byte i, 0 < i < n
+        self.step3_columns = tuple(tuple([(w ^ ((w >> 8 * n) << 8)) & ((1 << 8 * n) - 1)
+                                          for w in multiples]) for multiples in top.columns)
+        # step 2 at a rational place: entry a | b << k is a * b (k <= 4), the rest 0
+        self.step2_table = bytes([field.table[i & mask][i >> k]
+                                  for i in range(field.order**2)]).ljust(256, b"\0")
 
     @property
     def place_degrees(self) -> list[int]:
@@ -390,22 +390,28 @@ class CompiledMultiplier:
     def multiply(self, x: Sequence[int], y: Sequence[int]):
         """Product of x and y in F_{q^n}, plus the exact operation report."""
         spec = self.spec
-        _check_operand(spec, x)
-        _check_operand(spec, y)
-        X = Y = z = 0  # step 1: x's and y's values at every slot, 2n+g-1 lanes each
-        for column_x, column_y, c, d in zip(self.x_columns, self.y_columns, x, y):
-            X ^= column_x[c]
-            Y ^= column_y[d]
-        columns, table = self.step3_columns, spec.field.table  # read here, as `verify` checks them
-        k, mask = spec.field.k, spec.field.order - 1
-        for s, o, ext, kernel in self.plan.steps:
-            if kernel is None:  # rational: the product of x's and y's values, its column
-                z ^= columns[o][table[(X >> s) & mask][(Y >> s) & mask]]
-                continue
-            u, v = [(X >> t) & mask for t in s], [(Y >> t) & mask for t in s]  # degree 2 or 4
-            for column, c in zip(columns[o:], kernel(ext, u, v)):
-                z ^= column[c]
-        return tuple([(z >> s) & mask for s in range(0, k * spec.n, k)]), self.report
+        try:  # plain ints in range pass in C; anything else gets the exact checks
+            ok = ({*map(type, x), *map(type, y)} <= {int, bool} and len(x) == len(y) == spec.n
+                  and max(bytes(x) + bytes(y)) < spec.field.order)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            _check_operand(spec, x)
+            _check_operand(spec, y)
+        X = reduce(xor, map(getitem, self.x_columns, x))  # step 1, 2n+g-1 byte lanes each
+        Y = reduce(xor, map(getitem, self.y_columns, y))
+        size, low = spec.size, (1 << 8 * spec.size) - 1  # no place reads above the lanes
+        # step 2 at every slot as if rational: x's value in bits 0..k-1 of its byte, y's above
+        pairs = ((X ^ (Y << spec.field.k)) & low).to_bytes(size, "little")
+        products = pairs.translate(self.step2_table)
+        if self.plan.kernel_steps:  # degree 2 or 4: the kernel's product replaces the slots'
+            xs, ys = (X & low).to_bytes(size, "little"), (Y & low).to_bytes(size, "little")
+            products = bytearray(products)
+            for slots, _, ext, kernel in self.plan.kernel_steps:
+                products[slots] = kernel(ext, xs[slots], ys[slots])
+        # steps 3 and 4, reading the columns here, as `verify` checks them
+        z = reduce(xor, map(getitem, self.step3_columns, products))
+        return tuple((z & ((1 << 8 * spec.n) - 1)).to_bytes(spec.n, "little")), self.report
 
 
 def compile_instance(spec: InstanceSpec) -> CompiledMultiplier:
@@ -416,8 +422,11 @@ def compile_instance(spec: InstanceSpec) -> CompiledMultiplier:
     degree.  The selection stops at rank 2n+g-1, where the same elimination
     has certified T and recorded T^-1.  The rows stay packed from evaluation
     through elimination; the accepted ones are T's, and `CompiledMultiplier`
-    builds the product from them and T^-1's rows.
+    builds the product from them and T^-1's rows.  A product packs two base
+    field elements per byte, so k > 4 is refused before any place is evaluated.
     """
+    if 2 * spec.field.k > 8:
+        raise InstanceError(f"products need 2k <= 8 (two elements per byte); k = {spec.field.k}")
     for check in verify_good_basis(spec):
         if not check.ok:
             raise InstanceError(f"good-basis check failed at {check.name}: {check.detail}")

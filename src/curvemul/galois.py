@@ -119,8 +119,8 @@ class Lanes:
     c * w^i (already reduced by the modulus, so below 2^k) to that lane's
     product, so the product is the XOR over i < k of the 0/1 plane of bit i,
     shifted down to bit 0 of each lane, times the int c * w^i; no product
-    carries out of its lane.  `multiples` is the one builder of a vector's
-    q multiples, from k scales.  Values are taken on trust, as by `BinaryField.mul`.
+    carries out of its lane.  `multiples` builds a vector's q multiples from
+    k scales, for Rabin's test.  Values are taken on trust, as by `BinaryField.mul`.
     """
 
     __slots__ = ("field", "count", "_full", "_ones", "_mask", "_bits", "_times")

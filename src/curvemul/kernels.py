@@ -5,8 +5,9 @@ Each kernel is a fixed straight-line program: the number of bilinear
 the kernel — 1, 3, and 9 respectively (`KERNEL_COST`) — independent of the
 operand values; the engine reads its step-2 count from them.  Each is one
 lookup in the base field's product table.  `KernelPlan` takes the places'
-residue fields in slot order and resolves each place's slot shifts, offset
-and kernel (`steps`), which a product reads, doing a degree-1 lookup inline;
+residue fields in slot order and resolves each place's slots, offset and
+kernel (`steps`); a product does every degree-1 product in one lookup pass
+and runs the kernels of the places of degree 2 or 4 (`kernel_steps`);
 `hadamard` runs step 2 alone, for the benchmark's replay.  An optional
 `BilinearCounter` tallies the multiplications: each kernel advances it by its
 own cost, `hadamard` by the plan's whole cost once per call, the same total.
@@ -88,15 +89,15 @@ class KernelPlan:
     """Kernel dispatch for the places of a product, one entry per place in
     slot order: None for a degree-1 place (one base-field slot), otherwise
     its residue ExtField, whose degree picks the kernel and the number of
-    slots.  `steps` holds, once, what a product reads per place: its slots'
-    bit shifts in a lane vector (one int at degree 1), offset, residue, kernel.
+    slots.  `steps` holds, once, what a product reads per place: the slice
+    of its slots, offset, residue, kernel; `kernel_steps` those of the
+    places of degree 2 or 4, the only ones a product visits one by one.
     """
 
-    __slots__ = ("field", "total", "advertised_cost", "steps")
+    __slots__ = ("field", "total", "advertised_cost", "steps", "kernel_steps")
 
     def __init__(self, field: BinaryField, residues: Sequence[ExtField | None]):
         self.field = field
-        k = field.k
         offset = cost = 0
         steps = []
         for ext in residues:
@@ -104,18 +105,18 @@ class KernelPlan:
             if d not in KERNEL_COST:
                 raise ValueError(f"no kernel for residue degree {d}")
             if ext is None:
-                steps.append((k * offset, offset, None, None))
+                steps.append((slice(offset, offset + 1), offset, None, None))
             else:
                 if ext.base != field:
                     raise ValueError("residue field has the wrong base")
                 ext.fold_rows()  # built here, not on the first product
-                shifts = tuple(range(k * offset, k * (offset + d), k))
-                steps.append((shifts, offset, ext, mul_d2 if d == 2 else mul_d4))
+                steps.append((slice(offset, offset + d), offset, ext, mul_d2 if d == 2 else mul_d4))
             offset += d
             cost += KERNEL_COST[d]
         self.total = offset
         self.advertised_cost = cost  # bilinear multiplications per `hadamard` call
         self.steps = tuple(steps)
+        self.kernel_steps = tuple([step for step in steps if step[3]])
 
     def hadamard(
         self, zv: Sequence[int], tv: Sequence[int], counter: BilinearCounter | None = None
@@ -128,10 +129,9 @@ class KernelPlan:
             counter.bilinear_mults += self.advertised_cost
         field = self.field
         out = []
-        for _, offset, ext, kernel in self.steps:
+        for slots, offset, ext, kernel in self.steps:
             if kernel is None:
                 out.append(mul_d1(field, zv[offset], tv[offset]))
             else:
-                end = offset + ext.d
-                out += kernel(ext, zv[offset:end], tv[offset:end])
+                out += kernel(ext, zv[slots], tv[slots])
         return out

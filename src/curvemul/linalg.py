@@ -10,13 +10,17 @@ combinations it records; `rank` and `invert` feed it a matrix's packed rows.
 An elimination step costs O(k) big-int operations whatever the row length.
 
 `Matrix.columns` is the package's one table of column multiples, built on
-first read.  `mat_vec` is one lookup in it per column, XORed into one lane
-vector; a product reads the same tables, through `engine.CompiledMultiplier`.
+first read, in byte lanes: lane i is byte i of an int, so a multiple is built
+by `bytes.translate` and read by `int.to_bytes`.  `mat_vec` is one lookup in
+it per column, XORed into one byte-lane vector; a product reads the same
+tables, through `engine.CompiledMultiplier`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import reduce
+from operator import getitem, xor
 
 from .galois import BinaryField, Lanes
 
@@ -43,14 +47,14 @@ class Matrix:
 
     @property
     def columns(self) -> tuple:
-        """Entry [j][a] is a times column j, in `rows` lanes: the transpose is
-        packed whole, its multiples built (`Lanes.multiples`), each cut up."""
+        """Entry [j][a] is a times column j, in `rows` byte lanes: the transpose's q
+        multiples are q `translate` calls through the field's product table rows, each cut up."""
         if self._columns is None:
-            rows, cols, width = self.rows, self.cols, self.field.k * self.rows
-            lanes, low = Lanes(self.field, rows * cols), (1 << width) - 1
-            scaled = lanes.multiples(lanes.pack([v for j in range(cols)
-                                                 for v in self.entries[j::cols]]))
-            self._columns = tuple(tuple([(v >> width * j) & low for v in scaled])
+            rows, cols, low = self.rows, self.cols, (1 << 8 * self.rows) - 1
+            transpose = bytes([v for j in range(cols) for v in self.entries[j::cols]])
+            scaled = [int.from_bytes(transpose.translate(bytes(row).ljust(256, b"\0")), "little")
+                      for row in self.field.table]
+            self._columns = tuple(tuple([(v >> 8 * rows * j) & low for v in scaled])
                                   for j in range(cols))
         return self._columns
 
@@ -149,12 +153,8 @@ def invert(m: Matrix) -> Matrix:
 
 
 def mat_vec(m: Matrix, v: Sequence[int]) -> list[int]:
-    """m times v: one lookup `m.columns[j][v[j]]` per column, XORed; v's
-    entries are taken on trust, unchecked."""
+    """m times v: one lookup `m.columns[j][v[j]]` per column, XORed, and its
+    `rows` bytes; v's entries are taken on trust, unchecked."""
     if len(v) != m.cols:
         raise ValueError(f"vector length {len(v)} does not match {m.cols} columns")
-    acc = 0
-    for column, x in zip(m.columns, v):
-        acc ^= column[x]
-    k, mask = m.field.k, m.field.order - 1
-    return [(acc >> s) & mask for s in range(0, k * m.rows, k)]
+    return list(reduce(xor, map(getitem, m.columns, v), 0).to_bytes(m.rows, "little"))

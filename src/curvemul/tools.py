@@ -57,7 +57,6 @@ from .engine import (
 from .galois import (
     BinaryField,
     ExtField,
-    Lanes,
     Poly,
     absolute_trace,
     poly_degree,
@@ -328,19 +327,25 @@ class VerifyReport(namedtuple("VerifyReport", "instance checks")):
 
 
 def _table_fault(compiled: CompiledMultiplier):
-    """The first stored multiple that is not a times multiple 1 of its column
-    in its table's lanes, or None: then step 1 (2n+g-1 lanes) and steps 3 and
-    4 (n lanes) are F_q-linear."""
+    """The first stored entry a product reads that `field.mul` does not give
+    (a multiple not a times multiple 1 of its column in its table's byte
+    lanes, or an entry a | b << k of `step2_table` not a * b), or None."""
     field, n, size = compiled.spec.field, compiled.spec.n, compiled.spec.size
+    q, k, mul, step2 = field.order, field.k, field.mul, compiled.step2_table
     for table, width, columns in (("step-1 x", size, compiled.x_columns),
                                   ("step-1 y", size, compiled.y_columns),
                                   ("step-3", n, compiled.step3_columns)):
-        scale = Lanes(field, width).scale  # drops any lane from `width` on, also at a = 1
         for j, multiples in enumerate(columns):
-            for a in range(field.order):
-                if len(multiples) != field.order or multiples[a] != scale(a, multiples[1]):
+            # multiple 1 cut to `width` lanes of k bits, so a bit outside them fails at a = 1
+            one = (multiples[1] if len(multiples) == q else 0) & ((1 << 8 * width) - 1)
+            for a in range(q):
+                want = bytes([mul(a, c & (q - 1)) for c in one.to_bytes(width, "little")])
+                if len(multiples) != q or multiples[a] != int.from_bytes(want, "little"):
                     return (f"{table} multiple {a} of column {j} is not {a} times "
                             f"multiple 1 of that column in {width} lanes")
+    for a, b in itertools.product(range(q), repeat=2):
+        if len(step2) != 256 or step2[a | b << k] != mul(a, b):
+            return f"step-2 table entry {a | b << k} is not {a} times {b}"
     return None
 
 
@@ -353,11 +358,12 @@ def verify_instance(spec: InstanceSpec) -> VerifyReport:
     shows its first failing candidate), plus compile-time facts (selected
     places, rank certificate, operation counts, oracle spot-checks), and the
     bilinear certificate: `multiply` against `reference_mul` on all n^2 pairs
-    of basis vectors.  That suffices, as step 2 is F_q-bilinear, and steps 1,
-    3 and 4 (lookups of stored multiples) are F_q-linear when each multiple
-    in `x_columns`, `y_columns` and `step3_columns` is a times multiple 1 of
-    its column, which the certificate checks first: two bilinear maps that
-    agree on the basis pairs agree everywhere.
+    of basis vectors.  That suffices, as step 2 is F_q-bilinear when each
+    entry a | b << k of `step2_table` is a * b, and steps 1, 3 and 4 (lookups
+    of stored multiples) are F_q-linear when each multiple in `x_columns`,
+    `y_columns` and `step3_columns` is a times multiple 1 of its column; the
+    certificate checks both first, with `field.mul`, and two bilinear maps
+    that agree on the basis pairs agree everywhere.
     """
     rules: dict = {}  # one line per rule name, a candidate rule's at its first failure
     for c in spec.checks():

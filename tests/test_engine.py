@@ -1,5 +1,6 @@
 import hashlib
 import random
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -143,13 +144,13 @@ def test_op_report_exact():
 
 
 def test_multiply_runs_place_by_place(monkeypatch):
-    # step 1 is n lookups per operand in `x_columns` and `y_columns`; then one
-    # pass over the places multiplies x's and y's values in each residue field,
-    # by a table lookup at a rational place and one kernel call at a place of
-    # degree 2 or 4, with no mat-vec and no componentwise product.  Steps 1
-    # and 3 read their tables as they run, the tables `verify` checks
+    # step 1 is n lookups per operand in `x_columns` and `y_columns`; then x's
+    # and y's values are multiplied in each residue field, by the step-2 table
+    # at a rational place and one kernel call at a place of degree 2 or 4,
+    # with no mat-vec and no componentwise product.  Steps 1 and 3 read their
+    # tables as they run, the tables `verify` checks
     def banned(*args, **kwargs):
-        raise AssertionError("multiply left its pass over the places")
+        raise AssertionError("multiply called a replay-only step")
 
     calls = []
 
@@ -183,51 +184,66 @@ def test_multiply_runs_place_by_place(monkeypatch):
 
 def test_step3_columns_are_the_multiples_of_t_inv_top():
     # step 4 is folded in: each stored multiple is a times a column of
-    # T_inv_top with entry n+i-1 added to entry i (0 < i < n), in n lanes
+    # T_inv_top with entry n+i-1 added to entry i (0 < i < n), in n byte
+    # lanes (to_bytes raises on anything above lane n)
     for name in NAMES:
         compiled, n = COMPILED[name], SPECS[name].n
         m, field = compiled.T_inv_top, SPECS[name].field
-        lanes = Lanes(field, n)
         assert len(compiled.step3_columns) == m.cols
         for j, multiples in enumerate(compiled.step3_columns):
             column = m.entries[j :: m.cols]
             recombined = [column[0]] + [column[i] ^ column[n + i - 1] for i in range(1, n)]
-            assert [lanes.unpack(v, n + 1) for v in multiples] == [
+            assert [list(v.to_bytes(n + 1, "little")) for v in multiples] == [
                 [field.mul(a, c) for c in recombined] + [0] for a in range(field.order)
             ]
 
 
 def test_step1_columns_are_the_multiples_of_t_x_and_t_y():
-    # x_columns[j][a] is a times column j of T_x, in 2n+g-1 lanes, and
-    # y_columns[j][a] likewise of T_y: lane 2n+g-1 is clear
+    # x_columns[j][a] is a times column j of T_x, in 2n+g-1 byte lanes, and
+    # y_columns[j][a] likewise of T_y: lane 2n+g-1 is clear, and to_bytes
+    # raises on anything above it
     for name in NAMES:
         compiled, field = COMPILED[name], SPECS[name].field
         for m, table in ((compiled.T_x, compiled.x_columns), (compiled.T_y, compiled.y_columns)):
-            lanes = Lanes(field, m.rows + 1)
             assert len(table) == m.cols == SPECS[name].n
             for j, multiples in enumerate(table):
                 column = m.entries[j :: m.cols]
-                assert [lanes.unpack(v, m.rows + 1) for v in multiples] == [
+                assert [list(v.to_bytes(m.rows + 1, "little")) for v in multiples] == [
                     [field.mul(a, c) for c in column] + [0] for a in range(field.order)
                 ]
 
 
-def test_column_tables_take_at_most_3k_scales(monkeypatch):
+def test_column_tables_take_one_pass_over_the_product_table_each(monkeypatch):
     # freezing the multiplier builds three tables of column multiples
     # (`Matrix.columns`), of T_x, T_y and T_inv_top, and not T's; step 4 is
-    # folded into each multiple of T_inv_top's, with no scale.  Each table
-    # packs its transpose as one lane vector and builds its q multiples from
-    # k scales by the w^i (`Lanes.multiples`); a scale per a would be q/k
-    # times as many, and a scale per column per a another n or 2n+g-1 times
-    scaled = []
-    real = Lanes.scale
-    monkeypatch.setattr(Lanes, "scale", lambda self, c, v: scaled.append(c) or real(self, c, v))
+    # folded into each multiple of T_inv_top's.  Each table packs its
+    # transpose as one bytes object and builds its q multiples as q
+    # `translate` calls, one pass over the rows of the field's product table:
+    # no lane scale and no field.mul, and no pass per column or per a
+    passes = []
+
+    class Rows(tuple):
+        def __iter__(self):
+            passes.append(len(self))
+            return tuple.__iter__(self)
+
+    def banned(*args):
+        raise AssertionError("per-entry arithmetic while freezing the multiplier")
+
+    monkeypatch.setattr(Lanes, "scale", banned)
+    monkeypatch.setattr(Lanes, "multiples", banned)
+    monkeypatch.setattr(BinaryField, "mul", banned)
     for name in NAMES:
-        c = COMPILED[name]
-        scaled.clear()
+        c, field = COMPILED[name], SPECS[name].field
+        monkeypatch.setattr(field, "table", Rows(field.table))
+        passes.clear()
         frozen = engine.CompiledMultiplier(c.spec, c.places, c.T.packed, c.T_inv_top.packed)
+        assert passes == [field.order] * 3, name
         assert frozen.step3_columns == c.step3_columns
-        assert 0 < len(scaled) <= 3 * SPECS[name].field.k, name
+        assert frozen.x_columns == c.x_columns and frozen.y_columns == c.y_columns
+        assert frozen.T._columns is None, name
+        for m in (frozen.T_x, frozen.T_y, frozen.T_inv_top):
+            assert m._columns is not None, name
 
 
 def test_records_repr_equality_and_immutability():
@@ -381,6 +397,29 @@ def test_evaluator_matches_horner_reference():
             for idx, f in enumerate(spec.basis):
                 want = horner_value(spec.curve, f, place)
                 assert at_place.value(idx) == want, (name, place.label, idx)
+
+
+def test_compile_refuses_k_above_4_before_evaluating_a_place(monkeypatch):
+    # a product packs x's and y's values at a slot into one byte, so the base
+    # field needs 2k <= 8; a stand-in spec over GF(2^5) (f2_5's data with the
+    # field swapped after validation) is refused first, with no place evaluated
+    built = []
+
+    class Counting(PlaceEvaluator):
+        __slots__ = ()
+
+        def __init__(self, place, family):
+            built.append(place)
+            super().__init__(place, family)
+
+    monkeypatch.setattr(engine, "PlaceEvaluator", Counting)
+    spec = tools.load_bundled("f2_5")
+    spec.field = BinaryField(5, 0b100101)  # w^5 + w^2 + 1
+    with pytest.raises(InstanceError, match=r"^products need 2k <= 8 .*; k = 5$"):
+        compile_instance(spec)
+    assert built == []
+    compile_instance(SPECS["f2_5"])  # the count sees an evaluation when there is one
+    assert built
 
 
 def test_each_candidate_evaluated_at_most_once(monkeypatch):
@@ -802,6 +841,19 @@ def test_too_few_candidates_fail_at_compile():
         compile_instance(starved)
 
 
+class Index:
+    """Not an int, but usable as one through __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"Index({self.value})"
+
+
 def test_multiply_rejects_bad_operands():
     # step 1 indexes x_columns[j] and y_columns[j] with the coordinates, where
     # -1 would read x_columns[j][-1], multiple q-1, and give a wrong product:
@@ -829,6 +881,18 @@ def test_multiply_rejects_bad_operands():
                 with pytest.raises(ValueError) as exc:
                     compiled.multiply(x, y)
                 assert str(exc.value) == f"{first!r} is not an element of {spec.field!r}"
+        # both operands bad: the message names x's coordinate
+        for x_bad, y_bad in ((q, -1), ("1", q), (-1, 2**70)):
+            with pytest.raises(ValueError) as exc:
+                compiled.multiply([x_bad] + zero[1:], [y_bad] + zero[1:])
+            assert str(exc.value) == f"{x_bad!r} is not an element of {spec.field!r}"
+        # an object that is no int but has __index__, which bytes() would
+        # take, is rejected like any other non-int, in either operand
+        index_one = Index(1)
+        for x, y in (([index_one] + zero[1:], zero), (zero, [index_one] + zero[1:])):
+            with pytest.raises(ValueError) as exc:
+                compiled.multiply(x, y)
+            assert str(exc.value) == f"{index_one!r} is not an element of {spec.field!r}"
         # bools are ints: True and False multiply as 1 and 0
         rng = random.Random(n)
         for _ in range(5):
@@ -838,6 +902,13 @@ def test_multiply_rejects_bad_operands():
             assert compiled.multiply(flags, y) == compiled.multiply(bits, y)
             assert compiled.multiply(y, flags) == compiled.multiply(y, bits)
             assert compiled.multiply(flags, flags) == compiled.multiply(bits, bits)
+        # coordinates of an int subclass multiply exactly like plain ints
+        Coord = IntEnum("Coord", [(f"C{v}", v) for v in range(q)])
+        for _ in range(5):
+            x, y = random_operand(rng, spec), random_operand(rng, spec)
+            want = reference_mul(spec.field, spec.q_modulus, x, y)
+            got = compiled.multiply([Coord(v) for v in x], [Coord(v) for v in y])
+            assert got == compiled.multiply(x, y) == (want, compiled.report)
     # the message as a user reads it, for f2_5's field
     with pytest.raises(ValueError, match=r"^-1 is not an element of GF\(2\^1; 0b10\)$"):
         COMPILED["f2_5"].multiply([0, 0, 0, 0, -1], [0] * 5)

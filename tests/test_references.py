@@ -76,10 +76,11 @@ def test_bundled_multipliers_have_what_perfbench_replays():
         # are the matrices' own, step 3's each the step-4 fold of T_inv_top's
         assert compiled.T_x.columns is compiled.x_columns, name
         assert compiled.T_y.columns is compiled.y_columns, name
-        k, n = compiled.spec.field.k, compiled.spec.n
-        low = (1 << k * n) - 1
+        # (byte lanes: byte n+i-1 XORed into byte i, then n bytes kept)
+        n = compiled.spec.n
+        low = (1 << 8 * n) - 1
         assert compiled.step3_columns == tuple(
-            tuple([(w ^ ((w >> k * n) << k)) & low for w in multiples])
+            tuple([(w ^ ((w >> 8 * n) << 8)) & low for w in multiples])
             for multiples in compiled.T_inv_top.columns), name
 
 

@@ -691,7 +691,7 @@ def test_verify_instance_bilinear_certificate_names_a_wrong_step3_multiple(
     def corrupted(spec):
         compiled = real(spec)
         columns = [list(c) for c in compiled.step3_columns]
-        columns[4][a] ^= 1 << (spec.field.k * lane)
+        columns[4][a] ^= 1 << (8 * lane)  # bit 0 of byte lane `lane`
         compiled.step3_columns = tuple(tuple(c) for c in columns)
         return compiled
 
@@ -723,7 +723,7 @@ def test_verify_instance_bilinear_certificate_names_a_wrong_step1_multiple(
     def corrupted(spec):
         compiled = real(spec)
         columns = [list(c) for c in getattr(compiled, table)]
-        columns[2][a] ^= 1 << (spec.field.k * lane)
+        columns[2][a] ^= 1 << (8 * lane)  # bit 0 of byte lane `lane`
         setattr(compiled, table, tuple(tuple(c) for c in columns))
         return compiled
 
@@ -735,6 +735,30 @@ def test_verify_instance_bilinear_certificate_names_a_wrong_step1_multiple(
         f"step-1 {label} multiple {a} of column 2 is not {a} times multiple 1 of that column "
         f"in 11 lanes; 25/25 basis pairs match the polynomial oracle"
     )
+
+
+@pytest.mark.parametrize("name", ["f16_13", "f4_5", "f2_5"])
+def test_verify_instance_bilinear_certificate_names_a_wrong_step2_entry(monkeypatch, name):
+    # one entry a | b << k of the step-2 table off by one bit: the check on
+    # the table, which reads all q^2 entries against field.mul, names it
+    real = tools.compile_instance
+    a, b = 1, 1
+
+    def corrupted(spec):
+        compiled = real(spec)
+        table = bytearray(compiled.step2_table)
+        table[a | b << spec.field.k] ^= 1
+        compiled.step2_table = bytes(table)
+        return compiled
+
+    monkeypatch.setattr(tools, "compile_instance", corrupted)
+    spec = tools.load_bundled(name)
+    report = tools.verify_instance(spec)
+    cert = next(c for c in report.checks if c.name == "bilinear-certificate")
+    assert not report.ok and not cert.ok
+    entry = a | b << spec.field.k
+    assert cert.detail.startswith(f"step-2 table entry {entry} is not {a} times {b}; "), cert.detail
+    assert "[FAIL] bilinear-certificate — step-2 table entry" in "\n".join(report.lines())
 
 
 def test_verify_instance_bilinear_certificate_catches_a_consistent_wrong_column(monkeypatch):

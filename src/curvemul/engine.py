@@ -28,8 +28,9 @@ builds checks its entries.
 One product of x, y in F_{q^n} (length-n coordinate tuples over F_q) runs
 in byte lanes, lane i byte i of an int, each step a few `bytes` calls:
 
-1. x and y evaluated at every place through T_x and T_y: n lookups in their
-   column multiples (`Matrix.columns`) per operand, XORed into one (2n+g-1)-lane vector, each
+1. x and y evaluated at every place through T_x and T_y: one lookup per window
+   of c coordinates of x ‖ y (`linalg.windows`; index `bytes(x + y)` packed c to
+   a byte), XORing their column multiples (`Matrix.columns`, y's k bits up), each
    standing for 2n+g-1 products by constants, 2n(2n+g-1) in all by the paper's convention;
 2. at each place, the product of the two values in its residue field — the
    only bilinear step, costing the kernel's 1, 3 or 9: one `translate` of all
@@ -40,7 +41,8 @@ in byte lanes, lane i byte i of an int, each step a few `bytes` calls:
    (2n-1)(2n+g-1) multiplications in all by the paper's convention;
 4. an addition-only recombination of the 2n-1 interpolation coordinates
    into n, folded at compile time into each multiple of T_inv_top's columns:
-   the two run as one lookup per slot, XORed into the product's n bytes.
+   the two run as one lookup per c slots, XORed into the product's n bytes.
+   `TABLE_BUDGET` sets c = 8 // k for step 1, then step 3, if it fits, else 1.
 
 Why only n live columns in step 1: the basis is built so that x embeds on
 f_1..f_n and y on f_1, f_{n+1}..f_{2n-1}; all other embedded coordinates
@@ -75,7 +77,9 @@ from .galois import (
     poly_mul,
 )
 from .kernels import KERNEL_COST, KernelPlan
-from .linalg import Matrix, RowBasis
+from .linalg import Matrix, RowBasis, windows
+
+TABLE_BUDGET = 4096  # window entries a multiplier stores for steps 1 and 3 together
 
 
 class InstanceError(Exception):
@@ -280,13 +284,6 @@ class InstanceSpec:
                         f"candidate {p.label} meets the support of {hit}")
 
 
-def _check_operand(spec: InstanceSpec, v: Sequence[int]) -> None:
-    if len(v) != spec.n:
-        raise ValueError(f"operand must have {spec.n} coordinates, got {len(v)}")
-    for c in v:
-        spec.field.check(c)
-
-
 def reference_mul(
     field: BinaryField, q_modulus: Poly, x: Sequence[int], y: Sequence[int]
 ) -> tuple:
@@ -333,14 +330,15 @@ def verify_good_basis(spec: InstanceSpec) -> list[CheckResult]:
 class CompiledMultiplier:
     """Frozen straight-line multiplier for one instance: every table a product
     reads, and its report, built from the selected places and T's and T^-1's rows.
-    Step 1 reads `x_columns` and `y_columns`, `T_x.columns` and `T_y.columns`;
-    step 2 `step2_table`, whose entry a | b << k is a * b, and `plan.kernel_steps`;
-    steps 3 and 4 `step3_columns`, `T_inv_top.columns` with step 4 folded in.
-    All are in byte lanes.  The counts are those of the matrix shapes; the
-    benchmark's `mat_vec` replay reads the same tables."""
+    Step 1 reads `step1_windows`, of `x_columns` and `y_columns` (`T_x.columns`,
+    `T_y.columns`); step 2 `step2_table`, whose entry a | b << k is a * b, and
+    `plan.kernel_steps`; steps 3 and 4 `step3_windows`, of `step3_columns`
+    (`T_inv_top.columns`, step 4 folded in); `widths` holds each step's c.  All
+    are in byte lanes; the counts are those of the matrix shapes."""
 
     __slots__ = ("spec", "places", "T", "T_x", "T_y", "T_inv_top", "plan", "report",
-                 "x_columns", "y_columns", "step3_columns", "step2_table")
+                 "x_columns", "y_columns", "step3_columns", "step2_table", "widths",
+                 "step1_windows", "step3_windows", "_packs", "_high")
 
     def __init__(self, spec, places, rows, inverse_rows):
         field, n, size = spec.field, spec.n, spec.size
@@ -368,6 +366,20 @@ class CompiledMultiplier:
         # step 2 at a rational place: entry a | b << k is a * b (k <= 4), the rest 0
         self.step2_table = bytes([field.table[i & mask][i >> k]
                                   for i in range(field.order**2)]).ljust(256, b"\0")
+        # step 1's windows: x's columns then y's k bits up, so lookups XOR to step 2's pairs
+        c, q = 8 // k, field.order
+        entries = lambda m, w: sum(q ** min(w, m - i) for i in range(0, m, w))  # noqa: E731
+        c1 = c if entries(2 * n, c) <= TABLE_BUDGET else 1
+        c3 = c if entries(2 * n, c1) + entries(size, c) <= TABLE_BUDGET else 1
+        self.widths = c1, c3
+        # v * m >> t packs bytes i .. i+w-1 of v, each below q, into byte i, k bits each
+        # (the w shifted copies of v share no bit, so nothing carries)
+        self._packs = tuple([(sum(1 << (8 - k) * s for s in range(w)), (8 - k) * (w - 1))
+                             for w in (c1, c3)])
+        shifted = tuple([m << k for m in multiples] for multiples in T_y.columns)
+        self.step1_windows = windows(T_x.columns + shifted, c1)
+        self.step3_windows = windows(self.step3_columns, c3)
+        self._high = int.from_bytes(bytes([256 - q]) * 2 * n, "little")  # bits k..7 of 2n lanes
 
     @property
     def place_degrees(self) -> list[int]:
@@ -389,29 +401,37 @@ class CompiledMultiplier:
 
     def multiply(self, x: Sequence[int], y: Sequence[int]):
         """Product of x and y in F_{q^n}, plus the exact operation report."""
-        spec = self.spec
-        try:  # plain ints in range pass in C; anything else gets the exact checks
-            ok = ({*map(type, x), *map(type, y)} <= {int, bool} and len(x) == len(y) == spec.n
-                  and max(bytes(x) + bytes(y)) < spec.field.order)
+        spec, n, (c1, c3), ((m1, t1), (m3, t3)) = self.spec, self.spec.n, self.widths, self._packs
+        try:  # plain ints below 256 pass in C, and no bit from k up in a lane means below q
+            v = int.from_bytes(bytes(xy := x + y), "little")
+            ok = {*map(type, xy)} <= {int, bool} and len(x) == len(y) == n and not v & self._high
         except (TypeError, ValueError):
             ok = False
-        if not ok:
-            _check_operand(spec, x)
-            _check_operand(spec, y)
-        X = reduce(xor, map(getitem, self.x_columns, x))  # step 1, 2n+g-1 byte lanes each
-        Y = reduce(xor, map(getitem, self.y_columns, y))
+        if not ok:  # the exact checks, x's then y's: its length, then each coordinate
+            checked = b""
+            for u in (x, y):
+                if len(u) != n:
+                    raise ValueError(f"operand must have {n} coordinates, got {len(u)}")
+                checked += bytes(map(spec.field.check, u))
+            v = int.from_bytes(checked, "little")
         size, low = spec.size, (1 << 8 * spec.size) - 1  # no place reads above the lanes
-        # step 2 at every slot as if rational: x's value in bits 0..k-1 of its byte, y's above
-        pairs = ((X ^ (Y << spec.field.k)) & low).to_bytes(size, "little")
-        products = pairs.translate(self.step2_table)
+        # step 1, one lookup per c1 coordinates; slot i's byte: x's value in bits 0..k-1, y's above
+        index = (v * m1 >> t1).to_bytes(2 * n, "little")[::c1]
+        w = reduce(xor, map(getitem, self.step1_windows, index)) & low
+        pairs = w.to_bytes(size, "little")
+        products = pairs.translate(self.step2_table)  # step 2 at every slot as if rational
         if self.plan.kernel_steps:  # degree 2 or 4: the kernel's product replaces the slots'
-            xs, ys = (X & low).to_bytes(size, "little"), (Y & low).to_bytes(size, "little")
+            m, k = low // 255 * (spec.field.order - 1), spec.field.k  # bits 0..k-1 of each lane
+            xs, ys = (w & m).to_bytes(size, "little"), (w >> k & m).to_bytes(size, "little")
             products = bytearray(products)
             for slots, _, ext, kernel in self.plan.kernel_steps:
                 products[slots] = kernel(ext, xs[slots], ys[slots])
-        # steps 3 and 4, reading the columns here, as `verify` checks them
-        z = reduce(xor, map(getitem, self.step3_columns, products))
-        return tuple((z & ((1 << 8 * spec.n) - 1)).to_bytes(spec.n, "little")), self.report
+        if c3 > 1:  # every product is below q, so c3 of them pack into a byte like x ‖ y
+            p = int.from_bytes(products, "little") * m3 >> t3
+            products = p.to_bytes(size, "little")[::c3]
+        # steps 3 and 4, reading the windows here, as `verify` checks them
+        z = reduce(xor, map(getitem, self.step3_windows, products))
+        return tuple((z & ((1 << 8 * n) - 1)).to_bytes(n, "little")), self.report
 
 
 def compile_instance(spec: InstanceSpec) -> CompiledMultiplier:

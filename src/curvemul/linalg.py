@@ -12,8 +12,8 @@ An elimination step costs O(k) big-int operations whatever the row length.
 `Matrix.columns` is the package's one table of column multiples, built on
 first read, in byte lanes: lane i is byte i of an int, so a multiple is built
 by `bytes.translate` and read by `int.to_bytes`.  `mat_vec` is one lookup in
-it per column, XORed into one byte-lane vector; a product reads the same
-tables, through `engine.CompiledMultiplier`.
+it per column, XORed into one byte-lane vector; `windows` XORs such tables c
+columns at a time into the tables a product reads (Four Russians).
 """
 
 from __future__ import annotations
@@ -150,6 +150,19 @@ def invert(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise SingularMatrixError("only square matrices can be inverted")
     return Matrix(m.field, m.cols, _row_basis(m).inverse_rows())
+
+
+def windows(columns: Sequence[Sequence[int]], c: int) -> tuple:
+    """`columns` c at a time (Four Russians): entry i of window w XORs, over j,
+    column c*w + j's multiple at digit j of i, its k bits from k*j; c = 1 gives
+    the columns' own multiples."""
+    out = []
+    for w in range(0, len(columns), c):
+        table, *rest = columns[w : w + c]
+        for multiples in rest:  # each column the next digit up
+            table = [t ^ m for m in multiples for t in table]
+        out.append(tuple(table))
+    return tuple(out)
 
 
 def mat_vec(m: Matrix, v: Sequence[int]) -> list[int]:

@@ -329,7 +329,9 @@ class VerifyReport(namedtuple("VerifyReport", "instance checks")):
 def _table_fault(compiled: CompiledMultiplier):
     """The first stored entry a product reads that `field.mul` does not give
     (a multiple not a times multiple 1 of its column in its table's byte
-    lanes, or an entry a | b << k of `step2_table` not a * b), or None."""
+    lanes; a window entry not the XOR of its digits' multiples in those
+    columns, y's k bits up; or an entry a | b << k of `step2_table` not
+    a * b), or None."""
     field, n, size = compiled.spec.field, compiled.spec.n, compiled.spec.size
     q, k, mul, step2 = field.order, field.k, field.mul, compiled.step2_table
     for table, width, columns in (("step-1 x", size, compiled.x_columns),
@@ -343,6 +345,18 @@ def _table_fault(compiled: CompiledMultiplier):
                 if len(multiples) != q or multiples[a] != int.from_bytes(want, "little"):
                     return (f"{table} multiple {a} of column {j} is not {a} times "
                             f"multiple 1 of that column in {width} lanes")
+    step1 = [*compiled.x_columns, *([m << k for m in ms] for ms in compiled.y_columns)]
+    for step, c, columns, windows in zip(("step-1", "step-3"), compiled.widths,
+                                         (step1, compiled.step3_columns),
+                                         (compiled.step1_windows, compiled.step3_windows)):
+        groups = [columns[w : w + c] for w in range(0, len(columns), c)]
+        for w, (group, table) in enumerate(itertools.zip_longest(groups, windows, fillvalue=())):
+            for i in range(max(q ** len(group), len(table))):
+                want = 0
+                for j, multiples in enumerate(group):  # digit j: bits k*j .. k*j+k-1 of i
+                    want ^= multiples[i >> k * j & q - 1]
+                if len(table) != q ** len(group) or table[i] != want:
+                    return f"{step} window {w} entry {i} is not the XOR of its digits' multiples"
     for a, b in itertools.product(range(q), repeat=2):
         if len(step2) != 256 or step2[a | b << k] != mul(a, b):
             return f"step-2 table entry {a | b << k} is not {a} times {b}"
@@ -361,9 +375,10 @@ def verify_instance(spec: InstanceSpec) -> VerifyReport:
     of basis vectors.  That suffices, as step 2 is F_q-bilinear when each
     entry a | b << k of `step2_table` is a * b, and steps 1, 3 and 4 (lookups
     of stored multiples) are F_q-linear when each multiple in `x_columns`,
-    `y_columns` and `step3_columns` is a times multiple 1 of its column; the
-    certificate checks both first, with `field.mul`, and two bilinear maps
-    that agree on the basis pairs agree everywhere.
+    `y_columns` and `step3_columns` is a times multiple 1 of its column and
+    each window entry the XOR of its digits' multiples; the certificate
+    checks all of them first, and two bilinear maps that agree on the basis
+    pairs agree everywhere.
     """
     rules: dict = {}  # one line per rule name, a candidate rule's at its first failure
     for c in spec.checks():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from enum import IntEnum
 from fractions import Fraction
@@ -144,11 +145,11 @@ def test_op_report_exact():
 
 
 def test_multiply_runs_place_by_place(monkeypatch):
-    # step 1 is n lookups per operand in `x_columns` and `y_columns`; then x's
+    # step 1 is one lookup per window of x ‖ y in `step1_windows`; then x's
     # and y's values are multiplied in each residue field, by the step-2 table
     # at a rational place and one kernel call at a place of degree 2 or 4,
     # with no mat-vec and no componentwise product.  Steps 1 and 3 read their
-    # tables as they run, the tables `verify` checks
+    # windows as they run, the tables `verify` checks
     def banned(*args, **kwargs):
         raise AssertionError("multiply called a replay-only step")
 
@@ -175,10 +176,10 @@ def test_multiply_runs_place_by_place(monkeypatch):
             assert calls == [d for d in compiled.place_degrees if d > 1], name
         one = [1] + [0] * (spec.n - 1)
         assert compiled.multiply(one, one)[0] == tuple(one)
-        compiled.x_columns = tuple((0,) * spec.field.order for _ in c.x_columns)
+        compiled.step1_windows = tuple((0,) * len(w) for w in c.step1_windows)
         assert compiled.multiply(one, one)[0] == (0,) * spec.n, name
-        compiled.x_columns = c.x_columns
-        compiled.step3_columns = tuple((0,) * spec.field.order for _ in c.step3_columns)
+        compiled.step1_windows = c.step1_windows
+        compiled.step3_windows = tuple((0,) * len(w) for w in c.step3_windows)
         assert compiled.multiply(one, one)[0] == (0,) * spec.n, name
 
 
@@ -219,7 +220,8 @@ def test_column_tables_take_one_pass_over_the_product_table_each(monkeypatch):
     # folded into each multiple of T_inv_top's.  Each table packs its
     # transpose as one bytes object and builds its q multiples as q
     # `translate` calls, one pass over the rows of the field's product table:
-    # no lane scale and no field.mul, and no pass per column or per a
+    # no lane scale and no field.mul, and no pass per column or per a.  The
+    # windows are XORs of those multiples, with no pass of their own
     passes = []
 
     class Rows(tuple):
@@ -241,9 +243,75 @@ def test_column_tables_take_one_pass_over_the_product_table_each(monkeypatch):
         assert passes == [field.order] * 3, name
         assert frozen.step3_columns == c.step3_columns
         assert frozen.x_columns == c.x_columns and frozen.y_columns == c.y_columns
+        assert frozen.step1_windows == c.step1_windows
+        assert frozen.step3_windows == c.step3_windows
         assert frozen.T._columns is None, name
         for m in (frozen.T_x, frozen.T_y, frozen.T_inv_top):
             assert m._columns is not None, name
+
+
+def _windows_by_definition(columns, c, k):
+    # entry i of window w: the XOR over j of column c*w + j's multiple at
+    # digit j of i, the k bits from k*j
+    out = []
+    for w in range(0, len(columns), c):
+        group = columns[w : w + c]
+        table = []
+        for i in range((1 << k) ** len(group)):
+            entry = 0
+            for j, multiples in enumerate(group):
+                entry ^= multiples[(i >> k * j) & ((1 << k) - 1)]
+            table.append(entry)
+        out.append(tuple(table))
+    return tuple(out)
+
+
+def test_windows_xor_their_digits_multiples():
+    rng = random.Random(27)
+    for k in (1, 2, 3, 4):
+        columns = [tuple(rng.randrange(1 << 40) for _ in range(1 << k)) for _ in range(7)]
+        assert linalg.windows(columns, 1) == tuple(columns)  # c = 1: the columns
+        for c in range(2, 8 // k + 1):
+            assert linalg.windows(columns, c) == _windows_by_definition(columns, c, k), (k, c)
+    # a compiled multiplier's: step 1 over x's columns then y's, k bits up
+    for name in NAMES:
+        compiled, k = COMPILED[name], SPECS[name].field.k
+        c1, c3 = compiled.widths
+        shifted = tuple(tuple(m << k for m in ms) for ms in compiled.y_columns)
+        assert compiled.step1_windows == _windows_by_definition(
+            compiled.x_columns + shifted, c1, k), name
+        assert compiled.step3_windows == _windows_by_definition(compiled.step3_columns, c3, k)
+
+
+@pytest.mark.parametrize("budget, choices", [
+    (0, {"f16_13": ((1, 1), (416, 432)), "f4_5": ((1, 1), (40, 44)),
+         "f2_5": ((1, 1), (20, 22))}),
+    (600, {"f16_13": ((1, 1), (416, 432)), "f4_5": ((4, 1), (528, 44)),
+           "f2_5": ((8, 8), (260, 264))}),
+    (None, {"f16_13": ((2, 1), (3328, 432)), "f4_5": ((4, 4), (528, 576)),
+            "f2_5": ((8, 8), (260, 264))}),
+], ids=["budget-0", "budget-600", "default"])
+def test_table_budget_picks_the_windows(monkeypatch, budget, choices):
+    # step 1 takes c = 8 // k if its windows fit in TABLE_BUDGET, step 3 if
+    # both fit, else c = 1 (f16_13's step-3 windows would add 3344 entries);
+    # the stored entries of each step are pinned, and every product still
+    # equals the oracle's: all 1024 pairs on f2_5, seeded pairs on the others
+    assert engine.TABLE_BUDGET == 4096
+    if budget is not None:
+        monkeypatch.setattr(engine, "TABLE_BUDGET", budget)
+    rng = random.Random(27)
+    for name in NAMES:
+        spec, c = SPECS[name], COMPILED[name]
+        frozen = engine.CompiledMultiplier(spec, c.places, c.T.packed, c.T_inv_top.packed)
+        sizes = tuple(sum(map(len, t)) for t in (frozen.step1_windows, frozen.step3_windows))
+        assert (frozen.widths, sizes) == choices[name], name
+        if name == "f2_5":
+            pairs = itertools.product(itertools.product(range(2), repeat=5), repeat=2)
+        else:
+            pairs = [(random_operand(rng, spec), random_operand(rng, spec)) for _ in range(200)]
+        for x, y in pairs:
+            want = reference_mul(spec.field, spec.q_modulus, x, y)
+            assert frozen.multiply(x, y) == (want, frozen.report), (name, x, y)
 
 
 def test_records_repr_equality_and_immutability():
@@ -855,9 +923,9 @@ class Index:
 
 
 def test_multiply_rejects_bad_operands():
-    # step 1 indexes x_columns[j] and y_columns[j] with the coordinates, where
-    # -1 would read x_columns[j][-1], multiple q-1, and give a wrong product:
-    # only this guard stops it
+    # step 1 packs the coordinates into window indices, where a coordinate of
+    # q or more would carry its high bits into the next digit and give a
+    # wrong product: only this guard stops it
     for name in NAMES:
         spec, compiled = SPECS[name], COMPILED[name]
         n, q, zero = spec.n, spec.field.order, [0] * spec.n
@@ -867,7 +935,9 @@ def test_multiply_rejects_bad_operands():
         with pytest.raises(ValueError) as exc:
             compiled.multiply(zero, [1] * (n + 1))
         assert str(exc.value) == f"operand must have {n} coordinates, got {n + 1}"
-        for bad in (-1, q, 1.0, "1", None, 2**70):
+        # q+1, 2q-1 and 255 pass bytes(): only the lane mask stops them, where a
+        # bit from k up would spill into the next coordinate's window digit
+        for bad in (-1, q, q + 1, 2 * q - 1, 255, 1.0, "1", None, 2**70):
             operand = [1] * (n - 1) + [bad]
             for x, y in ((operand, zero), (zero, operand)):
                 with pytest.raises(ValueError) as exc:
@@ -893,8 +963,15 @@ def test_multiply_rejects_bad_operands():
             with pytest.raises(ValueError) as exc:
                 compiled.multiply(x, y)
             assert str(exc.value) == f"{index_one!r} is not an element of {spec.field!r}"
-        # bools are ints: True and False multiply as 1 and 0
         rng = random.Random(n)
+        # a tuple x with a list y cannot be concatenated: the exact checks run,
+        # and the product is the same
+        for _ in range(5):
+            x, y = random_operand(rng, spec), random_operand(rng, spec)
+            want = (reference_mul(spec.field, spec.q_modulus, x, y), compiled.report)
+            assert compiled.multiply(tuple(x), y) == compiled.multiply(x, tuple(y)) == want
+            assert compiled.multiply(x, y) == want
+        # bools are ints: True and False multiply as 1 and 0
         for _ in range(5):
             bits = [rng.randrange(2) for _ in range(n)]
             y = random_operand(rng, spec)

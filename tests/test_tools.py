@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from curvemul import cli, engine, galois, kernels, tools
+from curvemul import cli, engine, galois, kernels, linalg, tools
 from curvemul.curve import AffinePlace, PackedPolys, PlaceEvaluationError, generates_residue
 from curvemul.engine import InstanceError, InstanceSpec, compile_instance
 from curvemul.galois import F2, F4, ExtField, is_irreducible
@@ -673,6 +673,44 @@ def test_verify_instance_bilinear_certificate_names_a_wrong_pair(monkeypatch):
     assert int(cert.detail.split("/")[0]) < 25
 
 
+def _rewindowed(compiled):
+    # the windows a product reads, rebuilt from the (corrupted) column tables
+    k, (c1, c3) = compiled.spec.field.k, compiled.widths
+    shifted = tuple(tuple(m << k for m in ms) for ms in compiled.y_columns)
+    compiled.step1_windows = linalg.windows(compiled.x_columns + shifted, c1)
+    compiled.step3_windows = linalg.windows(compiled.step3_columns, c3)
+    return compiled
+
+
+@pytest.mark.parametrize(
+    "name, step, w, i",
+    [("f4_5", "step-1", 1, 5), ("f4_5", "step-3", 2, 63), ("f2_5", "step-3", 0, 200),
+     ("f16_13", "step-1", 12, 255)],
+)
+def test_verify_instance_bilinear_certificate_names_a_wrong_window_entry(
+    monkeypatch, name, step, w, i
+):
+    # one window entry off by one bit, its column tables intact: the window
+    # is then no XOR of its digits' multiples, and the check names the step,
+    # the window and the entry
+    real = tools.compile_instance
+    attr = step.replace("-", "") + "_windows"
+
+    def corrupted(spec):
+        compiled = real(spec)
+        tables = [list(t) for t in getattr(compiled, attr)]
+        tables[w][i] ^= 1
+        setattr(compiled, attr, tuple(tuple(t) for t in tables))
+        return compiled
+
+    monkeypatch.setattr(tools, "compile_instance", corrupted)
+    report = tools.verify_instance(tools.load_bundled(name))
+    cert = next(c for c in report.checks if c.name == "bilinear-certificate")
+    assert not report.ok and not cert.ok
+    assert cert.detail.startswith(
+        f"{step} window {w} entry {i} is not the XOR of its digits' multiples; "), cert.detail
+
+
 @pytest.mark.parametrize(
     "a, lane, pairs",
     [(3, 0, 20), (3, 5, 25), (1, 5, 25)],
@@ -681,11 +719,12 @@ def test_verify_instance_bilinear_certificate_names_a_wrong_pair(monkeypatch):
 def test_verify_instance_bilinear_certificate_names_a_wrong_step3_multiple(
     monkeypatch, a, lane, pairs
 ):
-    # one stored multiple of one column off by one bit: steps 3 and 4 are
-    # then not F_q-linear, and agreement on the basis pairs no longer proves
-    # agreement everywhere.  A bit in lane 5, above f4_5's n = 5 lanes,
-    # changes no product, so only the check on the table itself sees it;
-    # on multiple 1 it is seen because a scale by 1 keeps n lanes too.
+    # one stored multiple of one column off by one bit, and the windows a
+    # product reads rebuilt from it: steps 3 and 4 are then not F_q-linear,
+    # and agreement on the basis pairs no longer proves agreement everywhere.
+    # A bit in lane 5, above f4_5's n = 5 lanes, changes no product, so only
+    # the check on the column table sees it; on multiple 1 it is seen
+    # because a scale by 1 keeps n lanes too.
     real = tools.compile_instance
 
     def corrupted(spec):
@@ -693,7 +732,7 @@ def test_verify_instance_bilinear_certificate_names_a_wrong_step3_multiple(
         columns = [list(c) for c in compiled.step3_columns]
         columns[4][a] ^= 1 << (8 * lane)  # bit 0 of byte lane `lane`
         compiled.step3_columns = tuple(tuple(c) for c in columns)
-        return compiled
+        return _rewindowed(compiled)
 
     monkeypatch.setattr(tools, "compile_instance", corrupted)
     report = tools.verify_instance(tools.load_bundled("f4_5"))
@@ -714,10 +753,11 @@ def test_verify_instance_bilinear_certificate_names_a_wrong_step3_multiple(
 def test_verify_instance_bilinear_certificate_names_a_wrong_step1_multiple(
     monkeypatch, table, label, a, lane
 ):
-    # one stored step-1 multiple off by one bit: step 1 is then not
-    # F_q-linear.  The basis pairs read only multiples 0 and 1, and a bit in
-    # lane 11, above f4_5's 2n+g-1 = 11 lanes, is read by no place, so all
-    # 25 pairs still match and only the check on the table itself sees it
+    # one stored step-1 multiple off by one bit, and the windows rebuilt from
+    # it: step 1 is then not F_q-linear.  The basis pairs read only multiples
+    # 0 and 1, and a bit in lane 11, above f4_5's 2n+g-1 = 11 lanes, is read
+    # by no place, so all 25 pairs still match and only the check on the
+    # column table sees it
     real = tools.compile_instance
 
     def corrupted(spec):
@@ -725,7 +765,7 @@ def test_verify_instance_bilinear_certificate_names_a_wrong_step1_multiple(
         columns = [list(c) for c in getattr(compiled, table)]
         columns[2][a] ^= 1 << (8 * lane)  # bit 0 of byte lane `lane`
         setattr(compiled, table, tuple(tuple(c) for c in columns))
-        return compiled
+        return _rewindowed(compiled)
 
     monkeypatch.setattr(tools, "compile_instance", corrupted)
     report = tools.verify_instance(tools.load_bundled("f4_5"))
@@ -762,9 +802,10 @@ def test_verify_instance_bilinear_certificate_names_a_wrong_step2_entry(monkeypa
 
 
 def test_verify_instance_bilinear_certificate_catches_a_consistent_wrong_column(monkeypatch):
-    # every multiple of one column is a times the same wrong n-lane vector:
-    # the table is F_q-linear, so its check passes, and only the basis pairs
-    # can tell; the certificate counts them and names the first that differs
+    # every multiple of one column is a times the same wrong n-lane vector,
+    # and the windows a product reads are rebuilt from it: the tables are
+    # F_q-linear, so their checks pass, and only the basis pairs can tell;
+    # the certificate counts them and names the first that differs
     real = tools.compile_instance
 
     def corrupted(spec):
@@ -774,7 +815,7 @@ def test_verify_instance_bilinear_certificate_catches_a_consistent_wrong_column(
         scale = galois.Lanes(spec.field, spec.n).scale
         columns[4] = tuple(scale(a, wrong) for a in range(spec.field.order))
         compiled.step3_columns = tuple(columns)
-        return compiled
+        return _rewindowed(compiled)
 
     monkeypatch.setattr(tools, "compile_instance", corrupted)
     report = tools.verify_instance(tools.load_bundled("f4_5"))

@@ -26,12 +26,14 @@ packed rows, T_x and T_y are lane slices of them, and no matrix compile
 builds checks its entries.
 
 One product of x, y in F_{q^n} (length-n coordinate tuples over F_q) runs
-in byte lanes, lane i byte i of an int, each step a few `bytes` calls:
+in byte lanes, lane i byte i of an int.  Steps 1 and 3/4 are functions generated
+at compile time (`linalg.straight_line`), each one XOR expression of lookups in
+windows of c columns of multiples (`linalg.windows` of `Matrix.columns`), its
+index packed c coordinates to a byte; `TABLE_BUDGET` sets c (8 // k or 1).
 
-1. x and y evaluated at every place through T_x and T_y: one lookup per window
-   of c coordinates of x ‖ y (`linalg.windows`; index `bytes(x + y)` packed c to
-   a byte), XORing their column multiples (`Matrix.columns`, y's k bits up), each
-   standing for 2n+g-1 products by constants, 2n(2n+g-1) in all by the paper's convention;
+1. x and y evaluated at every place through T_x and T_y, one lookup per c
+   coordinates of x ‖ y (y's multiples k bits up): 2n(2n+g-1) products by
+   constants in all by the paper's convention;
 2. at each place, the product of the two values in its residue field — the
    only bilinear step, costing the kernel's 1, 3 or 9: one `translate` of all
    slots' bytes (x's value in the low k bits, y's in the next k), then the
@@ -40,9 +42,8 @@ in byte lanes, lane i byte i of an int, each step a few `bytes` calls:
 3. the columns of the first 2n-1 rows of inverse(T) applied to the products —
    (2n-1)(2n+g-1) multiplications in all by the paper's convention;
 4. an addition-only recombination of the 2n-1 interpolation coordinates
-   into n, folded at compile time into each multiple of T_inv_top's columns:
-   the two run as one lookup per c slots, XORed into the product's n bytes.
-   `TABLE_BUDGET` sets c = 8 // k for step 1, then step 3, if it fits, else 1.
+   into n, folded at compile time into each multiple of T_inv_top's columns,
+   so the two are one lookup per c slots, XORed into the product's n bytes.
 
 Why only n live columns in step 1: the basis is built so that x embeds on
 f_1..f_n and y on f_1, f_{n+1}..f_{2n-1}; all other embedded coordinates
@@ -54,8 +55,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from functools import lru_cache, reduce
-from operator import getitem, xor
+from functools import lru_cache
 
 from .curve import (
     AffinePlace,
@@ -77,9 +77,16 @@ from .galois import (
     poly_mul,
 )
 from .kernels import KERNEL_COST, KernelPlan
-from .linalg import Matrix, RowBasis, windows
+from .linalg import Matrix, RowBasis, straight_line, windows
 
 TABLE_BUDGET = 4096  # window entries a multiplier stores for steps 1 and 3 together
+_PLAIN = frozenset((int, bool))  # the operand types `multiply` checks in C
+
+
+def packing(k: int, c: int) -> tuple[int, int]:
+    """m, t such that `(v * m >> t).to_bytes(L, "little")[::c]` packs v's bytes, each
+    below 2^k, c to a byte, k bits each: v's c shifted copies share no bit."""
+    return sum(1 << (8 - k) * s for s in range(c)), (8 - k) * (c - 1)
 
 
 class InstanceError(Exception):
@@ -330,15 +337,15 @@ def verify_good_basis(spec: InstanceSpec) -> list[CheckResult]:
 class CompiledMultiplier:
     """Frozen straight-line multiplier for one instance: every table a product
     reads, and its report, built from the selected places and T's and T^-1's rows.
-    Step 1 reads `step1_windows`, of `x_columns` and `y_columns` (`T_x.columns`,
-    `T_y.columns`); step 2 `step2_table`, whose entry a | b << k is a * b, and
-    `plan.kernel_steps`; steps 3 and 4 `step3_windows`, of `step3_columns`
-    (`T_inv_top.columns`, step 4 folded in); `widths` holds each step's c.  All
-    are in byte lanes; the counts are those of the matrix shapes."""
+    Step 1 is generated from `step1_windows`, of `x_columns` and `y_columns`; step 2
+    reads `step2_table`, whose entry a | b << k is a * b, and `plan.kernel_steps`;
+    steps 3 and 4 are generated from `step3_windows`, of `step3_columns` (`T_inv_top`'s,
+    step 4 folded in).  `set_windows` generates both, and each `*_windows` is the very
+    tables its function reads; `widths` holds each step's c; all is in byte lanes."""
 
     __slots__ = ("spec", "places", "T", "T_x", "T_y", "T_inv_top", "plan", "report",
                  "x_columns", "y_columns", "step3_columns", "step2_table", "widths",
-                 "step1_windows", "step3_windows", "_packs", "_high")
+                 "_step1", "_step3", "_high", "_halves")
 
     def __init__(self, spec, places, rows, inverse_rows):
         field, n, size = spec.field, spec.n, spec.size
@@ -372,14 +379,26 @@ class CompiledMultiplier:
         c1 = c if entries(2 * n, c) <= TABLE_BUDGET else 1
         c3 = c if entries(2 * n, c1) + entries(size, c) <= TABLE_BUDGET else 1
         self.widths = c1, c3
-        # v * m >> t packs bytes i .. i+w-1 of v, each below q, into byte i, k bits each
-        # (the w shifted copies of v share no bit, so nothing carries)
-        self._packs = tuple([(sum(1 << (8 - k) * s for s in range(w)), (8 - k) * (w - 1))
-                             for w in (c1, c3)])
         shifted = tuple([m << k for m in multiples] for multiples in T_y.columns)
-        self.step1_windows = windows(T_x.columns + shifted, c1)
-        self.step3_windows = windows(self.step3_columns, c3)
+        self.set_windows(windows(T_x.columns + shifted, c1), windows(self.step3_columns, c3))
         self._high = int.from_bytes(bytes([256 - q]) * 2 * n, "little")  # bits k..7 of 2n lanes
+        # byte i's x value, i mod q, and y value, (i >> k) mod q: the kernels' operands
+        self._halves = bytes(range(q)) * (256 // q), bytes(sorted([*range(q)] * q)) * (256 >> 2 * k)
+
+    step1_windows = property(lambda self: self._step1.tables, doc="the tables step 1 reads")
+    step3_windows = property(lambda self: self._step3.tables, doc="the tables step 3 reads")
+
+    def set_windows(self, step1_windows, step3_windows) -> None:
+        """Steps 1 and 3/4 as straight-line lookups in these windows, constants written in."""
+        n, size, k, (c1, c3) = self.spec.n, self.spec.size, self.spec.field.k, self.widths
+        pack = "({} * {} >> {}).to_bytes({}, 'little')[::{}]"  # an int, its packing, length, c
+        # step 1, one lookup per c1 coordinates of v; no place reads above its lanes
+        self._step1 = straight_line(step1_windows, pack.format("a", *packing(k, c1), 2 * n, c1),
+                                    f"(({{}}) & {256**size - 1:#x}).to_bytes({size}, 'little')")
+        # steps 3 and 4: every product is below q, so c3 of them pack into a byte like v's
+        index = pack.format("int.from_bytes(a, 'little')", *packing(k, c3), size, c3)
+        self._step3 = straight_line(step3_windows, index if c3 > 1 else "a",
+                                    f"tuple((({{}}) & {256**n - 1:#x}).to_bytes({n}, 'little'))")
 
     @property
     def place_degrees(self) -> list[int]:
@@ -401,10 +420,10 @@ class CompiledMultiplier:
 
     def multiply(self, x: Sequence[int], y: Sequence[int]):
         """Product of x and y in F_{q^n}, plus the exact operation report."""
-        spec, n, (c1, c3), ((m1, t1), (m3, t3)) = self.spec, self.spec.n, self.widths, self._packs
+        n = self.spec.n
         try:  # plain ints below 256 pass in C, and no bit from k up in a lane means below q
             v = int.from_bytes(bytes(xy := x + y), "little")
-            ok = {*map(type, xy)} <= {int, bool} and len(x) == len(y) == n and not v & self._high
+            ok = _PLAIN.issuperset(map(type, xy)) and len(x) == len(y) == n and not v & self._high
         except (TypeError, ValueError):
             ok = False
         if not ok:  # the exact checks, x's then y's: its length, then each coordinate
@@ -412,26 +431,16 @@ class CompiledMultiplier:
             for u in (x, y):
                 if len(u) != n:
                     raise ValueError(f"operand must have {n} coordinates, got {len(u)}")
-                checked += bytes(map(spec.field.check, u))
+                checked += bytes(map(self.spec.field.check, u))
             v = int.from_bytes(checked, "little")
-        size, low = spec.size, (1 << 8 * spec.size) - 1  # no place reads above the lanes
-        # step 1, one lookup per c1 coordinates; slot i's byte: x's value in bits 0..k-1, y's above
-        index = (v * m1 >> t1).to_bytes(2 * n, "little")[::c1]
-        w = reduce(xor, map(getitem, self.step1_windows, index)) & low
-        pairs = w.to_bytes(size, "little")
+        pairs = self._step1(v)  # slot i's byte: x's value in bits 0..k-1, y's above
         products = pairs.translate(self.step2_table)  # step 2 at every slot as if rational
         if self.plan.kernel_steps:  # degree 2 or 4: the kernel's product replaces the slots'
-            m, k = low // 255 * (spec.field.order - 1), spec.field.k  # bits 0..k-1 of each lane
-            xs, ys = (w & m).to_bytes(size, "little"), (w >> k & m).to_bytes(size, "little")
+            xs, ys = map(pairs.translate, self._halves)
             products = bytearray(products)
             for slots, _, ext, kernel in self.plan.kernel_steps:
                 products[slots] = kernel(ext, xs[slots], ys[slots])
-        if c3 > 1:  # every product is below q, so c3 of them pack into a byte like x ‖ y
-            p = int.from_bytes(products, "little") * m3 >> t3
-            products = p.to_bytes(size, "little")[::c3]
-        # steps 3 and 4, reading the windows here, as `verify` checks them
-        z = reduce(xor, map(getitem, self.step3_windows, products))
-        return tuple((z & ((1 << 8 * n) - 1)).to_bytes(n, "little")), self.report
+        return self._step3(products), self.report  # steps 3 and 4, in the windows `verify` checks
 
 
 def compile_instance(spec: InstanceSpec) -> CompiledMultiplier:

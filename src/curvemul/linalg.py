@@ -13,12 +13,13 @@ An elimination step costs O(k) big-int operations whatever the row length.
 first read, in byte lanes: lane i is byte i of an int, so a multiple is built
 by `bytes.translate` and read by `int.to_bytes`.  `mat_vec` is one lookup in
 it per column, XORed into one byte-lane vector; `windows` XORs such tables c
-columns at a time into the tables a product reads (Four Russians).
+columns at a time into the tables a product reads (Four Russians), and
+`straight_line` generates the function that reads them, one XOR expression.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from functools import reduce
 from operator import getitem, xor
 
@@ -163,6 +164,19 @@ def windows(columns: Sequence[Sequence[int]], c: int) -> tuple:
             table = [t ^ m for m in multiples for t in table]
         out.append(tuple(table))
     return tuple(out)
+
+
+def straight_line(tables: Sequence, index: str = "a", result: str = "{}") -> Callable:
+    """A generated function of `a`: `index` (an expression in a) unpacked into one local
+    per table, and `result` around `t0[i0] ^ t1[i1] ^ ...`; its `tables` is `tables`, the
+    globals of a fresh namespace that does not keep the function, so no cycle holds them."""
+    names = [f"i{j}" for j in range(len(tables))]
+    xored = " ^ ".join([f"t{j}[{i}]" for j, i in enumerate(names)])
+    namespace = {f"t{j}": t for j, t in enumerate(tables)}
+    exec(f"def f(a):\n {', '.join(names)}, = {index}\n return {result.format(xored)}\n", namespace)
+    f = namespace.pop("f")
+    f.tables = tables
+    return f
 
 
 def mat_vec(m: Matrix, v: Sequence[int]) -> list[int]:

@@ -465,10 +465,7 @@ def selftest(compiled: CompiledMultiplier, trials: int = 1000, seed: int = 42):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     wrong = _oracle_mismatches(compiled, _random_pairs(compiled.spec, trials, seed))
-    first = None
-    if wrong:
-        x, y, want, got = wrong[0]
-        first = (tuple(x), tuple(y), want, got)
+    first = next(((tuple(x), tuple(y), want, got) for x, y, want, got in wrong), None)
     return SelftestResult(trials, len(wrong), first)
 
 
@@ -482,12 +479,11 @@ def bench(compiled: CompiledMultiplier, reps: int = 50, seed: int = 7) -> BenchR
         raise ValueError("reps must be >= 1")
     pairs = list(_random_pairs(compiled.spec, reps, seed))
     times = []
-    report = None
     for x, y in pairs:
         start = time.perf_counter()
-        _, report = compiled.multiply(x, y)
+        compiled.multiply(x, y)
         times.append(time.perf_counter() - start)
-    return BenchResult(reps, statistics.median(times), statistics.fmean(times), report)
+    return BenchResult(reps, statistics.median(times), statistics.fmean(times), compiled.report)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
+import functools
+import gc
 import hashlib
 import itertools
+import json
+import operator
 import random
+import re
 from enum import IntEnum
 from fractions import Fraction
 
@@ -148,8 +153,8 @@ def test_multiply_runs_place_by_place(monkeypatch):
     # step 1 is one lookup per window of x ‖ y in `step1_windows`; then x's
     # and y's values are multiplied in each residue field, by the step-2 table
     # at a rational place and one kernel call at a place of degree 2 or 4,
-    # with no mat-vec and no componentwise product.  Steps 1 and 3 read their
-    # windows as they run, the tables `verify` checks
+    # with no mat-vec and no componentwise product.  Steps 1 and 3 read the
+    # windows their functions were generated from, the tables `verify` checks
     def banned(*args, **kwargs):
         raise AssertionError("multiply called a replay-only step")
 
@@ -176,10 +181,11 @@ def test_multiply_runs_place_by_place(monkeypatch):
             assert calls == [d for d in compiled.place_degrees if d > 1], name
         one = [1] + [0] * (spec.n - 1)
         assert compiled.multiply(one, one)[0] == tuple(one)
-        compiled.step1_windows = tuple((0,) * len(w) for w in c.step1_windows)
+        zeros1, zeros3 = (tuple((0,) * len(w) for w in t)
+                          for t in (c.step1_windows, c.step3_windows))
+        compiled.set_windows(zeros1, c.step3_windows)
         assert compiled.multiply(one, one)[0] == (0,) * spec.n, name
-        compiled.step1_windows = c.step1_windows
-        compiled.step3_windows = tuple((0,) * len(w) for w in c.step3_windows)
+        compiled.set_windows(c.step1_windows, zeros3)
         assert compiled.multiply(one, one)[0] == (0,) * spec.n, name
 
 
@@ -281,6 +287,100 @@ def test_windows_xor_their_digits_multiples():
         assert compiled.step1_windows == _windows_by_definition(
             compiled.x_columns + shifted, c1, k), name
         assert compiled.step3_windows == _windows_by_definition(compiled.step3_columns, c3, k)
+
+
+def test_straight_line_xors_one_entry_per_table(monkeypatch):
+    # for 1..40 seeded tables, the generated function is the XOR of one entry
+    # per table; an index one short or one long raises, never a shorter XOR;
+    # and its source holds only identifiers, ints and ^ [ ] , = ( ) :
+    sources = []
+    monkeypatch.setattr(linalg, "exec", lambda src, ns: sources.append(src) or exec(src, ns),
+                        raising=False)
+    rng = random.Random(28)
+    for count in range(1, 41):
+        tables = tuple(tuple(rng.randrange(1 << 64) for _ in range(rng.choice((2, 16, 256))))
+                       for _ in range(count))
+        f = linalg.straight_line(tables)
+        assert f.tables is tables
+        for _ in range(20):
+            index = [rng.randrange(len(t)) for t in tables]
+            assert f(index) == functools.reduce(operator.xor, map(operator.getitem, tables, index))
+            assert f(bytes(index)) == f(tuple(index)) == f(index)
+        for wrong in (index[:-1], index + [0]):
+            with pytest.raises(ValueError):
+                f(wrong)
+    assert len(sources) == 40
+    for src in sources:
+        assert re.fullmatch(r"[\w\s^\[\],=():]*", src), src
+
+
+def test_windows_are_the_tables_the_product_reads():
+    # `step1_windows` and `step3_windows` are the very tuples the generated
+    # steps read, so `verify`'s table check sees what `multiply` runs, also
+    # after `set_windows` regenerates them
+    for name in NAMES:
+        c = COMPILED[name]
+        assert c.step1_windows is c._step1.tables and c.step3_windows is c._step3.tables
+        frozen = engine.CompiledMultiplier(c.spec, c.places, c.T.packed, c.T_inv_top.packed)
+        tables = tuple(tuple(w) for w in c.step3_windows)
+        frozen.set_windows(c.step1_windows, tables)
+        assert frozen.step1_windows is c.step1_windows and frozen.step3_windows is tables
+        assert frozen._step3.tables is tables
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_packing_puts_c_digits_in_a_byte(k):
+    # (v * m >> t).to_bytes(L)[::c] against the shift-or form: byte i of the
+    # result ORs digits c*i + j of v (one per byte, below 2^k) at bits k*j,
+    # for every length L in 1..40 and c = 8 // k
+    c, rng = 8 // k, random.Random(k)
+    m, t = engine.packing(k, c)
+    for length in range(1, 41):
+        for _ in range(20):
+            digits = [rng.randrange(1 << k) for _ in range(length)]
+            v = int.from_bytes(bytes(digits), "little")
+            want = bytes(sum(d << k * j for j, d in enumerate(digits[i : i + c]))
+                         for i in range(0, length, c))
+            assert (v * m >> t).to_bytes(length, "little")[::c] == want, (k, length, digits)
+
+
+def test_generated_source_holds_no_instance_text(monkeypatch):
+    # place labels and the instance name rewritten to hold quotes and a
+    # newline: compile generates the same source, so no instance string
+    # reaches it
+    sources = []
+    monkeypatch.setattr(linalg, "exec", lambda src, ns: sources.append(src) or exec(src, ns),
+                        raising=False)
+    for name in NAMES:
+        doc = json.loads(tools.bundled_instance_path(name).read_text(encoding="utf-8"))
+        sources.clear()
+        compile_instance(tools.instance_from_document(doc, name))
+        plain = list(sources)
+        for i, place in enumerate(doc["places"]):
+            place["label"] = f"P{i}')\n\"\"\"\nraise SystemExit('{i}\""
+        sources.clear()
+        compiled = compile_instance(tools.instance_from_document(doc, "a'b\"\nc"))
+        assert "\n" in compiled.places[0].label
+        assert len(plain) == 2 and sources == plain, name
+
+
+def test_compile_and_multiply_leave_no_cyclic_garbage():
+    # the generated steps' namespaces do not hold the functions, so a dropped
+    # multiplier is freed by reference counting: no collection finds a cycle
+    gc.collect()
+    gc.disable()
+    try:
+        for name in NAMES:
+            spec = SPECS[name]
+            rng = random.Random(5)
+            for _ in range(5):
+                compiled = compile_instance(spec)
+                x, y = random_operand(rng, spec), random_operand(rng, spec)
+                assert compiled.multiply(x, y)[0] == reference_mul(spec.field, spec.q_modulus, x, y)
+        del compiled
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("budget, choices", [

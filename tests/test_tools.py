@@ -677,8 +677,8 @@ def _rewindowed(compiled):
     # the windows a product reads, rebuilt from the (corrupted) column tables
     k, (c1, c3) = compiled.spec.field.k, compiled.widths
     shifted = tuple(tuple(m << k for m in ms) for ms in compiled.y_columns)
-    compiled.step1_windows = linalg.windows(compiled.x_columns + shifted, c1)
-    compiled.step3_windows = linalg.windows(compiled.step3_columns, c3)
+    compiled.set_windows(linalg.windows(compiled.x_columns + shifted, c1),
+                         linalg.windows(compiled.step3_columns, c3))
     return compiled
 
 
@@ -694,13 +694,14 @@ def test_verify_instance_bilinear_certificate_names_a_wrong_window_entry(
     # is then no XOR of its digits' multiples, and the check names the step,
     # the window and the entry
     real = tools.compile_instance
-    attr = step.replace("-", "") + "_windows"
 
     def corrupted(spec):
         compiled = real(spec)
-        tables = [list(t) for t in getattr(compiled, attr)]
+        both = [compiled.step1_windows, compiled.step3_windows]
+        tables = [list(t) for t in both[step == "step-3"]]
         tables[w][i] ^= 1
-        setattr(compiled, attr, tuple(tuple(t) for t in tables))
+        both[step == "step-3"] = tuple(tuple(t) for t in tables)
+        compiled.set_windows(*both)
         return compiled
 
     monkeypatch.setattr(tools, "compile_instance", corrupted)

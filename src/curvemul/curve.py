@@ -8,7 +8,7 @@ presented by the branch value y(infinity) in {0, 1} of y's expansion in the
 local parameter s = 1/x (`branch_series`).
 
 `PlaceEvaluator` evaluates a whole family of functions (a basis), packed
-once in GF(2^k) lanes (`PackedFamily`), at one place, and every place takes
+once in byte lanes (`PackedFamily`), at one place, and every place takes
 one path: numerator lane vectors, then one inverse per distinct
 denominator, taken only when a value is asked for.  At an affine place of
 degree d the numerators come from one Horner pass over the x-image, on
@@ -196,10 +196,10 @@ def branch_series(curve: Curve, branch_y0: int, prec: int) -> list[int]:
 
 class PackedPolys:
     """Polynomials over one field packed as lane columns (`galois.Lanes`):
-    lane i holds polynomial i, column j the coefficients of x^j.  Packing
-    does not depend on the point, so one packing serves every place; it
-    keeps what places share, the columns folded for each residue field size
-    and the Horner pass at each x-image, for as long as it lives."""
+    lane i (byte i) holds polynomial i, column j the coefficients of x^j.
+    Packing does not depend on the point, so one packing serves every place;
+    it keeps what places share, the columns folded for each residue field
+    size and the Horner pass at each x-image, for as long as it lives."""
 
     __slots__ = ("lanes", "columns", "_folded", "_passes")
 
@@ -241,8 +241,7 @@ class PackedPolys:
 
     def lane(self, vectors: Sequence[int], j: int) -> tuple:
         """Lane j of coordinate lane vectors: the j-th polynomial's value."""
-        k, mask = self.lanes.field.k, self.lanes.field.order - 1
-        return tuple([(a >> (k * j)) & mask for a in vectors])
+        return tuple([(a >> 8 * j) & 255 for a in vectors])
 
 
 class PackedFamily(PackedPolys):
@@ -273,10 +272,7 @@ class PackedFamily(PackedPolys):
         by_den: dict = {}
         for j, f in enumerate(self.functions):
             by_den.setdefault(f.den, []).append(j)
-        k, lane = curve.field.k, curve.field.order - 1
-        self.dens = [
-            (idx, sum([lane << (k * j) for j in idx])) for idx in by_den.values()
-        ]
+        self.dens = [(idx, sum([255 << 8 * j for j in idx])) for idx in by_den.values()]
 
     def check(self, place) -> tuple[bool, Sequence[bool]]:
         """Whether the place lies on the curve, and for each support whether
@@ -338,7 +334,7 @@ class PlaceEvaluator:
         self._family = family
         self._rows = None
         self._poles: set = set()
-        width = family.lanes.field.k * len(family.functions)
+        width = 8 * len(family.functions)
         block = (1 << width) - 1  # the F lanes of one of the ay, b, den blocks
         lanes, lane = family.lanes, family.lane
         if isinstance(place, AffinePlace):

@@ -10,20 +10,20 @@ by the place's degree, until rank(T) = 2n+g-1; it then freezes the
 straight-line schedule together with its operation report, which is read off
 the shapes of what it schedules.
 
-Set-up runs on packed GF(2^k) lanes (`galois.Lanes`) and does each piece of
-work once.  Validation is one ordered list of rules (`InstanceSpec.checks`),
-the only place that knows them: the constructor raises the first that fails
-and `tools.verify_instance` reports them all.  The rules linear in the data
-run first; then Rabin's test on Q's and the candidates' residue moduli; then
-the basis, rhs_num, rhs_den, D1 and D2 are packed once (`family`) and one
-folded Horner pass runs per x-image, which the place checks, the good-basis
-check and compilation read.  Q's ladder is checked without a division, as
-ay(t)*beta + b(t) = t^s * den(t).  Each candidate is evaluated at most once
-(`curve.PlaceEvaluator`: one inverse per distinct denominator), and its
-packed rows go straight into the one elimination (`linalg.RowBasis`) that
-selects the places, certifies T and yields T^-1; the accepted rows are T's
-packed rows, T_x and T_y are lane slices of them, and no matrix compile
-builds checks its entries.
+Set-up runs on byte lanes (`galois.Lanes`), as the product does, and does
+each piece of work once.  Validation is one ordered list of rules
+(`InstanceSpec.checks`), the only place that knows them: the constructor
+raises the first that fails and `tools.verify_instance` reports them all.
+The rules linear in the data run first; then Rabin's test on Q's and the
+candidates' residue moduli; then the basis, rhs_num, rhs_den, D1 and D2 are
+packed once (`family`) and one folded Horner pass runs per x-image, which
+the place checks, the good-basis check and compilation read.  Q's ladder is
+checked without a division, as ay(t)*beta + b(t) = t^s * den(t).  Each
+candidate is evaluated at most once (`curve.PlaceEvaluator`: one inverse per
+distinct denominator), and its packed rows go straight into the one
+elimination (`linalg.RowBasis`) that selects the places, certifies T and
+yields T^-1; the accepted rows are T's packed rows, T_x and T_y are lane
+slices of them, and no matrix compile builds checks its entries.
 
 One product of x, y in F_{q^n} (length-n coordinate tuples over F_q) runs
 in byte lanes, lane i byte i of an int.  Steps 1 and 3/4 are functions generated
@@ -355,9 +355,9 @@ class CompiledMultiplier:
         self.T_inv_top = top = Matrix(field, size, inverse_rows[: 2 * n - 1])
         # the one place that fixes how operands embed (see the module docstring): x on
         # lanes 0..n-1 of each row, y on lane 0 and lanes n..2n-2 moved down to 1..n-1
-        k, mask, low = field.k, field.order - 1, (1 << (field.k * n)) - 1
+        k, mask, low = field.k, field.order - 1, (1 << 8 * n) - 1
         self.T_x = T_x = Matrix(field, n, [r & low for r in rows])
-        self.T_y = T_y = Matrix(field, n, [(r & mask) ^ (((r >> k * n) << k) & low) for r in rows])
+        self.T_y = T_y = Matrix(field, n, [(r & 255) ^ (((r >> 8 * n) << 8) & low) for r in rows])
         self.plan = plan = KernelPlan(field, [p.residue if p.degree > 1 else None for p in places])
         # the paper's count: one multiplication per entry of the three matrices
         # (step 3's looked up below) and the plan's kernels, whatever the values

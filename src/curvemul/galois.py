@@ -16,12 +16,13 @@ Representation conventions, used throughout the package:
   through rows fixed per residue field instead (`ExtField.fold_rows`).
 * An element of an extension GF(q^d) = F_q[t]/(m) is a length-``d`` tuple of
   base-field ints: coordinates in the basis (1, t, ..., t**(d-1)).
-* A lane vector (`Lanes`) packs many elements of GF(2^k) into one int, k bits
-  per lane, so that scaling all of them by one constant is O(k) big-int
-  operations instead of one `mul` per element.  All of set-up runs on these:
-  Rabin's irreducibility test (an element of F_q[x]/(p) is one lane vector),
-  the candidate checks and place evaluation (polynomials evaluated together
-  in one Horner pass), and row reduction.
+* A lane vector (`Lanes`) packs many elements of GF(2^k) into one int, one
+  per byte, so that scaling all of them by one constant is one
+  `bytes.translate` instead of one `mul` per element.  All of set-up runs on
+  these: Rabin's irreducibility test (an element of F_q[x]/(p) is one lane
+  vector), the candidate checks and place evaluation (polynomials evaluated
+  together in one Horner pass), and row reduction; the product reads the
+  same byte lanes.
 
 The module-level fields `F2`, `F4` (w^2+w+1) and `F16` (w^4+w+1) cover every
 base field the bundled multiplier instances use.
@@ -30,11 +31,13 @@ base field the bundled multiplier instances use.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from functools import reduce
+from operator import getitem, xor
 
 Poly = tuple  # tuple of base-field ints, little-endian, no trailing zeros
 ZERO_POLY: Poly = ()
 NEG_INF = float("-inf")
-MAX_K = 8  # largest base-field degree: a product table of at most 2^16 entries
+MAX_K = 8  # largest base-field degree: one element per byte, a product table of 2^16 entries
 
 
 class BinaryField:
@@ -42,13 +45,11 @@ class BinaryField:
 
     ``modulus`` is the defining polynomial as a bitmask (bit i = coeff of w^i),
     monic of degree k and irreducible over F_2.  The q*q product table
-    (``table[a][b]`` is a * b) is built once here, and the inverse table is
-    read off it, so `mul` and `inv` are lookups; that is what caps k.
+    (``table[a][b]`` is a * b) is built once here, and the inverse table and
+    `rows` are read off it, so `mul` and `inv` are lookups; that is what caps k.
     """
 
-    __slots__ = (
-        "k", "modulus", "order", "table", "_inverses", "_lane_bits", "_bit_products", "_hash"
-    )
+    __slots__ = ("k", "modulus", "order", "table", "rows", "_inverses", "_hash")
 
     def __init__(self, k: int, modulus: int):
         if not 1 <= k <= MAX_K:
@@ -77,13 +78,8 @@ class BinaryField:
         self.table = tuple(table)
         # every nonzero row of the table holds exactly one 1; entry 0 is unused
         self._inverses = (0,) + tuple(row.index(1) for row in self.table[1:])
-        # for `Lanes`: each element as k binary digits, and row c of the
-        # table at the powers w^i, i < k (what bit i of a lane adds to the
-        # lane's product by c)
-        self._lane_bits = tuple([format(v, f"0{k}b") for v in range(self.order)])
-        self._bit_products = tuple(
-            [tuple([row[1 << i] for i in range(k)]) for row in self.table]
-        )
+        # for `Lanes`: row c as a `bytes.translate` table, byte v to c * v, 0 from q on
+        self.rows = tuple([bytes(row).ljust(256, b"\0") for row in self.table])
 
     def check(self, v: int) -> int:
         """Validate a raw int as an element of this field and return it."""
@@ -112,55 +108,40 @@ class BinaryField:
 
 class Lanes:
     """Vectors of up to `count` elements of one BinaryField packed into one
-    int, k bits per lane: lane i holds bits k*i .. k*i+k-1, lane 0 lowest.
+    int, one per byte: lane i is byte i, lane 0 lowest.
 
     Addition is XOR of the ints.  `scale` multiplies every lane by one
-    constant c without a loop over the lanes: bit i of a lane contributes
-    c * w^i (already reduced by the modulus, so below 2^k) to that lane's
-    product, so the product is the XOR over i < k of the 0/1 plane of bit i,
-    shifted down to bit 0 of each lane, times the int c * w^i; no product
-    carries out of its lane.  `multiples` builds a vector's q multiples from
-    k scales, for Rabin's test.  Values are taken on trust, as by `BinaryField.mul`.
+    constant c in one `bytes.translate` through the field's row c (`rows`),
+    and `multiples` builds a vector's q multiples as q of them.  Values are
+    taken on trust, as by `BinaryField.mul`.
     """
 
-    __slots__ = ("field", "count", "_full", "_ones", "_mask", "_bits", "_times")
+    __slots__ = ("field", "count", "_full")
 
     def __init__(self, field: BinaryField, count: int):
         self.field = field
         self.count = count
-        self._mask = field.order - 1
-        self._full = (1 << (field.k * count)) - 1  # lanes 0..count-1
-        self._ones = self._full // self._mask  # bit 0 of every lane
-        self._bits = field._lane_bits
-        self._times = field._bit_products
+        self._full = (1 << 8 * count) - 1  # lanes 0..count-1
 
     def pack(self, values: Sequence[int]) -> int:
         """The lane vector holding values[i] in lane i."""
-        bits = self._bits
-        return int("".join([bits[v] for v in reversed(values)]) or "0", 2)
+        return int.from_bytes(bytes(values), "little")
 
     def unpack(self, v: int, count: int) -> list[int]:
         """Lanes 0 .. count-1 of v."""
-        k, mask = self.field.k, self._mask
-        return [(v >> s) & mask for s in range(0, k * count, k)]
+        return list((v & (1 << 8 * count) - 1).to_bytes(count, "little"))
 
     def scale(self, c: int, v: int) -> int:
         """Lanes 0..count-1 of v, each times the constant c."""
         if c < 2:
             return v & self._full if c else 0
-        ones = self._ones
-        acc = 0
-        for i, t in enumerate(self._times[c]):
-            acc ^= ((v >> i) & ones) * t
-        return acc
+        lanes = (v & self._full).to_bytes(self.count, "little")
+        return int.from_bytes(lanes.translate(self.field.rows[c]), "little")
 
     def multiples(self, v: int) -> list[int]:
-        """Entry c is `scale(c, v)`: k scales by the w^i, one XOR per entry."""
-        out = [0]
-        for i in range(self.field.k):
-            step = self.scale(1 << i, v)
-            out += [m ^ step for m in out]
-        return out
+        """Entry c is `scale(c, v)`: one `translate` per row of the field."""
+        lanes = (v & self._full).to_bytes(self.count, "little")
+        return [int.from_bytes(lanes.translate(row), "little") for row in self.field.rows]
 
     def apply(
         self, linear_map: Sequence[Sequence[tuple]], vectors: Sequence[int]
@@ -169,25 +150,21 @@ class Lanes:
         (r, c) in linear_map[s]: a fixed d x d matrix over the field, given
         by its nonzero entries column by column (see `ExtField.mul_map`),
         applied to d coordinate vectors at once.  Entries 1 cost one XOR,
-        and each vector is cut into its bit planes once for all its rows."""
+        and each vector is cut into bytes once for all its rows."""
         if len(linear_map) == 1:  # degree 1, most places: one scale
             (column,) = linear_map
             return [self.scale(column[0][1], vectors[0]) if column else 0]
-        ones, times = self._ones, self._times
-        shifts = range(self.field.k)
+        rows, count = self.field.rows, self.count
         out = [0] * len(linear_map)
         for column, v in zip(linear_map, vectors):
-            planes = None
+            lanes = None
             for r, c in column:
                 if c == 1:
                     out[r] ^= v
                     continue
-                if planes is None:
-                    planes = [(v >> i) & ones for i in shifts]
-                acc = out[r]
-                for p, t in zip(planes, times[c]):
-                    acc ^= p * t
-                out[r] = acc
+                if lanes is None:
+                    lanes = v.to_bytes(count, "little")
+                out[r] ^= int.from_bytes(lanes.translate(rows[c]), "little")
         return out
 
 
@@ -301,9 +278,9 @@ def is_irreducible(field: BinaryField, p: Poly) -> bool:
     lanes (`Lanes`), lane j the coefficient of x^j.  The q-power map is
     F_q-linear with columns x^(qj) mod p (Berlekamp's Q-matrix), built by
     multiplying by x: a shift by one lane, folding the top lane c back in as
-    c * (x^m mod p), read off `Lanes.multiples`.  Over GF(2) the map is k*m
-    rows, bit i of lane j going to w^i * x^(qj); applying it XORs the rows
-    of the set bits, and m applications to x give every x^(q^i) mod p.
+    c * (x^m mod p), read off `Lanes.multiples`.  Each column's multiples
+    make applying the map m lookups, lane j's value into column j's, XORed,
+    and m applications to x give every x^(q^i) mod p.
 
     Non-monic or constant input is rejected as a usage error.
     """
@@ -312,27 +289,22 @@ def is_irreducible(field: BinaryField, p: Poly) -> bool:
     m = len(p) - 1
     if m == 1:
         return True
-    k = field.k
     lanes = Lanes(field, m)
-    width = k * m
+    width = 8 * m
     full = (1 << width) - 1
     # c * (x^m mod p) for every c; x^m = p_0 + ... + p_(m-1) x^(m-1), char 2
     fold = lanes.multiples(lanes.pack(p[:-1]))
-    columns = [1]
+    columns = [lanes.multiples(1)]
     v = 1
     for _ in range(m - 1):
         for _ in range(field.order):
-            v <<= k
+            v <<= 8
             v = (v & full) ^ fold[v >> width]
-        columns.append(v)
-    rows = [lanes.scale(1 << i, col) for col in columns for i in range(k)]
+        columns.append(lanes.multiples(v))
     gcd_steps = {m // r for r in _prime_factors(m)}
-    x = v = 1 << k  # x itself: 1 in lane 1
+    x = v = 1 << 8  # x itself: 1 in lane 1
     for i in range(1, m + 1):
-        bits, v = reversed(f"{v:0{width}b}"), 0
-        for row, bit in zip(rows, bits):
-            if bit == "1":
-                v ^= row
+        v = reduce(xor, map(getitem, columns, v.to_bytes(m, "little")))
         if i in gcd_steps:
             xi = poly_from_coeffs(field, lanes.unpack(v ^ x, m))
             if poly_gcd(field, xi, p) != (1,):

@@ -1,20 +1,21 @@
 """Dense linear algebra over a binary field: rank, inverse, matrix-vector.
 
-A `Matrix` is immutable and has one constructor, from rows packed into
-GF(2^k) lanes (`galois.Lanes`); it keeps them and the row-major tuple of
-field ints read off them, both fixed at construction.  Every matrix comes
-from field arithmetic, so no entry is checked.  `RowBasis` is the one
-elimination routine: it takes packed rows a block at a time, keeps only
-blocks that raise the rank by their size, and reads the inverse off the row
-combinations it records; `rank` and `invert` feed it a matrix's packed rows.
-An elimination step costs O(k) big-int operations whatever the row length.
+A `Matrix` is immutable and has one constructor, from rows packed in byte
+lanes (`galois.Lanes`, lane i byte i of an int); it keeps them and the
+row-major tuple of field ints read off them, both fixed at construction.
+Every matrix comes from field arithmetic, so no entry is checked.
+`RowBasis` is the one elimination routine: it takes packed rows a block at
+a time, keeps only blocks that raise the rank by their size, and reads the
+inverse off the row combinations it records; `rank` and `invert` feed it a
+matrix's packed rows.  An elimination step is one lane scale (a
+`bytes.translate`) and one XOR, whatever the row length.
 
-`Matrix.columns` is the package's one table of column multiples, built on
-first read, in byte lanes: lane i is byte i of an int, so a multiple is built
-by `bytes.translate` and read by `int.to_bytes`.  `mat_vec` is one lookup in
-it per column, XORed into one byte-lane vector; `windows` XORs such tables c
-columns at a time into the tables a product reads (Four Russians), and
-`straight_line` generates the function that reads them, one XOR expression.
+`Matrix.columns` is the table of column multiples, built on first read as
+`Lanes.multiples` of the packed transpose, cut into columns; a multiple is
+read by `int.to_bytes`.  `mat_vec` is one lookup in it per column, XORed
+into one byte-lane vector; `windows` XORs such tables c columns at a time
+into the tables a product reads (Four Russians), and `straight_line`
+generates the function that reads them, one XOR expression.
 """
 
 from __future__ import annotations
@@ -42,19 +43,18 @@ class Matrix:
         self.rows = len(packed)
         self.cols = cols
         self.packed = tuple(packed)
-        mask, shifts = field.order - 1, range(0, field.k * cols, field.k)
-        self.entries = tuple([(r >> s) & mask for r in self.packed for s in shifts])
+        self.entries = tuple(b"".join([r.to_bytes(cols, "little") for r in self.packed]))
         self._columns = None
 
     @property
     def columns(self) -> tuple:
-        """Entry [j][a] is a times column j, in `rows` byte lanes: the transpose's q
-        multiples are q `translate` calls through the field's product table rows, each cut up."""
+        """Entry [j][a] is a times column j, in `rows` lanes: `Lanes.multiples` of the
+        transpose, column j in lanes rows*j onwards, each multiple cut up."""
         if self._columns is None:
             rows, cols, low = self.rows, self.cols, (1 << 8 * self.rows) - 1
-            transpose = bytes([v for j in range(cols) for v in self.entries[j::cols]])
-            scaled = [int.from_bytes(transpose.translate(bytes(row).ljust(256, b"\0")), "little")
-                      for row in self.field.table]
+            lanes = Lanes(self.field, rows * cols)
+            transpose = lanes.pack([v for j in range(cols) for v in self.entries[j::cols]])
+            scaled = lanes.multiples(transpose)
             self._columns = tuple(tuple([(v >> 8 * rows * j) & low for v in scaled])
                                   for j in range(cols))
         return self._columns
@@ -74,8 +74,8 @@ class RowBasis:
     Each row is one packed int (`galois.Lanes`): its `cols` reduced entries
     in lanes 0..cols-1, then its combination weights.  An elimination step
     is one lane scale and one XOR, and a row's pivot is its lowest nonzero
-    entry lane.  `add_packed` takes rows in that layout, as place evaluation
-    gives them and as `Matrix` keeps them.
+    entry lane, at a byte boundary.  `add_packed` takes rows in that layout,
+    as place evaluation gives them and as `Matrix` keeps them.
     """
 
     __slots__ = ("field", "cols", "_lanes", "_entries", "_pivots", "_rows")
@@ -84,7 +84,7 @@ class RowBasis:
         self.field = field
         self.cols = cols
         self._lanes = Lanes(field, 2 * cols)
-        self._entries = (1 << (field.k * cols)) - 1  # the entry lanes
+        self._entries = (1 << 8 * cols) - 1  # the entry lanes
         self._pivots: list[int] = []  # bit offset of each row's pivot lane
         self._rows: list[int] = []
 
@@ -99,25 +99,24 @@ class RowBasis:
         cols = self.cols
         if self.rank + len(block) > cols:
             return False
-        k, lane = self.field.k, self.field.order - 1
         inv, scale = self.field.inv, self._lanes.scale
         # ints are immutable and the lists are copies, so a rejected block
         # leaves the committed basis untouched
         pivots, rows = list(self._pivots), list(self._rows)
         for v in block:
-            v |= 1 << (k * (cols + len(rows)))
+            v |= 1 << 8 * (cols + len(rows))
             for p, r in zip(pivots, rows):
-                c = (v >> p) & lane
+                c = (v >> p) & 255
                 if c:
                     v ^= scale(c, r)
             low = v & self._entries
             if not low:
                 return False
             p = (low & -low).bit_length() - 1
-            p -= p % k
-            v = scale(inv((v >> p) & lane), v)
+            p &= -8  # the pivot lane's lowest bit
+            v = scale(inv((v >> p) & 255), v)
             for i, r in enumerate(rows):
-                c = (r >> p) & lane
+                c = (r >> p) & 255
                 if c:
                     rows[i] = r ^ scale(c, v)
             pivots.append(p)
@@ -130,8 +129,7 @@ class RowBasis:
         cols = self.cols
         if self.rank < cols:
             raise SingularMatrixError(f"matrix is singular (rank {self.rank} of {cols})")
-        shift = self.field.k * cols
-        return [r >> shift for _, r in sorted(zip(self._pivots, self._rows))]
+        return [r >> 8 * cols for _, r in sorted(zip(self._pivots, self._rows))]
 
 
 def _row_basis(m: Matrix) -> RowBasis:

@@ -224,11 +224,11 @@ def test_column_tables_take_one_pass_over_the_product_table_each(monkeypatch):
     # freezing the multiplier builds three tables of column multiples
     # (`Matrix.columns`), of T_x, T_y and T_inv_top, and not T's; step 4 is
     # folded into each multiple of T_inv_top's.  Each table packs its
-    # transpose as one bytes object and builds its q multiples as q
-    # `translate` calls, one pass over the rows of the field's product table:
-    # no lane scale and no field.mul, and no pass per column or per a.  The
-    # windows are XORs of those multiples, with no pass of their own
-    passes = []
+    # transpose as one lane vector and takes its q multiples from one
+    # `Lanes.multiples`, one `translate` per row of the field's product table
+    # (`field.rows`): no lane scale and no field.mul, and no pass per column
+    # or per a.  The windows are XORs of those multiples, with no pass of their own
+    passes, built = [], []
 
     class Rows(tuple):
         def __iter__(self):
@@ -238,21 +238,30 @@ def test_column_tables_take_one_pass_over_the_product_table_each(monkeypatch):
     def banned(*args):
         raise AssertionError("per-entry arithmetic while freezing the multiplier")
 
+    def multiples(lanes, v):
+        built.append(lanes.count)
+        return real_multiples(lanes, v)
+
+    real_multiples = Lanes.multiples
     monkeypatch.setattr(Lanes, "scale", banned)
-    monkeypatch.setattr(Lanes, "multiples", banned)
+    monkeypatch.setattr(Lanes, "multiples", multiples)
     monkeypatch.setattr(BinaryField, "mul", banned)
     for name in NAMES:
         c, field = COMPILED[name], SPECS[name].field
-        monkeypatch.setattr(field, "table", Rows(field.table))
+        monkeypatch.setattr(field, "rows", Rows(field.rows))
         passes.clear()
+        built.clear()
         frozen = engine.CompiledMultiplier(c.spec, c.places, c.T.packed, c.T_inv_top.packed)
         assert passes == [field.order] * 3, name
+        # one transpose each, of T_x, T_y and T_inv_top in turn, none of T's size
+        tables = (frozen.T_x, frozen.T_y, frozen.T_inv_top)
+        assert built == [m.rows * m.cols for m in tables], name
         assert frozen.step3_columns == c.step3_columns
         assert frozen.x_columns == c.x_columns and frozen.y_columns == c.y_columns
         assert frozen.step1_windows == c.step1_windows
         assert frozen.step3_windows == c.step3_windows
         assert frozen.T._columns is None, name
-        for m in (frozen.T_x, frozen.T_y, frozen.T_inv_top):
+        for m in tables:
             assert m._columns is not None, name
 
 
@@ -514,7 +523,7 @@ def test_operands_embed_on_the_columns_of_t():
         for m in (T, c.T_x, c.T_y, c.T_inv_top):
             lanes = Lanes(m.field, m.cols)
             assert [v for r in m.packed for v in lanes.unpack(r, m.cols)] == list(m.entries)
-            assert all(r >> (m.field.k * m.cols) == 0 for r in m.packed), name
+            assert all(r >> 8 * m.cols == 0 for r in m.packed), name
 
 
 def horner(res, f, z):

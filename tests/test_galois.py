@@ -128,9 +128,10 @@ def test_fe_inv():
             field.inv(0)
 
 
+F8 = BinaryField(3, 0b1011)  # w^3+w+1
 F256 = BinaryField(8, 0b100011011)  # w^8+w^4+w^3+w+1
 LANE_FIELDS = pytest.mark.parametrize(
-    "field", [F2, F4, F16, F256], ids=lambda f: f"F{f.order}"
+    "field", [F2, F4, F8, F16, F256], ids=lambda f: f"F{f.order}"
 )
 
 
@@ -154,13 +155,15 @@ def test_lane_scale_exhaustive(field):
 @LANE_FIELDS
 def test_lane_scale_keeps_count_lanes_for_every_constant(field):
     # the result has `count` lanes whatever c is, also at c = 0 and c = 1
-    assert Lanes(F4, 2).scale(1, 1 << 8) == 0
+    assert Lanes(F4, 2).scale(1, 1 << 16) == 0
     rng = random.Random(field.k)
     lanes = Lanes(field, 3)
-    full = (1 << (field.k * 3)) - 1
+    full = (1 << 8 * 3) - 1
     for _ in range(10):
-        v = rng.getrandbits(field.k * 3) | rng.getrandbits(field.k * 4) << (field.k * 3)
-        assert v > full  # high lanes set
+        low = [rng.randrange(field.order) for _ in range(3)]
+        high = [rng.randrange(1, field.order) for _ in range(4)]
+        v = int.from_bytes(bytes(low + high), "little")
+        assert v > full  # high lanes set, from byte 3 up, each below q
         for c in range(field.order):
             assert lanes.scale(c, v) == lanes.scale(c, v & full), c
         # the table of multiples is the scales themselves, entry by entry
@@ -170,16 +173,16 @@ def test_lane_scale_keeps_count_lanes_for_every_constant(field):
 @LANE_FIELDS
 def test_lane_pack_round_trip(field):
     rng = random.Random(field.k)
-    k = field.k
     for count in (0, 1, 2, 7, 40):
         lanes = Lanes(field, count)
         for _ in range(20):
             values = [rng.randrange(field.order) for _ in range(count)]
             packed = lanes.pack(values)
-            assert packed < 1 << (k * count)
+            assert packed < 1 << 8 * count
             assert lanes.unpack(packed, count) == values
             assert lanes.unpack(packed, min(count, 3)) == values[:3]
-            raw = rng.getrandbits(k * count) if count else 0
+            raw = int.from_bytes(bytes([rng.randrange(field.order) for _ in range(count)]),
+                                 "little")
             assert lanes.pack(lanes.unpack(raw, count)) == raw
 
 
@@ -191,8 +194,10 @@ def test_lane_pack_round_trip(field):
         (F16, (8, 1, 1)),
         (F16, (9, 12, 5, 14, 4, 11, 0, 11, 15, 1, 14, 6, 12, 1)),  # f16_13's Q
         (F256, (2, 1)),
+        (F8, (1, 1, 1)),
+        (F256, (32, 1, 1)),
     ],
-    ids=["F2-deg4", "F4-deg3", "F16-deg2", "F16-deg13", "F256-deg1"],
+    ids=["F2-deg4", "F4-deg3", "F16-deg2", "F16-deg13", "F256-deg1", "F8-deg2", "F256-deg2"],
 )
 def test_lane_apply_matches_ext_mul(base, modulus):
     ext = ExtField(base, modulus)
@@ -306,7 +311,9 @@ def mobius(n):
     return -out if n > 1 else out
 
 
-@pytest.mark.parametrize("field, top", [(F2, 8), (F4, 4), (F16, 2)], ids=["F2", "F4", "F16"])
+@pytest.mark.parametrize(
+    "field, top", [(F2, 8), (F4, 4), (F8, 3), (F16, 2)], ids=["F2", "F4", "F8", "F16"]
+)
 def test_is_irreducible_counts_match_necklace_formula(field, top):
     # monic irreducibles of degree m over F_q: (1/m) sum_{d | m} mu(d) q^(m/d)
     q = field.order
@@ -353,7 +360,9 @@ def tuple_rabin(field, p):
     return v == [0, 1] + [0] * (m - 2)
 
 
-@pytest.mark.parametrize("field, top", [(F2, 9), (F4, 5), (F16, 3)], ids=["F2", "F4", "F16"])
+@pytest.mark.parametrize(
+    "field, top", [(F2, 9), (F4, 5), (F8, 3), (F16, 3)], ids=["F2", "F4", "F8", "F16"]
+)
 def test_is_irreducible_matches_tuple_reference(field, top):
     for m in range(1, top + 1):
         for low in itertools.product(range(field.order), repeat=m):

@@ -35,10 +35,10 @@ index packed c coordinates to a byte; `TABLE_BUDGET` sets c (8 // k or 1).
    coordinates of x ‖ y (y's multiples k bits up): 2n(2n+g-1) products by
    constants in all by the paper's convention;
 2. at each place, the product of the two values in its residue field — the
-   only bilinear step, costing the kernel's 1, 3 or 9: one `translate` of all
-   slots' bytes (x's value in the low k bits, y's in the next k), then the
-   kernel of each place of degree 2 or 4 over its slots, folding reduction in
-   through product-table rows fixed per residue field, so never counted;
+   only bilinear step, costing the kernel's 1, 3 or 9 — by `KernelPlan`: one
+   `translate` of all slots' bytes (x's value in the low k bits, y's in the
+   next k) through its table, then its kernels at the places of degree 2 or 4,
+   folding reduction in through fixed product-table rows, so never counted;
 3. the columns of the first 2n-1 rows of inverse(T) applied to the products —
    (2n-1)(2n+g-1) multiplications in all by the paper's convention;
 4. an addition-only recombination of the 2n-1 interpolation coordinates
@@ -76,7 +76,7 @@ from .galois import (
     poly_mod,
     poly_mul,
 )
-from .kernels import KERNEL_COST, KernelPlan
+from .kernels import KERNEL_COST, PAIR_K, KernelPlan
 from .linalg import Matrix, RowBasis, straight_line, windows
 
 TABLE_BUDGET = 4096  # window entries a multiplier stores for steps 1 and 3 together
@@ -338,14 +338,13 @@ class CompiledMultiplier:
     """Frozen straight-line multiplier for one instance: every table a product
     reads, and its report, built from the selected places and T's and T^-1's rows.
     Step 1 is generated from `step1_windows`, of `x_columns` and `y_columns`; step 2
-    reads `step2_table`, whose entry a | b << k is a * b, and `plan.kernel_steps`;
+    is `plan`'s (`KernelPlan.table`, whose entry a | b << k is a * b, and its kernels);
     steps 3 and 4 are generated from `step3_windows`, of `step3_columns` (`T_inv_top`'s,
     step 4 folded in).  `set_windows` generates both, and each `*_windows` is the very
     tables its function reads; `widths` holds each step's c; all is in byte lanes."""
 
     __slots__ = ("spec", "places", "T", "T_x", "T_y", "T_inv_top", "plan", "report",
-                 "x_columns", "y_columns", "step3_columns", "step2_table", "widths",
-                 "_step1", "_step3", "_high", "_halves")
+                 "x_columns", "y_columns", "step3_columns", "widths", "_step1", "_step3", "_high")
 
     def __init__(self, spec, places, rows, inverse_rows):
         field, n, size = spec.field, spec.n, spec.size
@@ -355,7 +354,7 @@ class CompiledMultiplier:
         self.T_inv_top = top = Matrix(field, size, inverse_rows[: 2 * n - 1])
         # the one place that fixes how operands embed (see the module docstring): x on
         # lanes 0..n-1 of each row, y on lane 0 and lanes n..2n-2 moved down to 1..n-1
-        k, mask, low = field.k, field.order - 1, (1 << 8 * n) - 1
+        k, low = field.k, (1 << 8 * n) - 1
         self.T_x = T_x = Matrix(field, n, [r & low for r in rows])
         self.T_y = T_y = Matrix(field, n, [(r & 255) ^ (((r >> 8 * n) << 8) & low) for r in rows])
         self.plan = plan = KernelPlan(field, [p.residue if p.degree > 1 else None for p in places])
@@ -370,9 +369,6 @@ class CompiledMultiplier:
         # step 4 folded into each multiple of step 3: byte n+i-1 XORed into byte i, 0 < i < n
         self.step3_columns = tuple(tuple([(w ^ ((w >> 8 * n) << 8)) & ((1 << 8 * n) - 1)
                                           for w in multiples]) for multiples in top.columns)
-        # step 2 at a rational place: entry a | b << k is a * b (k <= 4), the rest 0
-        self.step2_table = bytes([field.table[i & mask][i >> k]
-                                  for i in range(field.order**2)]).ljust(256, b"\0")
         # step 1's windows: x's columns then y's k bits up, so lookups XOR to step 2's pairs
         c, q = 8 // k, field.order
         entries = lambda m, w: sum(q ** min(w, m - i) for i in range(0, m, w))  # noqa: E731
@@ -382,8 +378,6 @@ class CompiledMultiplier:
         shifted = tuple([m << k for m in multiples] for multiples in T_y.columns)
         self.set_windows(windows(T_x.columns + shifted, c1), windows(self.step3_columns, c3))
         self._high = int.from_bytes(bytes([256 - q]) * 2 * n, "little")  # bits k..7 of 2n lanes
-        # byte i's x value, i mod q, and y value, (i >> k) mod q: the kernels' operands
-        self._halves = bytes(range(q)) * (256 // q), bytes(sorted([*range(q)] * q)) * (256 >> 2 * k)
 
     step1_windows = property(lambda self: self._step1.tables, doc="the tables step 1 reads")
     step3_windows = property(lambda self: self._step3.tables, doc="the tables step 3 reads")
@@ -433,13 +427,10 @@ class CompiledMultiplier:
                     raise ValueError(f"operand must have {n} coordinates, got {len(u)}")
                 checked += bytes(map(self.spec.field.check, u))
             v = int.from_bytes(checked, "little")
-        pairs = self._step1(v)  # slot i's byte: x's value in bits 0..k-1, y's above
-        products = pairs.translate(self.step2_table)  # step 2 at every slot as if rational
-        if self.plan.kernel_steps:  # degree 2 or 4: the kernel's product replaces the slots'
-            xs, ys = map(pairs.translate, self._halves)
-            products = bytearray(products)
-            for slots, _, ext, kernel in self.plan.kernel_steps:
-                products[slots] = kernel(ext, xs[slots], ys[slots])
+        pairs, plan = self._step1(v), self.plan  # slot i's byte: x's value in bits 0..k-1, y's up
+        products = pairs.translate(plan.table)  # step 2 at every slot as if rational
+        if plan.kernel_steps:  # degree 2 or 4: the kernel's product replaces the slots'
+            products = plan.run_kernels(pairs, products)
         return self._step3(products), self.report  # steps 3 and 4, in the windows `verify` checks
 
 
@@ -451,10 +442,9 @@ def compile_instance(spec: InstanceSpec) -> CompiledMultiplier:
     degree.  The selection stops at rank 2n+g-1, where the same elimination
     has certified T and recorded T^-1.  The rows stay packed from evaluation
     through elimination; the accepted ones are T's, and `CompiledMultiplier`
-    builds the product from them and T^-1's rows.  A product packs two base
-    field elements per byte, so k > 4 is refused before any place is evaluated.
+    builds the product from them and T^-1's rows.  k > PAIR_K is refused first.
     """
-    if 2 * spec.field.k > 8:
+    if spec.field.k > PAIR_K:
         raise InstanceError(f"products need 2k <= 8 (two elements per byte); k = {spec.field.k}")
     for check in verify_good_basis(spec):
         if not check.ok:

@@ -4,13 +4,12 @@ Each kernel is a fixed straight-line program: the number of bilinear
 (operand-by-operand) base-field multiplications it performs is a constant of
 the kernel — 1, 3, and 9 respectively (`KERNEL_COST`) — independent of the
 operand values; the engine reads its step-2 count from them.  Each is one
-lookup in the base field's product table.  `KernelPlan` takes the places'
-residue fields in slot order and resolves each place's slots, offset and
-kernel (`steps`); a product does every degree-1 product in one lookup pass
-and runs the kernels of the places of degree 2 or 4 (`kernel_steps`);
-`hadamard` runs step 2 alone, for the benchmark's replay.  An optional
-`BilinearCounter` tallies the multiplications: each kernel advances it by its
-own cost, `hadamard` by the plan's whole cost once per call, the same total.
+lookup in the base field's product table.  `KernelPlan` holds step 2 for the
+places in slot order: a flat table of degree-1 products filled by `mul_d1`,
+read by one `translate`, then `run_kernels` at the places of degree 2 or 4.
+A product runs the two, and so does `hadamard`, for the benchmark's replay.
+An optional `BilinearCounter` tallies the multiplications: each kernel
+advances it by its own cost, `hadamard` by the plan's cost once per call.
 The high convolution coefficients fold in through rows of that table fixed
 per residue field (`ExtField.fold_rows`, warmed by `KernelPlan`):
 multiplications by constants of the field, F_q-linear, never counted.
@@ -23,6 +22,7 @@ from collections.abc import Sequence
 from .galois import BinaryField, ExtField
 
 KERNEL_COST = {1: 1, 2: 3, 4: 9}
+PAIR_K = 4  # the largest k whose two elements share a byte, 2k <= 8
 
 
 class BilinearCounter:
@@ -86,52 +86,61 @@ def mul_d4(
 
 
 class KernelPlan:
-    """Kernel dispatch for the places of a product, one entry per place in
-    slot order: None for a degree-1 place (one base-field slot), otherwise
-    its residue ExtField, whose degree picks the kernel and the number of
-    slots.  `steps` holds, once, what a product reads per place: the slice
-    of its slots, offset, residue, kernel; `kernel_steps` those of the
-    places of degree 2 or 4, the only ones a product visits one by one.
+    """Step 2 for the places in slot order: None for a degree-1 place (one
+    base-field slot), otherwise its residue ExtField, whose degree picks the
+    kernel and the number of slots.  A slot's pair byte holds x's value in bits
+    0..k-1 and y's in the next k (k <= PAIR_K): one `translate` through `table`
+    (entry a | b << k is a * b) multiplies every slot as if rational, and
+    `run_kernels` redoes the places of degree 2 or 4 (`kernel_steps`).
     """
 
-    __slots__ = ("field", "total", "advertised_cost", "steps", "kernel_steps")
+    __slots__ = ("field", "total", "advertised_cost", "table", "halves", "kernel_steps")
 
     def __init__(self, field: BinaryField, residues: Sequence[ExtField | None]):
+        k, q = field.k, field.order
+        if k > PAIR_K:
+            raise ValueError(f"a pair byte holds two elements of k <= {PAIR_K} bits; k = {k}")
         self.field = field
         offset = cost = 0
-        steps = []
+        kernel_steps = []
         for ext in residues:
             d = 1 if ext is None else ext.d
             if d not in KERNEL_COST:
                 raise ValueError(f"no kernel for residue degree {d}")
-            if ext is None:
-                steps.append((slice(offset, offset + 1), offset, None, None))
-            else:
+            if ext is not None:
                 if ext.base != field:
                     raise ValueError("residue field has the wrong base")
                 ext.fold_rows()  # built here, not on the first product
-                steps.append((slice(offset, offset + d), offset, ext, mul_d2 if d == 2 else mul_d4))
+                kernel_steps.append((slice(offset, offset + d), ext, mul_d2 if d == 2 else mul_d4))
             offset += d
             cost += KERNEL_COST[d]
         self.total = offset
         self.advertised_cost = cost  # bilinear multiplications per `hadamard` call
-        self.steps = tuple(steps)
-        self.kernel_steps = tuple([step for step in steps if step[3]])
+        self.kernel_steps = tuple(kernel_steps)
+        self.table = bytes([mul_d1(field, i % q, i >> k) for i in range(q * q)]).ljust(256, b"\0")
+        # byte i's x value, i mod q, and y value, (i >> k) mod q, if a kernel reads them
+        self.halves = [bytes([i >> s & q - 1 for i in range(256)]) for s in (0, k) if kernel_steps]
+
+    def run_kernels(self, pairs: bytes, products: bytes) -> bytearray:
+        """`products` with the slots of each place of degree 2 or 4 redone by its kernel."""
+        xs, ys = map(pairs.translate, self.halves)
+        products = bytearray(products)
+        for slots, ext, kernel in self.kernel_steps:
+            products[slots] = kernel(ext, xs[slots], ys[slots])
+        return products
 
     def hadamard(
         self, zv: Sequence[int], tv: Sequence[int], counter: BilinearCounter | None = None
     ) -> list[int]:
-        """Componentwise product of two coordinate vectors, group by group;
+        """Step 2 alone, as a product runs it, on two coordinate vectors over F_q;
         a counter is advanced by `advertised_cost` once per call."""
         if len(zv) != self.total or len(tv) != self.total:
             raise ValueError("coordinate vectors do not match the plan size")
+        check, k = self.field.check, self.field.k
+        pairs = bytes([check(a) | check(b) << k for a, b in zip(zv, tv)])
         if counter is not None:
             counter.bilinear_mults += self.advertised_cost
-        field = self.field
-        out = []
-        for slots, offset, ext, kernel in self.steps:
-            if kernel is None:
-                out.append(mul_d1(field, zv[offset], tv[offset]))
-            else:
-                out += kernel(ext, zv[slots], tv[slots])
-        return out
+        products = pairs.translate(self.table)
+        if self.kernel_steps:
+            products = self.run_kernels(pairs, products)
+        return list(products)

@@ -330,10 +330,10 @@ def _table_fault(compiled: CompiledMultiplier):
     """The first stored entry a product reads that `field.mul` does not give
     (a multiple not a times multiple 1 of its column in its table's byte
     lanes; a window entry not the XOR of its digits' multiples in those
-    columns, y's k bits up; or an entry a | b << k of `step2_table` not
+    columns, y's k bits up; or an entry a | b << k of the plan's `table` not
     a * b), or None."""
     field, n, size = compiled.spec.field, compiled.spec.n, compiled.spec.size
-    q, k, mul, step2 = field.order, field.k, field.mul, compiled.step2_table
+    q, k, mul, step2 = field.order, field.k, field.mul, compiled.plan.table
     for table, width, columns in (("step-1 x", size, compiled.x_columns),
                                   ("step-1 y", size, compiled.y_columns),
                                   ("step-3", n, compiled.step3_columns)):
@@ -373,7 +373,7 @@ def verify_instance(spec: InstanceSpec) -> VerifyReport:
     places, rank certificate, operation counts, oracle spot-checks), and the
     bilinear certificate: `multiply` against `reference_mul` on all n^2 pairs
     of basis vectors.  That suffices, as step 2 is F_q-bilinear when each
-    entry a | b << k of `step2_table` is a * b, and steps 1, 3 and 4 (lookups
+    entry a | b << k of `plan.table` is a * b, and steps 1, 3 and 4 (lookups
     of stored multiples) are F_q-linear when each multiple in `x_columns`,
     `y_columns` and `step3_columns` is a times multiple 1 of its column and
     each window entry the XOR of its digits' multiples; the certificate

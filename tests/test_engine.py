@@ -151,10 +151,12 @@ def test_op_report_exact():
 
 def test_multiply_runs_place_by_place(monkeypatch):
     # step 1 is one lookup per window of x ‖ y in `step1_windows`; then x's
-    # and y's values are multiplied in each residue field, by the step-2 table
-    # at a rational place and one kernel call at a place of degree 2 or 4,
-    # with no mat-vec and no componentwise product.  Steps 1 and 3 read the
-    # windows their functions were generated from, the tables `verify` checks
+    # and y's values are multiplied in each residue field, by the plan's flat
+    # table at a rational place and one kernel call at a place of degree 2 or
+    # 4, with no mat-vec and no componentwise product.  `mul_d1` fills that
+    # table when the multiplier is built and is never called after.  Steps 1
+    # and 3 read the windows their functions were generated from, the tables
+    # `verify` checks
     def banned(*args, **kwargs):
         raise AssertionError("multiply called a replay-only step")
 
@@ -165,14 +167,15 @@ def test_multiply_runs_place_by_place(monkeypatch):
 
     for kernel in ("mul_d2", "mul_d4"):
         monkeypatch.setattr(kernels, kernel, counted(getattr(kernels, kernel)))
+    # the plan resolves its kernels and fills its table when the multiplier is built
+    built = {name: engine.CompiledMultiplier(SPECS[name], c.places, c.T.packed, c.T_inv_top.packed)
+             for name, c in COMPILED.items()}
     monkeypatch.setattr(engine, "mat_vec", banned, raising=False)
     monkeypatch.setattr(linalg, "mat_vec", banned)
     monkeypatch.setattr(kernels, "mul_d1", banned)
     monkeypatch.setattr(kernels.KernelPlan, "hadamard", banned)
     for name in NAMES:
-        spec, c = SPECS[name], COMPILED[name]
-        # the plan resolves its kernels when the multiplier is built
-        compiled = engine.CompiledMultiplier(spec, c.places, c.T.packed, c.T_inv_top.packed)
+        spec, c, compiled = SPECS[name], COMPILED[name], built[name]
         rng = random.Random(8)
         for _ in range(5):
             x, y = random_operand(rng, spec), random_operand(rng, spec)

@@ -25,8 +25,13 @@ PLANS = {name: compile_instance(tools.load_bundled(name)).plan
 
 
 def residues_of(plan):
-    """The plan's residue fields in slot order, None at a degree-1 place."""
-    return [ext for _, _, ext, _ in plan.steps]
+    """The plan's residue fields in slot order, None at a degree-1 place: the
+    slots no kernel step covers are the degree-1 places'."""
+    at = {slots.start: ext for slots, ext, _ in plan.kernel_steps}
+    out = []
+    while (slot := sum(1 if ext is None else ext.d for ext in out)) < plan.total:
+        out.append(at.get(slot))
+    return out
 
 
 def residue_fields(name, d):
@@ -118,10 +123,14 @@ class RowCountingTable(tuple):
 
 def counted_copy(plan):
     """The plan over a fresh copy of its base field whose table counts, with
-    every residue field rebuilt over that copy and its fold rows warmed."""
+    every residue field rebuilt over that copy and its fold rows warmed; the
+    count starts when the plan is built."""
     field = BinaryField(plan.field.k, plan.field.modulus)
     field.table = RowCountingTable(field.table)
     residues = [None if e is None else ExtField(field, e.modulus) for e in residues_of(plan)]
+    for ext in filter(None, residues):
+        ext.fold_rows()
+    field.table.lookups = 0
     return KernelPlan(field, residues), field.table
 
 
@@ -130,9 +139,13 @@ def test_step2_table_lookups_at_run_time(name):
     # each operand-by-operand product is one outer lookup in the product
     # table, so the lookups are the 1/3/9 multiplications themselves; the
     # fold rows were bound at compile time and do not show.  A schoolbook
-    # kernel would take 4/16, plus its reduction.
+    # kernel would take 4/16, plus its reduction.  A rational place's product
+    # is an entry a | b << k of the plan's flat table, which `mul_d1` filled
+    # with one lookup per entry when the plan was built: a run looks up only
+    # the kernels' products, and the rational slots' come from that table.
     plan, table = counted_copy(PLANS[name])
-    q = plan.field.order
+    q, k = plan.field.order, plan.field.k
+    assert table.lookups == q * q
     for slot, ext in enumerate(residues_of(plan)):
         if ext is None:
             pairs = itertools.product(range(q), repeat=2)
@@ -142,8 +155,10 @@ def test_step2_table_lookups_at_run_time(name):
             run = functools.partial(mul_d2 if ext.d == 2 else mul_d4, ext)
         for a, b in pairs:
             table.lookups = 0
-            run(a, b)
+            got = run(a, b)
             assert table.lookups == KERNEL_COST[1 if ext is None else ext.d], (slot, a, b)
+            assert ext is not None or plan.table[a | b << k] == got, (slot, a, b)
+    rational = residues_of(plan).count(None)
     rng = random.Random(5)
     for _ in range(50):
         zv = [rng.randrange(q) for _ in range(plan.total)]
@@ -151,7 +166,7 @@ def test_step2_table_lookups_at_run_time(name):
         table.lookups = 0
         c = BilinearCounter()
         plan.hadamard(zv, tv, c)
-        assert table.lookups == c.bilinear_mults == plan.advertised_cost
+        assert table.lookups + rational == c.bilinear_mults == plan.advertised_cost
 
 
 def test_counts_do_not_depend_on_values():
@@ -176,6 +191,8 @@ def test_kernel_plan_tiling():
     assert plan.advertised_cost == 1 + 1 + 3 + 9
     with pytest.raises(ValueError):
         KernelPlan(F2, [E16])  # residue base is F_4, not F_2
+    with pytest.raises(ValueError, match="k <= 4 bits; k = 5"):
+        KernelPlan(BinaryField(5, 0b100101), [None])  # two elements overflow a byte
 
 
 def test_kernel_plan_hadamard():
@@ -220,3 +237,39 @@ def test_hadamard_matches_kernels_slot_by_slot(name):
         assert c.bilinear_mults == plan.advertised_cost == sum(KERNEL_COST[d] for d in degrees)
         plan.hadamard(zv, tv, c)
         assert c.bilinear_mults == 2 * plan.advertised_cost
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+@pytest.mark.parametrize("slot", [0, 1, 2])  # a rational slot, then the degree-2 place's two
+def test_hadamard_refuses_a_coordinate_outside_the_field(slot, bad):
+    # a coordinate below 0 or from q up, in either vector, is no element of
+    # F_4: it raises, and the counter is left as it was
+    plan = KernelPlan(F4, [None, E16])
+    for side in (0, 1):
+        vectors = [[1, 2, 3], [2, 3, 1]]
+        vectors[side][slot] = bad
+        c = BilinearCounter()
+        with pytest.raises(ValueError, match="is not an element of"):
+            plan.hadamard(*vectors, c)
+        assert c.bilinear_mults == 0
+    assert plan.hadamard([1, 2, 3], [2, 3, 1]) == [F4.mul(1, 2), *E16.mul((2, 3), (3, 1))]
+
+
+def test_step2_with_k_3():
+    # no bundled instance is over GF(8), so k = 3's pair bytes (x's value in
+    # bits 0..2, y's in bits 3..5) run here: every pair at a rational slot and
+    # every pair at a degree-2 place, through the plan's table and kernels as
+    # a product runs them and through `hadamard`
+    F8 = BinaryField(3, 0b1011)
+    assert is_irreducible(F8, (1, 1, 1))  # t^2 + t + 1 has no root in F_8
+    E64 = ExtField(F8, (1, 1, 1))
+    plan = KernelPlan(F8, [None, E64])
+    assert (plan.total, plan.advertised_cost) == (3, 1 + 3)
+    place_pairs = list(itertools.product(ext_elements(E64), repeat=2))
+    assert len(place_pairs) == 4096
+    for i, (u, v) in enumerate(place_pairs):
+        a, b = divmod(i % 64, 8)
+        pairs = bytes([a | b << 3, u[0] | v[0] << 3, u[1] | v[1] << 3])
+        products = plan.run_kernels(pairs, pairs.translate(plan.table))
+        want = [F8.mul(a, b), *E64.mul(u, v)]
+        assert list(products) == want == plan.hadamard([a, *u], [b, *v]), (a, b, u, v)

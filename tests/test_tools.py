@@ -780,16 +780,16 @@ def test_verify_instance_bilinear_certificate_names_a_wrong_step1_multiple(
 
 @pytest.mark.parametrize("name", ["f16_13", "f4_5", "f2_5"])
 def test_verify_instance_bilinear_certificate_names_a_wrong_step2_entry(monkeypatch, name):
-    # one entry a | b << k of the step-2 table off by one bit: the check on
-    # the table, which reads all q^2 entries against field.mul, names it
+    # one entry a | b << k of the plan's step-2 table off by one bit: the check
+    # on the table, which reads all q^2 entries against field.mul, names it
     real = tools.compile_instance
     a, b = 1, 1
 
     def corrupted(spec):
         compiled = real(spec)
-        table = bytearray(compiled.step2_table)
+        table = bytearray(compiled.plan.table)
         table[a | b << spec.field.k] ^= 1
-        compiled.step2_table = bytes(table)
+        compiled.plan.table = bytes(table)
         return compiled
 
     monkeypatch.setattr(tools, "compile_instance", corrupted)

@@ -26,17 +26,19 @@ yields T^-1; the accepted rows are T's packed rows, T_x and T_y are lane
 slices of them, and no matrix compile builds checks its entries.
 
 One product of x, y in F_{q^n} (length-n coordinate tuples over F_q) runs
-in byte lanes, lane i byte i of an int.  Steps 1 and 3/4 are functions generated
-at compile time (`linalg.straight_line`), each one XOR expression of lookups in
-windows of c columns of multiples (`linalg.windows` of `Matrix.columns`), its
-index packed c coordinates to a byte; `TABLE_BUDGET` sets c (8 // k or 1).
+in byte lanes, lane i byte i of an int: `step3(plan.step2(step1(v)))`, v the
+int of x ‖ y, which `multiply` and compile's basis-pair certificate run.
+`step1` and `step3` are generated at compile time (`linalg.straight_line`),
+each one XOR expression of lookups in windows of c columns of multiples
+(`linalg.windows` of `Matrix.columns`), its index packed c coordinates to a
+byte; `TABLE_BUDGET` sets c (8 // k or 1).
 
 1. x and y evaluated at every place through T_x and T_y, one lookup per c
    coordinates of x ‖ y (y's multiples k bits up): 2n(2n+g-1) products by
    constants in all by the paper's convention;
 2. at each place, the product of the two values in its residue field — the
-   only bilinear step, costing the kernel's 1, 3 or 9 — by `KernelPlan`: one
-   `translate` of all slots' bytes (x's value in the low k bits, y's in the
+   only bilinear step, costing the kernel's 1, 3 or 9 — by `KernelPlan.step2`:
+   one `translate` of all slots' bytes (x's value in the low k bits, y's in the
    next k) through its table, then its kernels at the places of degree 2 or 4,
    folding reduction in through fixed product-table rows, so never counted;
 3. the columns of the first 2n-1 rows of inverse(T) applied to the products —
@@ -337,14 +339,15 @@ def verify_good_basis(spec: InstanceSpec) -> list[CheckResult]:
 class CompiledMultiplier:
     """Frozen straight-line multiplier for one instance: every table a product
     reads, and its report, built from the selected places and T's and T^-1's rows.
-    Step 1 is generated from `step1_windows`, of `x_columns` and `y_columns`; step 2
-    is `plan`'s (`KernelPlan.table`, whose entry a | b << k is a * b, and its kernels);
-    steps 3 and 4 are generated from `step3_windows`, of `step3_columns` (`T_inv_top`'s,
-    step 4 folded in).  `set_windows` generates both, and each `*_windows` is the very
-    tables its function reads; `widths` holds each step's c; all is in byte lanes."""
+    A product is `step3(plan.step2(step1(v)))`, v the checked x ‖ y.  `step1` is
+    generated from windows of `x_columns` and `y_columns`, `plan.step2` is the kernel
+    plan's (`KernelPlan.table`, whose entry a | b << k is a * b, and its kernels), and
+    `step3`, steps 3 and 4, from windows of `step3_columns` (`T_inv_top`'s, step 4
+    folded in).  `set_windows` generates both, and each one's `tables` are the very
+    windows it reads; `widths` holds each step's c; all is in byte lanes."""
 
     __slots__ = ("spec", "places", "T", "T_x", "T_y", "T_inv_top", "plan", "report",
-                 "x_columns", "y_columns", "step3_columns", "widths", "_step1", "_step3", "_high")
+                 "x_columns", "y_columns", "step3_columns", "widths", "step1", "step3", "_high")
 
     def __init__(self, spec, places, rows, inverse_rows):
         field, n, size = spec.field, spec.n, spec.size
@@ -379,20 +382,17 @@ class CompiledMultiplier:
         self.set_windows(windows(T_x.columns + shifted, c1), windows(self.step3_columns, c3))
         self._high = int.from_bytes(bytes([256 - q]) * 2 * n, "little")  # bits k..7 of 2n lanes
 
-    step1_windows = property(lambda self: self._step1.tables, doc="the tables step 1 reads")
-    step3_windows = property(lambda self: self._step3.tables, doc="the tables step 3 reads")
-
-    def set_windows(self, step1_windows, step3_windows) -> None:
-        """Steps 1 and 3/4 as straight-line lookups in these windows, constants written in."""
+    def set_windows(self, tables1, tables3) -> None:
+        """`step1` and `step3` as straight-line lookups in these windows, constants written in."""
         n, size, k, (c1, c3) = self.spec.n, self.spec.size, self.spec.field.k, self.widths
         pack = "({} * {} >> {}).to_bytes({}, 'little')[::{}]"  # an int, its packing, length, c
         # step 1, one lookup per c1 coordinates of v; no place reads above its lanes
-        self._step1 = straight_line(step1_windows, pack.format("a", *packing(k, c1), 2 * n, c1),
-                                    f"(({{}}) & {256**size - 1:#x}).to_bytes({size}, 'little')")
+        self.step1 = straight_line(tables1, pack.format("a", *packing(k, c1), 2 * n, c1),
+                                   f"(({{}}) & {256**size - 1:#x}).to_bytes({size}, 'little')")
         # steps 3 and 4: every product is below q, so c3 of them pack into a byte like v's
         index = pack.format("int.from_bytes(a, 'little')", *packing(k, c3), size, c3)
-        self._step3 = straight_line(step3_windows, index if c3 > 1 else "a",
-                                    f"tuple((({{}}) & {256**n - 1:#x}).to_bytes({n}, 'little'))")
+        self.step3 = straight_line(tables3, index if c3 > 1 else "a",
+                                   f"tuple((({{}}) & {256**n - 1:#x}).to_bytes({n}, 'little'))")
 
     @property
     def place_degrees(self) -> list[int]:
@@ -427,11 +427,18 @@ class CompiledMultiplier:
                     raise ValueError(f"operand must have {n} coordinates, got {len(u)}")
                 checked += bytes(map(self.spec.field.check, u))
             v = int.from_bytes(checked, "little")
-        pairs, plan = self._step1(v), self.plan  # slot i's byte: x's value in bits 0..k-1, y's up
-        products = pairs.translate(plan.table)  # step 2 at every slot as if rational
-        if plan.kernel_steps:  # degree 2 or 4: the kernel's product replaces the slots'
-            products = plan.run_kernels(pairs, products)
-        return self._step3(products), self.report  # steps 3 and 4, in the windows `verify` checks
+        return self.step3(self.plan.step2(self.step1(v))), self.report
+
+    def wrong_basis_pairs(self) -> list[tuple]:
+        """The basis pairs (t^i, t^j) whose product by the three steps is not
+        t^(i+j) mod Q, in order, each as (i, j, want, got).  Once every stored table
+        holds what field arithmetic gives (`verify` checks them), the product is
+        F_q-bilinear, so no such pair means every product is right."""
+        n, res = self.spec.n, self.spec.q_place.residue
+        powers = res.ladder(res.one()) + res.ladder(res.ladder(res.gen())[-1])  # t^0..t^(2n-1)
+        products = [(i, j, self.step3(self.plan.step2(self.step1(1 << 8 * i | 1 << 8 * (n + j)))))
+                    for i in range(n) for j in range(n)]  # x = t^i in byte i, y = t^j in byte n+j
+        return [(i, j, powers[i + j], got) for i, j, got in products if got != powers[i + j]]
 
 
 def compile_instance(spec: InstanceSpec) -> CompiledMultiplier:
@@ -442,7 +449,8 @@ def compile_instance(spec: InstanceSpec) -> CompiledMultiplier:
     degree.  The selection stops at rank 2n+g-1, where the same elimination
     has certified T and recorded T^-1.  The rows stay packed from evaluation
     through elimination; the accepted ones are T's, and `CompiledMultiplier`
-    builds the product from them and T^-1's rows.  k > PAIR_K is refused first.
+    builds the product from them and T^-1's rows.  k > PAIR_K is refused first,
+    and a multiplier with a wrong basis pair (`wrong_basis_pairs`) last.
     """
     if spec.field.k > PAIR_K:
         raise InstanceError(f"products need 2k <= 8 (two elements per byte); k = {spec.field.k}")
@@ -474,4 +482,9 @@ def compile_instance(spec: InstanceSpec) -> CompiledMultiplier:
             f"candidate places reach only rank {basis.rank} of the required {target}"
         )
 
-    return CompiledMultiplier(spec, places, rows, basis.inverse_rows())
+    compiled = CompiledMultiplier(spec, places, rows, basis.inverse_rows())
+    if wrong := compiled.wrong_basis_pairs():
+        i, j, want, got = wrong[0]
+        raise InstanceError(f"bilinear certificate: t^{i} · t^{j} = {list(got)}, want {list(want)} "
+                            f"({len(wrong)} of {spec.n**2} basis pairs differ)")
+    return compiled

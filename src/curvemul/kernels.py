@@ -4,10 +4,10 @@ Each kernel is a fixed straight-line program: the number of bilinear
 (operand-by-operand) base-field multiplications it performs is a constant of
 the kernel — 1, 3, and 9 respectively (`KERNEL_COST`) — independent of the
 operand values; the engine reads its step-2 count from them.  Each is one
-lookup in the base field's product table.  `KernelPlan` holds step 2 for the
-places in slot order: a flat table of degree-1 products filled by `mul_d1`,
-read by one `translate`, then `run_kernels` at the places of degree 2 or 4.
-A product runs the two, and so does `hadamard`, for the benchmark's replay.
+lookup in the base field's product table.  `KernelPlan.step2` is step 2 for
+the places in slot order: one `translate` through a flat table of degree-1
+products filled by `mul_d1`, then the kernels at the places of degree 2 or 4.
+A product runs it, and so does `hadamard`, for the benchmark's replay.
 An optional `BilinearCounter` tallies the multiplications: each kernel
 advances it by its own cost, `hadamard` by the plan's cost once per call.
 The high convolution coefficients fold in through rows of that table fixed
@@ -89,9 +89,9 @@ class KernelPlan:
     """Step 2 for the places in slot order: None for a degree-1 place (one
     base-field slot), otherwise its residue ExtField, whose degree picks the
     kernel and the number of slots.  A slot's pair byte holds x's value in bits
-    0..k-1 and y's in the next k (k <= PAIR_K): one `translate` through `table`
-    (entry a | b << k is a * b) multiplies every slot as if rational, and
-    `run_kernels` redoes the places of degree 2 or 4 (`kernel_steps`).
+    0..k-1 and y's in the next k (k <= PAIR_K): `step2` multiplies every slot as
+    if rational, by one `translate` through `table` (entry a | b << k is a * b),
+    then redoes the places of degree 2 or 4 (`kernel_steps`).
     """
 
     __slots__ = ("field", "total", "advertised_cost", "table", "halves", "kernel_steps")
@@ -121,12 +121,15 @@ class KernelPlan:
         # byte i's x value, i mod q, and y value, (i >> k) mod q, if a kernel reads them
         self.halves = [bytes([i >> s & q - 1 for i in range(256)]) for s in (0, k) if kernel_steps]
 
-    def run_kernels(self, pairs: bytes, products: bytes) -> bytearray:
-        """`products` with the slots of each place of degree 2 or 4 redone by its kernel."""
-        xs, ys = map(pairs.translate, self.halves)
-        products = bytearray(products)
-        for slots, ext, kernel in self.kernel_steps:
-            products[slots] = kernel(ext, xs[slots], ys[slots])
+    def step2(self, pairs: bytes) -> bytes | bytearray:
+        """Every slot's product from its pair byte: one `translate` through `table`,
+        then the slots of each place of degree 2 or 4 redone by its kernel."""
+        products = pairs.translate(self.table)
+        if self.kernel_steps:
+            xs, ys = map(pairs.translate, self.halves)
+            products = bytearray(products)
+            for slots, ext, kernel in self.kernel_steps:
+                products[slots] = kernel(ext, xs[slots], ys[slots])
         return products
 
     def hadamard(
@@ -140,7 +143,4 @@ class KernelPlan:
         pairs = bytes([check(a) | check(b) << k for a, b in zip(zv, tv)])
         if counter is not None:
             counter.bilinear_mults += self.advertised_cost
-        products = pairs.translate(self.table)
-        if self.kernel_steps:
-            products = self.run_kernels(pairs, products)
-        return list(products)
+        return list(self.step2(pairs))

@@ -348,7 +348,7 @@ def _table_fault(compiled: CompiledMultiplier):
     step1 = [*compiled.x_columns, *([m << k for m in ms] for ms in compiled.y_columns)]
     for step, c, columns, windows in zip(("step-1", "step-3"), compiled.widths,
                                          (step1, compiled.step3_columns),
-                                         (compiled.step1_windows, compiled.step3_windows)):
+                                         (compiled.step1.tables, compiled.step3.tables)):
         groups = [columns[w : w + c] for w in range(0, len(columns), c)]
         for w, (group, table) in enumerate(itertools.zip_longest(groups, windows, fillvalue=())):
             for i in range(max(q ** len(group), len(table))):
@@ -371,9 +371,10 @@ def verify_instance(spec: InstanceSpec) -> VerifyReport:
     per-rule evidence trail, one line per rule name (a rule on candidates
     shows its first failing candidate), plus compile-time facts (selected
     places, rank certificate, operation counts, oracle spot-checks), and the
-    bilinear certificate: `multiply` against `reference_mul` on all n^2 pairs
-    of basis vectors.  That suffices, as step 2 is F_q-bilinear when each
-    entry a | b << k of `plan.table` is a * b, and steps 1, 3 and 4 (lookups
+    bilinear certificate: the product's steps against t^(i+j) mod Q on all n^2
+    pairs (t^i, t^j) of basis vectors (`wrong_basis_pairs`, which compile also
+    runs).  That suffices, as step 2 is F_q-bilinear when each entry
+    a | b << k of `plan.table` is a * b, and steps 1, 3 and 4 (lookups
     of stored multiples) are F_q-linear when each multiple in `x_columns`,
     `y_columns` and `step3_columns` is a times multiple 1 of its column and
     each window entry the XOR of its digits' multiples; the certificate
@@ -398,11 +399,11 @@ def verify_instance(spec: InstanceSpec) -> VerifyReport:
     bound = aggregate_bound(spec.n, spec.g, max(compiled.place_degrees))
     result = selftest(compiled, 25, seed=2024)
     fault = _table_fault(compiled)
-    units = [[int(i == j) for j in range(spec.n)] for i in range(spec.n)]
-    wrong = _oracle_mismatches(compiled, itertools.product(units, units))
+    wrong = compiled.wrong_basis_pairs()
     cert = f"{spec.n**2 - len(wrong)}/{spec.n**2} basis pairs match the polynomial oracle"
     if wrong:
-        cert += f"; first failure x={wrong[0][0]} y={wrong[0][1]}"
+        unit = [[int(i == j) for j in range(spec.n)] for i in range(spec.n)]
+        cert += f"; first failure x={unit[wrong[0][0]]} y={unit[wrong[0][1]]}"
     if fault:
         cert = f"{fault}; {cert}"
     spot = f"{result.trials} random products against the polynomial oracle"
@@ -446,27 +447,17 @@ def _random_pairs(spec: InstanceSpec, count: int, seed: int):
             for _ in range(count))
 
 
-def _oracle_mismatches(compiled: CompiledMultiplier, pairs) -> list[tuple]:
-    """The operand pairs (x, y) on which `multiply` and the polynomial oracle
-    `reference_mul` disagree, in order, each as (x, y, want, got): want the
-    oracle's product, got multiply's."""
-    spec = compiled.spec
-    out = []
-    for x, y in pairs:
-        got, _ = compiled.multiply(x, y)
-        want = reference_mul(spec.field, spec.q_modulus, x, y)
-        if got != want:
-            out.append((x, y, want, got))
-    return out
-
-
 def selftest(compiled: CompiledMultiplier, trials: int = 1000, seed: int = 42):
     """Compare multiply against the polynomial oracle on seeded random pairs."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    wrong = _oracle_mismatches(compiled, _random_pairs(compiled.spec, trials, seed))
-    first = next(((tuple(x), tuple(y), want, got) for x, y, want, got in wrong), None)
-    return SelftestResult(trials, len(wrong), first)
+    spec, wrong = compiled.spec, []
+    for x, y in _random_pairs(spec, trials, seed):
+        got, _ = compiled.multiply(x, y)
+        want = reference_mul(spec.field, spec.q_modulus, x, y)
+        if got != want:
+            wrong.append((tuple(x), tuple(y), want, got))
+    return SelftestResult(trials, len(wrong), wrong[0] if wrong else None)
 
 
 # report is the constant OpReport

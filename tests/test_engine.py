@@ -150,7 +150,7 @@ def test_op_report_exact():
 
 
 def test_multiply_runs_place_by_place(monkeypatch):
-    # step 1 is one lookup per window of x ‖ y in `step1_windows`; then x's
+    # step 1 is one lookup per window of x ‖ y in `step1.tables`; then x's
     # and y's values are multiplied in each residue field, by the plan's flat
     # table at a rational place and one kernel call at a place of degree 2 or
     # 4, with no mat-vec and no componentwise product.  `mul_d1` fills that
@@ -185,10 +185,10 @@ def test_multiply_runs_place_by_place(monkeypatch):
         one = [1] + [0] * (spec.n - 1)
         assert compiled.multiply(one, one)[0] == tuple(one)
         zeros1, zeros3 = (tuple((0,) * len(w) for w in t)
-                          for t in (c.step1_windows, c.step3_windows))
-        compiled.set_windows(zeros1, c.step3_windows)
+                          for t in (c.step1.tables, c.step3.tables))
+        compiled.set_windows(zeros1, c.step3.tables)
         assert compiled.multiply(one, one)[0] == (0,) * spec.n, name
-        compiled.set_windows(c.step1_windows, zeros3)
+        compiled.set_windows(c.step1.tables, zeros3)
         assert compiled.multiply(one, one)[0] == (0,) * spec.n, name
 
 
@@ -261,8 +261,8 @@ def test_column_tables_take_one_pass_over_the_product_table_each(monkeypatch):
         assert built == [m.rows * m.cols for m in tables], name
         assert frozen.step3_columns == c.step3_columns
         assert frozen.x_columns == c.x_columns and frozen.y_columns == c.y_columns
-        assert frozen.step1_windows == c.step1_windows
-        assert frozen.step3_windows == c.step3_windows
+        assert frozen.step1.tables == c.step1.tables
+        assert frozen.step3.tables == c.step3.tables
         assert frozen.T._columns is None, name
         for m in tables:
             assert m._columns is not None, name
@@ -296,9 +296,9 @@ def test_windows_xor_their_digits_multiples():
         compiled, k = COMPILED[name], SPECS[name].field.k
         c1, c3 = compiled.widths
         shifted = tuple(tuple(m << k for m in ms) for ms in compiled.y_columns)
-        assert compiled.step1_windows == _windows_by_definition(
+        assert compiled.step1.tables == _windows_by_definition(
             compiled.x_columns + shifted, c1, k), name
-        assert compiled.step3_windows == _windows_by_definition(compiled.step3_columns, c3, k)
+        assert compiled.step3.tables == _windows_by_definition(compiled.step3_columns, c3, k)
 
 
 def test_straight_line_xors_one_entry_per_table(monkeypatch):
@@ -326,18 +326,32 @@ def test_straight_line_xors_one_entry_per_table(monkeypatch):
         assert re.fullmatch(r"[\w\s^\[\],=():]*", src), src
 
 
-def test_windows_are_the_tables_the_product_reads():
-    # `step1_windows` and `step3_windows` are the very tuples the generated
-    # steps read, so `verify`'s table check sees what `multiply` runs, also
-    # after `set_windows` regenerates them
+def test_windows_are_the_tables_the_product_reads(monkeypatch):
+    # `set_windows` regenerates `step1` and `step3` from the windows it is
+    # given, and each reads those very tuples (its `tables`, which `verify`'s
+    # table check reads); `multiply` is `step3(plan.step2(step1(v)))`, each
+    # step called once, v the checked x ‖ y packed one coordinate per byte
+    calls, real_step2 = [], kernels.KernelPlan.step2
+    monkeypatch.setattr(kernels.KernelPlan, "step2",
+                        lambda plan, a: calls.append(("step2", a)) or real_step2(plan, a))
     for name in NAMES:
-        c = COMPILED[name]
-        assert c.step1_windows is c._step1.tables and c.step3_windows is c._step3.tables
+        c, spec = COMPILED[name], SPECS[name]
         frozen = engine.CompiledMultiplier(c.spec, c.places, c.T.packed, c.T_inv_top.packed)
-        tables = tuple(tuple(w) for w in c.step3_windows)
-        frozen.set_windows(c.step1_windows, tables)
-        assert frozen.step1_windows is c.step1_windows and frozen.step3_windows is tables
-        assert frozen._step3.tables is tables
+        tables = tuple(tuple(w) for w in c.step3.tables)
+        frozen.set_windows(c.step1.tables, tables)
+        assert frozen.step1.tables is c.step1.tables and frozen.step3.tables is tables
+        rng = random.Random(3)
+        x, y = random_operand(rng, spec), random_operand(rng, spec)
+        v = int.from_bytes(bytes(x + y), "little")
+        step1, step3 = frozen.step1, frozen.step3
+        pairs = step1(v)
+        products = real_step2(frozen.plan, pairs)
+        frozen.step1 = lambda a: calls.append(("step1", a)) or step1(a)
+        frozen.step3 = lambda a: calls.append(("step3", bytes(a))) or step3(a)
+        calls.clear()
+        z, _ = frozen.multiply(x, y)
+        assert calls == [("step1", v), ("step2", pairs), ("step3", bytes(products))], name
+        assert z == step3(products) == reference_mul(spec.field, spec.q_modulus, x, y), name
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -415,7 +429,7 @@ def test_table_budget_picks_the_windows(monkeypatch, budget, choices):
     for name in NAMES:
         spec, c = SPECS[name], COMPILED[name]
         frozen = engine.CompiledMultiplier(spec, c.places, c.T.packed, c.T_inv_top.packed)
-        sizes = tuple(sum(map(len, t)) for t in (frozen.step1_windows, frozen.step3_windows))
+        sizes = tuple(sum(map(len, t)) for t in (frozen.step1.tables, frozen.step3.tables))
         assert (frozen.widths, sizes) == choices[name], name
         if name == "f2_5":
             pairs = itertools.product(itertools.product(range(2), repeat=5), repeat=2)

@@ -212,6 +212,21 @@ def test_kernel_plan_hadamard():
         plan.hadamard([0] * 6, [0] * 7, BilinearCounter())
 
 
+@pytest.mark.parametrize("name", ["f16_13", "f4_5", "f2_5"])
+def test_hadamard_runs_step2_on_the_pair_bytes(monkeypatch, name):
+    # `hadamard` has no step-2 code of its own: it calls `step2` once, on the
+    # pair bytes a | b << k of its checked vectors, and lists what it returns
+    plan, calls = PLANS[name], []
+    real = KernelPlan.step2
+    monkeypatch.setattr(KernelPlan, "step2", lambda p, a: calls.append(a) or real(p, a))
+    rng, q, k = random.Random(31), plan.field.order, plan.field.k
+    zv = [rng.randrange(q) for _ in range(plan.total)]
+    tv = [rng.randrange(q) for _ in range(plan.total)]
+    pairs = bytes([a | b << k for a, b in zip(zv, tv)])
+    assert plan.hadamard(zv, tv) == list(real(plan, pairs))
+    assert calls == [pairs]
+
+
 @pytest.mark.parametrize("name", ["f16_13", "f2_5"])
 def test_hadamard_matches_kernels_slot_by_slot(name):
     # f16_13's plan is all degree-1 slots, f2_5's mixes degrees 1, 2 and 4;
@@ -258,8 +273,8 @@ def test_hadamard_refuses_a_coordinate_outside_the_field(slot, bad):
 def test_step2_with_k_3():
     # no bundled instance is over GF(8), so k = 3's pair bytes (x's value in
     # bits 0..2, y's in bits 3..5) run here: every pair at a rational slot and
-    # every pair at a degree-2 place, through the plan's table and kernels as
-    # a product runs them and through `hadamard`
+    # every pair at a degree-2 place, through `step2` as a product runs it
+    # and through `hadamard`
     F8 = BinaryField(3, 0b1011)
     assert is_irreducible(F8, (1, 1, 1))  # t^2 + t + 1 has no root in F_8
     E64 = ExtField(F8, (1, 1, 1))
@@ -270,6 +285,6 @@ def test_step2_with_k_3():
     for i, (u, v) in enumerate(place_pairs):
         a, b = divmod(i % 64, 8)
         pairs = bytes([a | b << 3, u[0] | v[0] << 3, u[1] | v[1] << 3])
-        products = plan.run_kernels(pairs, pairs.translate(plan.table))
+        products = plan.step2(pairs)
         want = [F8.mul(a, b), *E64.mul(u, v)]
         assert list(products) == want == plan.hadamard([a, *u], [b, *v]), (a, b, u, v)

@@ -288,6 +288,75 @@ def test_mutated_documents_raise_only_loader_errors():
             pytest.fail(f"verify with {path} = {value!r}: {e!r}")
 
 
+def _nodes(node, path=()):
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _nodes(child, path + (key,))
+
+
+def _deep(depth):
+    node = 0
+    for _ in range(depth):
+        node = [node]
+    return node
+
+
+_MUTATIONS = {  # what replaces the chosen node, or deletes it (None)
+    "type-swap": ["P_1", "", 1.5, None, True, False, [], {}, [1, 0], {"k": 2}],
+    "delete": [None],
+    "huge-int": [10**400, -(10**400), 2**64, 2**63 - 1, 2**4096 - 1],
+    "nan": [float("nan"), float("inf"), float("-inf"), -0.0],
+    "nest": ["wrap-list", "wrap-dict", "deep"],
+}
+
+
+def _mutated(doc, paths, rng):
+    """doc with one seeded structured mutation at one of its node `paths`
+    (the root first), copying only the containers on the way, and a label."""
+    kind = rng.choice(list(_MUTATIONS))
+    path = rng.choice(paths[1:] if kind == "delete" else paths)
+    value = rng.choice(_MUTATIONS[kind])
+
+    def rebuilt(node, rest):
+        if not rest:
+            if value == "wrap-list":
+                return [node]
+            if value == "wrap-dict":
+                return {"value": node}
+            return _deep(rng.choice((50, 900))) if value == "deep" else value
+        node, (key, *rest) = type(node)(node), rest
+        if rest or kind != "delete":
+            node[key] = rebuilt(node[key], rest)
+        else:
+            del node[key]
+        return node
+
+    return rebuilt(doc, path), f"{kind} at {path}"
+
+
+def test_structured_mutations_raise_only_loader_errors():
+    # about 1000 seeded mutations of the three bundled documents, each one
+    # type swap, deleted key or element, huge int, NaN or infinity, or extra
+    # nesting at a random node: load and compile raise only the two
+    # documented errors, whatever the mutation reaches
+    docs = {name: json.loads(tools.bundled_instance_path(name).read_text(encoding="utf-8"))
+            for name in tools.bundled_instance_names()}
+    paths = {name: list(_nodes(doc)) for name, doc in docs.items()}
+    rng = random.Random(15)
+    outcomes = {"refused": 0, "compiled": 0}
+    for name in list(docs) * 334:
+        doc, label = _mutated(docs[name], paths[name], rng)
+        try:
+            compile_instance(tools.instance_from_document(doc, name))
+            outcomes["compiled"] += 1
+        except (tools.InstanceFileError, InstanceError):
+            outcomes["refused"] += 1
+        except Exception as e:
+            pytest.fail(f"{name}, {label}: {e!r}")
+    assert outcomes["refused"] > 900 and outcomes["compiled"] > 0, outcomes
+
+
 def test_each_modulus_tested_once_per_load(monkeypatch):
     # f4_5 has 12 affine places over 6 distinct residue moduli, f2_5 7 over 3
     tested = []
@@ -660,17 +729,85 @@ def test_verify_instance_reports_compile_failure():
 
 def test_verify_instance_bilinear_certificate_names_a_wrong_pair(monkeypatch):
     # a degree-4 kernel that forgets its top coordinate: the basis pairs whose
-    # product reaches it differ, and the certificate names the first of them
+    # product reaches it differ, compile's certificate refuses the multiplier,
+    # and the compile line names the first of them as t^i · t^j
     def wrong(ext, u, v, counter=None):
         return ext.mul(tuple(u), tuple(v))[:3] + (0,)
 
     monkeypatch.setattr(kernels, "mul_d4", wrong)
     report = tools.verify_instance(tools.load_bundled("f2_5"))
-    cert = next(c for c in report.checks if c.name == "bilinear-certificate")
-    assert not report.ok and not cert.ok
-    assert re.fullmatch(r"(\d+)/25 basis pairs match the polynomial oracle; "
-                        r"first failure x=\[.*\] y=\[.*\]", cert.detail)
-    assert int(cert.detail.split("/")[0]) < 25
+    assert not report.ok and report.checks[-1].name == "compile"
+    assert not any(c.name == "bilinear-certificate" for c in report.checks)
+    match = re.fullmatch(r"\[FAIL\] compile — bilinear certificate: t\^(\d) · t\^(\d) = "
+                         r"\[.*\], want \[.*\] \((\d+) of 25 basis pairs differ\)",
+                         report.lines()[-2])
+    assert match and 0 < int(match[3]) < 25, report.lines()[-2]
+
+
+def _with_basis_coeffs(doc, f, key, coeffs):
+    """doc with coefficient list `key` of basis function f replaced, copying
+    only the containers on the way."""
+    basis = list(doc["basis"])
+    basis[f] = {**basis[f], key: coeffs}
+    return {**doc, "basis": basis}
+
+
+def _hidden_pole(doc, f, key):
+    """doc with basis function f's denominator times the D1 or D2 modulus
+    (`key`).  f_10 and f_11 are completion functions, 0 at Q, so the good-basis
+    ladder still holds and every place is still evaluated; only the products
+    go wrong."""
+    field = galois.BinaryField(doc["field"]["k"], doc["field"]["modulus_bits"])
+    den = galois.poly_mul(field, galois.poly_from_coeffs(field, doc["basis"][f]["den"]),
+                          galois.poly_from_coeffs(field, doc[key]))
+    return _with_basis_coeffs(doc, f, "den", list(den))
+
+
+def _basis_flips(doc, count, rng):
+    """`count` seeded copies of doc, each with one coefficient of one basis
+    function (or one past its top) XORed with a nonzero element."""
+    q = 1 << doc["field"]["k"]
+    for _ in range(count):
+        f, key = rng.randrange(len(doc["basis"])), rng.choice(("ay", "b", "den"))
+        coeffs = doc["basis"][f][key] + [0]
+        coeffs[rng.randrange(len(coeffs))] ^= rng.randrange(1, q)
+        yield _with_basis_coeffs(doc, f, key, coeffs), f"f_{f + 1}.{key} = {coeffs}"
+
+
+def test_hidden_pole_corpus_is_refused_or_multiplies_right():
+    # the four f4_5 files whose f_10 or f_11 has its denominator times the D1
+    # or D2 modulus pass load, the good-basis check and the rank certificate,
+    # and only the basis-pair certificate refuses them; the same on f2_5, and
+    # seeded single-coefficient flips of f2_5's and f4_5's basis functions:
+    # each input is refused by load or compile with the documented errors, or
+    # else matches the oracle on all n^2 basis pairs and 200 seeded pairs
+    docs = {name: json.loads(tools.bundled_instance_path(name).read_text(encoding="utf-8"))
+            for name in ("f4_5", "f2_5")}
+    corpus = [(name, _hidden_pole(doc, f, key), f"f_{f + 1}.den * {key}")
+              for name, doc in docs.items() for f in (9, 10) for key in ("d1_modulus", "d2_modulus")]
+    rng = random.Random(14)
+    corpus += [(name, doc, label) for name in docs for doc, label in _basis_flips(docs[name], 150, rng)]
+    refusals = {}
+    for name, doc, label in corpus:
+        try:
+            compiled = compile_instance(tools.instance_from_document(doc, name))
+        except (tools.InstanceFileError, InstanceError) as e:
+            refusals[name, label] = str(e)
+            continue
+        spec = compiled.spec
+        units = [[int(i == j) for j in range(spec.n)] for i in range(spec.n)]
+        pairs = [(x, y) for x in units for y in units]
+        pairs += tools._random_pairs(spec, 200, seed=14)
+        for x, y in pairs:
+            want = engine.reference_mul(spec.field, spec.q_modulus, x, y)
+            assert compiled.multiply(x, y)[0] == want, (name, label, x, y)
+    certified = [key for key, message in refusals.items()
+                 if message.startswith("bilinear certificate: t^")]
+    hidden = [(name, f"f_{f}.den * d{d}_modulus") for name in ("f4_5", "f2_5")
+              for f in (10, 11) for d in (1, 2)]
+    assert set(hidden) <= set(refusals)
+    assert set(hidden[:4]) <= set(certified)  # f4_5's four, by the certificate alone
+    assert len(certified) > len(hidden[:4]), certified  # and beyond the four
 
 
 def _rewindowed(compiled):
@@ -697,7 +834,7 @@ def test_verify_instance_bilinear_certificate_names_a_wrong_window_entry(
 
     def corrupted(spec):
         compiled = real(spec)
-        both = [compiled.step1_windows, compiled.step3_windows]
+        both = [compiled.step1.tables, compiled.step3.tables]
         tables = [list(t) for t in both[step == "step-3"]]
         tables[w][i] ^= 1
         both[step == "step-3"] = tuple(tuple(t) for t in tables)
@@ -1013,6 +1150,21 @@ def test_cli_mul_identity(capsys):
     code = cli.main(["mul", str(F16_13_PATH), "--x", x, "--y", "1,0,0,0,0,0,0,0,0,0,0,0,0"])
     assert code == 0
     assert capsys.readouterr().out.strip() == x
+
+
+def test_cli_refuses_the_hidden_pole_file(capsys):
+    # tests/data/f4_5_hidden_pole.json is f4_5.json with f_11's denominator
+    # times the D1 modulus: it loads, and compile's certificate refuses it, so
+    # mul prints no product (the steps give 1,0,1,2,0 for t · t^2, not t^3)
+    # and exits 2, and verify's compile line fails with the pair
+    path = Path(__file__).with_name("data") / "f4_5_hidden_pole.json"
+    doc = json.loads(F4_5_PATH.read_text(encoding="utf-8"))
+    assert json.loads(path.read_text(encoding="utf-8")) == _hidden_pole(doc, 10, "d1_modulus")
+    assert cli.main(["mul", str(path), "--x", "0,1,0,0,0", "--y", "0,0,1,0,0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: bilinear certificate: t^1 · t^2 = [1, 0, 1, 2, 0]")
+    assert cli.main(["verify", str(path)]) == 1
+    assert "[FAIL] compile — bilinear certificate: t^1 · t^2" in capsys.readouterr().out
 
 
 def test_cli_selftest(capsys):

@@ -26,8 +26,8 @@ yields T^-1; the accepted rows are T's packed rows, T_x and T_y are lane
 slices of them, and no matrix compile builds checks its entries.
 
 One product of x, y in F_{q^n} (length-n coordinate tuples over F_q) runs
-in byte lanes, lane i byte i of an int: `step3(plan.step2(step1(v)))`, v the
-int of x ‖ y, which `multiply` and compile's basis-pair certificate run.
+in byte lanes, lane i byte i of an int: `step3(step2(step1(v)))`, v the int
+of x ‖ y, which `multiply` and compile's basis-pair certificate run.
 `step1` and `step3` are generated at compile time (`linalg.straight_line`),
 each one XOR expression of lookups in windows of c columns of multiples
 (`linalg.windows` of `Matrix.columns`), its index packed c coordinates to a
@@ -38,8 +38,8 @@ byte; `TABLE_BUDGET` sets c (8 // k or 1).
    constants in all by the paper's convention;
 2. at each place, the product of the two values in its residue field — the
    only bilinear step, costing the kernel's 1, 3 or 9 — by `KernelPlan.step2`:
-   one `translate` of all slots' bytes (x's value in the low k bits, y's in the
-   next k) through its table, then its kernels at the places of degree 2 or 4,
+   one `translate` of all slots' pair bytes through its table (the whole step
+   if every place is rational), then kernels at the places of degree 2 or 4,
    folding reduction in through fixed product-table rows, so never counted;
 3. the columns of the first 2n-1 rows of inverse(T) applied to the products —
    (2n-1)(2n+g-1) multiplications in all by the paper's convention;
@@ -54,6 +54,7 @@ are structurally zero, so their columns are never scheduled.
 
 from __future__ import annotations
 
+import marshal
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
@@ -82,7 +83,6 @@ from .kernels import KERNEL_COST, PAIR_K, KernelPlan
 from .linalg import Matrix, RowBasis, straight_line, windows
 
 TABLE_BUDGET = 4096  # window entries a multiplier stores for steps 1 and 3 together
-_PLAIN = frozenset((int, bool))  # the operand types `multiply` checks in C
 
 
 def packing(k: int, c: int) -> tuple[int, int]:
@@ -339,15 +339,15 @@ def verify_good_basis(spec: InstanceSpec) -> list[CheckResult]:
 class CompiledMultiplier:
     """Frozen straight-line multiplier for one instance: every table a product
     reads, and its report, built from the selected places and T's and T^-1's rows.
-    A product is `step3(plan.step2(step1(v)))`, v the checked x ‖ y.  `step1` is
-    generated from windows of `x_columns` and `y_columns`, `plan.step2` is the kernel
-    plan's (`KernelPlan.table`, whose entry a | b << k is a * b, and its kernels), and
-    `step3`, steps 3 and 4, from windows of `step3_columns` (`T_inv_top`'s, step 4
-    folded in).  `set_windows` generates both, and each one's `tables` are the very
+    A product is `step3(step2(step1(v)))`, v the checked x ‖ y.  `step1` is generated
+    from windows of `x_columns` and `y_columns`; `step2` is `plan.step2`, or with no
+    kernel place just its `translate` through `plan.table`; and `step3`, steps 3
+    and 4, from windows of `step3_columns` (`T_inv_top`'s, step 4 folded in).
+    `set_windows` generates steps 1 and 3, and each one's `tables` are the very
     windows it reads; `widths` holds each step's c; all is in byte lanes."""
 
-    __slots__ = ("spec", "places", "T", "T_x", "T_y", "T_inv_top", "plan", "report",
-                 "x_columns", "y_columns", "step3_columns", "widths", "step1", "step3", "_high")
+    __slots__ = ("spec", "places", "T", "T_x", "T_y", "T_inv_top", "plan", "report", "x_columns",
+                 "y_columns", "step3_columns", "widths", "step1", "step2", "step3", "_high")
 
     def __init__(self, spec, places, rows, inverse_rows):
         field, n, size = spec.field, spec.n, spec.size
@@ -361,6 +361,8 @@ class CompiledMultiplier:
         self.T_x = T_x = Matrix(field, n, [r & low for r in rows])
         self.T_y = T_y = Matrix(field, n, [(r & 255) ^ (((r >> 8 * n) << 8) & low) for r in rows])
         self.plan = plan = KernelPlan(field, [p.residue if p.degree > 1 else None for p in places])
+        # with no kernel place, step 2 is the plan's one `translate`, without its method call
+        self.step2 = plan.step2 if plan.kernel_steps else lambda a, t=plan.table: a.translate(t)
         # the paper's count: one multiplication per entry of the three matrices
         # (step 3's looked up below) and the plan's kernels, whatever the values
         self.report = OpReport(
@@ -415,9 +417,11 @@ class CompiledMultiplier:
     def multiply(self, x: Sequence[int], y: Sequence[int]):
         """Product of x and y in F_{q^n}, plus the exact operation report."""
         n = self.spec.n
-        try:  # plain ints below 256 pass in C, and no bit from k up in a lane means below q
-            v = int.from_bytes(bytes(xy := x + y), "little")
-            ok = _PLAIN.issuperset(map(type, xy)) and len(x) == len(y) == n and not v & self._high
+        try:  # in C: marshal refuses int subclasses and __index__ objects, from_bytes ints from
+            # 256 up and reads a buffer (array('H')) raw, so list or tuple; the mask refuses q up
+            marshal.dumps(xy := x + y, 2)
+            v = int.from_bytes(xy, "little")
+            ok = type(xy) in (list, tuple) and len(x) == len(y) == n and not v & self._high
         except (TypeError, ValueError):
             ok = False
         if not ok:  # the exact checks, x's then y's: its length, then each coordinate
@@ -427,7 +431,7 @@ class CompiledMultiplier:
                     raise ValueError(f"operand must have {n} coordinates, got {len(u)}")
                 checked += bytes(map(self.spec.field.check, u))
             v = int.from_bytes(checked, "little")
-        return self.step3(self.plan.step2(self.step1(v))), self.report
+        return self.step3(self.step2(self.step1(v))), self.report
 
     def wrong_basis_pairs(self) -> list[tuple]:
         """The basis pairs (t^i, t^j) whose product by the three steps is not
@@ -436,7 +440,7 @@ class CompiledMultiplier:
         F_q-bilinear, so no such pair means every product is right."""
         n, res = self.spec.n, self.spec.q_place.residue
         powers = res.ladder(res.one()) + res.ladder(res.ladder(res.gen())[-1])  # t^0..t^(2n-1)
-        products = [(i, j, self.step3(self.plan.step2(self.step1(1 << 8 * i | 1 << 8 * (n + j)))))
+        products = [(i, j, self.step3(self.step2(self.step1(1 << 8 * i | 1 << 8 * (n + j)))))
                     for i in range(n) for j in range(n)]  # x = t^i in byte i, y = t^j in byte n+j
         return [(i, j, powers[i + j], got) for i, j, got in products if got != powers[i + j]]
 

@@ -330,10 +330,11 @@ def _table_fault(compiled: CompiledMultiplier):
     """The first stored entry a product reads that `field.mul` does not give
     (a multiple not a times multiple 1 of its column in its table's byte
     lanes; a window entry not the XOR of its digits' multiples in those
-    columns, y's k bits up; or an entry a | b << k of the plan's `table` not
-    a * b), or None."""
+    columns, y's k bits up; or an entry a | b << k not a * b of the table step 2
+    reads, the plan's or, with no kernel place, its one `translate`'s), or None."""
     field, n, size = compiled.spec.field, compiled.spec.n, compiled.spec.size
-    q, k, mul, step2 = field.order, field.k, field.mul, compiled.plan.table
+    q, k, mul, plan = field.order, field.k, field.mul, compiled.plan
+    step2 = plan.table if plan.kernel_steps else compiled.step2(bytes(range(256)))
     for table, width, columns in (("step-1 x", size, compiled.x_columns),
                                   ("step-1 y", size, compiled.y_columns),
                                   ("step-3", n, compiled.step3_columns)):

@@ -6,6 +6,8 @@ import json
 import operator
 import random
 import re
+import types
+from array import array
 from enum import IntEnum
 from fractions import Fraction
 
@@ -326,14 +328,12 @@ def test_straight_line_xors_one_entry_per_table(monkeypatch):
         assert re.fullmatch(r"[\w\s^\[\],=():]*", src), src
 
 
-def test_windows_are_the_tables_the_product_reads(monkeypatch):
+def test_windows_are_the_tables_the_product_reads():
     # `set_windows` regenerates `step1` and `step3` from the windows it is
     # given, and each reads those very tuples (its `tables`, which `verify`'s
-    # table check reads); `multiply` is `step3(plan.step2(step1(v)))`, each
-    # step called once, v the checked x ‖ y packed one coordinate per byte
-    calls, real_step2 = [], kernels.KernelPlan.step2
-    monkeypatch.setattr(kernels.KernelPlan, "step2",
-                        lambda plan, a: calls.append(("step2", a)) or real_step2(plan, a))
+    # table check reads); `multiply` is `step3(step2(step1(v)))`, each step
+    # called once, v the checked x ‖ y packed one coordinate per byte
+    calls = []
     for name in NAMES:
         c, spec = COMPILED[name], SPECS[name]
         frozen = engine.CompiledMultiplier(c.spec, c.places, c.T.packed, c.T_inv_top.packed)
@@ -343,15 +343,44 @@ def test_windows_are_the_tables_the_product_reads(monkeypatch):
         rng = random.Random(3)
         x, y = random_operand(rng, spec), random_operand(rng, spec)
         v = int.from_bytes(bytes(x + y), "little")
-        step1, step3 = frozen.step1, frozen.step3
+        step1, step2, step3 = frozen.step1, frozen.step2, frozen.step3
         pairs = step1(v)
-        products = real_step2(frozen.plan, pairs)
+        products = step2(pairs)
         frozen.step1 = lambda a: calls.append(("step1", a)) or step1(a)
+        frozen.step2 = lambda a: calls.append(("step2", a)) or step2(a)
         frozen.step3 = lambda a: calls.append(("step3", bytes(a))) or step3(a)
         calls.clear()
         z, _ = frozen.multiply(x, y)
         assert calls == [("step1", v), ("step2", pairs), ("step3", bytes(products))], name
         assert z == step3(products) == reference_mul(spec.field, spec.q_modulus, x, y), name
+
+
+def _multiplier_on(field, residues):
+    """A multiplier whose plan has these residues in slot order (None for a
+    degree-1 place), on made-up rows: enough to run its step 2, not a product."""
+    places = [types.SimpleNamespace(degree=1 if ext is None else ext.d, residue=ext)
+              for ext in residues]
+    size = sum(p.degree for p in places)
+    spec = types.SimpleNamespace(field=field, n=(size + 1) // 2, size=size)
+    return engine.CompiledMultiplier(spec, places, list(range(1, size + 1)), [1] * size)
+
+
+def test_step2_is_the_plans_step2():
+    # the multiplier's `step2` is the plan's, or with no kernel place its one
+    # `translate` through `plan.table`: the same bytes for every pair byte
+    # 0..255 in every slot, on the bundled plans and on k = 3 plans (the one
+    # `test_step2_with_k_3` builds, and one with rational places only)
+    F8 = BinaryField(3, 0b1011)
+    E64 = ExtField(F8, (1, 1, 1))
+    multipliers = [COMPILED[name] for name in NAMES]
+    multipliers += [_multiplier_on(F8, [None, E64]), _multiplier_on(F8, [None] * 3)]
+    assert [bool(c.plan.kernel_steps) for c in multipliers] == [False, True, True, True, False]
+    rng = random.Random(32)
+    for c in multipliers:
+        assert (c.step2 == c.plan.step2) is bool(c.plan.kernel_steps)
+        slots = [rng.sample(range(256), 256) for _ in range(c.plan.total)]
+        for pairs in map(bytes, zip(*slots)):  # each slot sees every pair byte once
+            assert c.step2(pairs) == c.plan.step2(pairs), (c.spec.field, pairs)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -1045,7 +1074,17 @@ class Index:
         return self.value
 
     def __repr__(self):
-        return f"Index({self.value})"
+        return f"{type(self).__name__}({self.value})"
+
+
+class EqualIndex(Index):
+    """An Index that also equals its value, as a numpy integer does."""
+
+    def __eq__(self, other):
+        return self.value == other
+
+    def __hash__(self):
+        return hash(self.value)
 
 
 def test_multiply_rejects_bad_operands():
@@ -1083,12 +1122,13 @@ def test_multiply_rejects_bad_operands():
                 compiled.multiply([x_bad] + zero[1:], [y_bad] + zero[1:])
             assert str(exc.value) == f"{x_bad!r} is not an element of {spec.field!r}"
         # an object that is no int but has __index__, which bytes() would
-        # take, is rejected like any other non-int, in either operand
-        index_one = Index(1)
-        for x, y in (([index_one] + zero[1:], zero), (zero, [index_one] + zero[1:])):
-            with pytest.raises(ValueError) as exc:
-                compiled.multiply(x, y)
-            assert str(exc.value) == f"{index_one!r} is not an element of {spec.field!r}"
+        # take, is rejected like any other non-int, in either operand, also
+        # when it equals its index (so no check by equality lets it through)
+        for index_one in (Index(1), EqualIndex(1)):
+            for x, y in (([index_one] + zero[1:], zero), (zero, [index_one] + zero[1:])):
+                with pytest.raises(ValueError) as exc:
+                    compiled.multiply(x, y)
+                assert str(exc.value) == f"{index_one!r} is not an element of {spec.field!r}"
         rng = random.Random(n)
         # a tuple x with a list y cannot be concatenated: the exact checks run,
         # and the product is the same
@@ -1112,6 +1152,19 @@ def test_multiply_rejects_bad_operands():
             want = reference_mul(spec.field, spec.q_modulus, x, y)
             got = compiled.multiply([Coord(v) for v in x], [Coord(v) for v in y])
             assert got == compiled.multiply(x, y) == (want, compiled.report)
+        # operands given as bytes, bytearray or array('B') multiply like lists,
+        # and so does array('H'), whose buffer holds two bytes per coordinate
+        kinds = (bytes, bytearray, functools.partial(array, "B"), functools.partial(array, "H"))
+        for _ in range(5):
+            x, y = random_operand(rng, spec), random_operand(rng, spec)
+            want = compiled.multiply(x, y)
+            for kind in kinds:
+                assert compiled.multiply(kind(x), kind(y)) == want, kind
+        # x = 1 + t^(n-2) and y = 0 as 2-byte items: read one byte per
+        # coordinate, x's bytes 0 and 2n-4 would be x = 1 and a nonzero y
+        x, y = array("H", [1] + zero[1:]), array("H", zero)
+        x[n - 2] = 1
+        assert compiled.multiply(x, y) == (tuple(zero), compiled.report)
     # the message as a user reads it, for f2_5's field
     with pytest.raises(ValueError, match=r"^-1 is not an element of GF\(2\^1; 0b10\)$"):
         COMPILED["f2_5"].multiply([0, 0, 0, 0, -1], [0] * 5)

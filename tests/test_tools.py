@@ -774,17 +774,42 @@ def _basis_flips(doc, count, rng):
         yield _with_basis_coeffs(doc, f, key, coeffs), f"f_{f + 1}.{key} = {coeffs}"
 
 
+def _times_poly(doc, f, p):
+    """doc with basis function f's numerator, ay and b, times the polynomial
+    p in x: the function times p, its zero at Q kept, new poles over x = ∞."""
+    field = galois.BinaryField(doc["field"]["k"], doc["field"]["modulus_bits"])
+    p = galois.poly_from_coeffs(field, p)
+    for key in ("ay", "b"):
+        coeffs = galois.poly_mul(field, galois.poly_from_coeffs(field, doc["basis"][f][key]), p)
+        doc = _with_basis_coeffs(doc, f, key, list(coeffs))
+    return doc
+
+
+def _swapped(doc, i, j):
+    """doc with basis functions i and j swapped."""
+    basis = list(doc["basis"])
+    basis[i], basis[j] = basis[j], basis[i]
+    return {**doc, "basis": basis}
+
+
 def test_hidden_pole_corpus_is_refused_or_multiplies_right():
     # the four f4_5 files whose f_10 or f_11 has its denominator times the D1
     # or D2 modulus pass load, the good-basis check and the rank certificate,
-    # and only the basis-pair certificate refuses them; the same on f2_5, and
-    # seeded single-coefficient flips of f2_5's and f4_5's basis functions:
-    # each input is refused by load or compile with the documented errors, or
-    # else matches the oracle on all n^2 basis pairs and 200 seeded pairs
+    # and only the basis-pair certificate refuses them; the same on f2_5;
+    # f_10 or f_11 (completion functions) times x, x + 1 or x^2 + 1; each of
+    # f_2..f_5 (the D1 block) swapped with each of f_6..f_9 (the D2 block);
+    # and seeded single-coefficient flips of f2_5's and f4_5's basis
+    # functions: each input is refused by load or compile with the documented
+    # errors, or else matches the oracle on all n^2 basis pairs and 200 seeded
+    # pairs
     docs = {name: json.loads(tools.bundled_instance_path(name).read_text(encoding="utf-8"))
             for name in ("f4_5", "f2_5")}
     corpus = [(name, _hidden_pole(doc, f, key), f"f_{f + 1}.den * {key}")
               for name, doc in docs.items() for f in (9, 10) for key in ("d1_modulus", "d2_modulus")]
+    corpus += [(name, _times_poly(doc, f, p), f"f_{f + 1} * {p}")
+               for name, doc in docs.items() for f in (9, 10) for p in ([0, 1], [1, 1], [1, 0, 1])]
+    corpus += [(name, _swapped(doc, i, j), f"f_{i + 1} <-> f_{j + 1}")
+               for name, doc in docs.items() for i in range(1, 5) for j in range(5, 9)]
     rng = random.Random(14)
     corpus += [(name, doc, label) for name in docs for doc, label in _basis_flips(docs[name], 150, rng)]
     refusals = {}
@@ -808,6 +833,10 @@ def test_hidden_pole_corpus_is_refused_or_multiplies_right():
     assert set(hidden) <= set(refusals)
     assert set(hidden[:4]) <= set(certified)  # f4_5's four, by the certificate alone
     assert len(certified) > len(hidden[:4]), certified  # and beyond the four
+    # f_i and f_(i+4) take the same value t^(i-1) at Q: swapped, they pass load,
+    # the ladder and rank(T), and only the certificate refuses them
+    same_at_q = [(name, f"f_{i} <-> f_{i + 4}") for name in docs for i in range(2, 6)]
+    assert set(same_at_q) <= set(certified)
 
 
 def _rewindowed(compiled):
@@ -917,8 +946,10 @@ def test_verify_instance_bilinear_certificate_names_a_wrong_step1_multiple(
 
 @pytest.mark.parametrize("name", ["f16_13", "f4_5", "f2_5"])
 def test_verify_instance_bilinear_certificate_names_a_wrong_step2_entry(monkeypatch, name):
-    # one entry a | b << k of the plan's step-2 table off by one bit: the check
-    # on the table, which reads all q^2 entries against field.mul, names it
+    # one entry a | b << k of the table the product's step 2 reads off by one
+    # bit: the check on the table, which reads all q^2 entries against
+    # field.mul, names it.  A plan with kernel places reads `plan.table` at each
+    # call; f16_13's one `translate` holds its own, so only that one is swapped
     real = tools.compile_instance
     a, b = 1, 1
 
@@ -926,7 +957,10 @@ def test_verify_instance_bilinear_certificate_names_a_wrong_step2_entry(monkeypa
         compiled = real(spec)
         table = bytearray(compiled.plan.table)
         table[a | b << spec.field.k] ^= 1
-        compiled.plan.table = bytes(table)
+        if compiled.plan.kernel_steps:
+            compiled.plan.table = bytes(table)
+        else:
+            compiled.step2 = lambda pairs: pairs.translate(table)
         return compiled
 
     monkeypatch.setattr(tools, "compile_instance", corrupted)

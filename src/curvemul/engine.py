@@ -44,8 +44,8 @@ byte; `TABLE_BUDGET` sets c (8 // k or 1).
 3. the columns of the first 2n-1 rows of inverse(T) applied to the products —
    (2n-1)(2n+g-1) multiplications in all by the paper's convention;
 4. an addition-only recombination of the 2n-1 interpolation coordinates
-   into n, folded at compile time into each multiple of T_inv_top's columns,
-   so the two are one lookup per c slots, XORed into the product's n bytes.
+   into n, folded at compile time into T_inv_top's rows (row n+i-1 XORed into
+   row i), so the two are one lookup per c slots, XORed into the product's n bytes.
 
 Why only n live columns in step 1: the basis is built so that x embeds on
 f_1..f_n and y on f_1, f_{n+1}..f_{2n-1}; all other embedded coordinates
@@ -340,21 +340,22 @@ class CompiledMultiplier:
     """Frozen straight-line multiplier for one instance: every table a product
     reads, and its report, built from the selected places and T's and T^-1's rows.
     A product is `step3(step2(step1(v)))`, v the checked x ‖ y.  `step1` is generated
-    from windows of `x_columns` and `y_columns`; `step2` is `plan.step2`, or with no
-    kernel place just its `translate` through `plan.table`; and `step3`, steps 3
-    and 4, from windows of `step3_columns` (`T_inv_top`'s, step 4 folded in).
-    `set_windows` generates steps 1 and 3, and each one's `tables` are the very
-    windows it reads; `widths` holds each step's c; all is in byte lanes."""
+    from windows of T_x's and T_y's column multiples, y's k bits up; `step2` is
+    `plan.step2`, or with no kernel place just its `translate` through `plan.table`;
+    and `step3`, steps 3 and 4, from windows of the column multiples of T_inv_top's
+    rows with step 4 folded in.  `set_windows` generates steps 1 and 3, and each
+    one's `tables` are the very windows it reads, which `table_fault` checks against
+    their definition; `widths` holds each step's c; all is in byte lanes."""
 
-    __slots__ = ("spec", "places", "T", "T_x", "T_y", "T_inv_top", "plan", "report", "x_columns",
-                 "y_columns", "step3_columns", "widths", "step1", "step2", "step3", "_high")
+    __slots__ = ("spec", "places", "T", "T_x", "T_y", "T_inv_top", "plan", "report", "widths",
+                 "step1", "step2", "step3", "_high")
 
     def __init__(self, spec, places, rows, inverse_rows):
         field, n, size = spec.field, spec.n, spec.size
         self.spec = spec
         self.places = tuple(places)
         self.T = Matrix(field, size, rows)
-        self.T_inv_top = top = Matrix(field, size, inverse_rows[: 2 * n - 1])
+        self.T_inv_top = top = Matrix(field, size, r := inverse_rows[: 2 * n - 1])
         # the one place that fixes how operands embed (see the module docstring): x on
         # lanes 0..n-1 of each row, y on lane 0 and lanes n..2n-2 moved down to 1..n-1
         k, low = field.k, (1 << 8 * n) - 1
@@ -370,10 +371,8 @@ class CompiledMultiplier:
             step2_bilinear=plan.advertised_cost,
             step3_scalar=top.rows * top.cols,
         )
-        self.x_columns, self.y_columns = T_x.columns, T_y.columns
-        # step 4 folded into each multiple of step 3: byte n+i-1 XORed into byte i, 0 < i < n
-        self.step3_columns = tuple(tuple([(w ^ ((w >> 8 * n) << 8)) & ((1 << 8 * n) - 1)
-                                          for w in multiples]) for multiples in top.columns)
+        # step 4 folded into T_inv_top's rows once: row n+i-1 XORed into row i, 0 < i < n
+        fold = Matrix(field, size, [r[0]] + [r[i] ^ r[n + i - 1] for i in range(1, n)])
         # step 1's windows: x's columns then y's k bits up, so lookups XOR to step 2's pairs
         c, q = 8 // k, field.order
         entries = lambda m, w: sum(q ** min(w, m - i) for i in range(0, m, w))  # noqa: E731
@@ -381,7 +380,7 @@ class CompiledMultiplier:
         c3 = c if entries(2 * n, c1) + entries(size, c) <= TABLE_BUDGET else 1
         self.widths = c1, c3
         shifted = tuple([m << k for m in multiples] for multiples in T_y.columns)
-        self.set_windows(windows(T_x.columns + shifted, c1), windows(self.step3_columns, c3))
+        self.set_windows(windows(T_x.columns + shifted, c1), windows(fold.columns, c3))
         self._high = int.from_bytes(bytes([256 - q]) * 2 * n, "little")  # bits k..7 of 2n lanes
 
     def set_windows(self, tables1, tables3) -> None:
@@ -443,6 +442,45 @@ class CompiledMultiplier:
         products = [(i, j, self.step3(self.step2(self.step1(1 << 8 * i | 1 << 8 * (n + j)))))
                     for i in range(n) for j in range(n)]  # x = t^i in byte i, y = t^j in byte n+j
         return [(i, j, powers[i + j], got) for i, j, got in products if got != powers[i + j]]
+
+    def table_fault(self) -> str | None:
+        """The first entry a product reads that `field.mul` does not give, or None: a window
+        not q^digits long, a unit (index 1 << k*j) off its lanes of k bits (y's k up), an entry
+        not the XOR of d times each digit d's unit, a step-2 entry a | b << k not a * b, or a
+        kernel plan's `halves` byte i not i & q-1 (x's) or i >> k & q-1 (y's)."""
+        field, n, size, plan = self.spec.field, self.spec.n, self.spec.size, self.plan
+        q, k, mul = field.order, field.k, field.mul
+        steps = (("step-1", self.widths[0], size, [0] * n + [k] * n, self.step1.tables),
+                 ("step-3", self.widths[1], n, [0] * size, self.step3.tables))
+        for step, c, lanes, shifts, tables in steps:  # shifts: each digit's, column by column
+            if len(tables) != -(-len(shifts) // c):
+                return f"{step} has {len(tables)} windows, not {-(-len(shifts) // c)}"
+            for w, table in enumerate(tables):
+                digits, multiples = shifts[c * w : c * w + c], []  # [j][d]: d times unit j
+                if len(table) != q ** len(digits):
+                    return f"{step} window {w} has {len(table)} entries, not {q ** len(digits)}"
+                for j, s in enumerate(digits):
+                    unit, in_lanes = table[1 << k * j], bytes([q - 1 << s]) * lanes
+                    if unit & ~int.from_bytes(in_lanes, "little"):
+                        return (f"{step} window {w} entry {1 << k * j} is not {lanes} lanes of "
+                                f"{k} bits from bit {s}")
+                    units = [u >> s for u in unit.to_bytes(lanes, "little")]
+                    multiples.append([int.from_bytes(bytes([mul(d, u) << s for u in units]),
+                                                     "little") for d in range(q)])
+                for i, entry in enumerate(table):
+                    for j, by_digit in enumerate(multiples):  # what is left is entry's fault
+                        entry ^= by_digit[i >> k * j & q - 1]
+                    if entry:
+                        return (f"{step} window {w} entry {i} is not the XOR of its digits' "
+                                "multiples")
+        step2 = plan.table if plan.kernel_steps else self.step2(bytes(range(256)))
+        for i in range(q << k):
+            if len(step2) != 256 or step2[i] != mul(i & q - 1, i >> k):
+                return f"step-2 table entry {i} is not {i & q - 1} times {i >> k}"
+        for h, i in [(h, i) for h in (range(2) if plan.kernel_steps else ()) for i in range(256)]:
+            if len(plan.halves[h]) != 256 or plan.halves[h][i] != i >> k * h & q - 1:
+                return f"step-2 halves {h} entry {i} is not {i >> k * h & q - 1}"
+        return None
 
 
 def compile_instance(spec: InstanceSpec) -> CompiledMultiplier:

@@ -326,44 +326,6 @@ class VerifyReport(namedtuple("VerifyReport", "instance checks")):
         return out
 
 
-def _table_fault(compiled: CompiledMultiplier):
-    """The first stored entry a product reads that `field.mul` does not give
-    (a multiple not a times multiple 1 of its column in its table's byte
-    lanes; a window entry not the XOR of its digits' multiples in those
-    columns, y's k bits up; or an entry a | b << k not a * b of the table step 2
-    reads, the plan's or, with no kernel place, its one `translate`'s), or None."""
-    field, n, size = compiled.spec.field, compiled.spec.n, compiled.spec.size
-    q, k, mul, plan = field.order, field.k, field.mul, compiled.plan
-    step2 = plan.table if plan.kernel_steps else compiled.step2(bytes(range(256)))
-    for table, width, columns in (("step-1 x", size, compiled.x_columns),
-                                  ("step-1 y", size, compiled.y_columns),
-                                  ("step-3", n, compiled.step3_columns)):
-        for j, multiples in enumerate(columns):
-            # multiple 1 cut to `width` lanes of k bits, so a bit outside them fails at a = 1
-            one = (multiples[1] if len(multiples) == q else 0) & ((1 << 8 * width) - 1)
-            for a in range(q):
-                want = bytes([mul(a, c & (q - 1)) for c in one.to_bytes(width, "little")])
-                if len(multiples) != q or multiples[a] != int.from_bytes(want, "little"):
-                    return (f"{table} multiple {a} of column {j} is not {a} times "
-                            f"multiple 1 of that column in {width} lanes")
-    step1 = [*compiled.x_columns, *([m << k for m in ms] for ms in compiled.y_columns)]
-    for step, c, columns, windows in zip(("step-1", "step-3"), compiled.widths,
-                                         (step1, compiled.step3_columns),
-                                         (compiled.step1.tables, compiled.step3.tables)):
-        groups = [columns[w : w + c] for w in range(0, len(columns), c)]
-        for w, (group, table) in enumerate(itertools.zip_longest(groups, windows, fillvalue=())):
-            for i in range(max(q ** len(group), len(table))):
-                want = 0
-                for j, multiples in enumerate(group):  # digit j: bits k*j .. k*j+k-1 of i
-                    want ^= multiples[i >> k * j & q - 1]
-                if len(table) != q ** len(group) or table[i] != want:
-                    return f"{step} window {w} entry {i} is not the XOR of its digits' multiples"
-    for a, b in itertools.product(range(q), repeat=2):
-        if len(step2) != 256 or step2[a | b << k] != mul(a, b):
-            return f"step-2 table entry {a | b << k} is not {a} times {b}"
-    return None
-
-
 def verify_instance(spec: InstanceSpec) -> VerifyReport:
     """Re-run every rule of `InstanceSpec.checks` on a loaded instance and
     compile it.
@@ -375,12 +337,12 @@ def verify_instance(spec: InstanceSpec) -> VerifyReport:
     bilinear certificate: the product's steps against t^(i+j) mod Q on all n^2
     pairs (t^i, t^j) of basis vectors (`wrong_basis_pairs`, which compile also
     runs).  That suffices, as step 2 is F_q-bilinear when each entry
-    a | b << k of `plan.table` is a * b, and steps 1, 3 and 4 (lookups
-    of stored multiples) are F_q-linear when each multiple in `x_columns`,
-    `y_columns` and `step3_columns` is a times multiple 1 of its column and
-    each window entry the XOR of its digits' multiples; the certificate
-    checks all of them first, and two bilinear maps that agree on the basis
-    pairs agree everywhere.
+    a | b << k of the table it reads is a * b and each byte of the kernels'
+    `halves` its x or y value, and steps 1, 3 and 4 (lookups in windows) are
+    F_q-linear when each window entry is the XOR of d times its digits' unit
+    entries, each unit within its step's lanes; the certificate checks all of
+    them first (`CompiledMultiplier.table_fault`), and two bilinear maps that
+    agree on the basis pairs agree everywhere.
     """
     rules: dict = {}  # one line per rule name, a candidate rule's at its first failure
     for c in spec.checks():
@@ -399,7 +361,7 @@ def verify_instance(spec: InstanceSpec) -> VerifyReport:
     rep, got_rank = compiled.report, rank(compiled.T)
     bound = aggregate_bound(spec.n, spec.g, max(compiled.place_degrees))
     result = selftest(compiled, 25, seed=2024)
-    fault = _table_fault(compiled)
+    fault = compiled.table_fault()
     wrong = compiled.wrong_basis_pairs()
     cert = f"{spec.n**2 - len(wrong)}/{spec.n**2} basis pairs match the polynomial oracle"
     if wrong:

@@ -194,45 +194,66 @@ def test_multiply_runs_place_by_place(monkeypatch):
         assert compiled.multiply(one, one)[0] == (0,) * spec.n, name
 
 
-def test_step3_columns_are_the_multiples_of_t_inv_top():
-    # step 4 is folded in: each stored multiple is a times a column of
-    # T_inv_top with entry n+i-1 added to entry i (0 < i < n), in n byte
-    # lanes (to_bytes raises on anything above lane n)
+def _columns_by_definition(compiled):
+    # each step's columns in window order, read off `Matrix.entries`, each with
+    # the shift of its lanes: step 1 the columns of T_x, then T_y's k bits up;
+    # step 3 T_inv_top's, its rows n+i-1 recombined into rows i (0 < i < n)
+    n, size, k = compiled.spec.n, compiled.spec.size, compiled.spec.field.k
+    T_x, T_y, top = compiled.T_x, compiled.T_y, compiled.T_inv_top
+    step1 = [(m.entries[j::n], s) for m, s in ((T_x, 0), (T_y, k)) for j in range(n)]
+    rows = [top.entries[size * r : size * (r + 1)] for r in range(2 * n - 1)]
+    folded = [rows[0]] + [[u ^ v for u, v in zip(rows[i], rows[n + i - 1])] for i in range(1, n)]
+    step3 = [([row[j] for row in folded], 0) for j in range(size)]
+    return step1, step3
+
+
+def _multiples_by_definition(field, column, shift):
+    # a times the column, entry by entry by field.mul, in len(column) byte lanes
+    return [int.from_bytes(bytes([field.mul(a, e) << shift for e in column]), "little")
+            for a in range(field.order)]
+
+
+def _assert_single_digit_entries(compiled, step):
+    # entry a << k*j of window w is a times column c*w + j, in the step's lanes
+    field, k = compiled.spec.field, compiled.spec.field.k
+    c = compiled.widths[step == 3]
+    columns = _columns_by_definition(compiled)[step == 3]
+    tables = (compiled.step1, compiled.step3)[step == 3].tables
+    assert len(tables) == -(-len(columns) // c)
+    for g, (column, shift) in enumerate(columns):
+        w, j = divmod(g, c)
+        want = _multiples_by_definition(field, column, shift)
+        assert [tables[w][a << k * j] for a in range(field.order)] == want, (step, g)
+
+
+def test_step3_windows_are_the_multiples_of_t_inv_top():
+    # step 4 is folded in: each single-digit entry of a step-3 window is a
+    # times a column of T_inv_top with entry n+i-1 added to entry i (0 < i < n),
+    # in n byte lanes
     for name in NAMES:
-        compiled, n = COMPILED[name], SPECS[name].n
-        m, field = compiled.T_inv_top, SPECS[name].field
-        assert len(compiled.step3_columns) == m.cols
-        for j, multiples in enumerate(compiled.step3_columns):
-            column = m.entries[j :: m.cols]
-            recombined = [column[0]] + [column[i] ^ column[n + i - 1] for i in range(1, n)]
-            assert [list(v.to_bytes(n + 1, "little")) for v in multiples] == [
-                [field.mul(a, c) for c in recombined] + [0] for a in range(field.order)
-            ]
+        compiled = COMPILED[name]
+        assert len(_columns_by_definition(compiled)[1]) == compiled.T_inv_top.cols
+        _assert_single_digit_entries(compiled, 3)
 
 
 def test_step1_columns_are_the_multiples_of_t_x_and_t_y():
-    # x_columns[j][a] is a times column j of T_x, in 2n+g-1 byte lanes, and
-    # y_columns[j][a] likewise of T_y: lane 2n+g-1 is clear, and to_bytes
-    # raises on anything above it
+    # each single-digit entry of a step-1 window is a times a column of T_x,
+    # in 2n+g-1 byte lanes, or of T_y, each lane k bits up
     for name in NAMES:
-        compiled, field = COMPILED[name], SPECS[name].field
-        for m, table in ((compiled.T_x, compiled.x_columns), (compiled.T_y, compiled.y_columns)):
-            assert len(table) == m.cols == SPECS[name].n
-            for j, multiples in enumerate(table):
-                column = m.entries[j :: m.cols]
-                assert [list(v.to_bytes(m.rows + 1, "little")) for v in multiples] == [
-                    [field.mul(a, c) for c in column] + [0] for a in range(field.order)
-                ]
+        compiled = COMPILED[name]
+        assert compiled.T_x.cols == compiled.T_y.cols == SPECS[name].n
+        _assert_single_digit_entries(compiled, 1)
 
 
 def test_column_tables_take_one_pass_over_the_product_table_each(monkeypatch):
     # freezing the multiplier builds three tables of column multiples
-    # (`Matrix.columns`), of T_x, T_y and T_inv_top, and not T's; step 4 is
-    # folded into each multiple of T_inv_top's.  Each table packs its
-    # transpose as one lane vector and takes its q multiples from one
-    # `Lanes.multiples`, one `translate` per row of the field's product table
-    # (`field.rows`): no lane scale and no field.mul, and no pass per column
-    # or per a.  The windows are XORs of those multiples, with no pass of their own
+    # (`Matrix.columns`): of T_x, of T_y, and of the n-row fold of
+    # T_inv_top's rows that is steps 3 and 4, and neither T's nor
+    # T_inv_top's.  Each table packs its transpose as one lane vector and
+    # takes its q multiples from one `Lanes.multiples`, one `translate` per
+    # row of the field's product table (`field.rows`): no lane scale and no
+    # field.mul, and no pass per column or per a.  The windows are XORs of
+    # those multiples, with no pass of their own
     passes, built = [], []
 
     class Rows(tuple):
@@ -252,22 +273,18 @@ def test_column_tables_take_one_pass_over_the_product_table_each(monkeypatch):
     monkeypatch.setattr(Lanes, "multiples", multiples)
     monkeypatch.setattr(BinaryField, "mul", banned)
     for name in NAMES:
-        c, field = COMPILED[name], SPECS[name].field
+        c, field, n, size = COMPILED[name], SPECS[name].field, SPECS[name].n, SPECS[name].size
         monkeypatch.setattr(field, "rows", Rows(field.rows))
         passes.clear()
         built.clear()
         frozen = engine.CompiledMultiplier(c.spec, c.places, c.T.packed, c.T_inv_top.packed)
         assert passes == [field.order] * 3, name
-        # one transpose each, of T_x, T_y and T_inv_top in turn, none of T's size
-        tables = (frozen.T_x, frozen.T_y, frozen.T_inv_top)
-        assert built == [m.rows * m.cols for m in tables], name
-        assert frozen.step3_columns == c.step3_columns
-        assert frozen.x_columns == c.x_columns and frozen.y_columns == c.y_columns
+        # one transpose each, of T_x, T_y (size x n) and the fold (n x size), none of T's size
+        assert built == [size * n] * 3, name
         assert frozen.step1.tables == c.step1.tables
         assert frozen.step3.tables == c.step3.tables
-        assert frozen.T._columns is None, name
-        for m in tables:
-            assert m._columns is not None, name
+        assert frozen.T._columns is None and frozen.T_inv_top._columns is None, name
+        assert frozen.T_x._columns is not None and frozen.T_y._columns is not None, name
 
 
 def _windows_by_definition(columns, c, k):
@@ -293,14 +310,14 @@ def test_windows_xor_their_digits_multiples():
         assert linalg.windows(columns, 1) == tuple(columns)  # c = 1: the columns
         for c in range(2, 8 // k + 1):
             assert linalg.windows(columns, c) == _windows_by_definition(columns, c, k), (k, c)
-    # a compiled multiplier's: step 1 over x's columns then y's, k bits up
+    # a compiled multiplier's, over its columns' multiples by field.mul: step 1
+    # over T_x's columns then T_y's, k bits up; step 3 over the fold of T_inv_top's
     for name in NAMES:
-        compiled, k = COMPILED[name], SPECS[name].field.k
-        c1, c3 = compiled.widths
-        shifted = tuple(tuple(m << k for m in ms) for ms in compiled.y_columns)
-        assert compiled.step1.tables == _windows_by_definition(
-            compiled.x_columns + shifted, c1, k), name
-        assert compiled.step3.tables == _windows_by_definition(compiled.step3_columns, c3, k)
+        compiled, field = COMPILED[name], SPECS[name].field
+        for tables, c, columns in zip((compiled.step1.tables, compiled.step3.tables),
+                                      compiled.widths, _columns_by_definition(compiled)):
+            multiples = [_multiples_by_definition(field, *column) for column in columns]
+            assert tables == _windows_by_definition(multiples, c, field.k), name
 
 
 def test_straight_line_xors_one_entry_per_table(monkeypatch):

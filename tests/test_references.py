@@ -22,7 +22,7 @@ import re
 import sys
 from pathlib import Path
 
-from curvemul import tools
+from curvemul import linalg, tools
 from curvemul.engine import compile_instance
 from curvemul.linalg import mat_vec
 
@@ -72,16 +72,18 @@ def test_bundled_multipliers_have_what_perfbench_replays():
         for attr in ("T", "T_x", "T_y", "T_inv_top", "plan", "places"):
             assert hasattr(compiled, attr), (name, attr)
         assert callable(compiled.plan.hadamard), name
-        # the replay's mat_vec reads the tables the product reads: step 1's
-        # are the matrices' own, step 3's each the step-4 fold of T_inv_top's
-        assert compiled.T_x.columns is compiled.x_columns, name
-        assert compiled.T_y.columns is compiled.y_columns, name
-        # (byte lanes: byte n+i-1 XORed into byte i, then n bytes kept)
-        n = compiled.spec.n
+        # the windows the product reads are the windows of the column tables
+        # the replay's mat_vec reads: step 1's of T_x's then T_y's, k bits up,
+        # step 3's of T_inv_top's with step 4 folded in (byte n+i-1 XORed into
+        # byte i, then n bytes kept)
+        n, k = compiled.spec.n, compiled.spec.field.k
+        c1, c3 = compiled.widths
+        shifted = tuple([m << k for m in ms] for ms in compiled.T_y.columns)
+        assert compiled.step1.tables == linalg.windows(compiled.T_x.columns + shifted, c1), name
         low = (1 << 8 * n) - 1
-        assert compiled.step3_columns == tuple(
-            tuple([(w ^ ((w >> 8 * n) << 8)) & low for w in multiples])
-            for multiples in compiled.T_inv_top.columns), name
+        folded = [[(w ^ ((w >> 8 * n) << 8)) & low for w in ms]
+                  for ms in compiled.T_inv_top.columns]
+        assert compiled.step3.tables == linalg.windows(folded, c3), name
 
 
 def test_perfbench_replay_equals_multiply():

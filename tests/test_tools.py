@@ -839,13 +839,31 @@ def test_hidden_pole_corpus_is_refused_or_multiplies_right():
     assert set(same_at_q) <= set(certified)
 
 
-def _rewindowed(compiled):
-    # the windows a product reads, rebuilt from the (corrupted) column tables
-    k, (c1, c3) = compiled.spec.field.k, compiled.widths
-    shifted = tuple(tuple(m << k for m in ms) for ms in compiled.y_columns)
-    compiled.set_windows(linalg.windows(compiled.x_columns + shifted, c1),
-                         linalg.windows(compiled.step3_columns, c3))
-    return compiled
+def _certificate(monkeypatch, name, change):
+    # verify `name` with `change` applied to the multiplier compile returns:
+    # the report and its bilinear-certificate line
+    real = tools.compile_instance
+
+    def corrupted(spec):
+        compiled = real(spec)
+        change(compiled)
+        return compiled
+
+    monkeypatch.setattr(tools, "compile_instance", corrupted)
+    report = tools.verify_instance(tools.load_bundled(name))
+    return report, next(c for c in report.checks if c.name == "bilinear-certificate")
+
+
+def _xor_into_windows(step, w, bits):
+    # a change that XORs bits[i] into entry i of window w of step 1 or 3,
+    # regenerating the step from the changed windows
+    def change(compiled):
+        both = [compiled.step1.tables, compiled.step3.tables]
+        tables = [list(t) for t in both[step == "step-3"]]
+        tables[w] = [e ^ bits.get(i, 0) for i, e in enumerate(tables[w])]
+        both[step == "step-3"] = tuple(tuple(t) for t in tables)
+        compiled.set_windows(*both)
+    return change
 
 
 @pytest.mark.parametrize(
@@ -856,92 +874,77 @@ def _rewindowed(compiled):
 def test_verify_instance_bilinear_certificate_names_a_wrong_window_entry(
     monkeypatch, name, step, w, i
 ):
-    # one window entry off by one bit, its column tables intact: the window
+    # one window entry off by one bit, every other entry intact: the window
     # is then no XOR of its digits' multiples, and the check names the step,
     # the window and the entry
-    real = tools.compile_instance
-
-    def corrupted(spec):
-        compiled = real(spec)
-        both = [compiled.step1.tables, compiled.step3.tables]
-        tables = [list(t) for t in both[step == "step-3"]]
-        tables[w][i] ^= 1
-        both[step == "step-3"] = tuple(tuple(t) for t in tables)
-        compiled.set_windows(*both)
-        return compiled
-
-    monkeypatch.setattr(tools, "compile_instance", corrupted)
-    report = tools.verify_instance(tools.load_bundled(name))
-    cert = next(c for c in report.checks if c.name == "bilinear-certificate")
+    report, cert = _certificate(monkeypatch, name, _xor_into_windows(step, w, {i: 1}))
     assert not report.ok and not cert.ok
     assert cert.detail.startswith(
         f"{step} window {w} entry {i} is not the XOR of its digits' multiples; "), cert.detail
 
 
+NOT_XOR = "is not the XOR of its digits' multiples"
+
+
 @pytest.mark.parametrize(
-    "a, lane, pairs",
-    [(3, 0, 20), (3, 5, 25), (1, 5, 25)],
-    ids=["in-lanes", "above-lanes", "multiple-1-above-lanes"],
+    "a, lane, entry, fault",
+    [(3, 0, 3, NOT_XOR), (3, 5, 3, NOT_XOR), (1, 5, 1, "is not 5 lanes of 2 bits from bit 0"),
+     (1, 0, 2, NOT_XOR)],
+    ids=["in-lanes", "above-lanes", "multiple-1-above-lanes", "multiple-1-in-lanes"],
 )
 def test_verify_instance_bilinear_certificate_names_a_wrong_step3_multiple(
-    monkeypatch, a, lane, pairs
+    monkeypatch, a, lane, entry, fault
 ):
-    # one stored multiple of one column off by one bit, and the windows a
-    # product reads rebuilt from it: steps 3 and 4 are then not F_q-linear,
-    # and agreement on the basis pairs no longer proves agreement everywhere.
-    # A bit in lane 5, above f4_5's n = 5 lanes, changes no product, so only
-    # the check on the column table sees it; on multiple 1 it is seen
-    # because a scale by 1 keeps n lanes too.
-    real = tools.compile_instance
-
-    def corrupted(spec):
-        compiled = real(spec)
-        columns = [list(c) for c in compiled.step3_columns]
-        columns[4][a] ^= 1 << (8 * lane)  # bit 0 of byte lane `lane`
-        compiled.step3_columns = tuple(tuple(c) for c in columns)
-        return _rewindowed(compiled)
-
-    monkeypatch.setattr(tools, "compile_instance", corrupted)
-    report = tools.verify_instance(tools.load_bundled("f4_5"))
-    cert = next(c for c in report.checks if c.name == "bilinear-certificate")
+    # entry a of f4_5's step-3 window 1, a times its column 4 (digit 0, steps 3
+    # and 4), off by one bit: steps 3 and 4 are then not F_q-linear, yet all 25
+    # basis pairs still match, so only the table check sees it.  A bit in lane
+    # 5, above f4_5's n = 5 lanes, changes no product; on the unit entry
+    # (a = 1) it is off the step's lanes.  The unit entry off inside its lanes
+    # is consistent by itself, so the check names entry 2, twice the unit,
+    # which no longer agrees with it
+    change = _xor_into_windows("step-3", 1, {a: 1 << 8 * lane})
+    report, cert = _certificate(monkeypatch, "f4_5", change)
     assert not report.ok and not cert.ok
-    assert cert.detail.startswith(
-        f"step-3 multiple {a} of column 4 is not {a} times multiple 1 of that column in 5 lanes; "
-        f"{pairs}/25 basis pairs match the polynomial oracle"
-    )
+    assert cert.detail == (
+        f"step-3 window 1 entry {entry} {fault}; 25/25 basis pairs match the polynomial oracle")
 
 
-@pytest.mark.parametrize("table, label", [("x_columns", "x"), ("y_columns", "y")])
+@pytest.mark.parametrize("digit", ["x_digit", "y_digit"])
 @pytest.mark.parametrize(
     "a, lane",
     [(3, 0), (3, 11), (1, 11)],
     ids=["in-lanes", "above-lanes", "multiple-1-above-lanes"],
 )
 def test_verify_instance_bilinear_certificate_names_a_wrong_step1_multiple(
-    monkeypatch, table, label, a, lane
+    monkeypatch, digit, a, lane
 ):
-    # one stored step-1 multiple off by one bit, and the windows rebuilt from
-    # it: step 1 is then not F_q-linear.  The basis pairs read only multiples
-    # 0 and 1, and a bit in lane 11, above f4_5's 2n+g-1 = 11 lanes, is read
-    # by no place, so all 25 pairs still match and only the check on the
-    # column table sees it
-    real = tools.compile_instance
-
-    def corrupted(spec):
-        compiled = real(spec)
-        columns = [list(c) for c in getattr(compiled, table)]
-        columns[2][a] ^= 1 << (8 * lane)  # bit 0 of byte lane `lane`
-        setattr(compiled, table, tuple(tuple(c) for c in columns))
-        return _rewindowed(compiled)
-
-    monkeypatch.setattr(tools, "compile_instance", corrupted)
-    report = tools.verify_instance(tools.load_bundled("f4_5"))
-    cert = next(c for c in report.checks if c.name == "bilinear-certificate")
+    # f4_5's step-1 entry a times x's column 2 (window 0, digit 2) or y's
+    # column 2 (window 1, digit 3) off by the digit's own low bit of one lane:
+    # step 1 is then not F_q-linear.  The basis pairs read only unit entries,
+    # and a bit in lane 11, above f4_5's 2n+g-1 = 11 lanes, is read by no
+    # place, so all 25 pairs still match and only the table check sees it
+    w, j, shift = (0, 2, 0) if digit == "x_digit" else (1, 3, 2)
+    i = a << 2 * j
+    change = _xor_into_windows("step-1", w, {i: 1 << 8 * lane + shift})
+    report, cert = _certificate(monkeypatch, "f4_5", change)
     assert not report.ok and not cert.ok
+    fault = NOT_XOR if a > 1 else f"is not 11 lanes of 2 bits from bit {shift}"
     assert cert.detail == (
-        f"step-1 {label} multiple {a} of column 2 is not {a} times multiple 1 of that column "
-        f"in 11 lanes; 25/25 basis pairs match the polynomial oracle"
-    )
+        f"step-1 window {w} entry {i} {fault}; 25/25 basis pairs match the polynomial oracle")
+
+
+@pytest.mark.parametrize("w, i, bit, shift", [(0, 4, 2, 0), (1, 64, 0, 2)], ids=["x", "y"])
+def test_verify_instance_bilinear_certificate_names_a_unit_entry_in_the_wrong_half(
+    monkeypatch, w, i, bit, shift
+):
+    # f4_5's unit entry of x's column 1 with a bit k up, in y's half of its
+    # pair byte, or of y's column 2 with a bit in x's half: within the step's
+    # lanes but off its digit's, so step 1 is not bilinear, and the check
+    # names the entry
+    report, cert = _certificate(monkeypatch, "f4_5", _xor_into_windows("step-1", w, {i: 1 << bit}))
+    assert not report.ok and not cert.ok
+    assert cert.detail.startswith(
+        f"step-1 window {w} entry {i} is not 11 lanes of 2 bits from bit {shift}; "), cert.detail
 
 
 @pytest.mark.parametrize("name", ["f16_13", "f4_5", "f2_5"])
@@ -950,48 +953,77 @@ def test_verify_instance_bilinear_certificate_names_a_wrong_step2_entry(monkeypa
     # bit: the check on the table, which reads all q^2 entries against
     # field.mul, names it.  A plan with kernel places reads `plan.table` at each
     # call; f16_13's one `translate` holds its own, so only that one is swapped
-    real = tools.compile_instance
     a, b = 1, 1
 
-    def corrupted(spec):
-        compiled = real(spec)
+    def change(compiled):
         table = bytearray(compiled.plan.table)
-        table[a | b << spec.field.k] ^= 1
+        table[a | b << compiled.spec.field.k] ^= 1
         if compiled.plan.kernel_steps:
             compiled.plan.table = bytes(table)
         else:
             compiled.step2 = lambda pairs: pairs.translate(table)
-        return compiled
 
-    monkeypatch.setattr(tools, "compile_instance", corrupted)
-    spec = tools.load_bundled(name)
-    report = tools.verify_instance(spec)
-    cert = next(c for c in report.checks if c.name == "bilinear-certificate")
+    report, cert = _certificate(monkeypatch, name, change)
     assert not report.ok and not cert.ok
-    entry = a | b << spec.field.k
+    entry = a | b << tools.load_bundled(name).field.k
     assert cert.detail.startswith(f"step-2 table entry {entry} is not {a} times {b}; "), cert.detail
     assert "[FAIL] bilinear-certificate — step-2 table entry" in "\n".join(report.lines())
 
 
+# the single-byte corruptions (half, byte, value) of f4_5's `plan.halves` that
+# leave all 25 basis pairs right, each a wrong x or y value at a pair byte
+HALVES_PAST_THE_BASIS_PAIRS = [
+    (0, 4, 1), (0, 4, 2), (0, 4, 3), (0, 13, 0), (0, 13, 2), (0, 13, 3), (0, 6, 0), (0, 6, 1),
+    (0, 6, 3), (1, 4, 0), (1, 4, 2), (1, 4, 3), (1, 13, 0), (1, 13, 1), (1, 13, 2), (1, 6, 0),
+    (1, 6, 2), (1, 6, 3),
+]
+
+
+def _set_half(h, i, value):
+    def change(compiled):
+        half = bytearray(compiled.plan.halves[h])
+        half[i] = value
+        compiled.plan.halves[h] = bytes(half)
+    return change
+
+
+@pytest.mark.parametrize("h, i, value", HALVES_PAST_THE_BASIS_PAIRS)
+def test_verify_instance_bilinear_certificate_names_a_wrong_halves_byte(monkeypatch, h, i, value):
+    # the kernels at places of degree 2 or 4 read each slot's x and y values
+    # through `plan.halves`; one wrong byte there is no F_q-bilinear step 2,
+    # yet the basis pairs all match, so only the check on `halves` refuses it
+    report, cert = _certificate(monkeypatch, "f4_5", _set_half(h, i, value))
+    assert not report.ok and not cert.ok
+    want = i >> 2 * h & 3
+    assert cert.detail == (f"step-2 halves {h} entry {i} is not {want}; "
+                           "25/25 basis pairs match the polynomial oracle"), cert.detail
+
+
+def test_certificate_names_every_single_byte_halves_corruption():
+    # every wrong value at every pair byte of either half, on both bundled
+    # files with kernel places: each is named, whether or not the basis pairs
+    # would see it
+    for name in ("f4_5", "f2_5"):
+        compiled = compile_instance(tools.load_bundled(name))
+        q, halves = compiled.spec.field.order, list(compiled.plan.halves)
+        assert compiled.table_fault() is None
+        for h in range(2):
+            for i in range(q * q):
+                for value in set(range(q)) - {halves[h][i]}:
+                    _set_half(h, i, value)(compiled)
+                    want = f"step-2 halves {h} entry {i} is not {halves[h][i]}"
+                    assert compiled.table_fault() == want, (name, h, i, value)
+                    compiled.plan.halves[h] = halves[h]
+
+
 def test_verify_instance_bilinear_certificate_catches_a_consistent_wrong_column(monkeypatch):
-    # every multiple of one column is a times the same wrong n-lane vector,
-    # and the windows a product reads are rebuilt from it: the tables are
-    # F_q-linear, so their checks pass, and only the basis pairs can tell;
-    # the certificate counts them and names the first that differs
-    real = tools.compile_instance
-
-    def corrupted(spec):
-        compiled = real(spec)
-        columns = list(compiled.step3_columns)
-        wrong = columns[4][1] ^ 1  # not multiple 1
-        scale = galois.Lanes(spec.field, spec.n).scale
-        columns[4] = tuple(scale(a, wrong) for a in range(spec.field.order))
-        compiled.step3_columns = tuple(columns)
-        return _rewindowed(compiled)
-
-    monkeypatch.setattr(tools, "compile_instance", corrupted)
-    report = tools.verify_instance(tools.load_bundled("f4_5"))
-    cert = next(c for c in report.checks if c.name == "bilinear-certificate")
+    # every entry of f4_5's step-3 window 1 shifted by d times the same lane-0
+    # vector, d its digit 0 (column 4): a consistent wrong column, so the
+    # windows are F_q-linear and their checks pass, and only the basis pairs
+    # can tell; the certificate counts them and names the first that differs
+    mul = galois.F4.mul
+    report, cert = _certificate(monkeypatch, "f4_5", _xor_into_windows(
+        "step-3", 1, {i: mul(i & 3, 1) for i in range(256)}))
     assert not report.ok and not cert.ok
     match = re.fullmatch(r"(\d+)/25 basis pairs match the polynomial oracle; "
                          r"first failure x=\[.*\] y=\[.*\]", cert.detail)

@@ -126,7 +126,7 @@ class KernelPlan:
         then the slots of each place of degree 2 or 4 redone by its kernel."""
         products = pairs.translate(self.table)
         if self.kernel_steps:
-            xs, ys = map(pairs.translate, self.halves)
+            xs, ys = pairs.translate(self.halves[0]), pairs.translate(self.halves[1])
             products = bytearray(products)
             for slots, ext, kernel in self.kernel_steps:
                 products[slots] = kernel(ext, xs[slots], ys[slots])

@@ -1,4 +1,4 @@
-"""Mutation check of the multiplier's table certificate and window builders.
+"""Mutation check of the product path, its tables and certificates, compile and verify.
 
 Copies src/ and tests/ to a temporary directory and runs every test named
 below once on the unmutated copy, which must pass.  Then, for each mutant, it
@@ -27,7 +27,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 ENGINE = "src/curvemul/engine.py"
+KERNELS = "src/curvemul/kernels.py"
+TOOLS = "src/curvemul/tools.py"
 TOOLS_TESTS = "tests/test_tools.py::test_verify_instance_bilinear_certificate_"
+OPERANDS_TEST = "tests/test_engine.py::test_multiply_rejects_bad_operands"
 
 Mutant = namedtuple("Mutant", "name path old new tests")
 
@@ -60,6 +63,46 @@ MUTANTS = [
            "[m << k for m in multiples] for multiples in T_y.columns",
            "[m for m in multiples] for multiples in T_y.columns",
            ["tests/test_engine.py::test_step1_columns_are_the_multiples_of_t_x_and_t_y"]),
+    Mutant("drop the operand range mask", ENGINE,
+           " and not v & self._high", "",
+           [OPERANDS_TEST]),
+    Mutant("accept any operand type", ENGINE,
+           "type(xy) in (list, tuple) and ", "",
+           [OPERANDS_TEST]),
+    Mutant("drop the exact-int check", ENGINE,
+           "marshal.dumps(xy := x + y, 2)", "xy = x + y",
+           [OPERANDS_TEST]),
+    Mutant("pack one digit too far", ENGINE,
+           "(8 - k) * (c - 1)", "(8 - k) * c",
+           ["tests/test_engine.py::test_packing_puts_c_digits_in_a_byte"]),
+    Mutant("drop compile's basis-pair certificate", ENGINE,
+           "if wrong := compiled.wrong_basis_pairs():", "if wrong := []:",
+           ["tests/test_tools.py::test_hidden_pole_corpus_is_refused_or_multiplies_right"]),
+    Mutant("keep a place that does not raise the rank", ENGINE,
+           "if basis.add_packed(block):", "if basis.add_packed(block) or True:",
+           ["tests/test_engine.py::test_selection_skips_a_dependent_place_before_the_last"]),
+    Mutant("compile k above 4", ENGINE,
+           "if spec.field.k > PAIR_K:", "if False:",
+           ["tests/test_engine.py::test_compile_refuses_k_above_4_before_evaluating_a_place"]),
+    Mutant("accept a candidate on the divisors' support", ENGINE,
+           'yield _rule("support-disjoint", hit is None,', 'yield _rule("support-disjoint", True,',
+           ["tests/test_engine.py::test_candidate_rejection_named"]),
+    Mutant("accept a reducible candidate modulus", ENGINE,
+           'yield _rule("candidates-residue-irreducible", rabin(field, p.residue.modulus),',
+           'yield _rule("candidates-residue-irreducible", True,',
+           ["tests/test_tools.py::test_reducible_candidate_modulus_named"]),
+    Mutant("report one bilinear product per slot", ENGINE,
+           "step2_bilinear=plan.advertised_cost,", "step2_bilinear=plan.total,",
+           ["tests/test_engine.py::test_op_report_exact"]),
+    Mutant("verify without the table check", TOOLS,
+           "fault = compiled.table_fault()", "fault = None",
+           [TOOLS_TESTS + "names_a_wrong_window_entry"]),
+    Mutant("verify without the basis pairs", TOOLS,
+           "not (wrong or fault)", "not fault",
+           [TOOLS_TESTS + "catches_a_consistent_wrong_column"]),
+    Mutant("schoolbook products at kernel places", KERNELS,
+           "mul_d2 if d == 2 else mul_d4", "ExtField.mul",
+           ["tests/test_engine.py::test_a_product_runs_its_counted_multiplications"]),
 ]
 
 

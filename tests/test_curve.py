@@ -33,25 +33,11 @@ from curvemul.curve import (
     series_inv,
     series_mul,
 )
+from reference import ext_elements, horner
 
 
 def on_curve_check(curve, place):
     return PackedFamily(curve, ()).check(place)[0]
-
-
-def ext_elements(res):
-    """All q^d elements of res, coordinate 0 varying fastest."""
-    for coords in itertools.product(range(res.base.order), repeat=res.d):
-        yield coords[::-1]
-
-
-def horner(res, f, z):
-    """Reference: f(z) for a base-field polynomial f and z in res."""
-    acc = res.zero()
-    for c in reversed(f):
-        acc = res.mul(acc, z)
-        acc = (acc[0] ^ c,) + acc[1:]
-    return acc
 
 
 # y^2 + y = x^5 over F_16

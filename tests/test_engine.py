@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvemul import curve, engine, kernels, linalg, tools
+from curvemul import curve, engine, linalg, tools
 from curvemul.curve import (
     AffinePlace,
     InfinitePlace,
@@ -33,7 +33,8 @@ from curvemul.engine import (
     verify_good_basis,
 )
 from curvemul.galois import F2, F4, F16, BinaryField, ExtField, Lanes
-from curvemul.linalg import invert, mat_vec, rank
+from curvemul.linalg import invert, rank
+from reference import counting_field, horner
 
 NAMES = ("f16_13", "f4_5", "f2_5")
 SPECS = {name: tools.load_bundled(name) for name in NAMES}
@@ -152,38 +153,22 @@ def test_op_report_exact():
 
 
 def test_multiply_runs_place_by_place(monkeypatch):
-    # step 1 is one lookup per window of x ‖ y in `step1.tables`; then x's
-    # and y's values are multiplied in each residue field, by the plan's flat
-    # table at a rational place and one kernel call at a place of degree 2 or
-    # 4, with no mat-vec and no componentwise product.  `mul_d1` fills that
-    # table when the multiplier is built and is never called after.  Steps 1
-    # and 3 read the windows their functions were generated from, the tables
-    # `verify` checks
+    # step 1 is one lookup per window of x ‖ y in `step1.tables`, then x's
+    # and y's values are multiplied in each residue field, with no mat-vec;
+    # steps 1 and 3 read the windows their functions were generated from, the
+    # tables `verify` checks
     def banned(*args, **kwargs):
         raise AssertionError("multiply called a replay-only step")
 
-    calls = []
-
-    def counted(real):
-        return lambda ext, u, v, counter=None: calls.append(ext.d) or real(ext, u, v, counter)
-
-    for kernel in ("mul_d2", "mul_d4"):
-        monkeypatch.setattr(kernels, kernel, counted(getattr(kernels, kernel)))
-    # the plan resolves its kernels and fills its table when the multiplier is built
-    built = {name: engine.CompiledMultiplier(SPECS[name], c.places, c.T.packed, c.T_inv_top.packed)
-             for name, c in COMPILED.items()}
     monkeypatch.setattr(engine, "mat_vec", banned, raising=False)
     monkeypatch.setattr(linalg, "mat_vec", banned)
-    monkeypatch.setattr(kernels, "mul_d1", banned)
-    monkeypatch.setattr(kernels.KernelPlan, "hadamard", banned)
     for name in NAMES:
-        spec, c, compiled = SPECS[name], COMPILED[name], built[name]
+        spec, c = SPECS[name], COMPILED[name]
+        compiled = engine.CompiledMultiplier(spec, c.places, c.T.packed, c.T_inv_top.packed)
         rng = random.Random(8)
         for _ in range(5):
             x, y = random_operand(rng, spec), random_operand(rng, spec)
-            calls.clear()
             assert compiled.multiply(x, y)[0] == reference_mul(spec.field, spec.q_modulus, x, y)
-            assert calls == [d for d in compiled.place_degrees if d > 1], name
         one = [1] + [0] * (spec.n - 1)
         assert compiled.multiply(one, one)[0] == tuple(one)
         zeros1, zeros3 = (tuple((0,) * len(w) for w in t)
@@ -192,6 +177,31 @@ def test_multiply_runs_place_by_place(monkeypatch):
         assert compiled.multiply(one, one)[0] == (0,) * spec.n, name
         compiled.set_windows(c.step1.tables, zeros3)
         assert compiled.multiply(one, one)[0] == (0,) * spec.n, name
+
+
+def test_a_product_runs_its_counted_multiplications():
+    # the multiplier rebuilt over a copy of its base field whose product table
+    # counts outer lookups: each operand-by-operand product of a kernel is one
+    # lookup (its fold rows are bound when the multiplier is built), and a
+    # rational place's product is one entry of step 2's table, which
+    # `table_fault` certifies.  So every product, whatever its operands, looks
+    # up `step2_bilinear` less the degree-1 places (0 / 3 / 15), and calls no
+    # `field.mul`, which reads the same table
+    for name in NAMES:
+        spec, c = SPECS[name], COMPILED[name]
+        residues = [p.residue if p.degree > 1 else None for p in c.places]
+        field, residues = counting_field(spec.field, residues)
+        places = [types.SimpleNamespace(degree=1 if e is None else e.d, residue=e) for e in residues]
+        bare = types.SimpleNamespace(field=field, n=spec.n, size=spec.size)
+        counted = engine.CompiledMultiplier(bare, places, c.T.packed, c.T_inv_top.packed)
+        lookups = c.report.step2_bilinear - residues.count(None)
+        rng = random.Random(34)
+        for _ in range(50):
+            x, y = random_operand(rng, spec), random_operand(rng, spec)
+            want = reference_mul(spec.field, spec.q_modulus, x, y)
+            field.table.lookups = 0
+            assert counted.multiply(x, y)[0] == want, name
+            assert field.table.lookups == lookups, (name, x, y)
 
 
 def _columns_by_definition(compiled):
@@ -348,28 +358,22 @@ def test_straight_line_xors_one_entry_per_table(monkeypatch):
 def test_windows_are_the_tables_the_product_reads():
     # `set_windows` regenerates `step1` and `step3` from the windows it is
     # given, and each reads those very tuples (its `tables`, which `verify`'s
-    # table check reads); `multiply` is `step3(step2(step1(v)))`, each step
-    # called once, v the checked x ‖ y packed one coordinate per byte
-    calls = []
+    # table check reads); a product is `step3(step2(step1(v)))`, v the checked
+    # x ‖ y packed one coordinate per byte, on every basis pair and seeded pairs
     for name in NAMES:
         c, spec = COMPILED[name], SPECS[name]
         frozen = engine.CompiledMultiplier(c.spec, c.places, c.T.packed, c.T_inv_top.packed)
         tables = tuple(tuple(w) for w in c.step3.tables)
         frozen.set_windows(c.step1.tables, tables)
         assert frozen.step1.tables is c.step1.tables and frozen.step3.tables is tables
+        units = [[int(i == j) for j in range(spec.n)] for i in range(spec.n)]
         rng = random.Random(3)
-        x, y = random_operand(rng, spec), random_operand(rng, spec)
-        v = int.from_bytes(bytes(x + y), "little")
-        step1, step2, step3 = frozen.step1, frozen.step2, frozen.step3
-        pairs = step1(v)
-        products = step2(pairs)
-        frozen.step1 = lambda a: calls.append(("step1", a)) or step1(a)
-        frozen.step2 = lambda a: calls.append(("step2", a)) or step2(a)
-        frozen.step3 = lambda a: calls.append(("step3", bytes(a))) or step3(a)
-        calls.clear()
-        z, _ = frozen.multiply(x, y)
-        assert calls == [("step1", v), ("step2", pairs), ("step3", bytes(products))], name
-        assert z == step3(products) == reference_mul(spec.field, spec.q_modulus, x, y), name
+        pairs = [(x, y) for x in units for y in units]
+        pairs += [(random_operand(rng, spec), random_operand(rng, spec)) for _ in range(20)]
+        for x, y in pairs:
+            v = int.from_bytes(bytes(x + y), "little")
+            z = frozen.step3(frozen.step2(frozen.step1(v)))
+            assert frozen.multiply(x, y)[0] == z == reference_mul(spec.field, spec.q_modulus, x, y)
 
 
 def _multiplier_on(field, residues):
@@ -383,18 +387,17 @@ def _multiplier_on(field, residues):
 
 
 def test_step2_is_the_plans_step2():
-    # the multiplier's `step2` is the plan's, or with no kernel place its one
-    # `translate` through `plan.table`: the same bytes for every pair byte
-    # 0..255 in every slot, on the bundled plans and on k = 3 plans (the one
-    # `test_step2_with_k_3` builds, and one with rational places only)
+    # the multiplier's `step2` gives the plan's `step2` bytes for every pair
+    # byte 0..255 in every slot, on the bundled plans and on k = 3 plans (the
+    # one `test_step2_with_k_3` builds, and one with rational places only)
     F8 = BinaryField(3, 0b1011)
     E64 = ExtField(F8, (1, 1, 1))
     multipliers = [COMPILED[name] for name in NAMES]
     multipliers += [_multiplier_on(F8, [None, E64]), _multiplier_on(F8, [None] * 3)]
-    assert [bool(c.plan.kernel_steps) for c in multipliers] == [False, True, True, True, False]
+    kernel_places = [any(p.degree > 1 for p in c.places) for c in multipliers]
+    assert kernel_places == [False, True, True, True, False]
     rng = random.Random(32)
     for c in multipliers:
-        assert (c.step2 == c.plan.step2) is bool(c.plan.kernel_steps)
         slots = [rng.sample(range(256), 256) for _ in range(c.plan.total)]
         for pairs in map(bytes, zip(*slots)):  # each slot sees every pair byte once
             assert c.step2(pairs) == c.plan.step2(pairs), (c.spec.field, pairs)
@@ -587,15 +590,6 @@ def test_operands_embed_on_the_columns_of_t():
             lanes = Lanes(m.field, m.cols)
             assert [v for r in m.packed for v in lanes.unpack(r, m.cols)] == list(m.entries)
             assert all(r >> 8 * m.cols == 0 for r in m.packed), name
-
-
-def horner(res, f, z):
-    """f(z) for a base-field polynomial f and z in the residue field res."""
-    acc = res.zero()
-    for c in reversed(f):
-        acc = res.mul(acc, z)
-        acc = (acc[0] ^ c,) + acc[1:]
-    return acc
 
 
 def horner_value(curve, f, place):
@@ -1185,23 +1179,3 @@ def test_multiply_rejects_bad_operands():
     # the message as a user reads it, for f2_5's field
     with pytest.raises(ValueError, match=r"^-1 is not an element of GF\(2\^1; 0b10\)$"):
         COMPILED["f2_5"].multiply([0, 0, 0, 0, -1], [0] * 5)
-
-
-def test_product_path_makes_no_field_mul_call(monkeypatch):
-    # steps 1 and 2 index the product table, step 3 reads compiled multiples
-    rng = random.Random(17)
-    cases = []
-    for name in NAMES:
-        spec = SPECS[name]
-        for _ in range(5):
-            x, y = random_operand(rng, spec), random_operand(rng, spec)
-            cases.append((name, x, y, reference_mul(spec.field, spec.q_modulus, x, y)))
-
-    def no_mul(self, a, b):
-        raise AssertionError("BinaryField.mul called on the product path")
-
-    monkeypatch.setattr(BinaryField, "mul", no_mul)
-    for name, x, y, want in cases:
-        compiled = COMPILED[name]
-        assert len(mat_vec(compiled.T_x, x)) == len(mat_vec(compiled.T_y, y)) == compiled.T.rows
-        assert compiled.multiply(x, y) == (want, compiled.report)

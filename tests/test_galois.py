@@ -21,6 +21,7 @@ from curvemul.galois import (
     poly_mod,
     poly_mul,
 )
+from reference import ext_elements
 
 
 def slow_mul(a, b, modulus, k):
@@ -382,12 +383,6 @@ def test_is_irreducible_matches_tuple_reference_gf256():
 
 
 F32 = ExtField(F2, (1, 0, 0, 1, 0, 1))  # F_2[t]/(t^5+t^3+1)
-
-
-def ext_elements(ext):
-    """All q^d elements of ext, coordinate 0 varying fastest."""
-    for coords in itertools.product(range(ext.base.order), repeat=ext.d):
-        yield coords[::-1]
 
 
 def test_ext_coords_roundtrip():

@@ -15,34 +15,26 @@ from curvemul.kernels import (
     mul_d2,
     mul_d4,
 )
+from reference import counting_field, ext_elements
 
 E4 = ExtField(F2, (1, 1, 1))  # F_4 over F_2
 E16 = ExtField(F4, (2, 1, 1))  # F_16 over F_4
 E16B = ExtField(F2, (1, 0, 0, 1, 1))  # F_16 over F_2, t^4+t^3+1
 E16C = ExtField(F2, (1, 1, 0, 0, 1))  # F_16 over F_2, t^4+t+1
-PLANS = {name: compile_instance(tools.load_bundled(name)).plan
-         for name in ("f16_13", "f4_5", "f2_5")}
+COMPILED = {name: compile_instance(tools.load_bundled(name))
+            for name in ("f16_13", "f4_5", "f2_5")}
+PLANS = {name: compiled.plan for name, compiled in COMPILED.items()}
 
 
-def residues_of(plan):
-    """The plan's residue fields in slot order, None at a degree-1 place: the
-    slots no kernel step covers are the degree-1 places'."""
-    at = {slots.start: ext for slots, ext, _ in plan.kernel_steps}
-    out = []
-    while (slot := sum(1 if ext is None else ext.d for ext in out)) < plan.total:
-        out.append(at.get(slot))
-    return out
+def residues_of(compiled):
+    """The residue fields of the selected places in slot order, None at a
+    degree-1 place."""
+    return [p.residue if p.degree > 1 else None for p in compiled.places]
 
 
 def residue_fields(name, d):
     """The degree-d residue fields of the places a bundled instance selects."""
-    return [ext for ext in residues_of(PLANS[name]) if ext is not None and ext.d == d]
-
-
-def ext_elements(ext):
-    """All q^d elements of ext, coordinate 0 varying fastest."""
-    for coords in itertools.product(range(ext.base.order), repeat=ext.d):
-        yield coords[::-1]
+    return [ext for ext in residues_of(COMPILED[name]) if ext is not None and ext.d == d]
 
 
 def test_kernel_cost_table():
@@ -107,33 +99,6 @@ def test_mul_d4_exhaustive_f2():
         assert c.bilinear_mults == 9 * 256
 
 
-class RowCountingTable(tuple):
-    """A product table that counts its outer-row lookups: ``table[a][b]``
-    is one lookup, a row bound ahead of time (``row[c]``) is none."""
-
-    def __new__(cls, rows):
-        table = super().__new__(cls, rows)
-        table.lookups = 0
-        return table
-
-    def __getitem__(self, a):
-        self.lookups += 1
-        return tuple.__getitem__(self, a)
-
-
-def counted_copy(plan):
-    """The plan over a fresh copy of its base field whose table counts, with
-    every residue field rebuilt over that copy and its fold rows warmed; the
-    count starts when the plan is built."""
-    field = BinaryField(plan.field.k, plan.field.modulus)
-    field.table = RowCountingTable(field.table)
-    residues = [None if e is None else ExtField(field, e.modulus) for e in residues_of(plan)]
-    for ext in filter(None, residues):
-        ext.fold_rows()
-    field.table.lookups = 0
-    return KernelPlan(field, residues), field.table
-
-
 @pytest.mark.parametrize("name", sorted(PLANS))
 def test_step2_table_lookups_at_run_time(name):
     # each operand-by-operand product is one outer lookup in the product
@@ -143,10 +108,11 @@ def test_step2_table_lookups_at_run_time(name):
     # is an entry a | b << k of the plan's flat table, which `mul_d1` filled
     # with one lookup per entry when the plan was built: a run looks up only
     # the kernels' products, and the rational slots' come from that table.
-    plan, table = counted_copy(PLANS[name])
-    q, k = plan.field.order, plan.field.k
+    field, residues = counting_field(PLANS[name].field, residues_of(COMPILED[name]))
+    plan, table = KernelPlan(field, residues), field.table
+    q, k = field.order, field.k
     assert table.lookups == q * q
-    for slot, ext in enumerate(residues_of(plan)):
+    for slot, ext in enumerate(residues):
         if ext is None:
             pairs = itertools.product(range(q), repeat=2)
             run = lambda a, b: mul_d1(plan.field, a, b)  # noqa: E731
@@ -158,7 +124,7 @@ def test_step2_table_lookups_at_run_time(name):
             got = run(a, b)
             assert table.lookups == KERNEL_COST[1 if ext is None else ext.d], (slot, a, b)
             assert ext is not None or plan.table[a | b << k] == got, (slot, a, b)
-    rational = residues_of(plan).count(None)
+    rational = residues.count(None)
     rng = random.Random(5)
     for _ in range(50):
         zv = [rng.randrange(q) for _ in range(plan.total)]
@@ -231,8 +197,8 @@ def test_hadamard_runs_step2_on_the_pair_bytes(monkeypatch, name):
 def test_hadamard_matches_kernels_slot_by_slot(name):
     # f16_13's plan is all degree-1 slots, f2_5's mixes degrees 1, 2 and 4;
     # the counter moves by the plan's cost once per call
-    plan = PLANS[name]
-    degrees = [1 if ext is None else ext.d for ext in residues_of(plan)]
+    plan, residues = PLANS[name], residues_of(COMPILED[name])
+    degrees = [1 if ext is None else ext.d for ext in residues]
     assert set(degrees) == ({1} if name == "f16_13" else {1, 2, 4})
     rng = random.Random(len(name))
     q = plan.field.order
@@ -240,7 +206,7 @@ def test_hadamard_matches_kernels_slot_by_slot(name):
         zv = [rng.randrange(q) for _ in range(plan.total)]
         tv = [rng.randrange(q) for _ in range(plan.total)]
         want = []
-        for offset, ext in zip(itertools.accumulate(degrees, initial=0), residues_of(plan)):
+        for offset, ext in zip(itertools.accumulate(degrees, initial=0), residues):
             if ext is None:
                 want.append(mul_d1(plan.field, zv[offset], tv[offset]))
             else:

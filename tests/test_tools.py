@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from curvemul import cli, engine, galois, kernels, linalg, tools
+from curvemul import cli, engine, galois, tools
 from curvemul.curve import AffinePlace, PackedPolys, PlaceEvaluationError, generates_residue
 from curvemul.engine import InstanceError, InstanceSpec, compile_instance
 from curvemul.galois import F2, F4, ExtField, is_irreducible
+from reference import horner
 
 F2_5_PATH = tools.bundled_instance_path("f2_5")
 F4_5_PATH = tools.bundled_instance_path("f4_5")
@@ -586,25 +587,17 @@ def test_check_total_split_known_values():
         tools.check_total_split(curve, (0, 0, 1))
 
 
-def _horner(res, f, z):
-    acc = res.zero()
-    for c in reversed(f):
-        acc = res.mul(acc, z)
-        acc = (acc[0] ^ c,) + acc[1:]
-    return acc
-
-
 def _split_reference(curve, qpoly):
     """check_total_split by Horner evaluation at the generator b and the
     trace as a sum of the squares b^(2^i)."""
     res = galois.ExtField(curve.field, galois.poly_from_coeffs(curve.field, qpoly))
     b = res.gen()
-    den = _horner(res, curve.rhs_den, b)
+    den = horner(res, curve.rhs_den, b)
     if den == res.zero():
         raise PlaceEvaluationError(
             "curve denominator vanishes at a root of the candidate polynomial"
         )
-    val = res.mul(_horner(res, curve.rhs_num, b), res.inv(den))
+    val = res.mul(horner(res, curve.rhs_num, b), res.inv(den))
     trace = res.zero()
     for _ in range(curve.field.k * res.d):
         trace = res.add(trace, val)
@@ -727,15 +720,12 @@ def test_verify_instance_reports_compile_failure():
     assert lines[-1].startswith("FAIL swapped")
 
 
-def test_verify_instance_bilinear_certificate_names_a_wrong_pair(monkeypatch):
-    # a degree-4 kernel that forgets its top coordinate: the basis pairs whose
-    # product reaches it differ, compile's certificate refuses the multiplier,
-    # and the compile line names the first of them as t^i · t^j
-    def wrong(ext, u, v, counter=None):
-        return ext.mul(tuple(u), tuple(v))[:3] + (0,)
-
-    monkeypatch.setattr(kernels, "mul_d4", wrong)
-    report = tools.verify_instance(tools.load_bundled("f2_5"))
+def test_verify_instance_bilinear_certificate_names_a_wrong_pair():
+    # f2_5 with f_2 and f_6 swapped: both take the value t at Q, so load, the
+    # ladder and rank(T) pass, but the basis pairs whose product reads them
+    # differ; compile's certificate refuses the multiplier, and the compile
+    # line names the first of them as t^i · t^j
+    report = tools.verify_instance(tools.instance_from_document(_swapped(BASE_DOC, 1, 5), "f2_5"))
     assert not report.ok and report.checks[-1].name == "compile"
     assert not any(c.name == "bilinear-certificate" for c in report.checks)
     match = re.fullmatch(r"\[FAIL\] compile — bilinear certificate: t\^(\d) · t\^(\d) = "

@@ -17,6 +17,7 @@ __version__ = "0.1.0"
 
 from .galois import BinaryField, ExtField, F2, F4, F16  # noqa: F401
 from .curve import AffinePlace, Curve, CurveFunction, InfinitePlace  # noqa: F401
+from .kernels import BilinearCounter, mul_d1, mul_d2, mul_d4  # noqa: F401
 from .engine import (  # noqa: F401
     CompiledMultiplier,
     InstanceError,

@@ -38,9 +38,10 @@ byte; `TABLE_BUDGET` sets c (8 // k or 1).
    constants in all by the paper's convention;
 2. at each place, the product of the two values in its residue field — the
    only bilinear step, costing the kernel's 1, 3 or 9 — by `KernelPlan.step2`:
-   one `translate` of all slots' pair bytes through its table (the whole step
-   if every place is rational), then kernels at the places of degree 2 or 4,
-   folding reduction in through fixed product-table rows, so never counted;
+   one `translate` of all slots' pair bytes through the pair table (the whole
+   step if every place is rational), then Karatsuba cores at the places of
+   degree 2 or 4, each product one more read of that table, and reduction
+   through fixed product-table rows, so never counted;
 3. the columns of the first 2n-1 rows of inverse(T) applied to the products —
    (2n-1)(2n+g-1) multiplications in all by the paper's convention;
 4. an addition-only recombination of the 2n-1 interpolation coordinates
@@ -446,8 +447,8 @@ class CompiledMultiplier:
     def table_fault(self) -> str | None:
         """The first entry a product reads that `field.mul` does not give, or None: a window
         not q^digits long, a unit (index 1 << k*j) off its lanes of k bits (y's k up), an entry
-        not the XOR of d times each digit d's unit, a step-2 entry a | b << k not a * b, or a
-        kernel plan's `halves` byte i not i & q-1 (x's) or i >> k & q-1 (y's)."""
+        not the XOR of d times each digit d's unit, or a step-2 entry a | b << k not a * b;
+        the Karatsuba cores at places of degree 2 or 4 read that same step-2 table."""
         field, n, size, plan = self.spec.field, self.spec.n, self.spec.size, self.plan
         q, k, mul = field.order, field.k, field.mul
         steps = (("step-1", self.widths[0], size, [0] * n + [k] * n, self.step1.tables),
@@ -477,9 +478,6 @@ class CompiledMultiplier:
         for i in range(q << k):
             if len(step2) != 256 or step2[i] != mul(i & q - 1, i >> k):
                 return f"step-2 table entry {i} is not {i & q - 1} times {i >> k}"
-        for h, i in [(h, i) for h in (range(2) if plan.kernel_steps else ()) for i in range(256)]:
-            if len(plan.halves[h]) != 256 or plan.halves[h][i] != i >> k * h & q - 1:
-                return f"step-2 halves {h} entry {i} is not {i >> k * h & q - 1}"
         return None
 
 

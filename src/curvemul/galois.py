@@ -38,6 +38,7 @@ Poly = tuple  # tuple of base-field ints, little-endian, no trailing zeros
 ZERO_POLY: Poly = ()
 NEG_INF = float("-inf")
 MAX_K = 8  # largest base-field degree: one element per byte, a product table of 2^16 entries
+PAIR_K = 4  # the largest k whose two elements share a byte, 2k <= 8
 
 
 class BinaryField:
@@ -47,9 +48,10 @@ class BinaryField:
     monic of degree k and irreducible over F_2.  The q*q product table
     (``table[a][b]`` is a * b) is built once here, and the inverse table and
     `rows` are read off it, so `mul` and `inv` are lookups; that is what caps k.
+    For k <= PAIR_K, `pair_table` holds a * b at byte a | b << k, for `translate`.
     """
 
-    __slots__ = ("k", "modulus", "order", "table", "rows", "_inverses", "_hash")
+    __slots__ = ("k", "modulus", "order", "table", "rows", "pair_table", "_inverses", "_hash")
 
     def __init__(self, k: int, modulus: int):
         if not 1 <= k <= MAX_K:
@@ -79,7 +81,9 @@ class BinaryField:
         # every nonzero row of the table holds exactly one 1; entry 0 is unused
         self._inverses = (0,) + tuple(row.index(1) for row in self.table[1:])
         # for `Lanes`: row c as a `bytes.translate` table, byte v to c * v, 0 from q on
-        self.rows = tuple([bytes(row).ljust(256, b"\0") for row in self.table])
+        self.rows = rows = tuple([bytes(row).ljust(256, b"\0") for row in self.table])
+        q = self.order  # entries a | b << k, a < q, are row b's first q bytes
+        self.pair_table = b"".join([r[:q] for r in rows]).ljust(256, b"\0") if k <= PAIR_K else None
 
     def check(self, v: int) -> int:
         """Validate a raw int as an element of this field and return it."""

@@ -50,9 +50,6 @@ MUTANTS = [
            "for step, c, lanes, shifts, tables in steps:",
            "for step, c, lanes, shifts, tables in steps[:1]:",
            [TOOLS_TESTS + "names_a_wrong_step3_multiple"]),
-    Mutant("skip the halves check", ENGINE,
-           "(range(2) if plan.kernel_steps else ())", "()",
-           [TOOLS_TESTS + "names_a_wrong_halves_byte"]),
     Mutant("skip step 2's table check", ENGINE,
            "if len(step2) != 256 or step2[i] != mul(i & q - 1, i >> k):", "if False:",
            [TOOLS_TESTS + "names_a_wrong_step2_entry"]),
@@ -101,8 +98,16 @@ MUTANTS = [
            "not (wrong or fault)", "not fault",
            [TOOLS_TESTS + "catches_a_consistent_wrong_column"]),
     Mutant("schoolbook products at kernel places", KERNELS,
-           "mul_d2 if d == 2 else mul_d4", "ExtField.mul",
+           "karatsuba2 if d == 2 else karatsuba4",
+           "lambda t, fold, a, p, o, e=ext: p.__setitem__(slice(o, o + e.d), bytes(e.mul(*zip("
+           "*[(b & e.base.order - 1, b >> e.base.k) for b in a[o : o + e.d]]))))",
            ["tests/test_engine.py::test_a_product_runs_its_counted_multiplications"]),
+    Mutant("degree-2 middle form from a0 alone", KERNELS,
+           "t[a[o] ^ a[o + 1]]", "t[a[o]]",
+           ["tests/test_kernels.py::test_mul_d2_exhaustive_against_schoolbook"]),
+    Mutant("degree-4 mid-middle form from s0 alone", KERNELS,
+           "t[s0 ^ s1]", "t[s0]",
+           ["tests/test_kernels.py::test_mul_d4_exhaustive_f2"]),
 ]
 
 

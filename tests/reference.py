@@ -38,12 +38,25 @@ class RowCountingTable(tuple):
         return tuple.__getitem__(self, a)
 
 
+class CountingBytes(bytes):
+    """A pair table that counts its subscripts: ``table[i]`` is one read.  A
+    `translate` through it reads the buffer, one entry per byte, and counts none."""
+
+    lookups = 0
+
+    def __getitem__(self, i):
+        self.lookups += 1
+        return bytes.__getitem__(self, i)
+
+
 def counting_field(field, residues):
-    """A fresh copy of `field` whose table counts (`RowCountingTable`), and
-    `residues` (None at a degree-1 place) rebuilt over it with their fold rows
-    warmed; the count is 0 when it returns."""
+    """A fresh copy of `field` whose product table and pair table count
+    (`RowCountingTable`, `CountingBytes`), and `residues` (None at a degree-1
+    place) rebuilt over it with their fold rows warmed; both counts are 0 when
+    it returns."""
     copy = BinaryField(field.k, field.modulus)
     copy.table = RowCountingTable(copy.table)
+    copy.pair_table = CountingBytes(copy.pair_table)
     rebuilt = [None if ext is None else ExtField(copy, ext.modulus) for ext in residues]
     for ext in filter(None, rebuilt):
         ext.fold_rows()

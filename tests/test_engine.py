@@ -181,12 +181,14 @@ def test_multiply_runs_place_by_place(monkeypatch):
 
 def test_a_product_runs_its_counted_multiplications():
     # the multiplier rebuilt over a copy of its base field whose product table
-    # counts outer lookups: each operand-by-operand product of a kernel is one
-    # lookup (its fold rows are bound when the multiplier is built), and a
-    # rational place's product is one entry of step 2's table, which
-    # `table_fault` certifies.  So every product, whatever its operands, looks
-    # up `step2_bilinear` less the degree-1 places (0 / 3 / 15), and calls no
-    # `field.mul`, which reads the same table
+    # and pair table count their reads.  Each bilinear product is one read of
+    # step 2's pair table, which `table_fault` certifies: one per slot by its
+    # `translate`, which the count does not see, and the rest as subscripts at
+    # the kernel places, 1 per degree-2 place and 5 per degree-4 place.  So
+    # every product, whatever its operands, subscripts that table
+    # `step2_bilinear` less the slots (0 / 1 / 7) and reads no entry of the
+    # product table (fold rows are bound when the multiplier is built), so it
+    # makes no `field.mul` call
     for name in NAMES:
         spec, c = SPECS[name], COMPILED[name]
         residues = [p.residue if p.degree > 1 else None for p in c.places]
@@ -194,14 +196,15 @@ def test_a_product_runs_its_counted_multiplications():
         places = [types.SimpleNamespace(degree=1 if e is None else e.d, residue=e) for e in residues]
         bare = types.SimpleNamespace(field=field, n=spec.n, size=spec.size)
         counted = engine.CompiledMultiplier(bare, places, c.T.packed, c.T_inv_top.packed)
-        lookups = c.report.step2_bilinear - residues.count(None)
+        reads = c.report.step2_bilinear - counted.plan.total
+        assert reads == {"f16_13": 0, "f4_5": 1, "f2_5": 7}[name]
         rng = random.Random(34)
         for _ in range(50):
             x, y = random_operand(rng, spec), random_operand(rng, spec)
             want = reference_mul(spec.field, spec.q_modulus, x, y)
-            field.table.lookups = 0
+            field.table.lookups = field.pair_table.lookups = 0
             assert counted.multiply(x, y)[0] == want, name
-            assert field.table.lookups == lookups, (name, x, y)
+            assert (field.table.lookups, field.pair_table.lookups) == (0, reads), (name, x, y)
 
 
 def _columns_by_definition(compiled):

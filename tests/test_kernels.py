@@ -101,17 +101,18 @@ def test_mul_d4_exhaustive_f2():
 
 @pytest.mark.parametrize("name", sorted(PLANS))
 def test_step2_table_lookups_at_run_time(name):
-    # each operand-by-operand product is one outer lookup in the product
-    # table, so the lookups are the 1/3/9 multiplications themselves; the
-    # fold rows were bound at compile time and do not show.  A schoolbook
-    # kernel would take 4/16, plus its reduction.  A rational place's product
-    # is an entry a | b << k of the plan's flat table, which `mul_d1` filled
-    # with one lookup per entry when the plan was built: a run looks up only
-    # the kernels' products, and the rational slots' come from that table.
+    # each operand-by-operand product is one read of the base field's pair
+    # table (entry a | b << k is a * b), so the reads are the 1/3/9
+    # multiplications themselves: the place's d slots by the `translate`,
+    # which the count does not see, and the rest as subscripts, 1 at a
+    # degree-2 place and 5 at a degree-4 place.  A schoolbook kernel would take
+    # 4/16, plus its reduction.  `mul_d1` reads the product table once; the
+    # kernels read it not at all, since the fold rows were bound at build, and
+    # neither does building the plan, whose table is the field's pair table
     field, residues = counting_field(PLANS[name].field, residues_of(COMPILED[name]))
-    plan, table = KernelPlan(field, residues), field.table
+    plan, table, pair_table = KernelPlan(field, residues), field.table, field.pair_table
     q, k = field.order, field.k
-    assert table.lookups == q * q
+    assert plan.table is pair_table and (table.lookups, pair_table.lookups) == (0, 0)
     for slot, ext in enumerate(residues):
         if ext is None:
             pairs = itertools.product(range(q), repeat=2)
@@ -119,20 +120,22 @@ def test_step2_table_lookups_at_run_time(name):
         else:
             pairs = itertools.product(ext_elements(ext), repeat=2)
             run = functools.partial(mul_d2 if ext.d == 2 else mul_d4, ext)
+        d = 1 if ext is None else ext.d
         for a, b in pairs:
-            table.lookups = 0
+            table.lookups = pair_table.lookups = 0
             got = run(a, b)
-            assert table.lookups == KERNEL_COST[1 if ext is None else ext.d], (slot, a, b)
+            reads = (1, 0) if ext is None else (0, KERNEL_COST[d] - d)
+            assert (table.lookups, pair_table.lookups) == reads, (slot, a, b)
             assert ext is not None or plan.table[a | b << k] == got, (slot, a, b)
-    rational = residues.count(None)
     rng = random.Random(5)
     for _ in range(50):
         zv = [rng.randrange(q) for _ in range(plan.total)]
         tv = [rng.randrange(q) for _ in range(plan.total)]
-        table.lookups = 0
+        table.lookups = pair_table.lookups = 0
         c = BilinearCounter()
         plan.hadamard(zv, tv, c)
-        assert table.lookups + rational == c.bilinear_mults == plan.advertised_cost
+        assert table.lookups == 0
+        assert pair_table.lookups + plan.total == c.bilinear_mults == plan.advertised_cost
 
 
 def test_counts_do_not_depend_on_values():
@@ -149,6 +152,26 @@ def test_degree_guards():
         mul_d2(E16B, (0, 0, 0, 0), (0, 0, 0, 0), c)
     with pytest.raises(ValueError):
         mul_d4(E4, (0, 0), (0, 0), c)
+    # a coordinate outside F_q would spill into the other operand's bits of
+    # its pair byte, and a base of k > PAIR_K has no pair byte: both raise
+    # ValueError before the counter moves
+    for kernel, ext, u, v in [
+        (mul_d2, E4, (0, 2), (1, 1)),
+        (mul_d2, E16, (1, 1), (4, 0)),
+        (mul_d2, E16, (-1, 0), (1, 1)),
+        (mul_d2, E16, (True, 1.0), (1, 1)),
+        (mul_d4, E16B, (1, 0, 0, 0), (0, 0, 2, 0)),
+        (mul_d4, E16B, (0, 0, 0, 16), (1, 1, 1, 1)),
+    ]:
+        with pytest.raises(ValueError, match="is not an element of"):
+            kernel(ext, u, v, c)
+    F32 = BinaryField(5, 0b100101)
+    E1024 = ExtField(F32, next((a, 1, 1) for a in range(32) if is_irreducible(F32, (a, 1, 1))))
+    with pytest.raises(ValueError, match="k <= 4 bits; k = 5"):
+        mul_d2(E1024, (1, 1), (1, 1), c)
+    with pytest.raises(ValueError, match="do not match"):
+        mul_d2(E4, (1,), (1, 1), c)
+    assert c.bilinear_mults == 0
 
 
 def test_kernel_plan_tiling():

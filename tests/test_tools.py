@@ -960,50 +960,22 @@ def test_verify_instance_bilinear_certificate_names_a_wrong_step2_entry(monkeypa
     assert "[FAIL] bilinear-certificate — step-2 table entry" in "\n".join(report.lines())
 
 
-# the single-byte corruptions (half, byte, value) of f4_5's `plan.halves` that
-# leave all 25 basis pairs right, each a wrong x or y value at a pair byte
-HALVES_PAST_THE_BASIS_PAIRS = [
-    (0, 4, 1), (0, 4, 2), (0, 4, 3), (0, 13, 0), (0, 13, 2), (0, 13, 3), (0, 6, 0), (0, 6, 1),
-    (0, 6, 3), (1, 4, 0), (1, 4, 2), (1, 4, 3), (1, 13, 0), (1, 13, 1), (1, 13, 2), (1, 6, 0),
-    (1, 6, 2), (1, 6, 3),
-]
-
-
-def _set_half(h, i, value):
-    def change(compiled):
-        half = bytearray(compiled.plan.halves[h])
-        half[i] = value
-        compiled.plan.halves[h] = bytes(half)
-    return change
-
-
-@pytest.mark.parametrize("h, i, value", HALVES_PAST_THE_BASIS_PAIRS)
-def test_verify_instance_bilinear_certificate_names_a_wrong_halves_byte(monkeypatch, h, i, value):
-    # the kernels at places of degree 2 or 4 read each slot's x and y values
-    # through `plan.halves`; one wrong byte there is no F_q-bilinear step 2,
-    # yet the basis pairs all match, so only the check on `halves` refuses it
-    report, cert = _certificate(monkeypatch, "f4_5", _set_half(h, i, value))
-    assert not report.ok and not cert.ok
-    want = i >> 2 * h & 3
-    assert cert.detail == (f"step-2 halves {h} entry {i} is not {want}; "
-                           "25/25 basis pairs match the polynomial oracle"), cert.detail
-
-
-def test_certificate_names_every_single_byte_halves_corruption():
-    # every wrong value at every pair byte of either half, on both bundled
-    # files with kernel places: each is named, whether or not the basis pairs
-    # would see it
+def test_certificate_names_every_single_byte_step2_corruption():
+    # every wrong value at every entry a | b << k of the table step 2 reads, on
+    # both bundled files with kernel places, whose Karatsuba cores read it too:
+    # the table check names each, and each also makes a basis pair wrong
     for name in ("f4_5", "f2_5"):
         compiled = compile_instance(tools.load_bundled(name))
-        q, halves = compiled.spec.field.order, list(compiled.plan.halves)
+        field, table = compiled.spec.field, compiled.plan.table
+        q, k = field.order, field.k
         assert compiled.table_fault() is None
-        for h in range(2):
-            for i in range(q * q):
-                for value in set(range(q)) - {halves[h][i]}:
-                    _set_half(h, i, value)(compiled)
-                    want = f"step-2 halves {h} entry {i} is not {halves[h][i]}"
-                    assert compiled.table_fault() == want, (name, h, i, value)
-                    compiled.plan.halves[h] = halves[h]
+        for i in range(q * q):
+            for value in set(range(q)) - {table[i]}:
+                compiled.plan.table = table[:i] + bytes([value]) + table[i + 1 :]
+                want = f"step-2 table entry {i} is not {i & q - 1} times {i >> k}"
+                assert compiled.table_fault() == want, (name, i, value)
+                assert compiled.wrong_basis_pairs(), (name, i, value)
+        compiled.plan.table = table
 
 
 def test_verify_instance_bilinear_certificate_catches_a_consistent_wrong_column(monkeypatch):

@@ -26,7 +26,7 @@ yields T^-1; the accepted rows are T's packed rows, T_x and T_y are lane
 slices of them, and no matrix compile builds checks its entries.
 
 One product of x, y in F_{q^n} (length-n coordinate tuples over F_q) runs
-in byte lanes, lane i byte i of an int: `step3(step2(step1(v)))`, v the int
+in byte lanes, lane i byte i of an int: `step3(plan.step2(step1(v)))`, v the int
 of x ‖ y, which `multiply` and compile's basis-pair certificate run.
 `step1` and `step3` are generated at compile time (`linalg.straight_line`),
 each one XOR expression of lookups in windows of c columns of multiples
@@ -72,6 +72,7 @@ from .curve import (
     generates_residue,
 )
 from .galois import (
+    PAIR_K,
     BinaryField,
     Poly,
     is_irreducible,
@@ -80,7 +81,7 @@ from .galois import (
     poly_mod,
     poly_mul,
 )
-from .kernels import KERNEL_COST, PAIR_K, KernelPlan
+from .kernels import KERNEL_COST, KernelPlan
 from .linalg import Matrix, RowBasis, straight_line, windows
 
 TABLE_BUDGET = 4096  # window entries a multiplier stores for steps 1 and 3 together
@@ -340,16 +341,15 @@ def verify_good_basis(spec: InstanceSpec) -> list[CheckResult]:
 class CompiledMultiplier:
     """Frozen straight-line multiplier for one instance: every table a product
     reads, and its report, built from the selected places and T's and T^-1's rows.
-    A product is `step3(step2(step1(v)))`, v the checked x ‖ y.  `step1` is generated
-    from windows of T_x's and T_y's column multiples, y's k bits up; `step2` is
-    `plan.step2`, or with no kernel place just its `translate` through `plan.table`;
-    and `step3`, steps 3 and 4, from windows of the column multiples of T_inv_top's
+    A product is `step3(plan.step2(step1(v)))`, v the checked x ‖ y.  `step1` is
+    generated from windows of T_x's and T_y's column multiples, y's k bits up, and
+    `step3`, steps 3 and 4, from windows of the column multiples of T_inv_top's
     rows with step 4 folded in.  `set_windows` generates steps 1 and 3, and each
     one's `tables` are the very windows it reads, which `table_fault` checks against
     their definition; `widths` holds each step's c; all is in byte lanes."""
 
     __slots__ = ("spec", "places", "T", "T_x", "T_y", "T_inv_top", "plan", "report", "widths",
-                 "step1", "step2", "step3", "_high")
+                 "step1", "step3", "_high")
 
     def __init__(self, spec, places, rows, inverse_rows):
         field, n, size = spec.field, spec.n, spec.size
@@ -363,8 +363,6 @@ class CompiledMultiplier:
         self.T_x = T_x = Matrix(field, n, [r & low for r in rows])
         self.T_y = T_y = Matrix(field, n, [(r & 255) ^ (((r >> 8 * n) << 8) & low) for r in rows])
         self.plan = plan = KernelPlan(field, [p.residue if p.degree > 1 else None for p in places])
-        # with no kernel place, step 2 is the plan's one `translate`, without its method call
-        self.step2 = plan.step2 if plan.kernel_steps else lambda a, t=plan.table: a.translate(t)
         # the paper's count: one multiplication per entry of the three matrices
         # (step 3's looked up below) and the plan's kernels, whatever the values
         self.report = OpReport(
@@ -431,7 +429,7 @@ class CompiledMultiplier:
                     raise ValueError(f"operand must have {n} coordinates, got {len(u)}")
                 checked += bytes(map(self.spec.field.check, u))
             v = int.from_bytes(checked, "little")
-        return self.step3(self.step2(self.step1(v))), self.report
+        return self.step3(self.plan.step2(self.step1(v))), self.report
 
     def wrong_basis_pairs(self) -> list[tuple]:
         """The basis pairs (t^i, t^j) whose product by the three steps is not
@@ -440,7 +438,7 @@ class CompiledMultiplier:
         F_q-bilinear, so no such pair means every product is right."""
         n, res = self.spec.n, self.spec.q_place.residue
         powers = res.ladder(res.one()) + res.ladder(res.ladder(res.gen())[-1])  # t^0..t^(2n-1)
-        products = [(i, j, self.step3(self.step2(self.step1(1 << 8 * i | 1 << 8 * (n + j)))))
+        products = [(i, j, self.step3(self.plan.step2(self.step1(1 << 8 * i | 1 << 8 * (n + j)))))
                     for i in range(n) for j in range(n)]  # x = t^i in byte i, y = t^j in byte n+j
         return [(i, j, powers[i + j], got) for i, j, got in products if got != powers[i + j]]
 
@@ -449,7 +447,7 @@ class CompiledMultiplier:
         not q^digits long, a unit (index 1 << k*j) off its lanes of k bits (y's k up), an entry
         not the XOR of d times each digit d's unit, or a step-2 entry a | b << k not a * b;
         the Karatsuba cores at places of degree 2 or 4 read that same step-2 table."""
-        field, n, size, plan = self.spec.field, self.spec.n, self.spec.size, self.plan
+        field, n, size = self.spec.field, self.spec.n, self.spec.size
         q, k, mul = field.order, field.k, field.mul
         steps = (("step-1", self.widths[0], size, [0] * n + [k] * n, self.step1.tables),
                  ("step-3", self.widths[1], n, [0] * size, self.step3.tables))
@@ -474,7 +472,7 @@ class CompiledMultiplier:
                     if entry:
                         return (f"{step} window {w} entry {i} is not the XOR of its digits' "
                                 "multiples")
-        step2 = plan.table if plan.kernel_steps else self.step2(bytes(range(256)))
+        step2 = self.plan.table
         for i in range(q << k):
             if len(step2) != 256 or step2[i] != mul(i & q - 1, i >> k):
                 return f"step-2 table entry {i} is not {i & q - 1} times {i >> k}"

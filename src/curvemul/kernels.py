@@ -119,13 +119,15 @@ class KernelPlan:
         self.advertised_cost = cost  # bilinear multiplications per `hadamard` call
         self.kernel_steps = tuple(kernel_steps)
 
-    def step2(self, pairs: bytes) -> bytearray:
+    def step2(self, pairs: bytes) -> bytes | bytearray:
         """Every slot's product from its pair byte: one `translate` through `table`,
-        then each place of degree 2 or 4 finished by its core."""
-        table = self.table
-        products = bytearray(pairs.translate(table))
-        for core, fold, offset in self.kernel_steps:
-            core(table, fold, pairs, products, offset)
+        the whole step if every place is rational, then each place of degree 2 or 4
+        finished by its core."""
+        products = pairs.translate(table := self.table)
+        if self.kernel_steps:
+            products = bytearray(products)
+            for core, fold, offset in self.kernel_steps:
+                core(table, fold, pairs, products, offset)
         return products
 
     def hadamard(

@@ -337,10 +337,10 @@ def verify_instance(spec: InstanceSpec) -> VerifyReport:
     bilinear certificate: the product's steps against t^(i+j) mod Q on all n^2
     pairs (t^i, t^j) of basis vectors (`wrong_basis_pairs`, which compile also
     runs).  That suffices, as step 2 is F_q-bilinear when each entry
-    a | b << k of the one table it reads (at kernel places too) is a * b,
-    and steps 1, 3 and 4 (lookups in windows) are
-    F_q-linear when each window entry is the XOR of d times its digits' unit
-    entries, each unit within its step's lanes; the certificate checks all of
+    a | b << k of the one table it reads, at kernel places too, is a * b,
+    and steps 1, 3 and 4 (lookups in windows) are F_q-linear when each
+    window entry is the XOR of d times its digits' unit entries, each unit
+    within its step's lanes; the certificate checks all of
     them first (`CompiledMultiplier.table_fault`), and two bilinear maps that
     agree on the basis pairs agree everywhere.
     """

@@ -361,7 +361,7 @@ def test_straight_line_xors_one_entry_per_table(monkeypatch):
 def test_windows_are_the_tables_the_product_reads():
     # `set_windows` regenerates `step1` and `step3` from the windows it is
     # given, and each reads those very tuples (its `tables`, which `verify`'s
-    # table check reads); a product is `step3(step2(step1(v)))`, v the checked
+    # table check reads); a product is `step3(plan.step2(step1(v)))`, v the checked
     # x ‖ y packed one coordinate per byte, on every basis pair and seeded pairs
     for name in NAMES:
         c, spec = COMPILED[name], SPECS[name]
@@ -375,7 +375,7 @@ def test_windows_are_the_tables_the_product_reads():
         pairs += [(random_operand(rng, spec), random_operand(rng, spec)) for _ in range(20)]
         for x, y in pairs:
             v = int.from_bytes(bytes(x + y), "little")
-            z = frozen.step3(frozen.step2(frozen.step1(v)))
+            z = frozen.step3(frozen.plan.step2(frozen.step1(v)))
             assert frozen.multiply(x, y)[0] == z == reference_mul(spec.field, spec.q_modulus, x, y)
 
 
@@ -390,9 +390,12 @@ def _multiplier_on(field, residues):
 
 
 def test_step2_is_the_plans_step2():
-    # the multiplier's `step2` gives the plan's `step2` bytes for every pair
-    # byte 0..255 in every slot, on the bundled plans and on k = 3 plans (the
-    # one `test_step2_with_k_3` builds, and one with rational places only)
+    # a product's step 2 is its plan's `step2`, which returns its one
+    # `translate` when every place is rational and runs the Karatsuba cores
+    # otherwise: both give each place's product in its residue field, for
+    # every pair byte a | b << k (a, b in F_q) in every slot, on the bundled
+    # plans and on k = 3 plans (the one `test_step2_with_k_3` builds, and one
+    # with rational places only)
     F8 = BinaryField(3, 0b1011)
     E64 = ExtField(F8, (1, 1, 1))
     multipliers = [COMPILED[name] for name in NAMES]
@@ -401,9 +404,20 @@ def test_step2_is_the_plans_step2():
     assert kernel_places == [False, True, True, True, False]
     rng = random.Random(32)
     for c in multipliers:
-        slots = [rng.sample(range(256), 256) for _ in range(c.plan.total)]
+        field, plan = c.spec.field, c.plan
+        q, k = field.order, field.k
+        slots = [rng.sample(range(q << k), q << k) for _ in range(plan.total)]
         for pairs in map(bytes, zip(*slots)):  # each slot sees every pair byte once
-            assert c.step2(pairs) == c.plan.step2(pairs), (c.spec.field, pairs)
+            xs, ys = [a & q - 1 for a in pairs], [a >> k for a in pairs]
+            want, offset = [], 0
+            for p in c.places:
+                end = offset + p.degree
+                if p.degree == 1:
+                    want.append(field.mul(xs[offset], ys[offset]))
+                else:
+                    want += p.residue.mul(tuple(xs[offset:end]), tuple(ys[offset:end]))
+                offset = end
+            assert list(plan.step2(pairs)) == want, (field, pairs)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

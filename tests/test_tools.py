@@ -941,17 +941,13 @@ def test_verify_instance_bilinear_certificate_names_a_unit_entry_in_the_wrong_ha
 def test_verify_instance_bilinear_certificate_names_a_wrong_step2_entry(monkeypatch, name):
     # one entry a | b << k of the table the product's step 2 reads off by one
     # bit: the check on the table, which reads all q^2 entries against
-    # field.mul, names it.  A plan with kernel places reads `plan.table` at each
-    # call; f16_13's one `translate` holds its own, so only that one is swapped
+    # field.mul, names it.  Every product reads `plan.table` at each call
     a, b = 1, 1
 
     def change(compiled):
         table = bytearray(compiled.plan.table)
         table[a | b << compiled.spec.field.k] ^= 1
-        if compiled.plan.kernel_steps:
-            compiled.plan.table = bytes(table)
-        else:
-            compiled.step2 = lambda pairs: pairs.translate(table)
+        compiled.plan.table = bytes(table)
 
     report, cert = _certificate(monkeypatch, name, change)
     assert not report.ok and not cert.ok

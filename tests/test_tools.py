@@ -956,6 +956,38 @@ def test_verify_instance_bilinear_certificate_names_a_wrong_step2_entry(monkeypa
     assert "[FAIL] bilinear-certificate — step-2 table entry" in "\n".join(report.lines())
 
 
+# (half, byte, value): f4_5's step 2 reading x's value (half 0) or y's (half 1)
+# of pair byte i as `value`; none gives the right product, since the other
+# half of each of these pair bytes is not 0
+WRONG_HALVES = [
+    (0, 4, 1), (0, 4, 2), (0, 4, 3), (0, 13, 0), (0, 13, 2), (0, 13, 3), (0, 6, 0), (0, 6, 1),
+    (0, 6, 3), (1, 13, 0), (1, 13, 1), (1, 13, 2), (1, 6, 0), (1, 6, 2), (1, 6, 3),
+]
+
+
+@pytest.mark.parametrize("h, i, value", WRONG_HALVES)
+def test_verify_instance_bilinear_certificate_names_a_wrong_halves_byte(monkeypatch, h, i, value):
+    # the Karatsuba cores at f4_5's degree-2 places read each pair byte's
+    # halves only through step 2's table, so a wrong half at pair byte i is
+    # entry i holding the product of the byte with that half set to `value`:
+    # the table check names the entry, and the basis pairs see it too
+    a, b = i & 3, i >> 2
+    wrong = (value, b) if h == 0 else (a, value)
+
+    def change(compiled):
+        table = compiled.plan.table
+        entry = compiled.spec.field.mul(*wrong)
+        assert entry != table[i]
+        compiled.plan.table = table[:i] + bytes([entry]) + table[i + 1 :]
+
+    report, cert = _certificate(monkeypatch, "f4_5", change)
+    assert not report.ok and not cert.ok
+    match = re.fullmatch(rf"step-2 table entry {i} is not {a} times {b}; (\d+)/25 basis pairs "
+                         r"match the polynomial oracle; first failure x=\[.*\] y=\[.*\]",
+                         cert.detail)
+    assert match and int(match[1]) < 25, cert.detail
+
+
 def test_certificate_names_every_single_byte_step2_corruption():
     # every wrong value at every entry a | b << k of the table step 2 reads, on
     # both bundled files with kernel places, whose Karatsuba cores read it too:

@@ -45,13 +45,13 @@ class BinaryField:
     """GF(2^k) presented as F_2[w]/(modulus), for 1 <= k <= MAX_K.
 
     ``modulus`` is the defining polynomial as a bitmask (bit i = coeff of w^i),
-    monic of degree k and irreducible over F_2.  The q*q product table
-    (``table[a][b]`` is a * b) is built once here, and the inverse table and
-    `rows` are read off it, so `mul` and `inv` are lookups; that is what caps k.
+    monic of degree k and irreducible over F_2.  The product table ``rows[a][b]`` = a * b
+    (row a is 256 bytes, 0 from q on, for `translate`) and the inverse table read off
+    it are built once here, so `mul` and `inv` are lookups; that is what caps k.
     For k <= PAIR_K, `pair_table` holds a * b at byte a | b << k, for `translate`.
     """
 
-    __slots__ = ("k", "modulus", "order", "table", "rows", "pair_table", "_inverses", "_hash")
+    __slots__ = ("k", "modulus", "order", "rows", "pair_table", "_inverses", "_hash")
 
     def __init__(self, k: int, modulus: int):
         if not 1 <= k <= MAX_K:
@@ -66,22 +66,20 @@ class BinaryField:
         # the real test (which needs F2, constructed through this fast path)
         if k > 1 and not is_irreducible(F2, tuple([modulus >> i & 1 for i in range(k + 1)])):
             raise ValueError("modulus must be irreducible over F_2")
-        # row a of the table by F_2-linearity in b: a * b is the XOR of the
-        # a * w^i over the set bits i of b, and a * w^(i+1) is a * w^i
-        # shifted, with w^k folded back in as modulus - w^k
-        table = []
+        # row a by F_2-linearity in b: a * b is the XOR of the a * w^i over the
+        # set bits i of b, and a * w^(i+1) is a * w^i shifted, with w^k folded
+        # back in as modulus - w^k
+        rows = []
         for a in range(self.order):
             row = [0]
             for _ in range(k):
                 row += [r ^ a for r in row]
                 a <<= 1
                 a ^= modulus if a >> k else 0
-            table.append(tuple(row))
-        self.table = tuple(table)
-        # every nonzero row of the table holds exactly one 1; entry 0 is unused
-        self._inverses = (0,) + tuple(row.index(1) for row in self.table[1:])
-        # for `Lanes`: row c as a `bytes.translate` table, byte v to c * v, 0 from q on
-        self.rows = rows = tuple([bytes(row).ljust(256, b"\0") for row in self.table])
+            rows.append(bytes(row).ljust(256, b"\0"))
+        self.rows = rows = tuple(rows)
+        # every nonzero row holds exactly one 1; entry 0 is unused
+        self._inverses = (0,) + tuple([row.index(1) for row in rows[1:]])
         q = self.order  # entries a | b << k, a < q, are row b's first q bytes
         self.pair_table = b"".join([r[:q] for r in rows]).ljust(256, b"\0") if k <= PAIR_K else None
 
@@ -93,7 +91,7 @@ class BinaryField:
 
     def mul(self, a: int, b: int) -> int:
         """Product of two elements; a and b are taken on trust, unchecked."""
-        return self.table[a][b]
+        return self.rows[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -406,14 +404,14 @@ class ExtField:
 
     def fold_rows(self) -> tuple:
         """Reduction by the modulus as fixed data, built once: entry j - d,
-        j = d .. 2d-2, holds per coordinate r the product-table row at
-        coordinate r of t^j mod the modulus, so a coefficient c at t^j adds
+        j = d .. 2d-2, holds per coordinate r the product-table row (as q ints)
+        at coordinate r of t^j mod the modulus, so a coefficient c at t^j adds
         row[c] to coordinate r (a zero coordinate gives the zero row)."""
         if self._fold is None:
-            table = self.base.table
+            rows, q = self.base.rows, self.base.order
             # t^d = modulus - t^d, and `ladder` walks on to t^(2d-2)
             powers = self.ladder(self.modulus[:-1])[: self.d - 1]
-            self._fold = tuple([tuple([table[c] for c in col]) for col in powers])
+            self._fold = tuple([tuple([tuple(rows[c][:q]) for c in col]) for col in powers])
         return self._fold
 
     def mul_map(self, z: tuple) -> list:

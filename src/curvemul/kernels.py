@@ -37,7 +37,7 @@ class BilinearCounter:
 def mul_d1(field: BinaryField, a: int, b: int, counter: BilinearCounter | None = None) -> int:
     if counter is not None:
         counter.bilinear_mults += 1
-    return field.table[a][b]
+    return field.rows[a][b]
 
 
 def karatsuba2(t: bytes, fold: tuple, a: bytes, p: bytearray, o: int) -> None:

@@ -1,14 +1,15 @@
 """Mutation check of the product path, its tables and certificates, compile and verify.
 
-Copies src/ and tests/ to a temporary directory and runs every test named
-below once on the unmutated copy, which must pass.  Then, for each mutant, it
-applies one text substitution to one source file (its old text must occur there
-exactly once), runs the mutant's tests, which must fail, and restores the file.
-A mutant whose tests pass survives, and the run exits 1.  Any other exit of
-pytest is a kill: 1 a failed test; 4 a test module that no longer imports, as
-test_engine compiles the bundled files at import and compile's own basis-pair
-certificate refuses a wrong builder.  The unmutated run proves every named test
-exists, so a 4 is never a misspelt test.
+Every mutant's old text must occur exactly once in its file and every test it
+names must be defined in the file it names (`faults`; tier-1 checks this too,
+in tests/test_references.py), or the run exits 2 naming the mutant.  Then it
+copies src/ and tests/ to a temporary directory and runs every named test once
+on the unmutated copy, which must pass.  For each mutant it applies the one
+text substitution, runs the mutant's tests and restores the file.  The mutant
+is killed only if pytest exits 1, a test that ran and failed.  An exit of 0 (it
+survived) or of anything else (a test module that no longer imports, no test
+collected, an internal error: no named test ran to the end) fails the run,
+which exits 1 and names the mutant.
 
 Standard library only (the tests it runs need pytest); tier-1 does not collect
 it.  Run from anywhere as `python tests/mutants.py`.
@@ -16,6 +17,7 @@ it.  Run from anywhere as `python tests/mutants.py`.
 
 from __future__ import annotations
 
+import ast
 import os
 import shutil
 import subprocess
@@ -55,11 +57,11 @@ MUTANTS = [
            [TOOLS_TESTS + "names_a_wrong_step2_entry"]),
     Mutant("fold with row n+i", ENGINE,
            "r[n + i - 1]", "r[n + i]",
-           ["tests/test_engine.py::test_step3_windows_are_the_multiples_of_t_inv_top"]),
+           ["tests/test_engine.py::test_bilinear_certificate"]),
     Mutant("build step 1 from unshifted T_y columns", ENGINE,
            "[m << k for m in multiples] for multiples in T_y.columns",
            "[m for m in multiples] for multiples in T_y.columns",
-           ["tests/test_engine.py::test_step1_columns_are_the_multiples_of_t_x_and_t_y"]),
+           ["tests/test_engine.py::test_bilinear_certificate"]),
     Mutant("drop the operand range mask", ENGINE,
            " and not v & self._high", "",
            [OPERANDS_TEST]),
@@ -111,6 +113,21 @@ MUTANTS = [
 ]
 
 
+def faults(m: Mutant) -> list[str]:
+    """What makes mutant m stale: its old text not occurring exactly once in its
+    file, or a test it names (path::function) not defined at the top of that file."""
+    out, found = [], (ROOT / m.path).read_text(encoding="utf-8").count(m.old)
+    if found != 1:
+        out.append(f"mutant {m.name!r}: its old text occurs {found} times in {m.path}")
+    for test in m.tests:
+        path, _, function = test.partition("::")
+        tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+        if not any(isinstance(node, ast.FunctionDef) and node.name == function
+                   for node in tree.body):
+            out.append(f"mutant {m.name!r}: {path} defines no test {function}")
+    return out
+
+
 def run_tests(copy: Path, tests: list[str]) -> int:
     """pytest's exit code on `tests` in the copy, its src/ first on the path; no
     bytecode is cached, so a mutant of the same length and mtime is never stale."""
@@ -121,11 +138,10 @@ def run_tests(copy: Path, tests: list[str]) -> int:
 
 
 def main() -> int:
-    for m in MUTANTS:
-        found = (ROOT / m.path).read_text(encoding="utf-8").count(m.old)
-        if found != 1:
-            print(f"mutant {m.name!r}: its old text occurs {found} times in {m.path}")
-            return 2
+    stale = [fault for m in MUTANTS for fault in faults(m)]
+    if stale:
+        print("\n".join(stale))
+        return 2
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
@@ -137,19 +153,22 @@ def main() -> int:
             print("the unmutated copy fails its tests")
             return 1
         print(f"unmutated copy passes {len(all_tests)} test functions")
-        survived = []
+        missed = []
         for m in MUTANTS:
             path = copy / m.path
             original = path.read_text(encoding="utf-8")
             path.write_text(original.replace(m.old, m.new), encoding="utf-8")
             code = run_tests(copy, m.tests)
             path.write_text(original, encoding="utf-8")
-            print(f"{'killed' if code else 'SURVIVED'} (exit {code}): {m.name}")
-            if not code:
-                survived.append(m.name)
-    print(f"{len(MUTANTS) - len(survived)}/{len(MUTANTS)} mutants killed "
+            verdict = {1: "killed", 0: "SURVIVED"}.get(code, "NO TEST RAN TO A FAILURE")
+            print(f"{verdict} (exit {code}): {m.name}")
+            if code != 1:
+                missed.append(m.name)
+    print(f"{len(MUTANTS) - len(missed)}/{len(MUTANTS)} mutants killed "
           f"in {time.perf_counter() - start:.1f} s")
-    return 1 if survived else 0
+    if missed:
+        print("not killed by a failing test: " + "; ".join(missed))
+    return 1 if missed else 0
 
 
 if __name__ == "__main__":

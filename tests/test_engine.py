@@ -34,11 +34,24 @@ from curvemul.engine import (
 )
 from curvemul.galois import F2, F4, F16, BinaryField, ExtField, Lanes
 from curvemul.linalg import invert, rank
-from reference import counting_field, horner
+from reference import basis_pairs, bundled, counting_field, horner, random_operand
 
 NAMES = ("f16_13", "f4_5", "f2_5")
-SPECS = {name: tools.load_bundled(name) for name in NAMES}
-COMPILED = {name: compile_instance(spec) for name, spec in SPECS.items()}
+
+
+class _Bundled(dict):
+    """Part `i` of `bundled(name)` at key `name`, so nothing loads at import; a test
+    that patches set-up reads what it needs before patching."""
+
+    def __init__(self, i):
+        super().__init__()
+        self.i = i
+
+    def __missing__(self, name):
+        return bundled(name)[self.i]
+
+
+SPECS, COMPILED = _Bundled(0), _Bundled(1)
 
 # exact per-multiplication scalar/bilinear counts for the three instances
 EXPECTED_COUNTS = {
@@ -46,10 +59,6 @@ EXPECTED_COUNTS = {
     "f4_5": (110, 12, 99),
     "f2_5": (110, 18, 99),
 }
-
-
-def random_operand(rng, spec):
-    return [rng.randrange(spec.field.order) for _ in range(spec.n)]
 
 
 def test_reference_mul_basics():
@@ -85,17 +94,17 @@ def test_oracle_equivalence_random():
 
 
 def test_bilinear_certificate():
-    # multiply and reference_mul are both F_q-bilinear, so agreeing on the n^2
-    # basis pairs (169/25/25) makes them agree on all q^(2n) pairs, given the
-    # base-field table that test_fe_mul_against_oracle_exhaustive checks in full
+    # every table a product reads holds what field.mul gives (`table_fault`: steps
+    # 1 and 3 F_q-linear, step 2 a * b), so multiply is F_q-bilinear, as
+    # reference_mul is; agreeing on the n^2 basis pairs (169/25/25) then makes
+    # them agree on all q^(2n) pairs, given the base-field table that
+    # test_fe_mul_against_oracle_exhaustive checks in full
     for name, field in (("f16_13", F16), ("f4_5", F4), ("f2_5", F2)):
         spec, compiled = SPECS[name], COMPILED[name]
         assert spec.field == field
-        units = [[int(i == j) for j in range(spec.n)] for i in range(spec.n)]
-        for x in units:
-            for y in units:
-                want = reference_mul(field, spec.q_modulus, x, y)
-                assert compiled.multiply(x, y)[0] == want
+        assert compiled.table_fault() is None, name
+        for x, y in basis_pairs(spec.n):
+            assert compiled.multiply(x, y)[0] == reference_mul(field, spec.q_modulus, x, y)
 
 
 def test_commutativity():
@@ -153,17 +162,16 @@ def test_op_report_exact():
 
 
 def test_multiply_runs_place_by_place(monkeypatch):
-    # step 1 is one lookup per window of x ‖ y in `step1.tables`, then x's
-    # and y's values are multiplied in each residue field, with no mat-vec;
-    # steps 1 and 3 read the windows their functions were generated from, the
-    # tables `verify` checks
+    # building a multiplier and its products call no mat-vec, the replay-only
+    # step, and the products are the oracle's
     def banned(*args, **kwargs):
         raise AssertionError("multiply called a replay-only step")
 
+    multipliers = {name: COMPILED[name] for name in NAMES}  # built before the ban
     monkeypatch.setattr(engine, "mat_vec", banned, raising=False)
     monkeypatch.setattr(linalg, "mat_vec", banned)
     for name in NAMES:
-        spec, c = SPECS[name], COMPILED[name]
+        spec, c = SPECS[name], multipliers[name]
         compiled = engine.CompiledMultiplier(spec, c.places, c.T.packed, c.T_inv_top.packed)
         rng = random.Random(8)
         for _ in range(5):
@@ -171,12 +179,6 @@ def test_multiply_runs_place_by_place(monkeypatch):
             assert compiled.multiply(x, y)[0] == reference_mul(spec.field, spec.q_modulus, x, y)
         one = [1] + [0] * (spec.n - 1)
         assert compiled.multiply(one, one)[0] == tuple(one)
-        zeros1, zeros3 = (tuple((0,) * len(w) for w in t)
-                          for t in (c.step1.tables, c.step3.tables))
-        compiled.set_windows(zeros1, c.step3.tables)
-        assert compiled.multiply(one, one)[0] == (0,) * spec.n, name
-        compiled.set_windows(c.step1.tables, zeros3)
-        assert compiled.multiply(one, one)[0] == (0,) * spec.n, name
 
 
 def test_a_product_runs_its_counted_multiplications():
@@ -202,60 +204,9 @@ def test_a_product_runs_its_counted_multiplications():
         for _ in range(50):
             x, y = random_operand(rng, spec), random_operand(rng, spec)
             want = reference_mul(spec.field, spec.q_modulus, x, y)
-            field.table.lookups = field.pair_table.lookups = 0
+            field.rows.lookups = field.pair_table.lookups = 0
             assert counted.multiply(x, y)[0] == want, name
-            assert (field.table.lookups, field.pair_table.lookups) == (0, reads), (name, x, y)
-
-
-def _columns_by_definition(compiled):
-    # each step's columns in window order, read off `Matrix.entries`, each with
-    # the shift of its lanes: step 1 the columns of T_x, then T_y's k bits up;
-    # step 3 T_inv_top's, its rows n+i-1 recombined into rows i (0 < i < n)
-    n, size, k = compiled.spec.n, compiled.spec.size, compiled.spec.field.k
-    T_x, T_y, top = compiled.T_x, compiled.T_y, compiled.T_inv_top
-    step1 = [(m.entries[j::n], s) for m, s in ((T_x, 0), (T_y, k)) for j in range(n)]
-    rows = [top.entries[size * r : size * (r + 1)] for r in range(2 * n - 1)]
-    folded = [rows[0]] + [[u ^ v for u, v in zip(rows[i], rows[n + i - 1])] for i in range(1, n)]
-    step3 = [([row[j] for row in folded], 0) for j in range(size)]
-    return step1, step3
-
-
-def _multiples_by_definition(field, column, shift):
-    # a times the column, entry by entry by field.mul, in len(column) byte lanes
-    return [int.from_bytes(bytes([field.mul(a, e) << shift for e in column]), "little")
-            for a in range(field.order)]
-
-
-def _assert_single_digit_entries(compiled, step):
-    # entry a << k*j of window w is a times column c*w + j, in the step's lanes
-    field, k = compiled.spec.field, compiled.spec.field.k
-    c = compiled.widths[step == 3]
-    columns = _columns_by_definition(compiled)[step == 3]
-    tables = (compiled.step1, compiled.step3)[step == 3].tables
-    assert len(tables) == -(-len(columns) // c)
-    for g, (column, shift) in enumerate(columns):
-        w, j = divmod(g, c)
-        want = _multiples_by_definition(field, column, shift)
-        assert [tables[w][a << k * j] for a in range(field.order)] == want, (step, g)
-
-
-def test_step3_windows_are_the_multiples_of_t_inv_top():
-    # step 4 is folded in: each single-digit entry of a step-3 window is a
-    # times a column of T_inv_top with entry n+i-1 added to entry i (0 < i < n),
-    # in n byte lanes
-    for name in NAMES:
-        compiled = COMPILED[name]
-        assert len(_columns_by_definition(compiled)[1]) == compiled.T_inv_top.cols
-        _assert_single_digit_entries(compiled, 3)
-
-
-def test_step1_columns_are_the_multiples_of_t_x_and_t_y():
-    # each single-digit entry of a step-1 window is a times a column of T_x,
-    # in 2n+g-1 byte lanes, or of T_y, each lane k bits up
-    for name in NAMES:
-        compiled = COMPILED[name]
-        assert compiled.T_x.cols == compiled.T_y.cols == SPECS[name].n
-        _assert_single_digit_entries(compiled, 1)
+            assert (field.rows.lookups, field.pair_table.lookups) == (0, reads), (name, x, y)
 
 
 def test_column_tables_take_one_pass_over_the_product_table_each(monkeypatch):
@@ -282,11 +233,12 @@ def test_column_tables_take_one_pass_over_the_product_table_each(monkeypatch):
         return real_multiples(lanes, v)
 
     real_multiples = Lanes.multiples
+    multipliers = {name: COMPILED[name] for name in NAMES}  # built before the bans
     monkeypatch.setattr(Lanes, "scale", banned)
     monkeypatch.setattr(Lanes, "multiples", multiples)
     monkeypatch.setattr(BinaryField, "mul", banned)
     for name in NAMES:
-        c, field, n, size = COMPILED[name], SPECS[name].field, SPECS[name].n, SPECS[name].size
+        c, field, n, size = multipliers[name], SPECS[name].field, SPECS[name].n, SPECS[name].size
         monkeypatch.setattr(field, "rows", Rows(field.rows))
         passes.clear()
         built.clear()
@@ -323,23 +275,13 @@ def test_windows_xor_their_digits_multiples():
         assert linalg.windows(columns, 1) == tuple(columns)  # c = 1: the columns
         for c in range(2, 8 // k + 1):
             assert linalg.windows(columns, c) == _windows_by_definition(columns, c, k), (k, c)
-    # a compiled multiplier's, over its columns' multiples by field.mul: step 1
-    # over T_x's columns then T_y's, k bits up; step 3 over the fold of T_inv_top's
-    for name in NAMES:
-        compiled, field = COMPILED[name], SPECS[name].field
-        for tables, c, columns in zip((compiled.step1.tables, compiled.step3.tables),
-                                      compiled.widths, _columns_by_definition(compiled)):
-            multiples = [_multiples_by_definition(field, *column) for column in columns]
-            assert tables == _windows_by_definition(multiples, c, field.k), name
 
 
-def test_straight_line_xors_one_entry_per_table(monkeypatch):
+def test_straight_line_xors_one_entry_per_table():
     # for 1..40 seeded tables, the generated function is the XOR of one entry
     # per table; an index one short or one long raises, never a shorter XOR;
-    # and its source holds only identifiers, ints and ^ [ ] , = ( ) :
-    sources = []
-    monkeypatch.setattr(linalg, "exec", lambda src, ns: sources.append(src) or exec(src, ns),
-                        raising=False)
+    # and its code reads no global but the tables t0, t1, ... and holds no
+    # constant but None
     rng = random.Random(28)
     for count in range(1, 41):
         tables = tuple(tuple(rng.randrange(1 << 64) for _ in range(rng.choice((2, 16, 256))))
@@ -353,25 +295,28 @@ def test_straight_line_xors_one_entry_per_table(monkeypatch):
         for wrong in (index[:-1], index + [0]):
             with pytest.raises(ValueError):
                 f(wrong)
-    assert len(sources) == 40
-    for src in sources:
-        assert re.fullmatch(r"[\w\s^\[\],=():]*", src), src
+        assert f.__code__.co_names == tuple(f"t{j}" for j in range(count))
+        assert set(f.__code__.co_consts) <= {None}
 
 
 def test_windows_are_the_tables_the_product_reads():
     # `set_windows` regenerates `step1` and `step3` from the windows it is
-    # given, and each reads those very tuples (its `tables`, which `verify`'s
-    # table check reads); a product is `step3(plan.step2(step1(v)))`, v the checked
-    # x ‖ y packed one coordinate per byte, on every basis pair and seeded pairs
+    # given, and a product reads those: with either step's windows zeroed 1 * 1
+    # is 0, and on copies of the compiled windows a product is
+    # `step3(plan.step2(step1(v)))`, v the checked x ‖ y packed one coordinate
+    # per byte, on every basis pair and seeded pairs
     for name in NAMES:
         c, spec = COMPILED[name], SPECS[name]
         frozen = engine.CompiledMultiplier(c.spec, c.places, c.T.packed, c.T_inv_top.packed)
-        tables = tuple(tuple(w) for w in c.step3.tables)
-        frozen.set_windows(c.step1.tables, tables)
-        assert frozen.step1.tables is c.step1.tables and frozen.step3.tables is tables
-        units = [[int(i == j) for j in range(spec.n)] for i in range(spec.n)]
+        one = [1] + [0] * (spec.n - 1)
+        zeros1, zeros3 = (tuple((0,) * len(w) for w in t)
+                          for t in (c.step1.tables, c.step3.tables))
+        for windows in ((zeros1, c.step3.tables), (c.step1.tables, zeros3)):
+            frozen.set_windows(*windows)
+            assert frozen.multiply(one, one)[0] == (0,) * spec.n, name
+        frozen.set_windows(*(tuple(map(tuple, t)) for t in (c.step1.tables, c.step3.tables)))
         rng = random.Random(3)
-        pairs = [(x, y) for x in units for y in units]
+        pairs = basis_pairs(spec.n)
         pairs += [(random_operand(rng, spec), random_operand(rng, spec)) for _ in range(20)]
         for x, y in pairs:
             v = int.from_bytes(bytes(x + y), "little")
@@ -436,24 +381,23 @@ def test_packing_puts_c_digits_in_a_byte(k):
             assert (v * m >> t).to_bytes(length, "little")[::c] == want, (k, length, digits)
 
 
-def test_generated_source_holds_no_instance_text(monkeypatch):
+def test_generated_source_holds_no_instance_text():
     # place labels and the instance name rewritten to hold quotes and a
-    # newline: compile generates the same source, so no instance string
-    # reaches it
-    sources = []
-    monkeypatch.setattr(linalg, "exec", lambda src, ns: sources.append(src) or exec(src, ns),
-                        raising=False)
+    # newline: compile generates the same steps, code object for code object,
+    # whose constants are ints, None and 'little' and whose globals are the
+    # windows and the int and bytes calls, so no instance string reaches them
     for name in NAMES:
         doc = json.loads(tools.bundled_instance_path(name).read_text(encoding="utf-8"))
-        sources.clear()
-        compile_instance(tools.instance_from_document(doc, name))
-        plain = list(sources)
         for i, place in enumerate(doc["places"]):
             place["label"] = f"P{i}')\n\"\"\"\nraise SystemExit('{i}\""
-        sources.clear()
         compiled = compile_instance(tools.instance_from_document(doc, "a'b\"\nc"))
         assert "\n" in compiled.places[0].label
-        assert len(plain) == 2 and sources == plain, name
+        for step in ("step1", "step3"):
+            code = getattr(compiled, step).__code__
+            assert code == getattr(COMPILED[name], step).__code__, (name, step)
+            assert all(c is None or c == "little" or type(c) is int for c in code.co_consts)
+            assert all(re.fullmatch(r"t\d+|to_bytes|from_bytes|int|tuple", g)
+                       for g in code.co_names), (name, step)
 
 
 def test_compile_and_multiply_leave_no_cyclic_garbage():
@@ -489,11 +433,12 @@ def test_table_budget_picks_the_windows(monkeypatch, budget, choices):
     # the stored entries of each step are pinned, and every product still
     # equals the oracle's: all 1024 pairs on f2_5, seeded pairs on the others
     assert engine.TABLE_BUDGET == 4096
+    multipliers = {name: COMPILED[name] for name in NAMES}  # built before the budget changes
     if budget is not None:
         monkeypatch.setattr(engine, "TABLE_BUDGET", budget)
     rng = random.Random(27)
     for name in NAMES:
-        spec, c = SPECS[name], COMPILED[name]
+        spec, c = SPECS[name], multipliers[name]
         frozen = engine.CompiledMultiplier(spec, c.places, c.T.packed, c.T_inv_top.packed)
         sizes = tuple(sum(map(len, t)) for t in (frozen.step1.tables, frozen.step3.tables))
         assert (frozen.widths, sizes) == choices[name], name
@@ -663,13 +608,13 @@ def test_compile_refuses_k_above_4_before_evaluating_a_place(monkeypatch):
             built.append(place)
             super().__init__(place, family)
 
+    spec, f2_5 = tools.load_bundled("f2_5"), SPECS["f2_5"]
     monkeypatch.setattr(engine, "PlaceEvaluator", Counting)
-    spec = tools.load_bundled("f2_5")
     spec.field = BinaryField(5, 0b100101)  # w^5 + w^2 + 1
     with pytest.raises(InstanceError, match=r"^products need 2k <= 8 .*; k = 5$"):
         compile_instance(spec)
     assert built == []
-    compile_instance(SPECS["f2_5"])  # the count sees an evaluation when there is one
+    compile_instance(f2_5)  # the count sees an evaluation when there is one
     assert built
 
 
@@ -684,10 +629,11 @@ def test_each_candidate_evaluated_at_most_once(monkeypatch):
             built.append(place.label)
             super().__init__(place, family)
 
+    specs = {name: SPECS[name] for name in NAMES}  # loaded before the count
     monkeypatch.setattr(engine, "PlaceEvaluator", Counting)
     for name, swapped in (("f4_5", "Q_1"), ("f2_5", "R_1")):
         built.clear()
-        compiled = compile_instance(SPECS[name])
+        compiled = compile_instance(specs[name])
         assert sorted(built) == sorted(
             ["Q", swapped] + [p.label for p in compiled.places]
         ), name
@@ -796,11 +742,8 @@ def test_selection_skips_a_dependent_place_before_the_last():
     report = compiled.report
     assert (report.step1_scalar, report.step2_bilinear, report.step3_scalar) == (110, 18, 99)
     assert rank(compiled.T) == spec.size
-    units = [[int(i == j) for j in range(spec.n)] for i in range(spec.n)]
-    for x in units:
-        for y in units:
-            want = reference_mul(spec.field, spec.q_modulus, x, y)
-            assert compiled.multiply(x, y)[0] == want
+    for x, y in basis_pairs(spec.n):
+        assert compiled.multiply(x, y)[0] == reference_mul(spec.field, spec.q_modulus, x, y)
 
 
 def test_selection_short_of_full_rank_fails():
@@ -1050,12 +993,13 @@ def test_cheap_faults_rejected_before_packing(monkeypatch, build, message):
     def counted(name, real):
         return lambda *args: calls.append(name) or real(*args)
 
+    spec = SPECS["f16_13"]  # loaded before the count
     monkeypatch.setattr(curve.PackedPolys, "__init__", counting_init)
     monkeypatch.setattr(curve.PackedPolys, "_horner", counting_pass)
     monkeypatch.setattr(engine, "is_irreducible", counted("rabin", engine.is_irreducible))
     monkeypatch.setattr(engine, "generates_residue", counted("gen", engine.generates_residue))
     with pytest.raises(InstanceError) as exc:
-        build(SPECS["f16_13"])
+        build(spec)
     assert str(exc.value) == message
     assert calls == []
 

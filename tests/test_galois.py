@@ -508,4 +508,4 @@ def test_fold_rows_hold_the_reduced_powers_of_t(base, modulus):
     assert len(rows) == ext.d - 1 and ext.fold_rows() is rows  # built once
     for j, row in enumerate(rows, start=ext.d):
         power = ext.from_poly((0,) * j + (1,))
-        assert row == tuple(base.table[c] for c in power)
+        assert row == tuple(tuple(base.mul(c, v) for v in range(base.order)) for c in power)

@@ -4,8 +4,6 @@ import random
 
 import pytest
 
-from curvemul import tools
-from curvemul.engine import compile_instance
 from curvemul.galois import F2, F4, BinaryField, ExtField, is_irreducible
 from curvemul.kernels import (
     KERNEL_COST,
@@ -15,26 +13,24 @@ from curvemul.kernels import (
     mul_d2,
     mul_d4,
 )
-from reference import counting_field, ext_elements
+from reference import bundled, counting_field, ext_elements
 
 E4 = ExtField(F2, (1, 1, 1))  # F_4 over F_2
 E16 = ExtField(F4, (2, 1, 1))  # F_16 over F_4
 E16B = ExtField(F2, (1, 0, 0, 1, 1))  # F_16 over F_2, t^4+t^3+1
 E16C = ExtField(F2, (1, 1, 0, 0, 1))  # F_16 over F_2, t^4+t+1
-COMPILED = {name: compile_instance(tools.load_bundled(name))
-            for name in ("f16_13", "f4_5", "f2_5")}
-PLANS = {name: compiled.plan for name, compiled in COMPILED.items()}
+NAMES = ("f16_13", "f2_5", "f4_5")
 
 
-def residues_of(compiled):
-    """The residue fields of the selected places in slot order, None at a
-    degree-1 place."""
-    return [p.residue if p.degree > 1 else None for p in compiled.places]
+def residues_of(name):
+    """The residue fields of the places a bundled instance selects, in slot
+    order, None at a degree-1 place."""
+    return [p.residue if p.degree > 1 else None for p in bundled(name)[1].places]
 
 
 def residue_fields(name, d):
     """The degree-d residue fields of the places a bundled instance selects."""
-    return [ext for ext in residues_of(COMPILED[name]) if ext is not None and ext.d == d]
+    return [ext for ext in residues_of(name) if ext is not None and ext.d == d]
 
 
 def test_kernel_cost_table():
@@ -99,7 +95,7 @@ def test_mul_d4_exhaustive_f2():
         assert c.bilinear_mults == 9 * 256
 
 
-@pytest.mark.parametrize("name", sorted(PLANS))
+@pytest.mark.parametrize("name", NAMES)
 def test_step2_table_lookups_at_run_time(name):
     # each operand-by-operand product is one read of the base field's pair
     # table (entry a | b << k is a * b), so the reads are the 1/3/9
@@ -109,8 +105,8 @@ def test_step2_table_lookups_at_run_time(name):
     # 4/16, plus its reduction.  `mul_d1` reads the product table once; the
     # kernels read it not at all, since the fold rows were bound at build, and
     # neither does building the plan, whose table is the field's pair table
-    field, residues = counting_field(PLANS[name].field, residues_of(COMPILED[name]))
-    plan, table, pair_table = KernelPlan(field, residues), field.table, field.pair_table
+    field, residues = counting_field(bundled(name)[0].field, residues_of(name))
+    plan, table, pair_table = KernelPlan(field, residues), field.rows, field.pair_table
     q, k = field.order, field.k
     assert plan.table is pair_table and (table.lookups, pair_table.lookups) == (0, 0)
     for slot, ext in enumerate(residues):
@@ -201,26 +197,23 @@ def test_kernel_plan_hadamard():
         plan.hadamard([0] * 6, [0] * 7, BilinearCounter())
 
 
-@pytest.mark.parametrize("name", ["f16_13", "f4_5", "f2_5"])
-def test_hadamard_runs_step2_on_the_pair_bytes(monkeypatch, name):
-    # `hadamard` has no step-2 code of its own: it calls `step2` once, on the
-    # pair bytes a | b << k of its checked vectors, and lists what it returns
-    plan, calls = PLANS[name], []
-    real = KernelPlan.step2
-    monkeypatch.setattr(KernelPlan, "step2", lambda p, a: calls.append(a) or real(p, a))
+@pytest.mark.parametrize("name", NAMES)
+def test_hadamard_runs_step2_on_the_pair_bytes(name):
+    # `hadamard` gives what `step2` gives on the pair bytes a | b << k of its
+    # vectors, as a list
+    plan = bundled(name)[1].plan
     rng, q, k = random.Random(31), plan.field.order, plan.field.k
     zv = [rng.randrange(q) for _ in range(plan.total)]
     tv = [rng.randrange(q) for _ in range(plan.total)]
     pairs = bytes([a | b << k for a, b in zip(zv, tv)])
-    assert plan.hadamard(zv, tv) == list(real(plan, pairs))
-    assert calls == [pairs]
+    assert plan.hadamard(zv, tv) == list(plan.step2(pairs))
 
 
 @pytest.mark.parametrize("name", ["f16_13", "f2_5"])
 def test_hadamard_matches_kernels_slot_by_slot(name):
     # f16_13's plan is all degree-1 slots, f2_5's mixes degrees 1, 2 and 4;
     # the counter moves by the plan's cost once per call
-    plan, residues = PLANS[name], residues_of(COMPILED[name])
+    plan, residues = bundled(name)[1].plan, residues_of(name)
     degrees = [1 if ext is None else ext.d for ext in residues]
     assert set(degrees) == ({1} if name == "f16_13" else {1, 2, 4})
     rng = random.Random(len(name))

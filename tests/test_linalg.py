@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from curvemul import tools
-from curvemul.engine import compile_instance
 from curvemul.galois import F2, F4, F16, BinaryField, Lanes
 from curvemul.linalg import Matrix, RowBasis, SingularMatrixError, invert, mat_vec, rank
+from reference import bundled, unit_vectors
 
 
 def from_rows(field, rows, cols=None):
@@ -25,10 +24,6 @@ def row_entries(m, i):
 def add_rows(basis, block):
     """`RowBasis.add_packed` on a block of rows given as lists of ints."""
     return basis.add_packed([Lanes(basis.field, basis.cols).pack(r) for r in block])
-
-
-def unit_vectors(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def random_matrix(rng, field, rows, cols):
@@ -280,7 +275,7 @@ def test_mat_vec_matches_schoolbook_on_degenerate_and_bundled_matrices():
     matrices = [from_rows(F16, [[7]]), from_rows(F4, [[3], [0], [1], [2]]),
                 Matrix(F16, 3, []), Matrix(F16, 0, [0, 0, 0])]
     for name in ("f16_13", "f4_5", "f2_5"):
-        compiled = compile_instance(tools.load_bundled(name))
+        compiled = bundled(name)[1]
         matrices += [compiled.T, compiled.T_x, compiled.T_y, compiled.T_inv_top]
     assert_mat_vec_matches_schoolbook(rng, matrices)
     assert mat_vec(Matrix(F16, 3, []), [5, 6, 7]) == []

@@ -12,6 +12,9 @@ module, and replays a product from the compiled multiplier's attributes;
 a name it reads that src/ no longer has fails here, not only in the
 benchmark's own checks.  Its traced pass checks that replay against
 `multiply`, so the replay's steps must still compose to the product.
+
+Every mutant of `tests/mutants.py` must still apply, and the tests it names
+must exist, so a stale mutant fails here on every Python version tier-1 runs.
 """
 
 import ast
@@ -22,9 +25,10 @@ import re
 import sys
 from pathlib import Path
 
-from curvemul import linalg, tools
-from curvemul.engine import compile_instance
+from curvemul import tools
 from curvemul.linalg import mat_vec
+import mutants
+from reference import basis_pairs, bundled
 
 ROOT = Path(__file__).resolve().parents[1]
 # p.<module>.<name>, program.<module>.<name> (also self.program...) and
@@ -60,7 +64,7 @@ def test_names_perfbench_reads_exist():
         for match in READ.finditer(path.read_text(encoding="utf-8"))
         if (package / f"{match[1]}.py").is_file()
     }
-    assert ("engine", "compile_instance") in read and ("linalg", "mat_vec") in read
+    assert ("engine", "compile_instance") in read
     missing = [f"{module}.{name}" for module, name in sorted(read)
                if not hasattr(importlib.import_module(f"curvemul.{module}"), name)]
     assert missing == []
@@ -68,22 +72,10 @@ def test_names_perfbench_reads_exist():
 
 def test_bundled_multipliers_have_what_perfbench_replays():
     for name in tools.bundled_instance_names():
-        compiled = compile_instance(tools.load_bundled(name))
+        compiled = bundled(name)[1]
         for attr in ("T", "T_x", "T_y", "T_inv_top", "plan", "places"):
             assert hasattr(compiled, attr), (name, attr)
         assert callable(compiled.plan.hadamard), name
-        # the windows the product reads are the windows of the column tables
-        # the replay's mat_vec reads: step 1's of T_x's then T_y's, k bits up,
-        # step 3's of T_inv_top's with step 4 folded in (byte n+i-1 XORed into
-        # byte i, then n bytes kept)
-        n, k = compiled.spec.n, compiled.spec.field.k
-        c1, c3 = compiled.widths
-        shifted = tuple([m << k for m in ms] for ms in compiled.T_y.columns)
-        assert compiled.step1.tables == linalg.windows(compiled.T_x.columns + shifted, c1), name
-        low = (1 << 8 * n) - 1
-        folded = [[(w ^ ((w >> 8 * n) << 8)) & low for w in ms]
-                  for ms in compiled.T_inv_top.columns]
-        assert compiled.step3.tables == linalg.windows(folded, c3), name
 
 
 def test_perfbench_replay_equals_multiply():
@@ -92,11 +84,10 @@ def test_perfbench_replay_equals_multiply():
     # pairs and the n^2 basis pairs that gives what `multiply` returns
     rng = random.Random(22)
     for name in tools.bundled_instance_names():
-        compiled = compile_instance(tools.load_bundled(name))
+        compiled = bundled(name)[1]
         n, q = compiled.spec.n, compiled.spec.field.order
-        units = [[int(i == j) for j in range(n)] for i in range(n)]
         seeded = [[[rng.randrange(q) for _ in range(n)] for _ in range(2)] for _ in range(50)]
-        for x, y in itertools.chain(itertools.product(units, units), seeded):
+        for x, y in itertools.chain(basis_pairs(n), seeded):
             had = compiled.plan.hadamard(mat_vec(compiled.T_x, x), mat_vec(compiled.T_y, y))
             w = mat_vec(compiled.T_inv_top, had)
             z = tuple([w[0]] + [w[j] ^ w[n + j - 1] for j in range(1, n)])
@@ -113,3 +104,8 @@ def test_src_imports_only_the_standard_library():
                 imported.add(node.module.split(".")[0])
     assert imported and "__future__" in imported
     assert sorted(imported - set(sys.stdlib_module_names) - {"curvemul"}) == []
+
+
+def test_every_mutant_applies_and_names_tests_that_exist():
+    assert len(mutants.MUTANTS) == len({m.name for m in mutants.MUTANTS})
+    assert [fault for m in mutants.MUTANTS for fault in mutants.faults(m)] == []

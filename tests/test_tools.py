@@ -13,7 +13,7 @@ from curvemul import cli, engine, galois, tools
 from curvemul.curve import AffinePlace, PackedPolys, PlaceEvaluationError, generates_residue
 from curvemul.engine import InstanceError, InstanceSpec, compile_instance
 from curvemul.galois import F2, F4, ExtField, is_irreducible
-from reference import horner
+from reference import basis_pairs, bundled, horner
 
 F2_5_PATH = tools.bundled_instance_path("f2_5")
 F4_5_PATH = tools.bundled_instance_path("f4_5")
@@ -466,7 +466,7 @@ def test_cheap_faults_rejected_before_rabin_on_load(monkeypatch, name, fault):
     # message with no Rabin test over its field, Horner pass or generation test
     doc = json.loads(tools.bundled_instance_path(name).read_text(encoding="utf-8"))
     message = fault(doc)
-    spec = tools.load_bundled(name)
+    spec = bundled(name)[0]
     calls, inverses = _count_load_work(monkeypatch, spec.field)
     with pytest.raises(InstanceError) as exc:
         tools.instance_from_document(doc)
@@ -530,7 +530,7 @@ def test_seeded_corpus_rejected_before_expensive_work(monkeypatch, name, fault, 
     doc = json.loads(tools.bundled_instance_path(name).read_text(encoding="utf-8"))
     inflate(random.Random(f"{name}/{fault.__name__}/{inflate.__name__}"), doc)
     message = fault(doc)
-    spec = tools.load_bundled(name)
+    spec = bundled(name)[0]
     calls, inverses = _count_load_work(monkeypatch, spec.field)
     with pytest.raises(InstanceError) as exc:
         tools.instance_from_document(doc)
@@ -576,7 +576,7 @@ def test_round_trip_document_equals_file():
 
 
 def test_check_total_split_known_values():
-    curve = tools.load_bundled("f2_5").curve
+    curve = bundled("f2_5")[0].curve
     assert tools.check_total_split(curve, (1, 0, 0, 1, 0, 1))  # x^5+x^3+1
     assert not tools.check_total_split(curve, (1, 0, 1, 0, 0, 1))  # x^5+x^2+1
     # the rhs denominator itself: fibre is not split, signalled as an error
@@ -616,7 +616,7 @@ def test_check_total_split_matches_reference_on_every_small_polynomial():
     # every monic polynomial of degree 1 .. top over each bundled curve's field
     cases, kinds = 0, set()
     for name, top in (("f2_5", 8), ("f4_5", 4), ("f16_13", 2)):
-        curve = tools.load_bundled(name).curve
+        curve = bundled(name)[0].curve
         for degree in range(1, top + 1):
             for p in tools._all_monic(curve.field, degree):
                 got = _outcome(tools.check_total_split, curve, p)
@@ -628,7 +628,7 @@ def test_check_total_split_matches_reference_on_every_small_polynomial():
 
 
 def test_split_search_exhaustive_degree_5():
-    curve = tools.load_bundled("f2_5").curve
+    curve = bundled("f2_5")[0].curve
     found = tools.split_search(curve, 5, trials=0)
     assert (1, 0, 0, 1, 0, 1) in found
     assert found == [(1, 0, 0, 1, 0, 1), (1, 1, 1, 1, 0, 1)]
@@ -638,7 +638,7 @@ def test_split_search_exhaustive_degree_5():
 
 
 def test_split_search_sampling_is_seeded():
-    curve = tools.load_bundled("f4_5").curve
+    curve = bundled("f4_5")[0].curve
     a = tools.split_search(curve, 3, trials=200, seed=11)
     b = tools.split_search(curve, 3, trials=200, seed=11)
     assert a == b
@@ -655,7 +655,7 @@ def test_split_search_tests_each_candidate_once(monkeypatch):
     # irreducibility first and the split second gives
     real = galois.is_irreducible
     for name, degree, trials in (("f4_5", 5, 300), ("f2_5", 8, 0)):
-        curve = tools.load_bundled(name).curve
+        curve = bundled(name)[0].curve
         tested = []
 
         def counting(field, p):
@@ -679,7 +679,7 @@ def test_split_search_tests_each_candidate_once(monkeypatch):
 
 
 def test_split_search_rejects_bad_degree():
-    curve = tools.load_bundled("f2_5").curve
+    curve = bundled("f2_5")[0].curve
     with pytest.raises(ValueError):
         tools.split_search(curve, 0, trials=10)
 
@@ -690,7 +690,7 @@ def test_split_search_rejects_bad_degree():
 
 def test_verify_instance_passes_for_bundled():
     for name in tools.bundled_instance_names():
-        spec = tools.load_bundled(name)
+        spec = bundled(name)[0]
         report = tools.verify_instance(spec)
         assert report.ok
         lines = report.lines()
@@ -706,7 +706,7 @@ def test_verify_instance_passes_for_bundled():
 
 
 def test_verify_instance_reports_compile_failure():
-    spec = tools.load_bundled("f2_5")
+    spec = bundled("f2_5")[0]
     tampered = list(spec.basis)
     tampered[1], tampered[2] = tampered[2], tampered[1]
     bad = InstanceSpec(
@@ -810,9 +810,7 @@ def test_hidden_pole_corpus_is_refused_or_multiplies_right():
             refusals[name, label] = str(e)
             continue
         spec = compiled.spec
-        units = [[int(i == j) for j in range(spec.n)] for i in range(spec.n)]
-        pairs = [(x, y) for x in units for y in units]
-        pairs += tools._random_pairs(spec, 200, seed=14)
+        pairs = [*basis_pairs(spec.n), *tools._random_pairs(spec, 200, seed=14)]
         for x, y in pairs:
             want = engine.reference_mul(spec.field, spec.q_modulus, x, y)
             assert compiled.multiply(x, y)[0] == want, (name, label, x, y)
@@ -951,7 +949,7 @@ def test_verify_instance_bilinear_certificate_names_a_wrong_step2_entry(monkeypa
 
     report, cert = _certificate(monkeypatch, name, change)
     assert not report.ok and not cert.ok
-    entry = a | b << tools.load_bundled(name).field.k
+    entry = a | b << bundled(name)[0].field.k
     assert cert.detail.startswith(f"step-2 table entry {entry} is not {a} times {b}; "), cert.detail
     assert "[FAIL] bilinear-certificate — step-2 table entry" in "\n".join(report.lines())
 
@@ -1049,8 +1047,7 @@ def test_verify_instance_checks_the_last_candidate_support():
 
 
 def test_verify_instance_checks_the_last_candidate_is_new():
-    spec = tools.load_bundled("f2_5")
-    checks, report = _verify_with_extra_candidate(spec.candidate_places[2])
+    checks, report = _verify_with_extra_candidate(bundled("f2_5")[0].candidate_places[2])
     assert not report.ok
     assert not checks["candidates-distinct"]
     assert checks["candidates-on-curve"] and checks["support-disjoint"]
@@ -1081,7 +1078,7 @@ def test_verify_instance_reports_a_non_place_candidate_once(place, failure):
 
 
 def test_selftest_passes():
-    compiled = compile_instance(tools.load_bundled("f2_5"))
+    compiled = bundled("f2_5")[1]
     result = tools.selftest(compiled, trials=50, seed=1)
     assert result.ok
     assert result.trials == 50
@@ -1096,7 +1093,7 @@ def test_selftest_and_spot_check_report_the_first_mismatch_in_draw_order(monkeyp
     # a multiplier wrong exactly when x[0] = 1: selftest draws x, then y, per
     # trial, counts every mismatch and keeps the first; verify's spot check
     # is the same draw with 25 trials from seed 2024
-    compiled = compile_instance(tools.load_bundled("f2_5"))
+    compiled = bundled("f2_5")[1]
     honest = engine.CompiledMultiplier.multiply
 
     def wrong_where_x0_is_one(self, x, y):
@@ -1125,7 +1122,7 @@ def test_selftest_and_spot_check_report_the_first_mismatch_in_draw_order(monkeyp
 
 
 def test_bench_reports_constant_counts():
-    compiled = compile_instance(tools.load_bundled("f4_5"))
+    compiled = bundled("f4_5")[1]
     result = tools.bench(compiled, reps=5, seed=3)
     assert result.reps == 5
     assert result.median_seconds > 0

@@ -1,4 +1,4 @@
-"""Mutation check of the product path, its tables and certificates, compile and verify.
+"""Mutation check of the product path, its tables and certificates, load, compile and verify.
 
 Every mutant's old text must occur exactly once in its file and every test it
 names must be defined in the file it names (`faults`; tier-1 checks this too,
@@ -7,9 +7,10 @@ copies src/ and tests/ to a temporary directory and runs every named test once
 on the unmutated copy, which must pass.  For each mutant it applies the one
 text substitution, runs the mutant's tests and restores the file.  The mutant
 is killed only if pytest exits 1, a test that ran and failed.  An exit of 0 (it
-survived) or of anything else (a test module that no longer imports, no test
-collected, an internal error: no named test ran to the end) fails the run,
-which exits 1 and names the mutant.
+survived), of anything else (a test module that no longer imports, no test
+collected, an internal error: no named test ran to the end) or no exit within
+TIMEOUT seconds (a mutant that loops) fails the run, which exits 1 and names
+the mutant.
 
 Standard library only (the tests it runs need pytest); tier-1 does not collect
 it.  Run from anywhere as `python tests/mutants.py`.
@@ -28,11 +29,14 @@ from collections import namedtuple
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+CURVE = "src/curvemul/curve.py"
 ENGINE = "src/curvemul/engine.py"
 KERNELS = "src/curvemul/kernels.py"
 TOOLS = "src/curvemul/tools.py"
 TOOLS_TESTS = "tests/test_tools.py::test_verify_instance_bilinear_certificate_"
 OPERANDS_TEST = "tests/test_engine.py::test_multiply_rejects_bad_operands"
+
+TIMEOUT = 120  # seconds one pytest run may take; each takes a few here
 
 Mutant = namedtuple("Mutant", "name path old new tests")
 
@@ -110,6 +114,15 @@ MUTANTS = [
     Mutant("degree-4 mid-middle form from s0 alone", KERNELS,
            "t[s0 ^ s1]", "t[s0]",
            ["tests/test_kernels.py::test_mul_d4_exhaustive_f2"]),
+    Mutant("a Horner pass per place, not per fibre", CURVE,
+           "if key not in self._passes:", "if True:",
+           ["tests/test_engine.py::test_one_horner_pass_per_fibre"]),
+    Mutant("a Rabin test per place, not per modulus", ENGINE,
+           "rabin = lru_cache(maxsize=None)(is_irreducible)", "rabin = is_irreducible",
+           ["tests/test_tools.py::test_each_modulus_tested_once_per_load"]),
+    Mutant("repack the basis on every run of checks", ENGINE,
+           "if self.family is None:", "if True:",
+           ["tests/test_engine.py::test_compile_packs_the_basis_once"]),
 ]
 
 
@@ -128,13 +141,17 @@ def faults(m: Mutant) -> list[str]:
     return out
 
 
-def run_tests(copy: Path, tests: list[str]) -> int:
-    """pytest's exit code on `tests` in the copy, its src/ first on the path; no
+def run_tests(copy: Path, tests: list[str]) -> int | None:
+    """pytest's exit code on `tests` in the copy, its src/ first on the path, or
+    None if it has not exited after TIMEOUT seconds (it is then killed); no
     bytecode is cached, so a mutant of the same length and mtime is never stale."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(command, cwd=copy, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    try:
+        return subprocess.run(command, cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def main() -> int:
@@ -160,8 +177,10 @@ def main() -> int:
             path.write_text(original.replace(m.old, m.new), encoding="utf-8")
             code = run_tests(copy, m.tests)
             path.write_text(original, encoding="utf-8")
-            verdict = {1: "killed", 0: "SURVIVED"}.get(code, "NO TEST RAN TO A FAILURE")
-            print(f"{verdict} (exit {code}): {m.name}")
+            verdict = {1: "killed", 0: "SURVIVED", None: "TIMED OUT"}.get(
+                code, "NO TEST RAN TO A FAILURE")
+            print(f"{verdict} ({f'exit {code}' if code is not None else f'{TIMEOUT} s'}): "
+                  f"{m.name}")
             if code != 1:
                 missed.append(m.name)
     print(f"{len(MUTANTS) - len(missed)}/{len(MUTANTS)} mutants killed "

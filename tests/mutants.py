@@ -177,10 +177,9 @@ def main() -> int:
             path.write_text(original.replace(m.old, m.new), encoding="utf-8")
             code = run_tests(copy, m.tests)
             path.write_text(original, encoding="utf-8")
-            verdict = {1: "killed", 0: "SURVIVED", None: "TIMED OUT"}.get(
+            verdict = {1: "killed", 0: "SURVIVED", None: f"TIMED OUT after {TIMEOUT} s"}.get(
                 code, "NO TEST RAN TO A FAILURE")
-            print(f"{verdict} ({f'exit {code}' if code is not None else f'{TIMEOUT} s'}): "
-                  f"{m.name}")
+            print(f"{verdict} (exit {code}): {m.name}")
             if code != 1:
                 missed.append(m.name)
     print(f"{len(MUTANTS) - len(missed)}/{len(MUTANTS)} mutants killed "

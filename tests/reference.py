@@ -6,10 +6,12 @@ as pytest puts this directory on the path.
 
 import functools
 import itertools
+import types
 
-from curvemul import tools
+from curvemul import engine, galois, tools
+from curvemul.curve import PackedPolys
 from curvemul.engine import compile_instance
-from curvemul.galois import BinaryField, ExtField
+from curvemul.galois import BinaryField, ExtField, Lanes
 
 
 @functools.cache
@@ -91,3 +93,60 @@ def counting_field(field, residues):
         ext.fold_rows()
     copy.rows.lookups = 0
     return copy, rebuilt
+
+
+class SetupWork(types.SimpleNamespace):
+    """What set-up did while `setup_work` counted, one list per kind, in call order:
+    rabin, Rabin's tests as (field, modulus), GF(2^k)'s own over GF(2) included;
+    packings, `PackedPolys` built, as polynomial counts; horner, Horner passes as
+    (residue modulus, x-image); places and generation, the places engine evaluated
+    (`PlaceEvaluator`) or ran `generates_residue` on; inverses, `ExtField.inv`
+    calls as moduli; multiples, scale and apply, `Lanes` calls as lane counts; mul,
+    `BinaryField.mul` calls as (a, b); rows, passes over a field's product table
+    `rows`, as its length."""
+
+    def clear(self):
+        for calls in vars(self).values():
+            calls.clear()
+
+
+def _counted(calls, real, record):
+    """`real`, appending record(*args) to `calls` first at each call."""
+    return lambda *args: calls.append(record(*args)) or real(*args)
+
+
+def setup_work(monkeypatch):
+    """Count set-up's work until the test ends: each counted name is wrapped once,
+    where the program looks it up, and the returned `SetupWork` gains an entry per
+    call.  This is the one place tests count set-up: no test module patches a name
+    it wraps (tests/test_references.py checks this)."""
+    kinds = "rabin packings horner places generation inverses multiples scale apply mul rows"
+    work = SetupWork(**{kind: [] for kind in kinds.split()})
+    rabin = _counted(work.rabin, galois.is_irreducible, lambda field, p: (field, tuple(p)))
+    monkeypatch.setattr(galois, "is_irreducible", rabin)
+    monkeypatch.setattr(engine, "is_irreducible", rabin)
+    monkeypatch.setattr(PackedPolys, "__init__", _counted(
+        work.packings, PackedPolys.__init__, lambda packed, field, polys: len(polys)))
+    monkeypatch.setattr(PackedPolys, "_horner", _counted(
+        work.horner, PackedPolys._horner, lambda packed, res, x_img: (res.modulus, x_img)))
+    monkeypatch.setattr(engine, "PlaceEvaluator", _counted(
+        work.places, engine.PlaceEvaluator, lambda place, family: place))
+    monkeypatch.setattr(engine, "generates_residue", _counted(
+        work.generation, engine.generates_residue, lambda place: place))
+    monkeypatch.setattr(ExtField, "inv", _counted(
+        work.inverses, ExtField.inv, lambda ext, u: ext.modulus))
+    for name in ("multiples", "scale", "apply"):
+        monkeypatch.setattr(Lanes, name, _counted(
+            getattr(work, name), getattr(Lanes, name), lambda lanes, *args: lanes.count))
+    monkeypatch.setattr(BinaryField, "mul", _counted(
+        work.mul, BinaryField.mul, lambda field, a, b: (a, b)))
+
+    class Rows(tuple):
+        def __iter__(self):
+            work.rows.append(len(self))
+            return tuple.__iter__(self)
+
+    slot = BinaryField.rows  # each read of field.rows is a Rows of the stored table
+    monkeypatch.setattr(BinaryField, "rows", property(
+        lambda field: Rows(slot.__get__(field)), slot.__set__))
+    return work

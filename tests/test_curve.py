@@ -10,7 +10,6 @@ from curvemul.galois import (
     F4,
     F16,
     ExtField,
-    Lanes,
     is_irreducible,
     poly_add,
     poly_from_coeffs,
@@ -33,7 +32,7 @@ from curvemul.curve import (
     series_inv,
     series_mul,
 )
-from reference import ext_elements, horner
+from reference import ext_elements, horner, setup_work
 
 
 def on_curve_check(curve, place):
@@ -352,11 +351,9 @@ def test_folded_horner_matches_plain_horner(base, d, monkeypatch):
         acc = packed.horner(res, x)
         assert [packed.lane(acc, j) for j in range(len(polys))] == want, x
     # a pass takes one Horner step per folded column but the top one
-    steps = []
-    real_apply = Lanes.apply
-    monkeypatch.setattr(Lanes, "apply", lambda *a: steps.append(1) or real_apply(*a))
+    work = setup_work(monkeypatch)
     PackedPolys(base, polys).horner(res, xs[-1])
-    assert len(steps) == min(length, res.order) - 1
+    assert len(work.apply) == min(length, res.order) - 1
 
 
 def series_at_infinity(curve, f, place):

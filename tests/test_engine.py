@@ -34,7 +34,7 @@ from curvemul.engine import (
 )
 from curvemul.galois import F2, F4, F16, BinaryField, ExtField, Lanes
 from curvemul.linalg import invert, rank
-from reference import basis_pairs, bundled, counting_field, horner, random_operand
+from reference import basis_pairs, bundled, counting_field, horner, random_operand, setup_work
 
 NAMES = ("f16_13", "f4_5", "f2_5")
 
@@ -70,29 +70,6 @@ def test_reference_mul_basics():
     assert reference_mul(F2, q, (0, 0, 0, 0, 1), (0, 0, 1, 1, 0)) == (1, 1, 1, 1, 1)
 
 
-def test_published_first_examples():
-    got, _ = COMPILED["f16_13"].multiply(
-        [2, 1] + [0] * 11, [1, 2, 2] + [0] * 10
-    )
-    assert list(got) == [2, 5, 6, 2] + [0] * 9
-    got, _ = COMPILED["f4_5"].multiply([2, 1, 0, 0, 0], [1, 2, 2, 0, 0])
-    assert list(got) == [2, 2, 1, 2, 0]
-    got, _ = COMPILED["f2_5"].multiply([1, 1, 0, 0, 0], [1, 1, 1, 0, 0])
-    assert list(got) == [1, 0, 0, 1, 0]
-
-
-def test_oracle_equivalence_random():
-    for name in NAMES:
-        spec, compiled = SPECS[name], COMPILED[name]
-        rng = random.Random(f"oracle/{name}")  # a str seed is not salted per process
-        for _ in range(200):
-            x = random_operand(rng, spec)
-            y = random_operand(rng, spec)
-            want = reference_mul(spec.field, spec.q_modulus, x, y)
-            got, _ = compiled.multiply(x, y)
-            assert got == want
-
-
 def test_bilinear_certificate():
     # every table a product reads holds what field.mul gives (`table_fault`: steps
     # 1 and 3 F_q-linear, step 2 a * b), so multiply is F_q-bilinear, as
@@ -105,28 +82,6 @@ def test_bilinear_certificate():
         assert compiled.table_fault() is None, name
         for x, y in basis_pairs(spec.n):
             assert compiled.multiply(x, y)[0] == reference_mul(field, spec.q_modulus, x, y)
-
-
-def test_commutativity():
-    for name in NAMES:
-        spec, compiled = SPECS[name], COMPILED[name]
-        rng = random.Random(91)
-        for _ in range(50):
-            x = random_operand(rng, spec)
-            y = random_operand(rng, spec)
-            assert compiled.multiply(x, y)[0] == compiled.multiply(y, x)[0]
-
-
-def test_identity_and_absorbing():
-    for name in NAMES:
-        spec, compiled = SPECS[name], COMPILED[name]
-        one = [1] + [0] * (spec.n - 1)
-        zero = [0] * spec.n
-        rng = random.Random(17)
-        for _ in range(20):
-            x = random_operand(rng, spec)
-            assert list(compiled.multiply(x, one)[0]) == x
-            assert compiled.multiply(x, zero)[0] == tuple(zero)
 
 
 def test_bilinearity_in_first_argument():
@@ -218,34 +173,16 @@ def test_column_tables_take_one_pass_over_the_product_table_each(monkeypatch):
     # row of the field's product table (`field.rows`): no lane scale and no
     # field.mul, and no pass per column or per a.  The windows are XORs of
     # those multiples, with no pass of their own
-    passes, built = [], []
-
-    class Rows(tuple):
-        def __iter__(self):
-            passes.append(len(self))
-            return tuple.__iter__(self)
-
-    def banned(*args):
-        raise AssertionError("per-entry arithmetic while freezing the multiplier")
-
-    def multiples(lanes, v):
-        built.append(lanes.count)
-        return real_multiples(lanes, v)
-
-    real_multiples = Lanes.multiples
-    multipliers = {name: COMPILED[name] for name in NAMES}  # built before the bans
-    monkeypatch.setattr(Lanes, "scale", banned)
-    monkeypatch.setattr(Lanes, "multiples", multiples)
-    monkeypatch.setattr(BinaryField, "mul", banned)
+    multipliers = {name: COMPILED[name] for name in NAMES}  # built before the count
+    work = setup_work(monkeypatch)
     for name in NAMES:
         c, field, n, size = multipliers[name], SPECS[name].field, SPECS[name].n, SPECS[name].size
-        monkeypatch.setattr(field, "rows", Rows(field.rows))
-        passes.clear()
-        built.clear()
+        work.clear()
         frozen = engine.CompiledMultiplier(c.spec, c.places, c.T.packed, c.T_inv_top.packed)
-        assert passes == [field.order] * 3, name
+        assert work.rows == [field.order] * 3, name
         # one transpose each, of T_x, T_y (size x n) and the fold (n x size), none of T's size
-        assert built == [size * n] * 3, name
+        assert work.multiples == [size * n] * 3, name
+        assert work.scale == work.mul == [], name
         assert frozen.step1.tables == c.step1.tables
         assert frozen.step3.tables == c.step3.tables
         assert frozen.T._columns is None and frozen.T_inv_top._columns is None, name
@@ -599,42 +536,24 @@ def test_compile_refuses_k_above_4_before_evaluating_a_place(monkeypatch):
     # a product packs x's and y's values at a slot into one byte, so the base
     # field needs 2k <= 8; a stand-in spec over GF(2^5) (f2_5's data with the
     # field swapped after validation) is refused first, with no place evaluated
-    built = []
-
-    class Counting(PlaceEvaluator):
-        __slots__ = ()
-
-        def __init__(self, place, family):
-            built.append(place)
-            super().__init__(place, family)
-
     spec, f2_5 = tools.load_bundled("f2_5"), SPECS["f2_5"]
-    monkeypatch.setattr(engine, "PlaceEvaluator", Counting)
+    work = setup_work(monkeypatch)
     spec.field = BinaryField(5, 0b100101)  # w^5 + w^2 + 1
     with pytest.raises(InstanceError, match=r"^products need 2k <= 8 .*; k = 5$"):
         compile_instance(spec)
-    assert built == []
+    assert work.places == []
     compile_instance(f2_5)  # the count sees an evaluation when there is one
-    assert built
+    assert work.places
 
 
 def test_each_candidate_evaluated_at_most_once(monkeypatch):
     # f4_5 and f2_5 each reject one evaluated candidate during compile
-    built = []
-
-    class Counting(PlaceEvaluator):
-        __slots__ = ()
-
-        def __init__(self, place, family):
-            built.append(place.label)
-            super().__init__(place, family)
-
-    specs = {name: SPECS[name] for name in NAMES}  # loaded before the count
-    monkeypatch.setattr(engine, "PlaceEvaluator", Counting)
+    work = setup_work(monkeypatch)
     for name, swapped in (("f4_5", "Q_1"), ("f2_5", "R_1")):
-        built.clear()
-        compiled = compile_instance(specs[name])
-        assert sorted(built) == sorted(
+        spec = SPECS[name]
+        work.clear()
+        compiled = compile_instance(spec)
+        assert sorted(p.label for p in work.places) == sorted(
             ["Q", swapped] + [p.label for p in compiled.places]
         ), name
 
@@ -643,22 +562,15 @@ def test_compile_packs_the_basis_once(monkeypatch):
     # one packing per instance from load through compile and verify: the
     # loader's place checks, the good-basis check at Q and every candidate
     # read it, and Q's y-image takes none
-    built = []
-    real_init = curve.PackedPolys.__init__
-
-    def counting_init(self, field, polys):
-        built.append(len(polys))
-        real_init(self, field, polys)
-
-    monkeypatch.setattr(curve.PackedPolys, "__init__", counting_init)
+    work = setup_work(monkeypatch)
     for name in NAMES:
-        built.clear()
+        work.clear()
         spec = tools.load_bundled(name)
         compile_instance(spec)
         verify_good_basis(spec)
         tools.verify_instance(spec)
         # ay, b, den of each basis function, then rhs_num, rhs_den, D1, D2
-        assert built == [3 * spec.size + 4], name
+        assert work.packings == [3 * spec.size + 4], name
 
 
 def test_one_horner_pass_per_fibre(monkeypatch):
@@ -667,31 +579,15 @@ def test_one_horner_pass_per_fibre(monkeypatch):
     # read them.  The two places over one x-image share one: f16_13's Q and
     # 32 candidates lie over 17 keys, and compile evaluates Q and 27
     # rational places over 14 x-images
-    passes, evaluated = [], []
-    real_pass = curve.PackedPolys._horner
-
-    def counting_pass(self, res, x_img):
-        passes.append((res.modulus, x_img))
-        return real_pass(self, res, x_img)
-
-    class Counting(PlaceEvaluator):
-        __slots__ = ()
-
-        def __init__(self, place, family):
-            evaluated.append(place)
-            super().__init__(place, family)
-
-    monkeypatch.setattr(curve.PackedPolys, "_horner", counting_pass)
-    monkeypatch.setattr(engine, "PlaceEvaluator", Counting)
+    work = setup_work(monkeypatch)
     for name, affine, fibres, keys in (
         ("f16_13", 28, 15, 17), ("f4_5", 10, 6, 7), ("f2_5", 6, 5, 5),
     ):
-        passes.clear()
-        evaluated.clear()
+        work.clear()
         spec = tools.load_bundled(name)
-        loaded = list(passes)
+        loaded = list(work.horner)
         compile_instance(spec)
-        places = [p for p in evaluated if isinstance(p, AffinePlace)]
+        places = [p for p in work.places if isinstance(p, AffinePlace)]
         verify_good_basis(spec)
         tools.verify_instance(spec)
         assert places[0] is spec.q_place
@@ -703,9 +599,9 @@ def test_one_horner_pass_per_fibre(monkeypatch):
             if isinstance(p, AffinePlace)
         }
         assert len(everywhere) == keys, name
-        assert passes == loaded, name  # compile and verify run none of their own
-        assert sorted(passes) == sorted(everywhere), name
-        assert passes.count((spec.q_modulus, spec.q_place.x_img)) == 1, name
+        assert work.horner == loaded, name  # compile and verify run none of their own
+        assert sorted(work.horner) == sorted(everywhere), name
+        assert work.horner.count((spec.q_modulus, spec.q_place.x_img)) == 1, name
 
 
 def test_den_vanishing_candidate_named():
@@ -766,13 +662,6 @@ def test_injectivity_flag_is_advisory_only():
     # condition; correctness rests on the rank certificate instead
     for name in NAMES:
         assert not COMPILED[name].meets_injectivity_bound
-
-
-def test_good_basis_report_all_ok():
-    for name in NAMES:
-        checks = verify_good_basis(SPECS[name])
-        assert len(checks) == SPECS[name].size
-        assert all(c.ok for c in checks)
 
 
 def test_tampered_basis_rejected():
@@ -956,52 +845,6 @@ def test_candidate_rejection_named(build, message):
     with pytest.raises(InstanceError) as exc:
         build()
     assert str(exc.value) == message
-
-
-def swapped_f1(spec):
-    return rebuilt(spec, basis=(spec.basis[1], spec.basis[0]) + spec.basis[2:])
-
-
-def dup_of_third(spec):
-    return with_extra_candidate(spec, spec.candidate_places[2])
-
-
-@pytest.mark.parametrize(
-    "build, message",
-    [
-        (swapped_f1, "f_1 must be the constant function 1"),
-        (lambda s: rebuilt(s, d2_den=s.d1_den), "D1 and D2 denominators must be distinct"),
-        (lambda s: rebuilt(s, d2_den=s.q_modulus), "D1/D2 denominators must avoid the modulus of Q"),
-        (dup_of_third, "candidate P_4 duplicates an earlier place"),
-    ],
-    ids=["f1-not-one", "D1-equals-D2", "D2-equals-Q", "duplicate"],
-)
-def test_cheap_faults_rejected_before_packing(monkeypatch, build, message):
-    # a fault that a linear scan finds costs no packing, Horner pass, Rabin
-    # test or generation test: those rules run after every cheap one
-    calls = []
-    real_init, real_pass = curve.PackedPolys.__init__, curve.PackedPolys._horner
-
-    def counting_init(self, field, polys):
-        calls.append("pack")
-        real_init(self, field, polys)
-
-    def counting_pass(self, res, x_img):
-        calls.append("horner")
-        return real_pass(self, res, x_img)
-
-    def counted(name, real):
-        return lambda *args: calls.append(name) or real(*args)
-
-    spec = SPECS["f16_13"]  # loaded before the count
-    monkeypatch.setattr(curve.PackedPolys, "__init__", counting_init)
-    monkeypatch.setattr(curve.PackedPolys, "_horner", counting_pass)
-    monkeypatch.setattr(engine, "is_irreducible", counted("rabin", engine.is_irreducible))
-    monkeypatch.setattr(engine, "generates_residue", counted("gen", engine.generates_residue))
-    with pytest.raises(InstanceError) as exc:
-        build(spec)
-    assert str(exc.value) == message
-    assert calls == []
 
 
 def test_equal_denominators_rejected():

@@ -15,6 +15,10 @@ benchmark's own checks.  Its traced pass checks that replay against
 
 Every mutant of `tests/mutants.py` must still apply, and the tests it names
 must exist, so a stale mutant fails here on every Python version tier-1 runs.
+
+Tests count set-up's work through `reference.setup_work` alone: no test module
+patches a name it wraps (matched by name alone, through `setattr` calls), so a
+set-up change edits that one helper.
 """
 
 import ast
@@ -23,12 +27,13 @@ import itertools
 import random
 import re
 import sys
+import types
 from pathlib import Path
 
 from curvemul import tools
 from curvemul.linalg import mat_vec
 import mutants
-from reference import basis_pairs, bundled
+from reference import basis_pairs, bundled, setup_work
 
 ROOT = Path(__file__).resolve().parents[1]
 # p.<module>.<name>, program.<module>.<name> (also self.program...) and
@@ -109,3 +114,20 @@ def test_src_imports_only_the_standard_library():
 def test_every_mutant_applies_and_names_tests_that_exist():
     assert len(mutants.MUTANTS) == len({m.name for m in mutants.MUTANTS})
     assert [fault for m in mutants.MUTANTS for fault in mutants.faults(m)] == []
+
+
+def test_no_test_module_patches_what_setup_work_counts():
+    wrapped = set()
+    setup_work(types.SimpleNamespace(setattr=lambda target, name, value: wrapped.add(name)))
+    assert {"is_irreducible", "__init__", "_horner", "PlaceEvaluator", "inv", "rows"} <= wrapped
+    calls, patched = 0, []
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            if getattr(func, "attr", getattr(func, "id", None)) != "setattr":
+                continue
+            calls += 1  # setattr(obj, "name", v) or monkeypatch.setattr("module.name", v)
+            name = next((a.value for a in node.args[:2] if isinstance(a, ast.Constant)), None)
+            if name is None or name.rpartition(".")[2] in wrapped:  # None: not written out
+                patched.append(f"{path.name}:{node.lineno} {name}")
+    assert calls and patched == []

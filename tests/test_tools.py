@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 from curvemul import cli, engine, galois, tools
-from curvemul.curve import AffinePlace, PackedPolys, PlaceEvaluationError, generates_residue
+from curvemul.curve import AffinePlace, PlaceEvaluationError
 from curvemul.engine import InstanceError, InstanceSpec, compile_instance
 from curvemul.galois import F2, F4, ExtField, is_irreducible
-from reference import basis_pairs, bundled, horner
+from reference import basis_pairs, bundled, horner, setup_work
 
 F2_5_PATH = tools.bundled_instance_path("f2_5")
 F4_5_PATH = tools.bundled_instance_path("f4_5")
@@ -123,15 +123,7 @@ def test_modulus_degrees_checked_before_rabin(monkeypatch):
     # Rabin's test on a degree-2039 modulus (an 8 KB document) can take most
     # of a second; its degree, or the basis length, rejects it first, with
     # validate's messages
-    tested = []
-    real = galois.is_irreducible
-
-    def counting(field, p):
-        tested.append(len(p) - 1)
-        return real(field, p)
-
-    monkeypatch.setattr(galois, "is_irreducible", counting)
-    monkeypatch.setattr(engine, "is_irreducible", counting)
+    work = setup_work(monkeypatch)
     big = [1, 1] + [0] * 2037 + [1]
     base = json.loads(F4_5_PATH.read_text(encoding="utf-8"))
     i = next(i for i, p in enumerate(base["places"]) if p["kind"] == "affine")
@@ -157,11 +149,11 @@ def test_modulus_degrees_checked_before_rabin(monkeypatch):
         doc = copy.deepcopy(base)
         for path, value in changes.items():
             _set(doc, path, value)
-        tested.clear()
+        work.clear()
         with pytest.raises(error) as exc:
             tools.instance_from_document(doc)
         assert str(exc.value) == message
-        assert max(tested, default=0) < 2039
+        assert max([len(p) - 1 for _, p in work.rabin], default=0) < 2039
 
 
 def test_unknown_place_kind_rejected():
@@ -360,31 +352,23 @@ def test_structured_mutations_raise_only_loader_errors():
 
 def test_each_modulus_tested_once_per_load(monkeypatch):
     # f4_5 has 12 affine places over 6 distinct residue moduli, f2_5 7 over 3
-    tested = []
-    real = galois.is_irreducible
-
-    def counting(field, p):
-        tested.append((field, tuple(p)))
-        return real(field, p)
-
-    monkeypatch.setattr(galois, "is_irreducible", counting)
-    monkeypatch.setattr(engine, "is_irreducible", counting)
+    work = setup_work(monkeypatch)
     for name, distinct in (("f16_13", 16), ("f4_5", 6), ("f2_5", 3)):
-        tested.clear()
+        work.clear()
         spec = tools.load_bundled(name)
         moduli = {p.residue.modulus for p in spec.candidate_places if hasattr(p, "residue")}
         assert len(moduli) == distinct
-        assert len(tested) == len(set(tested)), name
+        assert len(work.rabin) == len(set(work.rabin)), name
         # Q, D1, D2 and each candidate modulus; the base field's own modulus
         # is tested over F2 when k > 1
         want = {spec.q_modulus, spec.d1_den, spec.d2_den} | moduli
-        assert {p for field, p in tested if field == spec.field} == want, name
+        assert {p for field, p in work.rabin if field == spec.field} == want, name
     # R_2's residue modulus again, with a trailing zero: still one field, one test
     doc = doc_copy()
     doc["places"][6]["residue_modulus"].append(0)
-    tested.clear()
+    work.clear()
     tools.instance_from_document(doc)
-    assert len(tested) == len(set(tested))
+    assert len(work.rabin) == len(set(work.rabin))
 
 
 def _swap_f1(doc):
@@ -426,52 +410,30 @@ CHEAP_FAULT_IDS = ["f1-not-one", "D1-equals-D2", "D2-equals-Q", "duplicate", "no
                    "basis-short"]
 
 
-def _count_load_work(monkeypatch, field):
-    """Count, then run, the loader's expensive work: Rabin's tests over
-    `field`, Horner passes and generation tests into the first list, and the
-    modulus of each `ExtField.inv` call into the second."""
-    calls, inverses = [], []
-    real_rabin, real_pass, real_inv = galois.is_irreducible, PackedPolys._horner, ExtField.inv
-
-    def counting_rabin(f, p):
-        if f == field:  # building GF(2^k) tests its modulus over GF(2)
-            calls.append("rabin")
-        return real_rabin(f, p)
-
-    def counting_pass(self, res, x_img):
-        calls.append("horner")
-        return real_pass(self, res, x_img)
-
-    def counting_gen(place):
-        calls.append("gen")
-        return generates_residue(place)
-
-    def counting_inv(self, u):
-        inverses.append(self.modulus)
-        return real_inv(self, u)
-
-    monkeypatch.setattr(galois, "is_irreducible", counting_rabin)
-    monkeypatch.setattr(engine, "is_irreducible", counting_rabin)
-    monkeypatch.setattr(PackedPolys, "_horner", counting_pass)
-    monkeypatch.setattr(engine, "generates_residue", counting_gen)
-    monkeypatch.setattr(ExtField, "inv", counting_inv)
-    return calls, inverses
+def _rejected_cheaply(monkeypatch, name, doc, fault):
+    """Break `fault`'s rule in doc, a copy of bundled file `name`; load it, which must
+    raise that rule's message with no Rabin test over the field (building GF(2^k)
+    tests its modulus over GF(2)), packing, Horner pass or generation test.  Returns
+    the bundled spec and the moduli of the `ExtField.inv` calls made."""
+    message = fault(doc)
+    spec = bundled(name)[0]
+    work = setup_work(monkeypatch)
+    with pytest.raises(InstanceError) as exc:
+        tools.instance_from_document(doc)
+    assert str(exc.value) == message
+    rabin = [p for field, p in work.rabin if field == spec.field]
+    assert (rabin, work.packings, work.horner, work.generation) == ([], [], [], [])
+    return spec, work.inverses
 
 
 @pytest.mark.parametrize("name", ["f16_13", "f4_5", "f2_5"])
 @pytest.mark.parametrize("fault", CHEAP_FAULTS, ids=CHEAP_FAULT_IDS)
 def test_cheap_faults_rejected_before_rabin_on_load(monkeypatch, name, fault):
-    # the loader twin of test_engine's test_cheap_faults_rejected_before_packing:
     # a document that breaks one rule linear in the data gets the constructor's
-    # message with no Rabin test over its field, Horner pass or generation test
+    # message (the loader builds its InstanceSpec) with no Rabin test over its
+    # field, packing, Horner pass or generation test
     doc = json.loads(tools.bundled_instance_path(name).read_text(encoding="utf-8"))
-    message = fault(doc)
-    spec = bundled(name)[0]
-    calls, inverses = _count_load_work(monkeypatch, spec.field)
-    with pytest.raises(InstanceError) as exc:
-        tools.instance_from_document(doc)
-    assert str(exc.value) == message
-    assert calls == []
+    spec, inverses = _rejected_cheaply(monkeypatch, name, doc, fault)
     # one inverse, modulo Q (degree n): Q's y-image in beta_from_ideal.  The
     # loader must build Q before InstanceSpec can run its rules, so this one
     # runs first; shape_checks precede it, so a short basis costs none
@@ -529,13 +491,7 @@ def test_seeded_corpus_rejected_before_expensive_work(monkeypatch, name, fault, 
     # Horner pass, no generation test, and at most Q's one inverse
     doc = json.loads(tools.bundled_instance_path(name).read_text(encoding="utf-8"))
     inflate(random.Random(f"{name}/{fault.__name__}/{inflate.__name__}"), doc)
-    message = fault(doc)
-    spec = bundled(name)[0]
-    calls, inverses = _count_load_work(monkeypatch, spec.field)
-    with pytest.raises(InstanceError) as exc:
-        tools.instance_from_document(doc)
-    assert str(exc.value) == message
-    assert calls == []
+    spec, inverses = _rejected_cheaply(monkeypatch, name, doc, fault)
     assert inverses in ([], [spec.q_modulus])
 
 
@@ -653,18 +609,12 @@ def test_split_search_tests_each_candidate_once(monkeypatch):
     # Rabin's test runs once per distinct candidate, where check_total_split
     # builds the residue field; the found list is what testing
     # irreducibility first and the split second gives
-    real = galois.is_irreducible
+    work = setup_work(monkeypatch)
     for name, degree, trials in (("f4_5", 5, 300), ("f2_5", 8, 0)):
         curve = bundled(name)[0].curve
-        tested = []
-
-        def counting(field, p):
-            tested.append(p)
-            return real(field, p)
-
-        monkeypatch.setattr(galois, "is_irreducible", counting)
+        work.clear()
         found = tools.split_search(curve, degree, trials)
-        monkeypatch.undo()
+        tested = [p for _, p in work.rabin]
         assert len(tested) == len(set(tested)), name
         if curve.field.order == 2:
             assert len(tested) == 2**degree  # every monic polynomial, once
@@ -675,7 +625,7 @@ def test_split_search_tests_each_candidate_once(monkeypatch):
             except PlaceEvaluationError:
                 return False
 
-        assert found == [p for p in tested if real(curve.field, p) and splits(p)], name
+        assert found == [p for p in tested if is_irreducible(curve.field, p) and splits(p)], name
 
 
 def test_split_search_rejects_bad_degree():
@@ -791,18 +741,19 @@ def test_hidden_pole_corpus_is_refused_or_multiplies_right():
     # and seeded single-coefficient flips of f2_5's and f4_5's basis
     # functions: each input is refused by load or compile with the documented
     # errors, or else matches the oracle on all n^2 basis pairs and 200 seeded
-    # pairs
+    # pairs.  The two unchanged documents compile, so that check runs
     docs = {name: json.loads(tools.bundled_instance_path(name).read_text(encoding="utf-8"))
             for name in ("f4_5", "f2_5")}
-    corpus = [(name, _hidden_pole(doc, f, key), f"f_{f + 1}.den * {key}")
-              for name, doc in docs.items() for f in (9, 10) for key in ("d1_modulus", "d2_modulus")]
+    corpus = [(name, doc, "unchanged") for name, doc in docs.items()]
+    corpus += [(name, _hidden_pole(doc, f, key), f"f_{f + 1}.den * {key}") for name, doc
+               in docs.items() for f in (9, 10) for key in ("d1_modulus", "d2_modulus")]
     corpus += [(name, _times_poly(doc, f, p), f"f_{f + 1} * {p}")
                for name, doc in docs.items() for f in (9, 10) for p in ([0, 1], [1, 1], [1, 0, 1])]
     corpus += [(name, _swapped(doc, i, j), f"f_{i + 1} <-> f_{j + 1}")
                for name, doc in docs.items() for i in range(1, 5) for j in range(5, 9)]
     rng = random.Random(14)
     corpus += [(name, doc, label) for name in docs for doc, label in _basis_flips(docs[name], 150, rng)]
-    refusals = {}
+    refusals, checked = {}, []
     for name, doc, label in corpus:
         try:
             compiled = compile_instance(tools.instance_from_document(doc, name))
@@ -814,6 +765,10 @@ def test_hidden_pole_corpus_is_refused_or_multiplies_right():
         for x, y in pairs:
             want = engine.reference_mul(spec.field, spec.q_modulus, x, y)
             assert compiled.multiply(x, y)[0] == want, (name, label, x, y)
+        checked.append((name, label, len(pairs)))
+    # 2 of the 354 entries compiled, each checked on its 25 basis pairs and 200 seeded pairs
+    assert len(corpus) == 354
+    assert checked == [("f4_5", "unchanged", 225), ("f2_5", "unchanged", 225)]
     certified = [key for key, message in refusals.items()
                  if message.startswith("bilinear certificate: t^")]
     hidden = [(name, f"f_{f}.den * d{d}_modulus") for name in ("f4_5", "f2_5")

@@ -37,7 +37,6 @@ from .galois import (
     poly_from_coeffs,
     poly_gcd,
     poly_mul,
-    _prime_factors,
 )
 
 
@@ -428,17 +427,16 @@ def evaluate(curve: Curve, f: CurveFunction, place) -> list[int]:
 def generates_residue(place: AffinePlace) -> bool:
     """Whether x_img and y_img generate the residue field as an algebra.
 
-    They fail exactly when both lie in a common proper subfield, i.e. both
-    are fixed by the Frobenius of some maximal subfield.
+    The field they generate has degree over F_q the length of their orbit
+    under the q-power map (`ExtField.frobenius`), so they generate it iff
+    fewer than d steps never bring both back.
     """
     res = place.residue
-    d = res.d
-    if d == 1:
-        return True
-    q = res.base.order
-    for p in _prime_factors(d):
-        e = q ** (d // p)
-        if res.pow(place.x_img, e) == place.x_img and res.pow(place.y_img, e) == place.y_img:
+    start = [int.from_bytes(bytes(u), "little") for u in (place.x_img, place.y_img)]
+    xy = start
+    for _ in range(res.d - 1):
+        xy = [res.frobenius(u) for u in xy]
+        if xy == start:
             return False
     return True
 

@@ -22,7 +22,10 @@ Representation conventions, used throughout the package:
   these: Rabin's irreducibility test (an element of F_q[x]/(p) is one lane
   vector), the candidate checks and place evaluation (polynomials evaluated
   together in one Horner pass), and row reduction; the product reads the
-  same byte lanes.
+  same byte lanes.  An extension field keeps its two fixed F_q-linear maps
+  on them, each built once: multiplication by t, the steps of `ladder`, and
+  the q-power map (`ExtField.frobenius`), which Rabin's test,
+  `curve.generates_residue` and `absolute_trace` read.
 
 The module-level fields `F2`, `F4` (w^2+w+1) and `F16` (w^4+w+1) cover every
 base field the bundled multiplier instances use.
@@ -128,10 +131,6 @@ class Lanes:
     def pack(self, values: Sequence[int]) -> int:
         """The lane vector holding values[i] in lane i."""
         return int.from_bytes(bytes(values), "little")
-
-    def unpack(self, v: int, count: int) -> list[int]:
-        """Lanes 0 .. count-1 of v."""
-        return list((v & (1 << 8 * count) - 1).to_bytes(count, "little"))
 
     def scale(self, c: int, v: int) -> int:
         """Lanes 0..count-1 of v, each times the constant c."""
@@ -258,31 +257,13 @@ def poly_gcd(field: BinaryField, f: Poly, g: Poly) -> Poly:
     return f
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible(field: BinaryField, p: Poly) -> bool:
     """Rabin's test for a monic polynomial over GF(2^k), of degree m.
 
     p is irreducible iff x^(q^m) = x mod p and gcd(x^(q^(m/r)) - x, p) = 1
-    for every prime r dividing m.  An element of F_q[x]/(p) is one int of m
-    lanes (`Lanes`), lane j the coefficient of x^j.  The q-power map is
-    F_q-linear with columns x^(qj) mod p (Berlekamp's Q-matrix), built by
-    multiplying by x: a shift by one lane, folding the top lane c back in as
-    c * (x^m mod p), read off `Lanes.multiples`.  Each column's multiples
-    make applying the map m lookups, lane j's value into column j's, XORed,
-    and m applications to x give every x^(q^i) mod p.
+    for every prime r dividing m.  The x^(q^i) mod p are i applications to x
+    of the q-power map of the ring F_q[x]/(p) (`ExtField.frobenius`), where an
+    element is one lane vector, lane j the coefficient of x^j.
 
     Non-monic or constant input is rejected as a usage error.
     """
@@ -291,32 +272,17 @@ def is_irreducible(field: BinaryField, p: Poly) -> bool:
     m = len(p) - 1
     if m == 1:
         return True
-    lanes = Lanes(field, m)
-    width = 8 * m
-    full = (1 << width) - 1
-    # c * (x^m mod p) for every c; x^m = p_0 + ... + p_(m-1) x^(m-1), char 2
-    fold = lanes.multiples(lanes.pack(p[:-1]))
-    columns = [lanes.multiples(1)]
-    v = 1
-    for _ in range(m - 1):
-        for _ in range(field.order):
-            v <<= 8
-            v = (v & full) ^ fold[v >> width]
-        columns.append(lanes.multiples(v))
-    gcd_steps = {m // r for r in _prime_factors(m)}
+    ring = ExtField.unproven(field, p)
+    primes = [r for r in range(2, m + 1) if m % r == 0 and all(r % s for s in range(2, r))]
+    gcd_steps = {m // r for r in primes}
     x = v = 1 << 8  # x itself: 1 in lane 1
     for i in range(1, m + 1):
-        v = reduce(xor, map(getitem, columns, v.to_bytes(m, "little")))
+        v = ring.frobenius(v)
         if i in gcd_steps:
-            xi = poly_from_coeffs(field, lanes.unpack(v ^ x, m))
-            if poly_gcd(field, xi, p) != (1,):
+            xi = poly_from_coeffs(field, (v ^ x).to_bytes(m, "little"))
+            if poly_gcd(field, xi, ring.modulus) != (1,):
                 return False
     return v == x
-
-
-F2 = BinaryField(1, 0b10)
-F4 = BinaryField(2, 0b111)  # w^2 + w + 1
-F16 = BinaryField(4, 0b10011)  # w^4 + w + 1
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +292,7 @@ F16 = BinaryField(4, 0b10011)  # w^4 + w + 1
 class ExtField:
     """GF(q^d) as base[t]/(modulus); elements are length-d coordinate tuples."""
 
-    __slots__ = ("base", "modulus", "d", "order", "_hash", "_fold")
+    __slots__ = ("base", "modulus", "d", "order", "_hash", "_fold", "_step", "_frob")
 
     def __init__(self, base: BinaryField, modulus: Poly):
         self._take(base, modulus)
@@ -348,7 +314,7 @@ class ExtField:
         self.base, self.modulus, self.d = base, modulus, len(modulus) - 1
         self.order = base.order**self.d
         self._hash = hash((base, modulus))
-        self._fold = None  # built by the first `fold_rows`
+        self._fold = self._step = self._frob = None  # each built on first use
 
     def zero(self) -> tuple:
         return (0,) * self.d
@@ -388,18 +354,41 @@ class ExtField:
         """
         return self.from_poly(poly_mul(self.base, u, v))
 
+    def _times_t(self, v: int, times: int = 1) -> int:
+        """The lane vector v of an element (lane j its coordinate of t^j) times
+        t^times, one t at a time: a shift by one lane, the top lane c folded
+        back in as c * (t^d mod the modulus), read off that vector's
+        `Lanes.multiples`, built once."""
+        if self._step is None:
+            lanes = Lanes(self.base, self.d)  # t^d = modulus - t^d, char 2
+            self._step = lanes.multiples(lanes.pack(self.modulus[:-1]))
+        step, width = self._step, 8 * self.d
+        full = (1 << width) - 1
+        for _ in range(times):
+            v <<= 8
+            v = (v & full) ^ step[v >> width]
+        return v
+
+    def frobenius(self, v: int) -> int:
+        """The lane vector of u^q, v that of u.  The q-power map is F_q-linear
+        with columns t^(qj) (Berlekamp's Q-matrix), each t^q (`_times_t`) times
+        the one before and kept as its `Lanes.multiples`, built once:
+        applying it is d lookups, lane j's value into column j's, XORed."""
+        if self._frob is None:
+            lanes, power = Lanes(self.base, self.d), 1
+            columns = [lanes.multiples(power)]
+            for _ in range(self.d - 1):
+                power = self._times_t(power, self.base.order)
+                columns.append(lanes.multiples(power))
+            self._frob = columns
+        return reduce(xor, map(getitem, self._frob, v.to_bytes(self.d, "little")))
+
     def ladder(self, z: tuple) -> list[tuple]:
-        """z * t^s for s = 0 .. d-1, as coordinate tuples.  Each is the one
-        before times t: a shift plus one multiple of the modulus."""
-        mul, m = self.base.mul, self.modulus
-        col = tuple(z)
-        cols = [col]
+        """z * t^s for s = 0 .. d-1, as coordinate tuples: d - 1 `_times_t`."""
+        v, cols = int.from_bytes(bytes(z), "little"), [tuple(z)]
         for _ in range(self.d - 1):
-            top = col[-1]
-            col = (0,) + col[:-1]
-            if top:
-                col = tuple([a ^ mul(top, b) for a, b in zip(col, m)])
-            cols.append(col)
+            v = self._times_t(v)
+            cols.append(tuple(v.to_bytes(self.d, "little")))
         return cols
 
     def fold_rows(self) -> tuple:
@@ -440,15 +429,6 @@ class ExtField:
             raise ZeroDivisionError("inverse of a non-unit")
         return self._padded(poly_scale(base, base.inv(r1[0]), s1))
 
-    def pow(self, u: tuple, e: int) -> tuple:
-        r = self.one()
-        while e:
-            if e & 1:
-                r = self.mul(r, u)
-            u = self.mul(u, u)
-            e >>= 1
-        return r
-
     def __eq__(self, other) -> bool:
         same = isinstance(other, ExtField) and self.base == other.base
         return same and self.modulus == other.modulus
@@ -460,18 +440,23 @@ class ExtField:
         return f"ExtField({self.base!r}, deg {self.d})"
 
 
-def absolute_trace(ext: ExtField, z: tuple) -> int:
-    """Trace of z down to F_2: the sum of all 2-power Frobenius conjugates.
+F2 = BinaryField(1, 0b10)
+F4 = BinaryField(2, 0b111)  # w^2 + w + 1
+F16 = BinaryField(4, 0b10011)  # w^4 + w + 1
 
-    Returns 0 or 1. The total degree over F_2 is base.k * d.
+
+def absolute_trace(ext: ExtField, z: tuple) -> int:
+    """Trace of z down to F_2, 0 or 1: the sum of its d conjugates over F_q
+    (`ExtField.frobenius`), an element c of F_q, then c's trace over F_2,
+    c + c^2 + ... + c^(2^(k-1)).
     """
-    total = ext.base.k * ext.d
-    acc = ext.zero()
-    cur = z
-    for _ in range(total):
-        acc = ext.add(acc, cur)
-        cur = ext.mul(cur, cur)
-    if acc == ext.zero():
-        return 0
-    assert acc == ext.one(), "absolute trace must land in F_2"
-    return 1
+    v = c = int.from_bytes(bytes(z), "little")
+    for _ in range(ext.d - 1):
+        v = ext.frobenius(v)
+        c ^= v
+    assert c < ext.base.order, "trace to F_q must land in F_q"
+    trace = c
+    for _ in range(ext.base.k - 1):
+        c = ext.base.mul(c, c)
+        trace ^= c
+    return trace

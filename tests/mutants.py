@@ -1,4 +1,5 @@
-"""Mutation check of the product path, its tables and certificates, load, compile and verify.
+"""Mutation check of the product path, its tables and certificates, load, compile and verify,
+and of the residue field's fixed maps.
 
 Every mutant's old text must occur exactly once in its file and every test it
 names must be defined in the file it names (`faults`; tier-1 checks this too,
@@ -31,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CURVE = "src/curvemul/curve.py"
 ENGINE = "src/curvemul/engine.py"
+GALOIS = "src/curvemul/galois.py"
 KERNELS = "src/curvemul/kernels.py"
 TOOLS = "src/curvemul/tools.py"
 TOOLS_TESTS = "tests/test_tools.py::test_verify_instance_bilinear_certificate_"
@@ -123,6 +125,17 @@ MUTANTS = [
     Mutant("repack the basis on every run of checks", ENGINE,
            "if self.family is None:", "if True:",
            ["tests/test_engine.py::test_compile_packs_the_basis_once"]),
+    # a t-step that reads another lane breaks GF(4)'s own Rabin test, so the
+    # package would not import and no test could run; this one is right over F_2
+    Mutant("a t-step reads one bit of the top lane", GALOIS,
+           "step[v >> width]", "step[v >> width & 1]",
+           ["tests/test_galois.py::test_lane_apply_matches_ext_mul"]),
+    Mutant("sum one Frobenius conjugate too few in the trace", GALOIS,
+           "for _ in range(ext.d - 1):", "for _ in range(ext.d - 2):",
+           ["tests/test_galois.py::test_absolute_trace_properties"]),
+    Mutant("the generation test checks x only", CURVE,
+           "if xy == start:", "if xy[0] == start[0]:",
+           ["tests/test_curve.py::test_generates_residue"]),
 ]
 
 

@@ -172,6 +172,28 @@ def test_generates_residue():
     for res in (ExtField(F2, (1, 1, 0, 0, 1)), ExtField(F4, (2, 1, 1))):
         for y in ext_elements(res):
             assert generates_residue(AffinePlace(res, res.gen(), y))
+        # every (x, y), 256 pairs, against the rule the orbit walk replaced
+        for x, y in itertools.product(ext_elements(res), repeat=2):
+            assert generates_residue(AffinePlace(res, x, y)) == generates_by_powers(res, x, y)
+
+
+def generates_by_powers(res, x, y):
+    """Reference: x and y fail to generate res iff both are fixed by
+    u -> u^(q^(d/p)) for some prime p dividing d, each power by
+    square-and-multiply with ExtField.mul."""
+
+    def power(u, e):
+        acc = res.one()
+        while e:
+            if e & 1:
+                acc = res.mul(acc, u)
+            u, e = res.mul(u, u), e >> 1
+        return acc
+
+    d = res.d
+    primes = [p for p in range(2, d + 1) if d % p == 0 and all(p % s for s in range(2, p))]
+    exponents = [res.base.order ** (d // p) for p in primes]
+    return not any(power(x, e) == x and power(y, e) == y for e in exponents)
 
 
 def test_eval_affine_basic():

@@ -32,7 +32,7 @@ from curvemul.engine import (
     reference_mul,
     verify_good_basis,
 )
-from curvemul.galois import F2, F4, F16, BinaryField, ExtField, Lanes
+from curvemul.galois import F2, F4, F16, BinaryField, ExtField
 from curvemul.linalg import invert, rank
 from reference import basis_pairs, bundled, counting_field, horner, random_operand, setup_work
 
@@ -486,9 +486,8 @@ def test_operands_embed_on_the_columns_of_t():
         assert list(c.T_y.entries) == columns(T, [0, *range(n, 2 * n - 1)])
         assert c.T_inv_top.entries == invert(T).entries[: (2 * n - 1) * T.cols]
         for m in (T, c.T_x, c.T_y, c.T_inv_top):
-            lanes = Lanes(m.field, m.cols)
-            assert [v for r in m.packed for v in lanes.unpack(r, m.cols)] == list(m.entries)
             assert all(r >> 8 * m.cols == 0 for r in m.packed), name
+            assert [v for r in m.packed for v in r.to_bytes(m.cols, "little")] == list(m.entries)
 
 
 def horner_value(curve, f, place):
@@ -664,18 +663,6 @@ def test_injectivity_flag_is_advisory_only():
         assert not COMPILED[name].meets_injectivity_bound
 
 
-def test_tampered_basis_rejected():
-    spec = SPECS["f2_5"]
-    tampered = list(spec.basis)
-    tampered[1], tampered[2] = tampered[2], tampered[1]
-    bad = InstanceSpec(
-        "tampered", spec.field, spec.curve, spec.n, spec.q_place,
-        spec.d1_den, spec.d2_den, tampered, spec.candidate_places,
-    )
-    with pytest.raises(InstanceError, match="good-basis"):
-        compile_instance(bad)
-
-
 def _f2_5_swapped(spec):
     basis = list(spec.basis)
     basis[1], basis[2] = basis[2], basis[1]
@@ -743,16 +730,6 @@ def test_good_basis_zero_over_zero_is_a_pole():
     assert [(c.name, c.detail) for c in verify_good_basis(bad) if not c.ok] == [
         ("f_11", POLE_AT_Q)
     ]
-
-
-def test_duplicate_candidate_rejected():
-    spec = SPECS["f2_5"]
-    with pytest.raises(InstanceError, match="duplicates"):
-        InstanceSpec(
-            "dup", spec.field, spec.curve, spec.n, spec.q_place,
-            spec.d1_den, spec.d2_den, spec.basis,
-            list(spec.candidate_places) + [spec.candidate_places[0]],
-        )
 
 
 def rebuilt(spec, **changes):
@@ -845,15 +822,6 @@ def test_candidate_rejection_named(build, message):
     with pytest.raises(InstanceError) as exc:
         build()
     assert str(exc.value) == message
-
-
-def test_equal_denominators_rejected():
-    spec = SPECS["f2_5"]
-    with pytest.raises(InstanceError, match="distinct"):
-        InstanceSpec(
-            "same-d", spec.field, spec.curve, spec.n, spec.q_place,
-            spec.d1_den, spec.d1_den, spec.basis, spec.candidate_places,
-        )
 
 
 def test_q_presentation_must_use_residue_generator():

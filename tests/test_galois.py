@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -180,11 +181,10 @@ def test_lane_pack_round_trip(field):
             values = [rng.randrange(field.order) for _ in range(count)]
             packed = lanes.pack(values)
             assert packed < 1 << 8 * count
-            assert lanes.unpack(packed, count) == values
-            assert lanes.unpack(packed, min(count, 3)) == values[:3]
+            assert list(packed.to_bytes(count, "little")) == values
             raw = int.from_bytes(bytes([rng.randrange(field.order) for _ in range(count)]),
                                  "little")
-            assert lanes.pack(lanes.unpack(raw, count)) == raw
+            assert lanes.pack(raw.to_bytes(count, "little")) == raw
 
 
 @pytest.mark.parametrize(
@@ -210,12 +210,26 @@ def test_lane_apply_matches_ext_mul(base, modulus):
         us = [tuple(rng.randrange(base.order) for _ in range(ext.d)) for _ in range(count)]
         coords = [lanes.pack([u[r] for u in us]) for r in range(ext.d)]
         out = lanes.apply(ext.mul_map(z), coords)
-        got = list(zip(*(lanes.unpack(o, count) for o in out)))
+        got = list(zip(*(o.to_bytes(count, "little") for o in out)))
         assert got == [ext.mul(z, u) for u in us]
         ladder = [z]
         for _ in range(ext.d - 1):
             ladder.append(ext.mul(ladder[-1], ext.gen()))
         assert ext.ladder(z) == ladder
+    if ext.order <= 256:  # the lane ladder against the tuple recurrence, on every element
+        for z in ext_elements(ext):
+            assert ext.ladder(z) == tuple_ladder(ext, z), z
+
+
+def tuple_ladder(ext, z):
+    """Reference: z * t^s for s < d by the tuple recurrence the ladder ran
+    before lanes: each is the one before shifted, plus its top coordinate
+    times the modulus."""
+    cols = [tuple(z)]
+    for _ in range(ext.d - 1):
+        top, shifted = cols[-1][-1], (0,) + cols[-1][:-1]
+        cols.append(tuple(a ^ ext.base.mul(top, b) for a, b in zip(shifted, ext.modulus)))
+    return cols
 
 
 def test_field_spec_validation():
@@ -410,11 +424,24 @@ def test_ext_mul_reduction():
     assert F32.mul(b4, b) == F32.from_coords([1, 0, 0, 1, 0])
 
 
-def test_ext_pow_ladder_matches_repeated_mul():
-    acc = F32.one()
-    for i in range(40):
-        assert F32.pow(F32.gen(), i) == acc
-        acc = F32.mul(acc, F32.gen())
+def test_frobenius_matches_repeated_mul():
+    # the lane q-power map applied i times against u^(q^i), each q-th power
+    # q - 1 products by ExtField.mul; every element where there are at most
+    # 256, a few of f16_13's Q field
+    rng = random.Random(13)
+    q_field = ExtField(F16, (9, 12, 5, 14, 4, 11, 0, 11, 15, 1, 14, 6, 12, 1))
+    for ext in (F32, ExtField(F4, (2, 1, 1)), ExtField(F16, (8, 1, 1)), q_field):
+        if ext.order <= 256:
+            elements = list(ext_elements(ext))
+        else:
+            elements = [tuple(rng.randrange(ext.base.order) for _ in range(ext.d)) for _ in range(4)]
+        for u in elements:
+            v, power = int.from_bytes(bytes(u), "little"), u
+            for i in range(1, ext.d + 1):
+                v = ext.frobenius(v)
+                power = functools.reduce(ext.mul, [power] * ext.base.order)
+                assert tuple(v.to_bytes(ext.d, "little")) == power, (u, i)
+            assert power == u  # u^(q^d) = u
 
 
 def test_ext_inv():
@@ -464,6 +491,13 @@ def test_absolute_trace_properties():
             # additive, and invariant under Frobenius
             assert absolute_trace(ext, ext.add(u, v)) == tu ^ tv
             assert absolute_trace(ext, ext.mul(u, u)) == tu
+        # every element against the sum of its k * d repeated squarings
+        for u in ext_elements(ext):
+            acc, cur = ext.zero(), u
+            for _ in range(ext.base.k * ext.d):
+                acc, cur = ext.add(acc, cur), ext.mul(cur, cur)
+            assert acc in (ext.zero(), ext.one()), u
+            assert absolute_trace(ext, u) == acc[0], u
 
 
 def test_ext_spec_validation():

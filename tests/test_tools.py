@@ -739,9 +739,10 @@ def test_hidden_pole_corpus_is_refused_or_multiplies_right():
     # f_10 or f_11 (completion functions) times x, x + 1 or x^2 + 1; each of
     # f_2..f_5 (the D1 block) swapped with each of f_6..f_9 (the D2 block);
     # and seeded single-coefficient flips of f2_5's and f4_5's basis
-    # functions: each input is refused by load or compile with the documented
-    # errors, or else matches the oracle on all n^2 basis pairs and 200 seeded
-    # pairs.  The two unchanged documents compile, so that check runs
+    # functions, a flip drawn twice loaded once: each input is refused by load
+    # or compile with the documented errors, or else matches the oracle on all
+    # n^2 basis pairs and 200 seeded pairs.  The two unchanged documents
+    # compile, so that check runs
     docs = {name: json.loads(tools.bundled_instance_path(name).read_text(encoding="utf-8"))
             for name in ("f4_5", "f2_5")}
     corpus = [(name, doc, "unchanged") for name, doc in docs.items()]
@@ -752,7 +753,9 @@ def test_hidden_pole_corpus_is_refused_or_multiplies_right():
     corpus += [(name, _swapped(doc, i, j), f"f_{i + 1} <-> f_{j + 1}")
                for name, doc in docs.items() for i in range(1, 5) for j in range(5, 9)]
     rng = random.Random(14)
-    corpus += [(name, doc, label) for name in docs for doc, label in _basis_flips(docs[name], 150, rng)]
+    flips = {(name, label): doc for name in docs for doc, label in _basis_flips(docs[name], 150, rng)}
+    corpus += [(name, doc, label) for (name, label), doc in flips.items()]
+    assert len({(name, label) for name, _, label in corpus}) == len(corpus)  # no label repeats
     refusals, checked = {}, []
     for name, doc, label in corpus:
         try:
@@ -766,8 +769,9 @@ def test_hidden_pole_corpus_is_refused_or_multiplies_right():
             want = engine.reference_mul(spec.field, spec.q_modulus, x, y)
             assert compiled.multiply(x, y)[0] == want, (name, label, x, y)
         checked.append((name, label, len(pairs)))
-    # 2 of the 354 entries compiled, each checked on its 25 basis pairs and 200 seeded pairs
-    assert len(corpus) == 354
+    # 2 of the 294 entries (54 built, 240 distinct flips) compiled, each checked on its
+    # 25 basis pairs and 200 seeded pairs
+    assert len(corpus) == 294
     assert checked == [("f4_5", "unchanged", 225), ("f2_5", "unchanged", 225)]
     certified = [key for key, message in refusals.items()
                  if message.startswith("bilinear certificate: t^")]
